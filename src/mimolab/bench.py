@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathParams, PathSet, synthesize
-from .estimation import Dictionary, DirectionGrid, build_dictionaries, matching_pursuit
+from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
+                         matching_pursuit, relative_error)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
 from .geometry import ArrayGeometry, Direction
 from .observation import identity_setup, noise_for_snr, observe
@@ -28,7 +29,7 @@ from .observation import identity_setup, noise_for_snr, observe
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-KNOWN_STRATEGIES = ("joint", "sequential")
+KNOWN_STRATEGIES = tuple(_SELECTORS)
 
 
 def _default_square_upa(n_antennas: int) -> dict:
@@ -184,21 +185,48 @@ def generate_paths(cfg: ScenarioConfig, seed: int) -> PathSet:
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """One (seed, strategy, P_budget) estimation run plus the true-point CRB."""
+class BudgetResult:
+    """A pursuit read after its first P_budget iterations."""
 
-    strategy: str
     P_budget: int
-    seed: int
     rmse: float
     wall_time_s: float
     score_evals: int
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    """One (seed, strategy) pursuit read at each budget, plus the true-point CRB.
+
+    budgets holds one reading per requested budget in increasing order; the
+    pursuit ran to the last one, whose rmse, wall_time_s and score_evals the
+    properties of the same names give.
+    """
+
+    strategy: str
+    seed: int
+    budgets: tuple[BudgetResult, ...]
     m: int
     n: int
     true_crb: CrbResult
 
+    def at(self, P_budget: int) -> BudgetResult:
+        return {b.P_budget: b for b in self.budgets}[P_budget]
 
-def run_trial(cfg: ScenarioConfig, seed: int, strategy: str, P_budget: int,
+    @property
+    def rmse(self) -> float:
+        return self.budgets[-1].rmse
+
+    @property
+    def wall_time_s(self) -> float:
+        return self.budgets[-1].wall_time_s
+
+    @property
+    def score_evals(self) -> int:
+        return self.budgets[-1].score_evals
+
+
+def run_trial(cfg: ScenarioConfig, seed: int, strategy: str, P_budgets: int | tuple[int, ...],
               grid: DirectionGrid | None = None,
               dictionary: Dictionary | None = None) -> TrialResult:
     """Generate, observe, estimate and score one channel realization.
@@ -206,10 +234,16 @@ def run_trial(cfg: ScenarioConfig, seed: int, strategy: str, P_budget: int,
     Observation is full (identity pilots and combiners). The noise level
     realizes cfg.snr_db per observed entry: each of the n_r x n_s received
     pilot samples carries that signal-to-noise ratio on average, the
-    conventional way of quoting a training SNR. The relative-variance bound
-    at the true parameter point is recorded alongside; an ill-conditioned
+    conventional way of quoting a training SNR. One pursuit runs to the
+    largest of P_budgets (a single budget or several) and is read at each:
+    the rMSE of the paths kept so far, the cumulative pursuit time and the
+    scores evaluated through that iteration. The relative-variance bound at
+    the true parameter point is recorded alongside; an ill-conditioned
     Fisher matrix there only raises the flag inside the result.
     """
+    budgets = sorted({P_budgets} if isinstance(P_budgets, int) else set(P_budgets))
+    if budgets[0] < 1:
+        raise ValueError("every P_budget must be at least 1")
     g_t, g_r = cfg.geometries()
     paths = generate_paths(cfg, seed)
     H = synthesize(paths, g_r, g_t)
@@ -218,13 +252,17 @@ def run_trial(cfg: ScenarioConfig, seed: int, strategy: str, P_budget: int,
     Y = observe(H, s, np.random.default_rng([int(seed), 1])).Y
     if grid is None:
         grid = DirectionGrid.product(cfg.m, cfg.n)
-    report = matching_pursuit(Y, s, grid, g_r, g_t, P_budget, strategy,
-                              true_channel=H, dictionary=dictionary)
+    report = matching_pursuit(Y, s, grid, g_r, g_t, budgets[-1], strategy,
+                              dictionary=dictionary)
+    # every iteration scores the same number of candidates
+    readings = tuple(
+        BudgetResult(P, relative_error(H, report.estimated[:report.paths_kept[P - 1]], g_r, g_t),
+                     report.cumulative_times[P - 1], report.score_evaluations * P // report.P)
+        for P in budgets)
     D = channel_jacobian(paths, g_r, g_t)
     I = fisher_matrix(D, s)
     true_crb = crb_trace(D, I, H.vector)
-    return TrialResult(strategy, P_budget, seed, report.rmse, report.wall_time_seconds,
-                       report.score_evaluations, report.m, report.n, true_crb)
+    return TrialResult(strategy, seed, readings, report.m, report.n, true_crb)
 
 
 BENCH_COLUMNS = ("strategy", "P_budget", "mean_rmse", "mean_wall_time_s",
@@ -258,12 +296,13 @@ class BenchRow:
 
 def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
                results: list[TrialResult]) -> BenchRow:
+    readings = [r.at(P_budget) for r in results]
     return BenchRow(
         strategy=strategy,
         P_budget=P_budget,
-        mean_rmse=float(np.mean([r.rmse for r in results])),
-        mean_wall_time_s=float(np.mean([r.wall_time_s for r in results])),
-        mean_score_evals=float(np.mean([r.score_evals for r in results])),
+        mean_rmse=float(np.mean([b.rmse for b in readings])),
+        mean_wall_time_s=float(np.mean([b.wall_time_s for b in readings])),
+        mean_score_evals=float(np.mean([b.score_evals for b in readings])),
         crb_floor=optimal_bound(P_budget, cfg.observation_snr_linear),
         mean_true_crb=float(np.mean([r.true_crb.value for r in results])),
         ill_conditioned_trials=sum(r.true_crb.ill_conditioned for r in results),
@@ -274,20 +313,22 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
 def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     """Average run_trial over trials for every (strategy, budget) pair.
 
-    Trial t uses seed base_seed + t. Results are reduced in seed order
-    regardless of worker scheduling, so the rMSE and counter columns are
-    reproducible bit for bit; rows come back sorted by (P_budget, strategy).
+    Trial t uses seed base_seed + t. Each (seed, strategy) pair runs one
+    pursuit to the largest budget, read at every budget (see run_trial), so
+    a budget's wall time is the pursuit time through that many iterations.
+    Results are reduced in seed order regardless of worker scheduling, so
+    the rMSE and counter columns are reproducible bit for bit; rows come
+    back sorted by (P_budget, strategy).
     """
     grid = DirectionGrid.product(cfg.m, cfg.n)
     g_t, g_r = cfg.geometries()
     template = identity_setup(cfg.n_t, cfg.n_r, 1.0)
     dictionary = build_dictionaries(grid, template, g_r, g_t)
-    combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
-    tasks = [(p, s, cfg.base_seed + t) for p, s in combos for t in range(cfg.trials)]
+    tasks = [(s, cfg.base_seed + t) for s in cfg.strategies for t in range(cfg.trials)]
 
     def work(task):
-        p, s, seed = task
-        return run_trial(cfg, seed, s, p, grid=grid, dictionary=dictionary)
+        s, seed = task
+        return run_trial(cfg, seed, s, cfg.P_budgets, grid=grid, dictionary=dictionary)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -295,11 +336,10 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     else:
         results = [work(t) for t in tasks]
 
-    rows = []
-    for idx, (p, s) in enumerate(combos):
-        chunk = results[idx * cfg.trials:(idx + 1) * cfg.trials]
-        rows.append(_aggregate(cfg, s, p, chunk))
-    return rows
+    by_strategy = {s: results[k * cfg.trials:(k + 1) * cfg.trials]
+                   for k, s in enumerate(cfg.strategies)}
+    combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
+    return [_aggregate(cfg, s, p, by_strategy[s]) for p, s in combos]
 
 
 def rows_to_csv(rows, fh_or_path):

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .bench import (ScenarioConfig, format_table, generate_paths, monte_carlo,
-                    rows_to_csv, rows_to_json)
+from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_paths,
+                    monte_carlo, rows_to_csv, rows_to_json)
 from .channel import PathSet, synthesize
 from .estimation import DirectionGrid, hemisphere_directions, matching_pursuit, reports_to_csv
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
@@ -197,7 +197,7 @@ def run_estimate(cfg: dict, out: str | None) -> int:
     strategy = cfg.get("strategy", "sequential")
     P_budget = int(cfg.get("P_budget", 10))
     seed = int(cfg.get("seed", 0))
-    if strategy not in ("joint", "sequential"):
+    if strategy not in KNOWN_STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     grid = _build_grid(cfg)
     H = synthesize(paths, g_r, g_t)

@@ -25,7 +25,7 @@ from .observation import ObservationSetup
 
 TWO_PI = 2.0 * math.pi
 ATOM_NORM_TOL = 1e-12
-_SCORE_BLOCK_ROWS = 512
+_SCORE_BLOCK_ROWS = 64   # rows per score block: 16-128 time alike at m = n = 2500, 512 is slower
 
 
 def hemisphere_directions(n_az: int, n_el: int,
@@ -156,20 +156,34 @@ class Selection:
 def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     """Exhaustive scan: argmax over all pairs of |k_r_i^H Y k_t_j|.
 
-    Evaluates all m*n scores (blockwise, to bound memory); ties are broken
-    by the smallest DoA index, then the smallest DoD index.
+    Evaluates all m*n scores in blocks of rows, written into buffers reused
+    from block to block; ties are broken by the smallest DoA index, then the
+    smallest DoD index. The product K_r^H Y K_t is contracted over the
+    smaller side of Y: (K_r^H)[block] @ (Y K_t) when n_c <= n_s, and
+    (K_r^H Y)[block] @ K_t otherwise.
     """
-    T = dictionary.K_r.conj().T @ Y
-    n = dictionary.n
+    K_r, K_t = dictionary.K_r, dictionary.K_t
+    if K_r.shape[0] <= K_t.shape[0]:
+        left, right = K_r.conj().T, Y @ K_t
+    else:
+        left, right = K_r.conj().T @ Y, K_t
+    m, n = dictionary.m, dictionary.n
+    rows = min(_SCORE_BLOCK_ROWS, m)
+    C = np.empty((rows, n), dtype=complex)
+    S, S_imag = np.empty((rows, n)), np.empty((rows, n))
     best_v, best_i, best_j = -1.0, 0, 0
-    for i0 in range(0, dictionary.m, _SCORE_BLOCK_ROWS):
-        C = T[i0:i0 + _SCORE_BLOCK_ROWS] @ dictionary.K_t
-        S = C.real ** 2 + C.imag ** 2
-        flat = int(np.argmax(S))
-        v = float(S.flat[flat])
+    for i0 in range(0, m, rows):
+        k = min(rows, m - i0)
+        c, s, s_imag = C[:k], S[:k], S_imag[:k]
+        np.matmul(left[i0:i0 + k], right, out=c)
+        np.multiply(c.real, c.real, out=s)
+        np.multiply(c.imag, c.imag, out=s_imag)
+        s += s_imag
+        flat = int(np.argmax(s))
+        v = float(s.flat[flat])
         if v > best_v:
             best_v, best_i, best_j = v, i0 + flat // n, flat % n
-    return Selection(best_i, best_j, dictionary.m * dictionary.n)
+    return Selection(best_i, best_j, m * n)
 
 
 def sequential_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
@@ -196,6 +210,14 @@ def _observed_atoms(s: ObservationSetup, doa: Direction, dod: Direction,
     return a_r, a_t
 
 
+def _least_squares_gain(Y: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> complex:
+    """argmin_c ||Y - c a_r a_t^H||_F = a_r^H Y a_t / (||a_r||^2 ||a_t||^2)."""
+    denom = float(np.vdot(a_r, a_r).real * np.vdot(a_t, a_t).real)
+    if denom <= ATOM_NORM_TOL ** 2:
+        raise ValueError("direction pair is annihilated by the observation matrices")
+    return complex(a_r.conj() @ Y @ a_t) / denom
+
+
 def estimate_gain(Y: np.ndarray, s: ObservationSetup, doa: Direction, dod: Direction,
                   g_r: ArrayGeometry, g_t: ArrayGeometry) -> complex:
     """Least-squares complex gain of one direction pair against Y.
@@ -206,11 +228,20 @@ def estimate_gain(Y: np.ndarray, s: ObservationSetup, doa: Direction, dod: Direc
     ||a_t||^2), which recovers the true gain exactly in the noiseless
     single-path case.
     """
-    a_r, a_t = _observed_atoms(s, doa, dod, g_r, g_t)
-    denom = float(np.vdot(a_r, a_r).real * np.vdot(a_t, a_t).real)
-    if denom <= ATOM_NORM_TOL ** 2:
-        raise ValueError("direction pair is annihilated by the observation matrices")
-    return complex(a_r.conj() @ Y @ a_t) / denom
+    return _least_squares_gain(Y, *_observed_atoms(s, doa, dod, g_r, g_t))
+
+
+def relative_error(true_channel, paths, g_r: ArrayGeometry, g_t: ArrayGeometry) -> float:
+    """||H - H_hat||_F^2 / ||H||_F^2 for the channel synthesized from paths.
+
+    true_channel is a Channel or a plain matrix; no paths means H_hat = 0.
+    """
+    Hm = true_channel.matrix if hasattr(true_channel, "matrix") else np.asarray(true_channel)
+    if paths:
+        H_hat = synthesize(PathSet(paths), g_r, g_t).matrix
+    else:
+        H_hat = np.zeros_like(Hm)
+    return float(np.linalg.norm(Hm - H_hat) ** 2 / np.linalg.norm(Hm) ** 2)
 
 
 @dataclass(frozen=True)
@@ -223,6 +254,9 @@ class EstimationReport:
     the degenerate case where every fitted gain was exactly zero.
     residual_norms tracks ||R||_F from the initial observation through every
     subtraction; least-squares fitting makes it non-increasing.
+    cumulative_times[k] and paths_kept[k] are the pursuit time and the number
+    of paths in estimated after iteration k + 1. Greedy pursuit is
+    deterministic, so its first p iterations are the whole run at budget p.
     """
 
     strategy: str
@@ -234,6 +268,8 @@ class EstimationReport:
     m: int
     n: int
     residual_norms: tuple[float, ...]
+    cumulative_times: tuple[float, ...]
+    paths_kept: tuple[int, ...]
 
     def estimated_paths(self) -> PathSet:
         return PathSet(self.estimated)
@@ -260,9 +296,12 @@ def matching_pursuit(Y: np.ndarray, s: ObservationSetup, grid: DirectionGrid,
     path, and subtracts its observed contribution. Repeated selection of
     the same pair is allowed; the gains accumulate as separate paths. The
     wall time covers the pursuit loop only, not dictionary construction.
+    An observation holding NaN or inf raises ValueError.
     """
     if P_budget < 1:
         raise ValueError("P_budget must be at least 1")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("observation Y holds NaN or inf entries")
     try:
         select = _SELECTORS[strategy]
     except KeyError:
@@ -273,30 +312,27 @@ def matching_pursuit(Y: np.ndarray, s: ObservationSetup, grid: DirectionGrid,
     paths: list[PathParams] = []
     evaluations = 0
     residual_norms = [float(np.linalg.norm(R))]
+    cumulative_times, paths_kept = [], []
     start = time.perf_counter()
     for _ in range(P_budget):
         sel = select(R, dictionary)
         evaluations += sel.score_evaluations
         doa, dod = dictionary.doa_of(sel.doa_index), dictionary.dod_of(sel.dod_index)
         a_r, a_t = _observed_atoms(s, doa, dod, g_r, g_t)
-        c = complex(a_r.conj() @ R @ a_t) / float(np.vdot(a_r, a_r).real
-                                                  * np.vdot(a_t, a_t).real)
+        c = _least_squares_gain(R, a_r, a_t)
         if c != 0:
             paths.append(PathParams(abs(c), cmath.phase(c) % TWO_PI, doa, dod))
             R -= c * np.outer(a_r, a_t.conj())
         residual_norms.append(float(np.linalg.norm(R)))
-    wall = time.perf_counter() - start
+        cumulative_times.append(time.perf_counter() - start)
+        paths_kept.append(len(paths))
     rmse = None
     if true_channel is not None:
-        Hm = true_channel.matrix if hasattr(true_channel, "matrix") else np.asarray(true_channel)
-        if paths:
-            H_hat = synthesize(PathSet(paths), g_r, g_t).matrix
-        else:
-            H_hat = np.zeros_like(Hm)
-        rmse = float(np.linalg.norm(Hm - H_hat) ** 2 / np.linalg.norm(Hm) ** 2)
-    return EstimationReport(strategy, P_budget, tuple(paths), rmse, wall,
+        rmse = relative_error(true_channel, paths, g_r, g_t)
+    return EstimationReport(strategy, P_budget, tuple(paths), rmse, cumulative_times[-1],
                             evaluations, dictionary.m, dictionary.n,
-                            tuple(residual_norms))
+                            tuple(residual_norms), tuple(cumulative_times),
+                            tuple(paths_kept))
 
 
 def reports_to_csv(reports, path):

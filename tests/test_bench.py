@@ -7,7 +7,10 @@ import pytest
 
 from mimolab.bench import (BenchRow, ScenarioConfig, format_table, generate_paths,
                            monte_carlo, rows_to_csv, rows_to_json, run_trial)
+from mimolab.channel import synthesize
+from mimolab.estimation import DirectionGrid, matching_pursuit
 from mimolab.geometry import unit_vector
+from mimolab.observation import identity_setup, noise_for_snr, observe
 
 
 def tiny_config(**overrides):
@@ -121,6 +124,30 @@ def test_monte_carlo_single_trial_reduces_to_run_trial():
     assert row.mean_rmse == trial.rmse
     assert row.mean_score_evals == trial.score_evals
     assert row.mean_true_crb == trial.true_crb.value
+
+
+@pytest.mark.parametrize("strategy", ["joint", "sequential"])
+def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
+    # rows are read off one pursuit per seed; each must equal a pursuit run
+    # from scratch at that budget
+    cfg = tiny_config(P_budgets=(4, 1, 3), strategies=(strategy,), trials=2)
+    rows = monte_carlo(cfg)
+    grid = DirectionGrid.product(cfg.m, cfg.n)
+    g_t, g_r = cfg.geometries()
+    observed = []
+    for seed in range(cfg.base_seed, cfg.base_seed + cfg.trials):
+        H = synthesize(generate_paths(cfg, seed), g_r, g_t)
+        s = identity_setup(cfg.n_t, cfg.n_r,
+                           noise_for_snr(cfg.observation_snr_linear, 1.0, H.vector))
+        observed.append((H, s, observe(H, s, np.random.default_rng([seed, 1])).Y))
+    assert [r.P_budget for r in rows] == [1, 3, 4]
+    for row in rows:
+        reports = [matching_pursuit(Y, s, grid, g_r, g_t, row.P_budget, strategy,
+                                    true_channel=H) for H, s, Y in observed]
+        assert row.mean_rmse == float(np.mean([r.rmse for r in reports]))
+        assert row.mean_score_evals == float(np.mean([r.score_evaluations for r in reports]))
+    walls = [r.mean_wall_time_s for r in rows]
+    assert walls == sorted(walls)
 
 
 def test_monte_carlo_deterministic_across_threads():

@@ -127,6 +127,14 @@ def test_estimate_override_strategy(tmp_path):
     assert row["score_evals"] == 100 * 100
 
 
+def test_estimate_non_finite_observation_exit_2(tmp_path, capsys):
+    obj = dict(estimate_config(), observation={"sigma2": math.nan})
+    cfg = write_config(tmp_path, obj)
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "est")]) == 2
+    assert "NaN or inf" in capsys.readouterr().err
+    assert not (tmp_path / "est.json").exists()
+
+
 def bench_config():
     return {"n_t": 16, "n_r": 4, "m": 100, "n": 100, "n_clusters": 3,
             "paths_per_cluster": 2, "P_budgets": [1, 2], "trials": 2,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import orth
 
+from mimolab import estimation
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
 from mimolab.estimation import (DirectionGrid, build_dictionaries,
                                 estimate_gain, hemisphere_directions, joint_select,
@@ -104,6 +105,31 @@ def test_joint_select_matches_bruteforce_oracle(rng):
                 best, arg = v, (i, j)
     sel = joint_select(Y, d)
     assert (sel.doa_index, sel.dod_index) == arg
+
+
+@pytest.mark.parametrize("n_c, n_s", [(2, 5), (4, 2)])
+@pytest.mark.parametrize("block_rows", [7, estimation._SCORE_BLOCK_ROWS])
+def test_joint_select_matches_bruteforce_oracle_hybrid(rng, monkeypatch, n_c, n_s, block_rows):
+    # n_c < n_s contracts over the combiner side, n_c > n_s over the pilot
+    # side; 100 DoAs leave a partial last block for either block size
+    monkeypatch.setattr(estimation, "_SCORE_BLOCK_ROWS", block_rows)
+    grid = DirectionGrid(hemisphere_directions(10, 10), hemisphere_directions(4, 5))
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    W = rng.normal(size=(4, n_c)) + 1j * rng.normal(size=(4, n_c))
+    X = rng.normal(size=(6, n_s)) + 1j * rng.normal(size=(6, n_s))
+    d = build_dictionaries(grid, ObservationSetup(X, W, 1.0), g_r, g_t)
+    assert d.m == 100 and d.m % block_rows != 0
+    for _ in range(3):
+        Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+        best, arg = -1.0, None
+        for i in range(d.m):
+            for j in range(d.n):
+                v = abs(np.vdot(d.K_r[:, i], Y @ d.K_t[:, j]))
+                if v > best:
+                    best, arg = v, (i, j)
+        sel = joint_select(Y, d)
+        assert (sel.doa_index, sel.dod_index) == arg
+        assert sel.score_evaluations == 100 * 20
 
 
 def test_joint_select_zero_observation_tie_break():
@@ -215,6 +241,9 @@ def test_matching_pursuit_residual_non_increasing(rng):
     rep = matching_pursuit(Y, s, grid, g_r, g_t, 6, "sequential", true_channel=H)
     norms = rep.residual_norms
     assert len(norms) == 7
+    times = rep.cumulative_times
+    assert len(times) == 6 and times[-1] == rep.wall_time_seconds
+    assert all(a <= b for a, b in zip(times, times[1:]))
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-12
 
@@ -225,6 +254,7 @@ def test_matching_pursuit_zero_observation():
     s = identity_setup(4, 4, 0.0)
     rep = matching_pursuit(np.zeros((4, 4)), s, grid, g_r, g_t, 2, "joint")
     assert rep.estimated == ()
+    assert rep.paths_kept == (0, 0)
     assert rep.score_evaluations == 9 * 9 * 2
     assert rep.rmse is None
 
@@ -237,6 +267,12 @@ def test_matching_pursuit_rejects_bad_arguments():
         matching_pursuit(np.zeros((4, 4)), s, grid, g_r, g_t, 0, "joint")
     with pytest.raises(ValueError):
         matching_pursuit(np.zeros((4, 4)), s, grid, g_r, g_t, 1, "greedy")
+    for bad in (np.nan, np.inf, -np.inf):
+        Y = np.ones((4, 4), dtype=complex)
+        Y[1, 2] = bad
+        for strategy in ("joint", "sequential"):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                matching_pursuit(Y, s, grid, g_r, g_t, 1, strategy)
 
 
 def test_grid_permutation_changes_only_indices(rng):
