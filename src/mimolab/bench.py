@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,11 +24,8 @@ from .channel import PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
                          matching_pursuit, relative_error)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
-from .geometry import ArrayGeometry, Direction
+from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction
 from .observation import identity_setup, noise_for_snr, observe
-
-TWO_PI = 2.0 * math.pi
-HALF_PI = 0.5 * math.pi
 
 KNOWN_STRATEGIES = tuple(_SELECTORS)
 
@@ -67,6 +65,15 @@ class ScenarioConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("P_budgets", "strategies"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise ValueError(f"{name} must be a list, not the string {value!r}")
+        for name in ("snr_db", "angular_spread_deg", "gain_decay_db_per_cluster"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         self.P_budgets = tuple(int(p) for p in self.P_budgets)
         self.strategies = tuple(self.strategies)
         counts = {"n_t": self.n_t, "n_r": self.n_r, "n_clusters": self.n_clusters,

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, Direction, tangent_basis, unit_vector
-
-TWO_PI = 2.0 * math.pi
+from .geometry import (TWO_PI, ArrayGeometry, Direction, tangent_basis, unit_vector,
+                       unit_vectors)
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,8 @@ def steering_vector(g: ArrayGeometry, d: Direction) -> np.ndarray:
 
 def steering_matrix(g: ArrayGeometry, directions) -> np.ndarray:
     """Steering vectors for many directions, stacked as columns."""
-    U = np.stack([unit_vector(d) for d in directions], axis=1)
-    return np.exp(-1j * (g.scaled_positions.T @ U)) / math.sqrt(g.n_antennas)
+    phases = g.scaled_positions.T @ unit_vectors(directions)
+    return np.exp(-1j * phases) / math.sqrt(g.n_antennas)
 
 
 def steering_derivative(g: ArrayGeometry, d: Direction, axis: str) -> np.ndarray:

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathParams, PathSet, steering_matrix, steering_vector, synthesize
-from .geometry import ArrayGeometry, Direction, unit_vector
+from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors
 from .observation import ObservationSetup
 
-TWO_PI = 2.0 * math.pi
 ATOM_NORM_TOL = 1e-12
 _SCORE_BLOCK_ROWS = 64   # rows per score block: 16-128 time alike at m = n = 2500, 512 is slower
 
 
 def hemisphere_directions(n_az: int, n_el: int,
-                          az_span: tuple[float, float] = (-math.pi / 2, math.pi / 2),
-                          el_span: tuple[float, float] = (-math.pi / 2, math.pi / 2),
+                          az_span: tuple[float, float] = (-HALF_PI, HALF_PI),
+                          el_span: tuple[float, float] = (-HALF_PI, HALF_PI),
                           ) -> tuple[Direction, ...]:
     """Cell-centered product grid of directions over an azimuth/elevation box.
 
@@ -47,17 +46,42 @@ def hemisphere_directions(n_az: int, n_el: int,
     return tuple(Direction(a, e) for a in azs for e in els)
 
 
+# Unit axis for the duplicate sweep. Its unequal irrational components keep
+# mirror images in a symmetric grid from sharing a projection.
+_SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
+# Above the rounding error of a computed projection difference (about 1e-15).
+_SWEEP_SLACK = 1e-14
+
+
 def _check_no_duplicates(directions, label: str, tol: float = 1e-12):
-    U = np.stack([unit_vector(d) for d in directions], axis=0)
-    k = U.shape[0]
-    for i0 in range(0, k, 256):
-        chunk = U[i0:i0 + 256]
-        d2 = ((chunk[:, None, :] - U[None, :, :]) ** 2).sum(axis=2)
-        close = d2 <= tol * tol
-        for a, b in zip(*np.nonzero(close)):
-            if i0 + a < b:
-                raise ValueError(f"duplicate {label} directions at indices "
-                                 f"{i0 + a} and {b}")
+    """Raise for the smallest index pair (a, b), a < b, with ||u_a - u_b|| <= tol.
+
+    Sort-sweep in O(k log k) for spread-out directions: projecting on a unit
+    axis shrinks distances, so every close pair is a pair of neighbours in
+    projection order whose projections differ by at most tol. The sweep
+    tries neighbours s = 1, 2, ... places apart and stops at the first s with
+    no such pair, as none can then exist further apart. Each candidate pair
+    gets the exact test sum((u_a - u_b)**2) <= tol**2.
+    """
+    U = unit_vectors(directions).T
+    proj = U @ _SWEEP_AXIS
+    order = np.argsort(proj)
+    proj = proj[order]
+    reach = tol + _SWEEP_SLACK
+    k = len(proj)
+    first = k * k   # smallest a * k + b over close pairs (a, b), a < b
+    for s in range(1, k):
+        near = np.nonzero(proj[s:] - proj[:-s] <= reach)[0]
+        if near.size == 0:
+            break
+        a, b = order[near], order[near + s]
+        hit = ((U[a] - U[b]) ** 2).sum(axis=1) <= tol * tol
+        if hit.any():
+            keys = np.minimum(a, b) * k + np.maximum(a, b)
+            first = min(first, int(keys[hit].min()))
+    if first < k * k:
+        a, b = divmod(first, k)
+        raise ValueError(f"duplicate {label} directions at indices {a} and {b}")
 
 
 @dataclass(frozen=True)

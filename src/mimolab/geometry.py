@@ -15,10 +15,11 @@ HALF_PI = 0.5 * math.pi
 class Direction:
     """A look direction, azimuth in [-pi, pi) and elevation in [-pi/2, pi/2].
 
-    Azimuth is wrapped into range at construction; an out-of-range elevation
-    is rejected. At elevation +-pi/2 the azimuth is degenerate; the tangent
-    formulas below still return finite values there, but information-matrix
-    conditioning degrades for directions at the poles.
+    Azimuth is wrapped into range at construction; a non-finite azimuth and
+    an out-of-range elevation are rejected. At elevation +-pi/2 the azimuth
+    is degenerate; the tangent formulas below still return finite values
+    there, but information-matrix conditioning degrades for directions at
+    the poles.
     """
 
     azimuth: float
@@ -28,7 +29,10 @@ class Direction:
         el = float(self.elevation)
         if not -HALF_PI <= el <= HALF_PI:
             raise ValueError(f"elevation {el} outside [-pi/2, pi/2]")
-        az = (float(self.azimuth) + math.pi) % TWO_PI - math.pi
+        az = float(self.azimuth)
+        if not math.isfinite(az):
+            raise ValueError(f"azimuth {az} is not finite")
+        az = (az + math.pi) % TWO_PI - math.pi
         object.__setattr__(self, "azimuth", az)
         object.__setattr__(self, "elevation", el)
 
@@ -45,6 +49,19 @@ def unit_vector(d: Direction) -> np.ndarray:
     ca, sa = math.cos(d.azimuth), math.sin(d.azimuth)
     ce, se = math.cos(d.elevation), math.sin(d.elevation)
     return np.array([ce * ca, ce * sa, se])
+
+
+def unit_vectors(directions) -> np.ndarray:
+    """Unit vectors of many directions, stacked as the columns of a 3 x k array.
+
+    Evaluates unit_vector's formula on the azimuth and elevation arrays, so
+    column j equals unit_vector(directions[j]) wherever numpy's cos and sin
+    round like the math module's.
+    """
+    angles = np.array([(d.azimuth, d.elevation) for d in directions], dtype=float)
+    az, el = angles.reshape(-1, 2).T
+    ce = np.cos(el)
+    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
 
 
 def tangent_basis(d: Direction) -> tuple[np.ndarray, np.ndarray]:

@@ -40,6 +40,23 @@ def test_config_validation():
         ScenarioConfig.from_json({"n_t": 16})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("strategies", "joint"), ("strategies", "sequential"), ("P_budgets", "5"),
+    ("snr_db", "10"), ("snr_db", math.nan), ("snr_db", math.inf), ("snr_db", None),
+    ("snr_db", True), ("angular_spread_deg", "5"), ("angular_spread_deg", math.nan),
+    ("gain_decay_db_per_cluster", "5"), ("gain_decay_db_per_cluster", -math.inf),
+])
+def test_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: value})
+
+
+def test_config_accepts_integer_and_numpy_numbers():
+    cfg = tiny_config(snr_db=10, angular_spread_deg=np.float64(2.5),
+                      gain_decay_db_per_cluster=np.int64(3))
+    assert cfg.snr_linear == 10.0
+
+
 def test_config_json_round_trip():
     cfg = tiny_config()
     cfg2 = ScenarioConfig.from_json(json.loads(json.dumps(cfg.to_json())))

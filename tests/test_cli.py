@@ -91,6 +91,13 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["crb", "--config", write_config(tmp_path, obj, "none.json")]) == 2
 
 
+def test_crb_non_finite_azimuth_exit_2(tmp_path, capsys):
+    obj = crb_config(n_paths=2)
+    obj["paths"][1]["doa"]["az"] = math.nan
+    assert main(["crb", "--config", write_config(tmp_path, obj)]) == 2
+    assert "azimuth" in capsys.readouterr().err
+
+
 def estimate_config():
     return {
         "arrays": {"tx": {"type": "upa", "nx": 4, "ny": 4},
@@ -184,6 +191,15 @@ def test_bench_seed_override_changes_values_not_schema(tmp_path):
 def test_bench_invalid_config_exit_2(tmp_path):
     cfg = write_config(tmp_path, dict(bench_config(), strategies=["magic"]))
     assert main(["bench", "--config", cfg]) == 2
+
+
+def test_bench_mistyped_fields_exit_2(tmp_path, capsys):
+    for field, value in (("strategies", "joint"), ("P_budgets", "5"), ("snr_db", "10"),
+                         ("snr_db", math.nan), ("angular_spread_deg", math.nan),
+                         ("gain_decay_db_per_cluster", "5")):
+        cfg = write_config(tmp_path, dict(bench_config(), **{field: value}))
+        assert main(["bench", "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_bench_env_threads(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,7 @@ from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
 from mimolab.estimation import (DirectionGrid, build_dictionaries,
                                 estimate_gain, hemisphere_directions, joint_select,
                                 matching_pursuit, reports_to_csv, sequential_select)
-from mimolab.geometry import Direction, upa
+from mimolab.geometry import Direction, direction_from_unit, unit_vector, upa
 from mimolab.observation import ObservationSetup, identity_setup, observe
 
 
@@ -52,6 +52,87 @@ def test_grid_product_requires_squares():
     assert g.m == 2500 and g.n == 100
     with pytest.raises(ValueError):
         DirectionGrid.product(2000, 100)
+
+
+def first_duplicate(directions, tol=1e-12):
+    """Brute-force O(k^2) oracle: smallest (a, b), a < b, within tol, or None."""
+    U = np.stack([unit_vector(d) for d in directions])
+    d2 = ((U[:, None, :] - U[None, :, :]) ** 2).sum(axis=2)
+    a, b = np.nonzero(np.triu(d2 <= tol * tol, k=1))
+    return (int(a[0]), int(b[0])) if a.size else None
+
+
+def grid_error(directions):
+    """The message _check_no_duplicates raises for directions, or None."""
+    try:
+        estimation._check_no_duplicates(directions, "DoA")
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def near_copy(rng, d, distance):
+    """A direction whose unit vector lies `distance` away from d's."""
+    u = unit_vector(d)
+    v = rng.normal(size=3)
+    v -= (v @ u) * u
+    return direction_from_unit(u + distance * v / np.linalg.norm(v))
+
+
+def random_directions(rng, k):
+    return [Direction(a, e) for a, e in zip(rng.uniform(-math.pi, math.pi, k),
+                                            rng.uniform(-1.5, 1.5, k))]
+
+
+@pytest.mark.parametrize("factor, duplicate", [(0.5, True), (2.0, False)])
+def test_duplicate_check_matches_bruteforce_oracle(rng, factor, duplicate):
+    for _ in range(40):
+        dirs = random_directions(rng, int(rng.integers(2, 300)))
+        for _ in range(int(rng.integers(1, 4))):
+            twin = near_copy(rng, dirs[int(rng.integers(len(dirs)))], factor * 1e-12)
+            dirs.insert(int(rng.integers(len(dirs) + 1)), twin)
+        oracle = first_duplicate(dirs)
+        assert (oracle is not None) == duplicate
+        expected = None if oracle is None else (
+            "duplicate DoA directions at indices %d and %d" % oracle)
+        assert grid_error(dirs) == expected
+
+
+def test_duplicate_check_far_apart_indices():
+    dirs = list(hemisphere_directions(50, 50))
+    dirs.append(dirs[0])
+    assert grid_error(dirs) == "duplicate DoA directions at indices 0 and 2500"
+    dirs = [dirs[1234]] + list(hemisphere_directions(50, 50))
+    assert grid_error(dirs) == "duplicate DoA directions at indices 0 and 1235"
+
+
+def test_duplicate_check_shuffled_reports_smallest_pair(rng):
+    base = list(hemisphere_directions(20, 20))
+    dirs = base + [base[i] for i in (17, 250, 399)] + [base[250]]
+    for _ in range(10):
+        shuffled = [dirs[i] for i in rng.permutation(len(dirs))]
+        oracle = first_duplicate(shuffled)
+        assert grid_error(shuffled) == "duplicate DoA directions at indices %d and %d" % oracle
+
+
+def test_duplicate_check_poles_and_single_direction(rng):
+    assert grid_error([Direction(0.4, 0.2)]) is None
+    assert grid_error([Direction(0.4, math.pi / 2)]) is None
+    # every azimuth names the same point at a pole
+    dirs = random_directions(rng, 200)
+    dirs.insert(30, Direction(-2.0, -math.pi / 2))
+    dirs.insert(150, Direction(1.0, -math.pi / 2))
+    dirs.insert(90, Direction(3.0, math.pi / 2))
+    assert first_duplicate(dirs) == (30, 151)
+    assert grid_error(dirs) == "duplicate DoA directions at indices 30 and 151"
+    north = [Direction(0.0, math.pi / 2), Direction(0.0, -math.pi / 2)]
+    assert grid_error(north) is None
+
+
+def test_grid_product_large():
+    # the all-pairs check took seconds at this size; no timing is asserted
+    g = DirectionGrid.product(10000, 2500)
+    assert (g.m, g.n) == (10000, 2500)
 
 
 def test_dictionary_identity_combiner_equals_steering(rng):

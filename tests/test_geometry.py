@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mimolab.estimation import hemisphere_directions
 from mimolab.geometry import (ArrayGeometry, Direction, direction_from_unit,
-                              tangent_basis, ula, unit_vector, upa)
+                              tangent_basis, ula, unit_vector, unit_vectors, upa)
 
 from conftest import random_direction
 
@@ -43,6 +44,26 @@ def test_direction_wraps_azimuth_and_rejects_elevation():
     assert np.allclose(unit_vector(d), unit_vector(Direction(-math.pi / 2, 0.1)))
     with pytest.raises(ValueError):
         Direction(0.0, 2.0)
+
+
+@pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+def test_direction_rejects_non_finite_azimuth(azimuth):
+    with pytest.raises(ValueError, match="azimuth"):
+        Direction(azimuth, 0.1)
+    with pytest.raises(ValueError):
+        Direction(0.1, azimuth)
+
+
+def test_unit_vectors_equal_stacked_unit_vector(rng):
+    random = [Direction(a, e) for a, e in zip(rng.uniform(-10.0, 10.0, 2000),
+                                              rng.uniform(-math.pi / 2, math.pi / 2, 2000))]
+    poles = [Direction(0.3, math.pi / 2), Direction(-2.0, -math.pi / 2)]
+    for dirs in (hemisphere_directions(50, 50), random, poles):
+        U = unit_vectors(dirs)
+        assert U.shape == (3, len(dirs))
+        assert np.array_equal(U, np.stack([unit_vector(d) for d in dirs], axis=1))
+    assert np.array_equal(unit_vectors(d for d in poles), unit_vectors(poles))
+    assert unit_vectors([]).shape == (3, 0)
 
 
 def test_direction_from_unit_round_trip(rng):
