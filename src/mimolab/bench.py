@@ -10,7 +10,6 @@ timings aside.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -22,7 +21,7 @@ import numpy as np
 
 from .channel import PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
-                         matching_pursuit, relative_error)
+                         matching_pursuit, relative_error, write_csv)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction
 from .observation import identity_setup, noise_for_snr, observe
@@ -351,18 +350,7 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
 
 def rows_to_csv(rows, fh_or_path):
     """Write benchmark rows as CSV (one line per strategy/budget pair)."""
-    if hasattr(fh_or_path, "write"):
-        _write_csv(rows, fh_or_path)
-    else:
-        with open(fh_or_path, "w", newline="") as fh:
-            _write_csv(rows, fh)
-
-
-def _write_csv(rows, fh):
-    writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.to_json_row())
+    write_csv(BENCH_COLUMNS, rows, fh_or_path)
 
 
 def rows_to_json(cfg: ScenarioConfig, rows) -> dict:

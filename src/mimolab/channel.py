@@ -23,7 +23,7 @@ class PathParams:
 
     rho must be strictly positive: zero-gain paths make the gain-magnitude
     information entry (which carries a 1/rho^2 factor) meaningless and the
-    Fisher matrix singular.
+    Fisher matrix singular. rho and phi must be finite.
     """
 
     rho: float
@@ -32,10 +32,13 @@ class PathParams:
     dod: Direction
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"path gain magnitude must be positive, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"path gain magnitude must be positive and finite, got {self.rho}")
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"path phase {phi} is not finite")
         object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", phi % TWO_PI)
 
     @property
     def gain(self) -> complex:

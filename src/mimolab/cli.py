@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -59,20 +60,38 @@ def _apply_overrides(cfg: dict, overrides) -> None:
             node[parts[-1]] = raw
 
 
+# What converting a JSON value can raise: int(inf) raises OverflowError.
+_VALUE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
+
+
 def _require(cfg: dict, key: str, context: str):
     if key not in cfg:
         raise ConfigError(f"{context} requires {key!r}")
     return cfg[key]
 
 
-def _build_arrays(cfg: dict) -> tuple[ArrayGeometry, ArrayGeometry]:
-    arrays = _require(cfg, "arrays", "config")
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
+    value = cfg.get(key, default)
     try:
-        g_t = ArrayGeometry.from_json(_require(arrays, "tx", "arrays"))
-        g_r = ArrayGeometry.from_json(_require(arrays, "rx", "arrays"))
-    except (ValueError, KeyError, TypeError) as e:
+        return int(value)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from e
+
+
+def _build_arrays(cfg: dict) -> tuple[ArrayGeometry, ArrayGeometry]:
+    arrays = _object(_require(cfg, "arrays", "config"), "arrays")
+    tx = _object(_require(arrays, "tx", "arrays"), "arrays.tx")
+    rx = _object(_require(arrays, "rx", "arrays"), "arrays.rx")
+    try:
+        return ArrayGeometry.from_json(tx), ArrayGeometry.from_json(rx)
+    except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid array spec: {e}") from e
-    return g_t, g_r
 
 
 def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
@@ -80,16 +99,16 @@ def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
     if isinstance(spec, list):
         try:
             return PathSet.from_json(spec)
-        except (ValueError, KeyError, TypeError) as e:
+        except _VALUE_ERRORS as e:
             raise ConfigError(f"invalid explicit paths: {e}") from e
     if isinstance(spec, dict):
-        gen = dict(spec.get("generator", {}))
-        seed = spec.get("seed", 0)
+        gen = _object(spec.get("generator", {}), "paths.generator")
+        seed = _integer(spec, "seed", 0)
         try:
             scen = ScenarioConfig(n_t=g_t.n_antennas, n_r=g_r.n_antennas,
                                   tx_array=g_t.to_json(), rx_array=g_r.to_json(), **gen)
-            return generate_paths(scen, int(seed))
-        except (ValueError, TypeError) as e:
+            return generate_paths(scen, seed)
+        except _VALUE_ERRORS as e:
             raise ConfigError(f"invalid path generator: {e}") from e
     raise ConfigError("paths must be a list of paths or a generator object")
 
@@ -112,14 +131,17 @@ class _ParsedObservation:
 
     def resolve(self, h) -> ObservationSetup:
         sigma2 = self.sigma2
-        if sigma2 is None:
-            alpha2 = float(np.sum(np.abs(self.X) ** 2)) / self.X.shape[1]
-            sigma2 = noise_for_snr(10.0 ** (self.target_snr_db / 10.0), alpha2, h)
-        return ObservationSetup(self.X, self.W, sigma2)
+        try:
+            if sigma2 is None:
+                alpha2 = float(np.sum(np.abs(self.X) ** 2)) / self.X.shape[1]
+                sigma2 = noise_for_snr(10.0 ** (self.target_snr_db / 10.0), alpha2, h)
+            return ObservationSetup(self.X, self.W, sigma2)
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"invalid observation: {e}") from e
 
 
 def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> _ParsedObservation:
-    obs = _require(cfg, "observation", "config")
+    obs = _object(_require(cfg, "observation", "config"), "observation")
     n_t, n_r = g_t.n_antennas, g_r.n_antennas
     try:
         pilots = obs.get("pilots", "identity")
@@ -144,10 +166,12 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> _Pa
             raise ConfigError("observation needs exactly one of sigma2, target_snr_db")
         sigma2 = float(obs["sigma2"]) if "sigma2" in obs else None
         target = float(obs["target_snr_db"]) if "target_snr_db" in obs else None
+        if target is not None and not math.isfinite(target):
+            raise ConfigError(f"target_snr_db must be finite, got {target}")
         return _ParsedObservation(X, W, sigma2, target)
     except ConfigError:
         raise
-    except (ValueError, KeyError, TypeError) as e:
+    except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid observation: {e}") from e
 
 
@@ -166,10 +190,16 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     parsed = _parse_observation(cfg, g_t, g_r)
     h = synthesize(paths, g_r, g_t).vector
     setup = parsed.resolve(h)
-    report = crb_report(paths, g_r, g_t, setup,
-                        include_blocks=bool(cfg.get("include_blocks", False)),
-                        cond_threshold=float(cfg.get("cond_threshold",
-                                                     DEFAULT_COND_THRESHOLD)))
+    try:
+        cond_threshold = float(cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"cond_threshold must be a number: {e}") from e
+    try:
+        report = crb_report(paths, g_r, g_t, setup,
+                            include_blocks=bool(cfg.get("include_blocks", False)),
+                            cond_threshold=cond_threshold)
+    except ValueError as e:   # e.g. sigma2 = 0: the information diverges
+        raise ConfigError(str(e)) from e
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
         print("Fisher matrix is ill-conditioned at this parameter point",
@@ -179,14 +209,14 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
 
 
 def _build_grid(cfg: dict) -> DirectionGrid:
-    grid = cfg.get("grid", {})
+    grid = _object(cfg.get("grid", {}), "grid")
     try:
         if {"m_az", "m_el", "n_az", "n_el"} <= set(grid):
             return DirectionGrid(
                 hemisphere_directions(int(grid["m_az"]), int(grid["m_el"])),
                 hemisphere_directions(int(grid["n_az"]), int(grid["n_el"])))
         return DirectionGrid.product(int(grid.get("m", 2500)), int(grid.get("n", 2500)))
-    except (ValueError, TypeError) as e:
+    except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid grid: {e}") from e
 
 
@@ -195,8 +225,10 @@ def run_estimate(cfg: dict, out: str | None) -> int:
     paths = _build_paths(cfg, g_t, g_r)
     parsed = _parse_observation(cfg, g_t, g_r)
     strategy = cfg.get("strategy", "sequential")
-    P_budget = int(cfg.get("P_budget", 10))
-    seed = int(cfg.get("seed", 0))
+    P_budget = _integer(cfg, "P_budget", 10)
+    seed = _integer(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if strategy not in KNOWN_STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     grid = _build_grid(cfg)

@@ -24,7 +24,9 @@ from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors
 from .observation import ObservationSetup
 
 ATOM_NORM_TOL = 1e-12
-_SCORE_BLOCK_ROWS = 64   # rows per score block: 16-128 time alike at m = n = 2500, 512 is slower
+_SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
+_SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
+_U32 = 2.0 ** -24        # unit roundoff of float32
 
 
 def hemisphere_directions(n_az: int, n_el: int,
@@ -177,37 +179,121 @@ class Selection:
     score_evaluations: int
 
 
-def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
-    """Exhaustive scan: argmax over all pairs of |k_r_i^H Y k_t_j|.
+def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
+    """First-occurrence argmax of |C_ij|^2 over the given rows of C = left @ right.
 
-    Evaluates all m*n scores in blocks of rows, written into buffers reused
-    from block to block; ties are broken by the smallest DoA index, then the
-    smallest DoD index. The product K_r^H Y K_t is contracted over the
-    smaller side of Y: (K_r^H)[block] @ (Y K_t) when n_c <= n_s, and
-    (K_r^H Y)[block] @ K_t otherwise.
+    rows must be non-empty and increasing. Scores are computed in complex128,
+    _SCORE_BLOCK_ROWS rows at a time into buffers reused from block to block;
+    within a block np.argmax takes the first maximum, and across blocks only
+    a strictly larger score replaces the best, so ties break to the smallest
+    row, then the smallest column.
     """
-    K_r, K_t = dictionary.K_r, dictionary.K_t
-    if K_r.shape[0] <= K_t.shape[0]:
-        left, right = K_r.conj().T, Y @ K_t
-    else:
-        left, right = K_r.conj().T @ Y, K_t
-    m, n = dictionary.m, dictionary.n
-    rows = min(_SCORE_BLOCK_ROWS, m)
-    C = np.empty((rows, n), dtype=complex)
-    S, S_imag = np.empty((rows, n)), np.empty((rows, n))
+    n = right.shape[1]
+    block = min(_SCORE_BLOCK_ROWS, len(rows))
+    C = np.empty((block, n), dtype=complex)
+    S, S_imag = np.empty((block, n)), np.empty((block, n))
     best_v, best_i, best_j = -1.0, 0, 0
-    for i0 in range(0, m, rows):
-        k = min(rows, m - i0)
-        c, s, s_imag = C[:k], S[:k], S_imag[:k]
-        np.matmul(left[i0:i0 + k], right, out=c)
+    for b0 in range(0, len(rows), block):
+        idx = rows[b0:b0 + block]
+        c, s, s_imag = C[:len(idx)], S[:len(idx)], S_imag[:len(idx)]
+        np.matmul(left[idx], right, out=c)
         np.multiply(c.real, c.real, out=s)
         np.multiply(c.imag, c.imag, out=s_imag)
         s += s_imag
         flat = int(np.argmax(s))
         v = float(s.flat[flat])
         if v > best_v:
-            best_v, best_i, best_j = v, i0 + flat // n, flat % n
-    return Selection(best_i, best_j, m * n)
+            best_v, best_i, best_j = v, int(idx[flat // n]), flat % n
+    return best_i, best_j
+
+
+def _screened_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Increasing indices of the rows of C = left @ right that may hold max |C_ij|.
+
+    Each factor is scaled by its largest entry modulus, which keeps every
+    complex64 product and partial sum at most r in modulus (no overflow) and
+    the bound below far above float32's underflow level; positive scaling
+    moves no argmax. A zero or non-finite factor returns every row.
+    """
+    m, r = left.shape
+    n = right.shape[1]
+    abs_left, abs_right = np.abs(left), np.abs(right)
+    a, b = float(abs_left.max()), float(abs_right.max())
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        return np.arange(m)
+    abs_left /= a
+    abs_right /= b
+    norms = math.sqrt(float(np.square(abs_left).sum(axis=1).max())
+                      * float(np.square(abs_right).sum(axis=0).max()))
+    left32 = np.empty(left.shape, dtype=np.complex64)
+    right32 = np.empty(right.shape, dtype=np.complex64)
+    np.divide(left, a, out=left32, casting="same_kind")
+    np.divide(right, b, out=right32, casting="same_kind")
+    block = min(_SCORE_BLOCK_ROWS, m)
+    C = np.empty((block, n), dtype=np.complex64)
+    A = np.empty((block, n), dtype=np.float32)
+    row_max = np.empty(m, dtype=np.float32)
+    for i0 in range(0, m, block):
+        k = min(block, m - i0)
+        np.matmul(left32[i0:i0 + k], right32, out=C[:k])
+        np.abs(C[:k], out=A[:k])
+        np.max(A[:k], axis=1, out=row_max[i0:i0 + k])
+    top = float(row_max.max())
+    delta = _SCREEN_SAFETY * (r + 4) * _U32 * norms + 2.0 * _U32 * top
+    return np.flatnonzero(row_max >= np.float64(top - 2.0 * delta))
+
+
+def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
+    """Exhaustive scan: argmax over all pairs of |k_r_i^H Y k_t_j|.
+
+    Ties are broken by the smallest DoA index, then the smallest DoD index.
+    The product C = K_r^H Y K_t = left @ right is contracted over the smaller
+    side of Y: left = K_r^H, right = Y K_t when n_c <= n_s, and left =
+    K_r^H Y, right = K_t otherwise; r is that inner dimension. The scan runs
+    in two passes and returns the exact complex128 argmax.
+
+    Screen. Both factors are scaled (see _screened_rows) so that float32
+    cannot overflow and its underflow stays far below the bound, every
+    |C_ij| is computed in complex64 (unit roundoff u = 2^-24), and each row
+    keeps its largest value. A
+    screened value s_ij differs from the scaled |C_ij| by at most
+
+        delta = c (r + 4) u max_i ||left_i|| max_j ||right_j|| + 2 u top,
+
+    where top is the largest screened value and c = _SCREEN_SAFETY = 4.
+    With S_ij = sum_k |left_ik| |right_kj| <= ||left_i|| ||right_j||
+    (Cauchy-Schwarz):
+    - rounding the factors to complex64 moves each entry by at most u
+      relatively, and so the product by at most (2u + u^2) S_ij;
+    - the complex64 inner product of length r adds at most
+      sqrt(2) gamma_{r+2} S_ij, gamma_k = k u / (1 - k u) (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., sec. 3.6), in any
+      summation order, with or without fused multiply-adds;
+    - the float32 modulus of a computed value z adds at most 2u |z|, and
+      |z| <= top (1 + 3u).
+    As sqrt(2) (r + 2) + 2 <= sqrt(2) (r + 4), c = sqrt(2) would do up to
+    second-order terms. c = 4 also covers the gamma denominator, the float64
+    scaling, the underflow of scaled entries (about r 2^-126 in absolute
+    terms even with subnormals flushed to zero, while delta >= c (r + 4) u
+    because both largest norms are at least 1) and the complex128 rounding
+    of the exact pass, all far below u. So if the pick lies in row i with
+    scaled value v, then s_i >= v - delta and top <= v + delta: a row
+    survives when its screened maximum is at least top - 2 delta, and the
+    row holding the maximum always does.
+
+    Rescore. The surviving rows, in increasing order, are scored exactly in
+    complex128 by _best_in_rows, the same code that scores the whole grid
+    when every row survives (a zero residual, or one whose scores all lie
+    within 2 delta of each other). Usually one or two rows survive.
+    score_evaluations counts all m*n candidate scores either way.
+    """
+    K_r, K_t = dictionary.K_r, dictionary.K_t
+    if K_r.shape[0] <= K_t.shape[0]:
+        left, right = K_r.conj().T, Y @ K_t
+    else:
+        left, right = K_r.conj().T @ Y, K_t
+    i, j = _best_in_rows(left, right, _screened_rows(left, right))
+    return Selection(i, j, dictionary.m * dictionary.n)
 
 
 def sequential_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
@@ -359,10 +445,21 @@ def matching_pursuit(Y: np.ndarray, s: ObservationSetup, grid: DirectionGrid,
                             tuple(paths_kept))
 
 
-def reports_to_csv(reports, path):
+def write_csv(columns, rows, fh_or_path) -> None:
+    """Write rows (objects with to_json_row()) as CSV under a header of columns.
+
+    fh_or_path is an open text file or a path, which is created or replaced.
+    """
+    if not hasattr(fh_or_path, "write"):
+        with open(fh_or_path, "w", newline="") as fh:
+            write_csv(columns, rows, fh)
+        return
+    writer = csv.DictWriter(fh_or_path, fieldnames=columns)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row.to_json_row())
+
+
+def reports_to_csv(reports, fh_or_path):
     """Write report rows ({strategy, P, rmse, wall_time_s, score_evals}) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        for r in reports:
-            writer.writerow(r.to_json_row())
+    write_csv(REPORT_COLUMNS, reports, fh_or_path)

@@ -26,9 +26,10 @@ class ObservationSetup:
     """Training matrix X (n_t x n_s), combiners W (n_r x n_c), noise level.
 
     W must have full column rank (the projection onto its range needs
-    W^H W invertible). sigma2 = 0 describes a noiseless observation, valid
-    for observing and estimating but rejected by the information-matrix and
-    SNR operations, which divide by it. V and Z are optional precoder
+    W^H W invertible). sigma2 must be finite and non-negative; sigma2 = 0
+    describes a noiseless observation, valid for observing and estimating
+    but rejected by the information-matrix and SNR operations, which divide
+    by it. V and Z are optional precoder
     factors with X = V Z; they are carried as metadata only, all
     computations consume X.
     """
@@ -45,8 +46,8 @@ class ObservationSetup:
         self.W = np.array(self.W, dtype=complex)
         if self.X.ndim != 2 or self.W.ndim != 2:
             raise ValueError("X and W must be matrices")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be non-negative, not NaN or inf, got {self.sigma2}")
         if np.linalg.matrix_rank(self.W) < self.W.shape[1]:
             raise ValueError("W must have full column rank")
         if self.alpha2 <= 0:

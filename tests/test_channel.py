@@ -18,6 +18,12 @@ def test_path_params_validation():
         PathParams(0.0, 0.0, d, d)
     with pytest.raises(ValueError):
         PathParams(-1.0, 0.0, d, d)
+    for rho in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="gain magnitude"):
+            PathParams(rho, 0.0, d, d)
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phase"):
+            PathParams(1.0, phi, d, d)
     p = PathParams(1.0, -0.5, d, d)
     assert 0.0 <= p.phi < 2 * math.pi
     assert abs(p.gain - cmath.exp(-0.5j)) < 1e-15

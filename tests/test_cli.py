@@ -98,6 +98,41 @@ def test_crb_non_finite_azimuth_exit_2(tmp_path, capsys):
     assert "azimuth" in capsys.readouterr().err
 
 
+def test_crb_non_finite_gain_or_noise_exit_2(tmp_path, capsys):
+    # each used to end in LinAlgError: SVD did not converge (exit 1)
+    for field, value, message in (("phi", math.nan, "phase"),
+                                  ("rho", math.inf, "gain magnitude"),
+                                  ("sigma2", math.nan, "sigma2"),
+                                  ("sigma2", math.inf, "sigma2")):
+        obj = crb_config(n_paths=2)
+        if field == "sigma2":
+            obj["observation"] = {"sigma2": value}
+        else:
+            obj["paths"][1][field] = value
+        assert main(["crb", "--config", write_config(tmp_path, obj)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_malformed_values_exit_2(tmp_path, capsys):
+    # each of these ended in a traceback (exit 1)
+    crb, est = crb_config(n_paths=1), estimate_config()
+    cases = [("crb", dict(crb, arrays={"tx": math.nan, "rx": crb["arrays"]["rx"]})),
+             ("crb", dict(crb, observation="identity")),
+             ("crb", dict(crb, observation={"target_snr_db": math.inf})),
+             ("crb", dict(crb, observation={"target_snr_db": 1e5})),
+             ("crb", dict(crb, observation={"sigma2": 0.0})),
+             ("crb", dict(crb, cond_threshold="high")),
+             ("estimate", dict(est, grid={"m": math.inf, "n": 100})),
+             ("estimate", dict(est, grid="small")),
+             ("estimate", dict(est, paths={"generator": "x", "seed": 4})),
+             ("estimate", dict(est, paths={"generator": {}, "seed": math.inf})),
+             ("estimate", dict(est, P_budget=None)),
+             ("estimate", dict(est, seed=-1))]
+    for command, obj in cases:
+        assert main([command, "--config", write_config(tmp_path, obj)]) == 2, obj
+        assert "config error" in capsys.readouterr().err
+
+
 def estimate_config():
     return {
         "arrays": {"tx": {"type": "upa", "nx": 4, "ny": 4},

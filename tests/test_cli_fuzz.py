@@ -1,0 +1,106 @@
+"""Property test: mutated README configs exit 0, 2 or 3, never with a traceback.
+
+Each example takes the README's `crb` or `estimate` config and applies one to
+three mutations: drop a key, or replace a value with NaN, an infinity, a
+negative number, zero, a string, null, a boolean, a list or an object. The
+estimate config uses 100x100 grids instead of the README's 2500x2500 so the
+examples stay fast. Valid but huge values (a 10^12-point grid, a budget of
+10^9 paths) are left out: they are slow, not malformed.
+"""
+
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mimolab.cli import main
+
+README_CRB = {
+    "arrays": {"tx": {"type": "upa", "nx": 4, "ny": 4},
+               "rx": {"type": "upa", "nx": 2, "ny": 4}},
+    "paths": [{"rho": 1.0, "phi": 0.3,
+               "doa": {"az": 0.5, "el": -0.2},
+               "dod": {"az": -1.0, "el": 0.4}}],
+    "observation": {"pilots": "identity", "combiners": "identity",
+                    "target_snr_db": 10.0},
+}
+
+README_ESTIMATE = {
+    "arrays": {"tx": {"type": "upa", "nx": 8, "ny": 8},
+               "rx": {"type": "upa", "nx": 4, "ny": 4}},
+    "paths": {"generator": {}, "seed": 3},
+    "observation": {"target_snr_db": 10.0},
+    "grid": {"m": 100, "n": 100},
+    "strategy": "sequential",
+    "P_budget": 20,
+    "seed": 3,
+}
+
+BAD_VALUES = (math.nan, math.inf, -math.inf, -1, -2.5, 0, "x", "10", None, True,
+              [], {}, [1.0, 2.0])
+
+
+def key_paths(node, prefix=()):
+    """Every key path into node, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from key_paths(value, prefix + (key,))
+
+
+def mutate(cfg, path, value, drop):
+    """Drop or replace the entry at path; skip paths an earlier mutation removed."""
+    node = cfg
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if isinstance(node, dict) and key in node:
+        if drop:
+            del node[key]
+        else:
+            node[key] = value
+    elif isinstance(node, list) and isinstance(key, int) and key < len(node) and not drop:
+        node[key] = value
+
+
+def mutations(base):
+    paths = list(key_paths(base))
+    one = st.tuples(st.sampled_from(paths), st.sampled_from(BAD_VALUES), st.booleans())
+    return st.lists(one, min_size=1, max_size=3)
+
+
+def run_mutated(tmp_path, command, base, muts):
+    cfg = json.loads(json.dumps(base))
+    for path, value, drop in muts:
+        mutate(cfg, path, value, drop)
+    config = tmp_path / f"{command}.json"
+    config.write_text(json.dumps(cfg))
+    return main([command, "--config", str(config)])
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(muts=mutations(README_CRB))
+def test_crb_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
+    assert run_mutated(tmp_path, "crb", README_CRB, muts) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@FUZZ
+@given(muts=mutations(README_ESTIMATE))
+def test_estimate_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
+    assert run_mutated(tmp_path, "estimate", README_ESTIMATE, muts) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_configs_run(tmp_path, capsys):
+    assert run_mutated(tmp_path, "crb", README_CRB, []) == 0
+    assert run_mutated(tmp_path, "estimate", README_ESTIMATE, []) == 0

@@ -213,13 +213,71 @@ def test_joint_select_matches_bruteforce_oracle_hybrid(rng, monkeypatch, n_c, n_
         assert sel.score_evaluations == 100 * 20
 
 
+def bruteforce_pick(Y, d):
+    """First argmax of |K_r^H Y K_t|^2 in complex128, as (DoA, DoD) columns."""
+    scores = np.abs(d.K_r.conj().T @ Y @ d.K_t) ** 2
+    return divmod(int(np.argmax(scores)), d.n)
+
+
+def contracted_factors(Y, d):
+    """The (left, right) factors joint_select screens, as it forms them."""
+    if d.K_r.shape[0] <= d.K_t.shape[0]:
+        return d.K_r.conj().T, Y @ d.K_t
+    return d.K_r.conj().T @ Y, d.K_t
+
+
+@pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
+    # 1e-150 underflows and 1e150 overflows float32 unless the screen scales
+    # its factors; 300 DoAs are not a multiple of the block size
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    g_r, g_t = upa(2, 3), upa(2, 4)
+    W = rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c))
+    X = rng.normal(size=(8, n_s)) + 1j * rng.normal(size=(8, n_s))
+    d = build_dictionaries(grid, ObservationSetup(X, W, 1.0), g_r, g_t)
+    assert d.m == 300 and d.m % estimation._SCORE_BLOCK_ROWS != 0
+    for _ in range(5):
+        Y = scale * (rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s)))
+        arg = bruteforce_pick(Y, d)
+        rows = estimation._screened_rows(*contracted_factors(Y, d))
+        assert arg[0] in rows and len(rows) < d.m
+        sel = joint_select(Y, d)
+        assert (sel.doa_index, sel.dod_index) == arg
+        assert sel.score_evaluations == 300 * 30
+
+
 def test_joint_select_zero_observation_tie_break():
-    grid = small_grid(4)
+    # every row survives the screen; 300 DoAs span several score blocks
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(4, 4))
     g_r, g_t = upa(2, 2), upa(2, 2)
-    s = identity_setup(4, 4, 1.0)
-    d = build_dictionaries(grid, s, g_r, g_t)
-    sel = joint_select(np.zeros((4, 4), dtype=complex), d)
+    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
+    Y = np.zeros((4, 4), dtype=complex)
+    rows = estimation._screened_rows(*contracted_factors(Y, d))
+    assert np.array_equal(rows, np.arange(d.m))
+    sel = joint_select(Y, d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
+
+
+@pytest.mark.parametrize("n_c, n_s", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("block_rows", [1, estimation._SCORE_BLOCK_ROWS])
+def test_joint_select_planted_ties_across_blocks(monkeypatch, n_c, n_s, block_rows):
+    # Standard basis atoms and an integer Y make every score an exact integer.
+    # The largest, 49, sits in rows 150 and 290 and in every n_s-th column
+    # from n_s - 1 on. Single-row blocks also split the surviving rows.
+    monkeypatch.setattr(estimation, "_SCORE_BLOCK_ROWS", block_rows)
+    m, n = 300, 40
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(8, 5))
+    doa_axis = np.arange(m) % (n_c - 1)
+    doa_axis[[150, 290]] = n_c - 1
+    K_r = np.eye(n_c, dtype=complex)[:, doa_axis]
+    K_t = np.eye(n_s, dtype=complex)[:, np.arange(n) % n_s]
+    d = estimation.Dictionary(K_r, K_t, tuple(range(m)), tuple(range(n)), grid)
+    Y = (np.arange(n_c * n_s).reshape(n_c, n_s) % 5 - 2).astype(complex)
+    Y[n_c - 1, n_s - 1] = 7j
+    assert bruteforce_pick(Y, d) == (150, n_s - 1)
+    sel = joint_select(Y, d)
+    assert (sel.doa_index, sel.dod_index) == (150, n_s - 1)
 
 
 def test_sequential_select_matches_joint_on_grid():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ def random_setup(rng, n_t=4, n_r=3, n_s=4, n_c=3, sigma2=0.5):
 
 
 def test_setup_validation(rng):
-    with pytest.raises(ValueError):
-        ObservationSetup(np.eye(4), np.eye(3), -1.0)
+    for sigma2 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2"):
+            ObservationSetup(np.eye(4), np.eye(3), sigma2)
     with pytest.raises(ValueError):
         ObservationSetup(np.zeros((4, 2)), np.eye(3), 1.0)  # no transmit power
     W_deficient = np.ones((3, 2))  # duplicate columns
