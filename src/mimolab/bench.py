@@ -18,12 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
+from .blas import blas_threads, one_blas_thread
 from .channel import PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
                          matching_pursuit, relative_error, write_csv)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
-from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction
+from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int
 from .observation import identity_setup, noise_for_snr, observe
 
 KNOWN_STRATEGIES = tuple(_SELECTORS)
@@ -73,14 +75,13 @@ class ScenarioConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        self.P_budgets = tuple(int(p) for p in self.P_budgets)
+        self.P_budgets = tuple(as_int(p, "P_budgets") for p in self.P_budgets)
         self.strategies = tuple(self.strategies)
-        counts = {"n_t": self.n_t, "n_r": self.n_r, "n_clusters": self.n_clusters,
-                  "paths_per_cluster": self.paths_per_cluster, "m": self.m,
-                  "n": self.n, "trials": self.trials}
-        for name, value in counts.items():
-            if int(value) < 1:
+        for name in ("n_t", "n_r", "n_clusters", "paths_per_cluster", "m", "n", "trials"):
+            value = as_int(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
+            setattr(self, name, value)
         if not self.P_budgets or any(p < 1 for p in self.P_budgets):
             raise ValueError("P_budgets must be a non-empty list of positive counts")
         for s in self.strategies:
@@ -90,6 +91,7 @@ class ScenarioConfig:
             raise ValueError("at least one strategy is required")
         if self.angular_spread_deg < 0 or self.gain_decay_db_per_cluster < 0:
             raise ValueError("angular spread and gain decay must be non-negative")
+        self.base_seed = as_int(self.base_seed, "base_seed")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
         if self.tx_array is None:
@@ -316,6 +318,7 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
     )
 
 
+@one_blas_thread
 def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     """Average run_trial over trials for every (strategy, budget) pair.
 
@@ -324,7 +327,9 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     a budget's wall time is the pursuit time through that many iterations.
     Results are reduced in seed order regardless of worker scheduling, so
     the rMSE and counter columns are reproducible bit for bit; rows come
-    back sorted by (P_budget, strategy).
+    back sorted by (P_budget, strategy). The call runs on one BLAS thread
+    (see blas.one_blas_thread): the trial workers are the only parallelism,
+    and the CRB column does not depend on the environment's thread count.
     """
     grid = DirectionGrid.product(cfg.m, cfg.n)
     g_t, g_r = cfg.geometries()
@@ -353,8 +358,16 @@ def rows_to_csv(rows, fh_or_path):
     write_csv(BENCH_COLUMNS, rows, fh_or_path)
 
 
-def rows_to_json(cfg: ScenarioConfig, rows) -> dict:
-    return {"config": cfg.to_json(), "rows": [r.to_json_row() for r in rows]}
+def rows_to_json(cfg: ScenarioConfig, rows, threads: int) -> dict:
+    """Config, rows and, apart from both, the environment monte_carlo ran in.
+
+    env holds the trial worker count, the BLAS threads each call ran on
+    (None when no OpenBLAS was found to cap) and the numpy and scipy
+    versions; it is the only part that may differ between machines.
+    """
+    env = {"trial_workers": threads, "blas_threads": blas_threads(),
+           "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"config": cfg.to_json(), "rows": [r.to_json_row() for r in rows], "env": env}
 
 
 def format_table(rows) -> str:

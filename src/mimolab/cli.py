@@ -21,7 +21,7 @@ from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_pat
 from .channel import PathSet, synthesize
 from .estimation import DirectionGrid, hemisphere_directions, matching_pursuit, reports_to_csv
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, as_int
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
                           orthogonal_pilots)
 
@@ -60,7 +60,8 @@ def _apply_overrides(cfg: dict, overrides) -> None:
             node[parts[-1]] = raw
 
 
-# What converting a JSON value can raise: int(inf) raises OverflowError.
+# What converting a JSON value can raise: float() of a huge integer raises
+# OverflowError.
 _VALUE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
 
 
@@ -77,11 +78,10 @@ def _object(value, name: str) -> dict:
 
 
 def _integer(cfg: dict, key: str, default: int) -> int:
-    value = cfg.get(key, default)
     try:
-        return int(value)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from e
+        return as_int(cfg.get(key, default), key)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _build_arrays(cfg: dict) -> tuple[ArrayGeometry, ArrayGeometry]:
@@ -122,20 +122,18 @@ class _ParsedObservation:
     """
 
     def __init__(self, X, W, sigma2, target_snr_db):
-        self.X, self.W = X, W
         self.sigma2, self.target_snr_db = sigma2, target_snr_db
         try:
-            ObservationSetup(X, W, sigma2 if sigma2 is not None else 1.0)
+            self.setup = ObservationSetup(X, W, sigma2 if sigma2 is not None else 1.0)
         except ValueError as e:
             raise ConfigError(f"invalid observation: {e}") from e
 
     def resolve(self, h) -> ObservationSetup:
-        sigma2 = self.sigma2
+        if self.sigma2 is not None:
+            return self.setup
         try:
-            if sigma2 is None:
-                alpha2 = float(np.sum(np.abs(self.X) ** 2)) / self.X.shape[1]
-                sigma2 = noise_for_snr(10.0 ** (self.target_snr_db / 10.0), alpha2, h)
-            return ObservationSetup(self.X, self.W, sigma2)
+            sigma2 = noise_for_snr(10.0 ** (self.target_snr_db / 10.0), self.setup.alpha2, h)
+            return ObservationSetup(self.setup.X, self.setup.W, sigma2)
         except (ValueError, OverflowError) as e:
             raise ConfigError(f"invalid observation: {e}") from e
 
@@ -148,7 +146,7 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> _Pa
         if pilots == "identity":
             X = np.eye(n_t)
         elif pilots == "orthogonal":
-            X = orthogonal_pilots(n_t, int(obs.get("n_s", n_t)),
+            X = orthogonal_pilots(n_t, _integer(obs, "n_s", n_t),
                                   float(obs.get("alpha", 1.0)),
                                   obs.get("basis", "identity"))
         elif pilots == "explicit":
@@ -213,9 +211,9 @@ def _build_grid(cfg: dict) -> DirectionGrid:
     try:
         if {"m_az", "m_el", "n_az", "n_el"} <= set(grid):
             return DirectionGrid(
-                hemisphere_directions(int(grid["m_az"]), int(grid["m_el"])),
-                hemisphere_directions(int(grid["n_az"]), int(grid["n_el"])))
-        return DirectionGrid.product(int(grid.get("m", 2500)), int(grid.get("n", 2500)))
+                hemisphere_directions(_integer(grid, "m_az", 0), _integer(grid, "m_el", 0)),
+                hemisphere_directions(_integer(grid, "n_az", 0), _integer(grid, "n_el", 0)))
+        return DirectionGrid.product(_integer(grid, "m", 2500), _integer(grid, "n", 2500))
     except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid grid: {e}") from e
 
@@ -261,9 +259,9 @@ def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int
         print(format_table(rows), end="")
     if out is None:
         if not emit_table:
-            _write_json(rows_to_json(scen, rows), None)
+            _write_json(rows_to_json(scen, rows, threads), None)
     else:
-        _write_json(rows_to_json(scen, rows), out + ".json")
+        _write_json(rows_to_json(scen, rows, threads), out + ".json")
         rows_to_csv(rows, out + ".csv")
         print(f"wrote {out}.json and {out}.csv")
     return 0

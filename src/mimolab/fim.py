@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve
 
+from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivative, steering_vector, synthesize
 from .geometry import ArrayGeometry, Direction, tangent_basis
 from .observation import ObservationSetup, projection_apply, snr
@@ -183,10 +184,16 @@ def inter_path_coupling_mass(I: np.ndarray) -> float:
     return float(np.linalg.norm(off) / total) if total > 0 else 0.0
 
 
+@one_blas_thread
 def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
                s: ObservationSetup, include_blocks: bool = False,
                cond_threshold: float = DEFAULT_COND_THRESHOLD) -> dict:
-    """Bundle the bound, its floor, and the identifiability diagnostics."""
+    """Bundle the bound, its floor, and the identifiability diagnostics.
+
+    Runs on one BLAS thread (see blas.one_blas_thread): its solves are too
+    small to gain from more, and the bound's digits then do not depend on
+    the environment's thread count.
+    """
     D = channel_jacobian(ps, g_r, g_t)
     I = fisher_matrix(D, s)
     h = synthesize(ps, g_r, g_t).vector

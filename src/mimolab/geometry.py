@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
+
+
+def as_int(value, name: str) -> int:
+    """value as an int, if it is a whole number; a bool, a fraction, NaN, an
+    infinity or a non-number raises ValueError instead of being truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -133,10 +144,10 @@ class ArrayGeometry:
     def from_json(cls, obj: dict) -> "ArrayGeometry":
         kind = obj.get("type", "custom")
         if kind == "ula":
-            return ula(int(obj["n"]), float(obj.get("spacing", 0.5)),
+            return ula(as_int(obj["n"], "n"), float(obj.get("spacing", 0.5)),
                        obj.get("axis", "x"))
         if kind == "upa":
-            return upa(int(obj["nx"]), int(obj["ny"]),
+            return upa(as_int(obj["nx"], "nx"), as_int(obj["ny"], "ny"),
                        float(obj.get("spacing", 0.5)), obj.get("plane", "yz"))
         if kind == "custom":
             return cls.from_positions(obj["positions"])

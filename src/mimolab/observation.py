@@ -29,16 +29,12 @@ class ObservationSetup:
     W^H W invertible). sigma2 must be finite and non-negative; sigma2 = 0
     describes a noiseless observation, valid for observing and estimating
     but rejected by the information-matrix and SNR operations, which divide
-    by it. V and Z are optional precoder
-    factors with X = V Z; they are carried as metadata only, all
-    computations consume X.
+    by it.
     """
 
     X: np.ndarray
     W: np.ndarray
     sigma2: float
-    V: np.ndarray | None = None
-    Z: np.ndarray | None = None
     _range_projector: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -52,10 +48,6 @@ class ObservationSetup:
             raise ValueError("W must have full column rank")
         if self.alpha2 <= 0:
             raise ValueError("X must carry nonzero transmit power")
-        if self.V is not None and self.Z is not None:
-            VZ = np.asarray(self.V) @ np.asarray(self.Z)
-            if VZ.shape != self.X.shape or not np.allclose(VZ, self.X):
-                raise ValueError("V @ Z does not factor X")
         self.X.setflags(write=False)
         self.W.setflags(write=False)
 
@@ -95,16 +87,11 @@ class ObservationSetup:
         return self._range_projector
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "pilots": "explicit", "X": complex_to_json(self.X),
             "combiners": "explicit", "W": complex_to_json(self.W),
             "sigma2": self.sigma2,
         }
-        if self.V is not None:
-            obj["V"] = complex_to_json(np.asarray(self.V))
-        if self.Z is not None:
-            obj["Z"] = complex_to_json(np.asarray(self.Z))
-        return obj
 
 
 @dataclass(frozen=True)

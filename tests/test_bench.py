@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from mimolab.bench import (BenchRow, ScenarioConfig, format_table, generate_paths,
                            monte_carlo, rows_to_csv, rows_to_json, run_trial)
+from mimolab.blas import blas_threads
 from mimolab.channel import synthesize
 from mimolab.estimation import DirectionGrid, matching_pursuit
 from mimolab.geometry import unit_vector
@@ -49,6 +51,23 @@ def test_config_validation():
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ValueError, match=field):
         tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("P_budgets", (2.7,)), ("P_budgets", (True,)), ("P_budgets", (5, math.nan)),
+    ("P_budgets", ("5",)), ("m", 100.5), ("trials", True), ("n_clusters", "3"),
+    ("base_seed", 7.5), ("base_seed", math.inf),
+])
+def test_config_rejects_non_integers(field, value):
+    # int() used to truncate these silently (2.7 ran as 2, True as 1)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        tiny_config(**{field: value})
+
+
+def test_config_accepts_integral_floats_as_ints():
+    cfg = tiny_config(P_budgets=(1.0, np.int64(2)), m=100.0, trials=np.int32(2), base_seed=7.0)
+    assert cfg.P_budgets == (1, 2) and cfg.m == 100 and cfg.trials == 2 and cfg.base_seed == 7
+    assert all(type(v) is int for v in (*cfg.P_budgets, cfg.m, cfg.trials, cfg.base_seed))
 
 
 def test_config_accepts_integer_and_numpy_numbers():
@@ -196,9 +215,11 @@ def test_rows_serialization(tmp_path):
     path = tmp_path / "rows.csv"
     rows_to_csv(rows, path)
     assert path.read_text().splitlines()[0] == lines[0]
-    payload = rows_to_json(cfg, rows)
+    payload = rows_to_json(cfg, rows, 2)
     assert payload["config"]["n_t"] == 16
     assert payload["rows"][0]["strategy"] == "sequential"
+    assert payload["env"] == {"trial_workers": 2, "blas_threads": blas_threads(),
+                              "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_format_table_layout():

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import mimolab
 from mimolab.cli import main
 
 
@@ -133,6 +138,33 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_integer_fields_reject_bools_and_fractions(tmp_path, capsys):
+    # int() truncated each of these silently: P_budget 2.7 ran P = 2, true P = 1
+    crb, est = crb_config(n_paths=1), estimate_config()
+    tx = {"type": "upa", "nx": 2.5, "ny": 4}
+    cases = [("estimate", dict(est, P_budget=2.7)),
+             ("estimate", dict(est, P_budget=True)),
+             ("estimate", dict(est, seed=1.5)),
+             ("estimate", dict(est, grid={"m": 100, "n": 100.5})),
+             ("estimate", dict(est, grid={"m": False, "n": 100})),
+             ("estimate", dict(est, paths={"generator": {}, "seed": True})),
+             ("estimate", dict(est, paths={"generator": {"n_clusters": 2.5}, "seed": 4})),
+             ("crb", dict(crb, arrays={"tx": tx, "rx": crb["arrays"]["rx"]})),
+             ("crb", dict(crb, observation={"pilots": "orthogonal", "n_s": 3.5,
+                                            "sigma2": 1.0})),
+             ("bench", dict(bench_config(), P_budgets=[2.7])),
+             ("bench", dict(bench_config(), trials=True))]
+    for command, obj in cases:
+        assert main([command, "--config", write_config(tmp_path, obj)]) == 2, obj
+        assert "must be an integer" in capsys.readouterr().err, obj
+
+
+def test_integral_floats_accepted(tmp_path):
+    cfg = write_config(tmp_path, dict(estimate_config(), P_budget=3.0, seed=2.0))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "est")]) == 0
+    assert json.loads((tmp_path / "est.json").read_text())["P"] == 3
+
+
 def estimate_config():
     return {
         "arrays": {"tx": {"type": "upa", "nx": 4, "ny": 4},
@@ -210,6 +242,30 @@ def test_bench_outputs_reproducible_except_walltime(tmp_path):
             row.pop("mean_wall_time_s")
         outs.append(payload)
     assert outs[0] == outs[1]
+
+
+def test_bench_rows_independent_of_blas_threads(tmp_path):
+    # The bound's last digits used to follow the environment's BLAS thread
+    # count (0.011718750000032759 on two threads, 0.011718750000002555 on
+    # one, for this config); monte_carlo now always runs on one.
+    cfg = write_config(tmp_path, {"n_t": 64, "n_r": 16, "m": 100, "n": 100,
+                                  "P_budgets": [5], "trials": 2, "base_seed": 5})
+    src = str(Path(mimolab.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    payloads = []
+    for env in (dict(base, OPENBLAS_NUM_THREADS="1"), base):
+        out = str(tmp_path / f"run{len(payloads)}")
+        subprocess.run([sys.executable, "-m", "mimolab.cli", "bench", "--config", cfg,
+                        "--out", out, "--threads", "2"], env=env, check=True,
+                       capture_output=True, timeout=120)
+        payloads.append(json.loads(Path(out + ".json").read_text()))
+    for payload in payloads:
+        for row in payload["rows"]:
+            row.pop("mean_wall_time_s")
+    assert payloads[0]["rows"] == payloads[1]["rows"]
+    assert payloads[0]["env"] == payloads[1]["env"]
+    assert payloads[0]["env"]["trial_workers"] == 2
 
 
 def test_bench_seed_override_changes_values_not_schema(tmp_path):

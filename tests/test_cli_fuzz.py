@@ -2,7 +2,9 @@
 
 Each example takes the README's `crb` or `estimate` config and applies one to
 three mutations: drop a key, or replace a value with NaN, an infinity, a
-negative number, zero, a string, null, a boolean, a list or an object. The
+negative number, zero, a fraction, a string, null, a boolean, a list or an
+object. A config whose integer field ends up holding a boolean or a
+non-integral number must exit 2: it may not be truncated and run. The
 estimate config uses 100x100 grids instead of the README's 2500x2500 so the
 examples stay fast. Valid but huge values (a 10^12-point grid, a budget of
 10^9 paths) are left out: they are slow, not malformed.
@@ -37,8 +39,8 @@ README_ESTIMATE = {
     "seed": 3,
 }
 
-BAD_VALUES = (math.nan, math.inf, -math.inf, -1, -2.5, 0, "x", "10", None, True,
-              [], {}, [1.0, 2.0])
+BAD_VALUES = (math.nan, math.inf, -math.inf, -1, -2.5, 0, 2.7, "x", "10", None, True,
+              False, [], {}, [1.0, 2.0])
 
 
 def key_paths(node, prefix=()):
@@ -68,6 +70,25 @@ def mutate(cfg, path, value, drop):
         node[key] = value
 
 
+def lookup(cfg, path):
+    for key in path:
+        try:
+            cfg = cfg[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return cfg
+
+
+def integer_field_truncated(cfg, base):
+    """True when a field holding an int in base holds a bool or a fraction in cfg."""
+    for path in key_paths(base):
+        if type(lookup(base, path)) is int:
+            value = lookup(cfg, path)
+            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                return True
+    return False
+
+
 def mutations(base):
     paths = list(key_paths(base))
     one = st.tuples(st.sampled_from(paths), st.sampled_from(BAD_VALUES), st.booleans())
@@ -75,12 +96,22 @@ def mutations(base):
 
 
 def run_mutated(tmp_path, command, base, muts):
+    """Exit code of command on the mutated config, and whether the mutations
+    left a boolean or a fraction in one of base's integer fields."""
     cfg = json.loads(json.dumps(base))
     for path, value, drop in muts:
         mutate(cfg, path, value, drop)
     config = tmp_path / f"{command}.json"
     config.write_text(json.dumps(cfg))
-    return main([command, "--config", str(config)])
+    return main([command, "--config", str(config)]), integer_field_truncated(cfg, base)
+
+
+def check_exit(code, truncated, err):
+    assert "Traceback" not in err
+    if truncated:
+        assert code == 2, err
+    else:
+        assert code in (0, 2, 3)
 
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
@@ -90,17 +121,16 @@ FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
 @FUZZ
 @given(muts=mutations(README_CRB))
 def test_crb_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
-    assert run_mutated(tmp_path, "crb", README_CRB, muts) in (0, 2, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    check_exit(*run_mutated(tmp_path, "crb", README_CRB, muts), capsys.readouterr().err)
 
 
 @FUZZ
 @given(muts=mutations(README_ESTIMATE))
 def test_estimate_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
-    assert run_mutated(tmp_path, "estimate", README_ESTIMATE, muts) in (0, 2, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    check_exit(*run_mutated(tmp_path, "estimate", README_ESTIMATE, muts),
+               capsys.readouterr().err)
 
 
 def test_readme_configs_run(tmp_path, capsys):
-    assert run_mutated(tmp_path, "crb", README_CRB, []) == 0
-    assert run_mutated(tmp_path, "estimate", README_ESTIMATE, []) == 0
+    assert run_mutated(tmp_path, "crb", README_CRB, []) == (0, False)
+    assert run_mutated(tmp_path, "estimate", README_ESTIMATE, []) == (0, False)

@@ -28,15 +28,6 @@ def test_setup_validation(rng):
     W_deficient = np.ones((3, 2))  # duplicate columns
     with pytest.raises(ValueError):
         ObservationSetup(np.eye(4), W_deficient, 1.0)
-    with pytest.raises(ValueError):
-        ObservationSetup(np.eye(4), np.eye(3), 1.0, V=np.eye(4), Z=2 * np.eye(4))
-
-
-def test_setup_factor_metadata_accepted():
-    V = np.eye(4)[:, :2]
-    Z = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    s = ObservationSetup(V @ Z, np.eye(3), 1.0, V=V, Z=Z)
-    assert s.n_s == 3 and s.n_t == 4
 
 
 def test_orthogonal_pilots_identity_basis():
