@@ -89,6 +89,10 @@ class ScenarioConfig:
                 raise ValueError(f"unknown strategy {s!r}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        for name in ("P_budgets", "strategies"):
+            value = getattr(self, name)
+            if len(set(value)) != len(value):
+                raise ValueError(f"{name} must not repeat an entry, got {list(value)}")
         if self.angular_spread_deg < 0 or self.gain_decay_db_per_cluster < 0:
             raise ValueError("angular spread and gain decay must be non-negative")
         self.base_seed = as_int(self.base_seed, "base_seed")

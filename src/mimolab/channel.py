@@ -120,9 +120,16 @@ def steering_vector(g: ArrayGeometry, d: Direction) -> np.ndarray:
 
 
 def steering_matrix(g: ArrayGeometry, directions) -> np.ndarray:
-    """Steering vectors for many directions, stacked as columns."""
-    phases = g.scaled_positions.T @ unit_vectors(directions)
-    return np.exp(-1j * phases) / math.sqrt(g.n_antennas)
+    """Steering vectors for many directions, stacked as columns.
+
+    directions is a sequence of Directions or their 3 x k unit vectors.
+    steering_vector's ufuncs run in place on one complex array.
+    """
+    U = directions if isinstance(directions, np.ndarray) else unit_vectors(directions)
+    out = np.multiply(g.scaled_positions.T @ U, -1j)
+    np.exp(out, out=out)
+    out /= math.sqrt(g.n_antennas)
+    return out
 
 
 def steering_derivative(g: ArrayGeometry, d: Direction, axis: str) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_paths,
                     monte_carlo, rows_to_csv, rows_to_json)
 from .channel import PathSet, synthesize
-from .estimation import DirectionGrid, hemisphere_directions, matching_pursuit, reports_to_csv
+from .estimation import DirectionGrid, matching_pursuit, reports_to_csv
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
 from .geometry import ArrayGeometry, as_int
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
@@ -210,9 +210,8 @@ def _build_grid(cfg: dict) -> DirectionGrid:
     grid = _object(cfg.get("grid", {}), "grid")
     try:
         if {"m_az", "m_el", "n_az", "n_el"} <= set(grid):
-            return DirectionGrid(
-                hemisphere_directions(_integer(grid, "m_az", 0), _integer(grid, "m_el", 0)),
-                hemisphere_directions(_integer(grid, "n_az", 0), _integer(grid, "n_el", 0)))
+            return DirectionGrid.hemisphere(
+                *(_integer(grid, key, 0) for key in ("m_az", "m_el", "n_az", "n_el")))
         return DirectionGrid.product(_integer(grid, "m", 2500), _integer(grid, "n", 2500))
     except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid grid: {e}") from e
@@ -268,15 +267,19 @@ def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV)
-    if env:
+    source = "--threads"
+    if value is None:
+        env = os.environ.get(THREADS_ENV)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as e:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from e
-    return 1
+        source = THREADS_ENV
+    if value < 1:
+        raise ConfigError(f"{source} must be a positive worker count, got {value}")
+    return value
 
 
 def _apply_seed(cfg: dict, command: str, seed: int | None) -> None:

@@ -15,18 +15,34 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channel import PathParams, PathSet, steering_matrix, steering_vector, synthesize
-from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors
+from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, direction_angles,
+                       unit_vectors_from_angles, wrap_azimuth)
 from .observation import ObservationSetup
 
 ATOM_NORM_TOL = 1e-12
 _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
 _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
 _U32 = 2.0 ** -24        # unit roundoff of float32
+
+
+def _cell_centres(n_az: int, n_el: int,
+                  az_span: tuple[float, float] = (-HALF_PI, HALF_PI),
+                  el_span: tuple[float, float] = (-HALF_PI, HALF_PI),
+                  ) -> np.ndarray:
+    """2 x (n_az * n_el) azimuths and elevations of hemisphere_directions."""
+    if n_az < 1 or n_el < 1:
+        raise ValueError("grid dimensions must be positive")
+    az_lo, az_hi = az_span
+    el_lo, el_hi = el_span
+    azs = az_lo + (np.arange(n_az) + 0.5) * (az_hi - az_lo) / n_az
+    els = el_lo + (np.arange(n_el) + 0.5) * (el_hi - el_lo) / n_el
+    return np.stack([np.repeat(azs, n_el), np.tile(els, n_az)])
 
 
 def hemisphere_directions(n_az: int, n_el: int,
@@ -37,15 +53,14 @@ def hemisphere_directions(n_az: int, n_el: int,
 
     The default box covers the front hemisphere of a yz-plane array
     (boresight +x). Cell centers keep every point strictly inside the box,
-    in particular away from the poles where azimuth degenerates.
+    in particular away from the poles where azimuth degenerates. Azimuth is
+    the slow index.
     """
-    if n_az < 1 or n_el < 1:
-        raise ValueError("grid dimensions must be positive")
-    az_lo, az_hi = az_span
-    el_lo, el_hi = el_span
-    azs = az_lo + (np.arange(n_az) + 0.5) * (az_hi - az_lo) / n_az
-    els = el_lo + (np.arange(n_el) + 0.5) * (el_hi - el_lo) / n_el
-    return tuple(Direction(a, e) for a in azs for e in els)
+    return _directions(_cell_centres(n_az, n_el, az_span, el_span))
+
+
+def _directions(angles: np.ndarray) -> tuple[Direction, ...]:
+    return tuple(Direction(a, e) for a, e in zip(*angles.tolist()))
 
 
 # Unit axis for the duplicate sweep. Its unequal irrational components keep
@@ -55,9 +70,10 @@ _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 _SWEEP_SLACK = 1e-14
 
 
-def _check_no_duplicates(directions, label: str, tol: float = 1e-12):
+def _check_no_duplicates(units: np.ndarray, label: str, tol: float = 1e-12):
     """Raise for the smallest index pair (a, b), a < b, with ||u_a - u_b|| <= tol.
 
+    units holds the unit vectors u as the columns of a 3 x k array.
     Sort-sweep in O(k log k) for spread-out directions: projecting on a unit
     axis shrinks distances, so every close pair is a pair of neighbours in
     projection order whose projections differ by at most tol. The sweep
@@ -65,7 +81,7 @@ def _check_no_duplicates(directions, label: str, tol: float = 1e-12):
     no such pair, as none can then exist further apart. Each candidate pair
     gets the exact test sum((u_a - u_b)**2) <= tol**2.
     """
-    U = unit_vectors(directions).T
+    U = units.T
     proj = U @ _SWEEP_AXIS
     order = np.argsort(proj)
     proj = proj[order]
@@ -86,28 +102,69 @@ def _check_no_duplicates(directions, label: str, tol: float = 1e-12):
         raise ValueError(f"duplicate {label} directions at indices {a} and {b}")
 
 
-@dataclass(frozen=True)
+def _grid_side(side, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (angles, units) of one grid side, checked as Direction checks.
+
+    side is a sequence of Directions or a 2 x k array of azimuths (row 0)
+    and elevations (row 1).
+    """
+    if isinstance(side, np.ndarray):
+        angles = np.array(side, dtype=float)
+    else:
+        angles = direction_angles(side)
+    if angles.ndim != 2 or angles.shape[0] != 2:
+        raise ValueError(f"{label} angles must be a 2 x k array")
+    if angles.shape[1] == 0:
+        raise ValueError("grid must test at least one DoA and one DoD")
+    az, el = angles
+    bad = np.flatnonzero(~((el >= -HALF_PI) & (el <= HALF_PI)))
+    if bad.size:
+        raise ValueError(f"elevation {el[bad[0]]} outside [-pi/2, pi/2]")
+    bad = np.flatnonzero(~np.isfinite(az))
+    if bad.size:
+        raise ValueError(f"azimuth {az[bad[0]]} is not finite")
+    units = unit_vectors_from_angles(wrap_azimuth(az), el)
+    _check_no_duplicates(units, label)
+    angles.setflags(write=False)
+    units.setflags(write=False)
+    return angles, units
+
+
 class DirectionGrid:
-    """Candidate DoAs and DoDs to test; directions must be pairwise distinct."""
+    """Candidate DoAs and DoDs to test; directions must be pairwise distinct.
 
-    test_doas: tuple[Direction, ...]
-    test_dods: tuple[Direction, ...]
+    Each side is given as a sequence of Directions or as a 2 x k array of
+    azimuths and elevations, checked as Direction checks them. It is held
+    as two read-only arrays: doa_angles / dod_angles, the angles as given,
+    and doa_units / dod_units, the 3 x k unit vectors of the wrapped
+    directions. test_doas and test_dods are built from the angles on first
+    use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "test_doas", tuple(self.test_doas))
-        object.__setattr__(self, "test_dods", tuple(self.test_dods))
-        if not self.test_doas or not self.test_dods:
-            raise ValueError("grid must test at least one DoA and one DoD")
-        _check_no_duplicates(self.test_doas, "DoA")
-        _check_no_duplicates(self.test_dods, "DoD")
+    def __init__(self, test_doas, test_dods):
+        self.doa_angles, self.doa_units = _grid_side(test_doas, "DoA")
+        self.dod_angles, self.dod_units = _grid_side(test_dods, "DoD")
+
+    @cached_property
+    def test_doas(self) -> tuple[Direction, ...]:
+        return _directions(self.doa_angles)
+
+    @cached_property
+    def test_dods(self) -> tuple[Direction, ...]:
+        return _directions(self.dod_angles)
 
     @property
     def m(self) -> int:
-        return len(self.test_doas)
+        return self.doa_angles.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.test_dods)
+        return self.dod_angles.shape[1]
+
+    @classmethod
+    def hemisphere(cls, m_az: int, m_el: int, n_az: int, n_el: int) -> "DirectionGrid":
+        """DoAs on hemisphere_directions(m_az, m_el), DoDs on (n_az, n_el)."""
+        return cls(_cell_centres(m_az, m_el), _cell_centres(n_az, n_el))
 
     @classmethod
     def product(cls, m: int, n: int) -> "DirectionGrid":
@@ -115,8 +172,8 @@ class DirectionGrid:
         ka, kd = math.isqrt(m), math.isqrt(n)
         if ka * ka != m or kd * kd != n:
             raise ValueError("product grid sizes must be perfect squares; "
-                             "use hemisphere_directions for other layouts")
-        return cls(hemisphere_directions(ka, ka), hemisphere_directions(kd, kd))
+                             "use DirectionGrid.hemisphere for other layouts")
+        return cls.hemisphere(ka, ka, kd, kd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +183,8 @@ class Dictionary:
     Column j of K_r is W^H e_r(doa_j), normalized; likewise K_t holds
     X^H e_t(dod_j). Grid directions annihilated by W or X are dropped (their
     normalization is undefined); *_indices map columns back to the grid.
+    K_r_H, the C-contiguous conjugate transpose of K_r, is built once here
+    for the selectors.
     """
 
     K_r: np.ndarray
@@ -133,6 +192,10 @@ class Dictionary:
     doa_indices: tuple[int, ...]
     dod_indices: tuple[int, ...]
     grid: DirectionGrid
+    K_r_H: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "K_r_H", np.conjugate(self.K_r.T, order="C"))
 
     @property
     def m(self) -> int:
@@ -143,18 +206,21 @@ class Dictionary:
         return self.K_t.shape[1]
 
     def doa_of(self, col: int) -> Direction:
-        return self.grid.test_doas[self.doa_indices[col]]
+        return Direction(*self.grid.doa_angles[:, self.doa_indices[col]].tolist())
 
     def dod_of(self, col: int) -> Direction:
-        return self.grid.test_dods[self.dod_indices[col]]
+        return Direction(*self.grid.dod_angles[:, self.dod_indices[col]].tolist())
 
 
 def _normalized_atoms(raw: np.ndarray, label: str):
+    """raw's columns normalized, in place when none is dropped, and their indices."""
     norms = np.linalg.norm(raw, axis=0)
     keep = norms > ATOM_NORM_TOL
-    if not np.all(keep):
-        warnings.warn(f"dropping {int((~keep).sum())} {label} grid directions "
-                      "annihilated by the observation matrices", stacklevel=3)
+    if np.all(keep):
+        raw /= norms
+        return raw, tuple(range(raw.shape[1]))
+    warnings.warn(f"dropping {int((~keep).sum())} {label} grid directions "
+                  "annihilated by the observation matrices", stacklevel=3)
     if not np.any(keep):
         raise ValueError(f"every {label} grid direction is annihilated")
     return raw[:, keep] / norms[keep], tuple(int(i) for i in np.nonzero(keep)[0])
@@ -163,8 +229,8 @@ def _normalized_atoms(raw: np.ndarray, label: str):
 def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
                        g_r: ArrayGeometry, g_t: ArrayGeometry) -> Dictionary:
     """Project the grid's steering vectors through W and X and normalize."""
-    K_r_raw = s.W.conj().T @ steering_matrix(g_r, grid.test_doas)
-    K_t_raw = s.X.conj().T @ steering_matrix(g_t, grid.test_dods)
+    K_r_raw = s.W.conj().T @ steering_matrix(g_r, grid.doa_units)
+    K_t_raw = s.X.conj().T @ steering_matrix(g_t, grid.dod_units)
     K_r, doa_idx = _normalized_atoms(K_r_raw, "DoA")
     K_t, dod_idx = _normalized_atoms(K_t_raw, "DoD")
     return Dictionary(K_r, K_t, doa_idx, dod_idx, grid)
@@ -287,11 +353,11 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     within 2 delta of each other). Usually one or two rows survive.
     score_evaluations counts all m*n candidate scores either way.
     """
-    K_r, K_t = dictionary.K_r, dictionary.K_t
-    if K_r.shape[0] <= K_t.shape[0]:
-        left, right = K_r.conj().T, Y @ K_t
+    K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
+    if K_r_H.shape[1] <= K_t.shape[0]:
+        left, right = K_r_H, Y @ K_t
     else:
-        left, right = K_r.conj().T @ Y, K_t
+        left, right = K_r_H @ Y, K_t
     i, j = _best_in_rows(left, right, _screened_rows(left, right))
     return Selection(i, j, dictionary.m * dictionary.n)
 
@@ -304,9 +370,11 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     maximizes |k_r^H Y K_t| over n candidates. Ties break to the smallest
     index. Stage 2 uses the normalized combined atom, which selects the
     same index as the raw steering vector whenever combining is lossless.
+    The energies are sums of squares over the real view of T = K_r^H Y.
     """
-    T = dictionary.K_r.conj().T @ Y
-    energies = np.einsum("ij,ij->i", T, T.conj()).real
+    T = dictionary.K_r_H @ Y
+    v = T.view(np.float64)
+    energies = np.einsum("ij,ij->i", v, v)
     i_hat = int(np.argmax(energies))
     row = T[i_hat] @ dictionary.K_t
     j_hat = int(np.argmax(row.real ** 2 + row.imag ** 2))

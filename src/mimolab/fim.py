@@ -11,6 +11,7 @@ arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,13 @@ def intra_path_block(p: PathParams, g_r: ArrayGeometry, g_t: ArrayGeometry,
 class CrbResult:
     """Relative variance bound plus the conditioning diagnostics.
 
-    When the Fisher matrix condition number exceeds the threshold the value
-    is computed through the pseudo-inverse and ill_conditioned is set: the
-    model is not (practically) identifiable at this parameter point, which
-    typically means two paths share nearly identical directions and should
-    be merged into one virtual path.
+    condition_number is that of the Fisher matrix equilibrated by its
+    diagonal (see crb_trace), so it does not depend on units or gain scale.
+    When it exceeds the threshold the value is computed through the
+    pseudo-inverse and ill_conditioned is set: the model is not
+    (practically) identifiable at this parameter point, which typically
+    means two paths share nearly identical directions and should be merged
+    into one virtual path.
     """
 
     value: float
@@ -138,19 +141,32 @@ def crb_trace(D: np.ndarray, I: np.ndarray, h,
               cond_threshold: float = DEFAULT_COND_THRESHOLD) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance.
 
-    Uses a symmetric solve rather than explicit inversion; falls back to the
-    pseudo-inverse (flagged) when I is ill-conditioned.
+    I is equilibrated by its diagonal, Ie = S I S with S = diag(I)^-1/2, and
+    the bound is solved in those coordinates: with G = D^H D,
+    trace(I^-1 G) = trace(Ie^-1 S G S). The condition number is
+    w_max / w_min over the eigenvalues of the symmetric Ie, and inf when
+    w_min <= 0. Above the threshold, the pseudo-inverse of Ie replaces the
+    solve and the result is flagged; so is a non-positive diagonal entry of
+    I, through the pseudo-inverse of I itself.
     """
     h = np.asarray(h)
     energy = float(np.vdot(h, h).real)
     if energy == 0.0:
         raise ValueError("zero channel")
     G = D.conj().T @ D
-    cond = float(np.linalg.cond(I))
-    if not np.isfinite(cond) or cond > cond_threshold:
+    diag = np.diag(I)
+    if not np.all(diag > 0):
         value = float(np.trace(np.linalg.pinv(I, hermitian=True) @ G).real) / energy
+        return CrbResult(value, math.inf, True)
+    S = 1.0 / np.sqrt(diag)
+    Ie = S[:, None] * I * S
+    Ge = S[:, None] * G * S
+    w = np.linalg.eigvalsh(Ie)
+    cond = float(w[-1] / w[0]) if w[0] > 0 else math.inf
+    if not math.isfinite(cond) or cond > cond_threshold:
+        value = float(np.trace(np.linalg.pinv(Ie, hermitian=True) @ Ge).real) / energy
         return CrbResult(value, cond, True)
-    value = float(np.trace(solve(I, G, assume_a="sym")).real) / energy
+    value = float(np.trace(solve(Ie, Ge, assume_a="sym")).real) / energy
     return CrbResult(value, cond, False)
 
 

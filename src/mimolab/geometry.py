@@ -43,8 +43,7 @@ class Direction:
         az = float(self.azimuth)
         if not math.isfinite(az):
             raise ValueError(f"azimuth {az} is not finite")
-        az = (az + math.pi) % TWO_PI - math.pi
-        object.__setattr__(self, "azimuth", az)
+        object.__setattr__(self, "azimuth", wrap_azimuth(az))
         object.__setattr__(self, "elevation", el)
 
     def to_json(self) -> dict:
@@ -53,6 +52,12 @@ class Direction:
     @classmethod
     def from_json(cls, obj: dict) -> "Direction":
         return cls(float(obj["az"]), float(obj["el"]))
+
+
+def wrap_azimuth(az):
+    """Azimuth wrapped into [-pi, pi); the same formula, bit for bit, on a
+    float and elementwise on a numpy array."""
+    return (az + math.pi) % TWO_PI - math.pi
 
 
 def unit_vector(d: Direction) -> np.ndarray:
@@ -65,12 +70,20 @@ def unit_vector(d: Direction) -> np.ndarray:
 def unit_vectors(directions) -> np.ndarray:
     """Unit vectors of many directions, stacked as the columns of a 3 x k array.
 
-    Evaluates unit_vector's formula on the azimuth and elevation arrays, so
-    column j equals unit_vector(directions[j]) wherever numpy's cos and sin
+    Column j equals unit_vector(directions[j]) wherever numpy's cos and sin
     round like the math module's.
     """
+    return unit_vectors_from_angles(*direction_angles(directions))
+
+
+def direction_angles(directions) -> np.ndarray:
+    """Azimuths (row 0) and elevations (row 1) of many directions, 2 x k."""
     angles = np.array([(d.azimuth, d.elevation) for d in directions], dtype=float)
-    az, el = angles.reshape(-1, 2).T
+    return angles.reshape(-1, 2).T
+
+
+def unit_vectors_from_angles(az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """unit_vector's formula on arrays of wrapped azimuths and elevations, 3 x k."""
     ce = np.cos(el)
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
 

@@ -76,6 +76,15 @@ def test_config_accepts_integer_and_numpy_numbers():
     assert cfg.snr_linear == 10.0
 
 
+@pytest.mark.parametrize("field, value", [("strategies", ("joint", "joint")),
+                                          ("strategies", ("sequential", "joint", "sequential")),
+                                          ("P_budgets", (2, 2)), ("P_budgets", (5, 10, 5.0))])
+def test_config_rejects_repeated_entries(field, value):
+    # a repeated entry ran every pursuit twice and returned duplicate rows
+    with pytest.raises(ValueError, match=f"{field} must not repeat"):
+        tiny_config(**{field: value})
+
+
 def test_config_json_round_trip():
     cfg = tiny_config()
     cfg2 = ScenarioConfig.from_json(json.loads(json.dumps(cfg.to_json())))

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mimolab
 from mimolab.cli import main
@@ -300,6 +301,29 @@ def test_bench_env_threads(tmp_path, monkeypatch, capsys):
     assert main(["bench", "--config", cfg]) == 0
     monkeypatch.setenv("MIMO_LAB_THREADS", "soup")
     assert main(["bench", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-1")])
+def test_bench_non_positive_threads_exit_2(tmp_path, monkeypatch, capsys, flag, env):
+    cfg = write_config(tmp_path, dict(bench_config(), trials=1, P_budgets=[1],
+                                      strategies=["sequential"]))
+    out = str(tmp_path / "run")
+    monkeypatch.delenv("MIMO_LAB_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MIMO_LAB_THREADS", env)
+    argv = ["bench", "--config", cfg, "--out", out]
+    assert main(argv + (["--threads", flag] if flag is not None else [])) == 2
+    err = capsys.readouterr().err
+    assert "positive worker count" in err
+    assert ("--threads" if flag is not None else "MIMO_LAB_THREADS") in err
+    assert not os.path.exists(out + ".json")
+
+
+def test_bench_repeated_entries_exit_2(tmp_path, capsys):
+    for field, value in (("strategies", ["joint", "joint"]), ("P_budgets", [2, 2])):
+        cfg = write_config(tmp_path, dict(bench_config(), **{field: value}))
+        assert main(["bench", "--config", cfg]) == 2
+        assert f"{field} must not repeat" in capsys.readouterr().err
 
 
 def test_override_parsing_errors(tmp_path):

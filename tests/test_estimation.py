@@ -6,10 +6,12 @@ from scipy.linalg import orth
 
 from mimolab import estimation
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
+from mimolab.cli import _build_grid
 from mimolab.estimation import (DirectionGrid, build_dictionaries,
                                 estimate_gain, hemisphere_directions, joint_select,
                                 matching_pursuit, reports_to_csv, sequential_select)
-from mimolab.geometry import Direction, direction_from_unit, unit_vector, upa
+from mimolab.geometry import (Direction, direction_from_unit, unit_vector, unit_vectors, upa,
+                              wrap_azimuth)
 from mimolab.observation import ObservationSetup, identity_setup, observe
 
 
@@ -63,9 +65,9 @@ def first_duplicate(directions, tol=1e-12):
 
 
 def grid_error(directions):
-    """The message _check_no_duplicates raises for directions, or None."""
+    """The message _check_no_duplicates raises for directions' unit vectors, or None."""
     try:
-        estimation._check_no_duplicates(directions, "DoA")
+        estimation._check_no_duplicates(unit_vectors(directions), "DoA")
     except ValueError as e:
         return str(e)
     return None
@@ -133,6 +135,85 @@ def test_grid_product_large():
     # the all-pairs check took seconds at this size; no timing is asserted
     g = DirectionGrid.product(10000, 2500)
     assert (g.m, g.n) == (10000, 2500)
+
+
+def assert_grids_identical(a, b, setups, g_r, g_t):
+    """Same directions, unit vectors and dictionaries, bit for bit.
+
+    b is built from Directions, whose azimuths are already wrapped; a keeps
+    its angles as given, which equal b's once wrapped.
+    """
+    assert a.test_doas == b.test_doas and a.test_dods == b.test_dods
+    for side in ("doa", "dod"):
+        (az, el), (az_b, el_b) = getattr(a, side + "_angles"), getattr(b, side + "_angles")
+        assert np.array_equal(wrap_azimuth(az), az_b) and np.array_equal(el, el_b)
+        assert np.array_equal(getattr(a, side + "_units"), getattr(b, side + "_units"))
+    for s in setups:
+        da, db = build_dictionaries(a, s, g_r, g_t), build_dictionaries(b, s, g_r, g_t)
+        assert np.array_equal(da.K_r, db.K_r) and np.array_equal(da.K_t, db.K_t)
+        assert [da.doa_of(i) for i in range(da.m)] == list(b.test_doas)
+        assert [da.dod_of(j) for j in range(da.n)] == list(b.test_dods)
+
+
+def test_grid_from_angles_equals_grid_from_directions(rng):
+    g_r, g_t = upa(4, 4), upa(4, 2)
+    W = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
+    setups = (identity_setup(8, 16, 1.0), ObservationSetup(np.eye(8)[:, :6], W, 1.0))
+    assert_grids_identical(DirectionGrid.product(2500, 400),
+                           DirectionGrid(hemisphere_directions(50, 50),
+                                         hemisphere_directions(20, 20)), setups, g_r, g_t)
+    # a non-square layout, through the CLI's grid block
+    cli_grid = _build_grid({"grid": {"m_az": 7, "m_el": 3, "n_az": 4, "n_el": 9}})
+    assert (cli_grid.m, cli_grid.n) == (21, 36)
+    assert_grids_identical(cli_grid, DirectionGrid(hemisphere_directions(7, 3),
+                                                   hemisphere_directions(4, 9)),
+                           setups, g_r, g_t)
+
+
+def test_grid_angles_kept_as_given_and_wrapped_once():
+    angles = np.array([[4.0, -7.5, 0.3], [0.1, -0.2, math.pi / 2]])
+    grid = DirectionGrid(angles, angles[:, :1])
+    assert np.array_equal(grid.doa_angles, angles)
+    assert grid.test_doas == tuple(Direction(a, e) for a, e in angles.T)
+    assert np.array_equal(grid.doa_units, unit_vectors(grid.test_doas))
+    assert not grid.doa_angles.flags.writeable and not grid.doa_units.flags.writeable
+    assert isinstance(grid.test_doas, tuple) and grid.test_doas is grid.test_doas
+
+
+@pytest.mark.parametrize("az, el", [(0.1, 2.0), (0.1, -1.6), (0.1, math.nan),
+                                    (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1)])
+def test_grid_angles_rejected_like_direction(az, el):
+    with pytest.raises(ValueError) as expected:
+        Direction(az, el)
+    good = np.array([[0.0, 0.5], [0.0, 0.2]])
+    bad = np.array([[0.3, az], [0.4, el]])
+    for doas, dods in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError) as got:
+            DirectionGrid(doas, dods)
+        assert str(got.value) == str(expected.value)
+
+
+def test_grid_angles_shape_and_emptiness_checked():
+    good = np.array([[0.0], [0.0]])
+    for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 0))):
+        with pytest.raises(ValueError):
+            DirectionGrid(bad, good)
+        with pytest.raises(ValueError):
+            DirectionGrid(good, bad)
+    with pytest.raises(ValueError, match="duplicate DoD directions at indices 0 and 2"):
+        DirectionGrid(good, np.array([[0.1, 0.2, 0.1 + 2 * math.pi], [0.0, 0.0, 0.0]]))
+
+
+def test_dictionary_conjugate_transpose_built_once(rng):
+    grid = small_grid(4)
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    e0 = steering_vector(g_r, grid.test_doas[0])
+    dropped = ObservationSetup(np.eye(6), orth(np.eye(4) - np.outer(e0, e0.conj())), 1.0)
+    with pytest.warns(UserWarning):
+        d_dropped = build_dictionaries(grid, dropped, g_r, g_t)
+    for d in (build_dictionaries(grid, identity_setup(6, 4, 1.0), g_r, g_t), d_dropped):
+        assert np.array_equal(d.K_r_H, d.K_r.conj().T)
+        assert d.K_r_H.flags.c_contiguous
 
 
 def test_dictionary_identity_combiner_equals_steering(rng):
@@ -304,6 +385,42 @@ def test_sequential_select_stage_oracles(rng):
     j_hat = int(np.argmax(stage2))
     sel = sequential_select(Y, d)
     assert (sel.doa_index, sel.dod_index) == (i_hat, j_hat)
+
+
+def brute_force_sequential(Y, d):
+    """Stage maxima by explicit loops; the first of equal scores wins."""
+    energies = [sum(abs(np.vdot(d.K_r[:, i], Y[:, k])) ** 2 for k in range(Y.shape[1]))
+                for i in range(d.m)]
+    i_hat = max(range(d.m), key=lambda i: (energies[i], -i))
+    row = [abs(np.vdot(d.K_r[:, i_hat], Y @ d.K_t[:, j])) ** 2 for j in range(d.n)]
+    return i_hat, max(range(d.n), key=lambda j: (row[j], -j)), energies, row
+
+
+def test_sequential_select_matches_bruteforce_oracle(rng):
+    grid = DirectionGrid(hemisphere_directions(6, 5), hemisphere_directions(5, 4))
+    g_r, g_t = upa(2, 3), upa(3, 2)
+    d = build_dictionaries(grid, identity_setup(6, 6, 1.0), g_r, g_t)
+    for _ in range(20):
+        Y = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
+        # a near-tie could be decided by rounding; random residuals have none
+        assert sorted(energies)[-1] - sorted(energies)[-2] > 1e-9 * max(energies)
+        assert sorted(row)[-1] - sorted(row)[-2] > 1e-9 * max(row)
+        sel = sequential_select(Y, d)
+        assert (sel.doa_index, sel.dod_index) == (i_hat, j_hat)
+
+
+def test_sequential_select_exact_ties_go_to_smallest_index():
+    # integer entries make every score exact, so the planted ties are exact
+    K_r = np.array([[0, 1, 0, 1, 0], [1, 0, 1, 0, 1j]], dtype=complex)
+    K_t = np.array([[0, 1, -1, 1j], [1, 0, 0, 0]], dtype=complex)
+    d = estimation.Dictionary(K_r, K_t, tuple(range(5)), tuple(range(4)), small_grid(3))
+    Y = np.array([[1, 2j], [2, 1j]])   # every DoA atom receives energy 5
+    i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
+    assert len(set(energies)) == 1 and (i_hat, j_hat) == (0, 1)
+    assert row[1] == row[2] == row[3] == 4.0
+    sel = sequential_select(Y, d)
+    assert (sel.doa_index, sel.dod_index) == (0, 1)
 
 
 def test_sequential_select_zero_observation_tie_break():

@@ -168,6 +168,57 @@ def test_crb_trace_flags_duplicate_paths(rng):
     assert math.isfinite(res.value)  # pseudo-inverse value still reported
 
 
+def test_crb_condition_number_free_of_gain_scale(rng):
+    # the raw Fisher matrix of one path scales its gain rows by 1/rho^2
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    results = []
+    for rho in (1.0, 1e-7, 1e5):
+        ps = PathSet([PathParams(rho, 0.4, Direction(0.3, -0.2), Direction(-0.6, 0.5))])
+        D = channel_jacobian(ps, g_r, g_t)
+        h = synthesize(ps, g_r, g_t).vector
+        s = identity_setup(6, 4, 0.5)
+        res = crb_trace(D, fisher_matrix(D, s), h)
+        assert not res.ill_conditioned
+        assert abs(res.value - optimal_bound(1, snr(s, h))) <= 1e-12 * res.value
+        results.append(res.condition_number)
+    assert results[0] < 10
+    assert max(results) - min(results) <= 1e-9 * results[0]
+
+
+def test_crb_trace_equilibrated_matches_direct_solve(rng):
+    g_r, g_t = upa(2, 3), upa(3, 2)
+    doas, dods = separated_directions(rng, 3, 0.5), separated_directions(rng, 3, 0.5)
+    ps = PathSet(PathParams(rng.uniform(0.5, 2), rng.uniform(0, 6), a, d)
+                 for a, d in zip(doas, dods))
+    W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
+    D = channel_jacobian(ps, g_r, g_t)
+    I = fisher_matrix(D, ObservationSetup(np.eye(6), W, 0.3))
+    h = synthesize(ps, g_r, g_t).vector
+    res = crb_trace(D, I, h)
+    direct = np.trace(np.linalg.solve(I, D.conj().T @ D)).real / np.vdot(h, h).real
+    assert not res.ill_conditioned
+    assert abs(res.value - direct) <= 1e-10 * direct
+    S = np.diag(1 / np.sqrt(np.diag(I)))
+    w = np.linalg.eigvalsh(S @ I @ S)
+    assert res.condition_number == pytest.approx(w[-1] / w[0], rel=1e-10)
+    assert crb_trace(D, I, h, cond_threshold=0.5 * res.condition_number).ill_conditioned
+
+
+def test_crb_trace_flags_non_positive_diagonal(rng):
+    g_r, g_t = upa(2, 2), upa(2, 2)
+    ps = PathSet([random_path(rng)])
+    D = channel_jacobian(ps, g_r, g_t)
+    I = fisher_matrix(D, identity_setup(4, 4, 0.5))
+    h = synthesize(ps, g_r, g_t).vector
+    for value in (0.0, -1.0):
+        J = I.copy()
+        J[3, :] = J[:, 3] = 0.0
+        J[3, 3] = value
+        res = crb_trace(D, J, h)
+        assert res.ill_conditioned and res.condition_number == math.inf
+        assert math.isfinite(res.value)
+
+
 def test_crb_never_below_floor(rng):
     for _ in range(20):
         g_r, g_t = upa(2, 3), upa(3, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from mimolab.estimation import hemisphere_directions
 from mimolab.geometry import (ArrayGeometry, Direction, direction_from_unit,
-                              tangent_basis, ula, unit_vector, unit_vectors, upa)
+                              tangent_basis, ula, unit_vector, unit_vectors, upa, wrap_azimuth)
 
 from conftest import random_direction
 
@@ -64,6 +64,16 @@ def test_unit_vectors_equal_stacked_unit_vector(rng):
         assert np.array_equal(U, np.stack([unit_vector(d) for d in dirs], axis=1))
     assert np.array_equal(unit_vectors(d for d in poles), unit_vectors(poles))
     assert unit_vectors([]).shape == (3, 0)
+
+
+def test_wrap_azimuth_array_equals_direction_wrap(rng):
+    az = np.concatenate([rng.uniform(-10.0, 10.0, 100_000),
+                         [-math.pi, math.pi, 0.0, -0.0, 3 * math.pi, -1e-300]])
+    wrapped = wrap_azimuth(az)
+    assert wrapped.tolist() == [Direction(a, 0.0).azimuth for a in az.tolist()]
+    assert np.all((-math.pi <= wrapped) & (wrapped < math.pi))
+    # wrapping is idempotent, so a Direction rebuilt from its own azimuth is equal
+    assert np.array_equal(wrap_azimuth(wrapped), wrapped)
 
 
 def test_direction_from_unit_round_trip(rng):
