@@ -7,8 +7,8 @@ the Cramer-Rao bound on relative channel error, and benchmarks joint
 versus sequential greedy direction estimation inside Matching Pursuit.
 """
 
-from .bench import (BenchRow, ScenarioConfig, format_table, generate_paths,
-                    monte_carlo, run_trial)
+from .bench import (BenchRow, ScenarioConfig, draw_scenario, format_table,
+                    generate_paths, monte_carlo, run_trial)
 from .channel import (ChannelMatrix, PathParams, PathSet, atomic_channel,
                       merge_paths, steering_derivative, steering_matrix,
                       steering_vector, synthesize)
@@ -33,7 +33,7 @@ __all__ = [
     "ObservationSetup", "PathParams", "PathSet", "ScenarioConfig",
     "atomic_channel", "build_dictionaries", "channel_jacobian",
     "check_optimal_observation", "crb_report", "crb_trace",
-    "direction_from_unit", "estimate_gain", "fim_block", "fisher_matrix",
+    "direction_from_unit", "draw_scenario", "estimate_gain", "fim_block", "fisher_matrix",
     "format_table", "generate_paths", "hemisphere_directions",
     "identity_setup", "inter_path_coupling_mass", "intra_path_block",
     "joint_select", "matching_pursuit", "merge_paths", "monte_carlo",

@@ -21,12 +21,12 @@ import numpy as np
 import scipy
 
 from .blas import blas_threads, one_blas_thread
-from .channel import PathParams, PathSet, synthesize
+from .channel import ChannelMatrix, PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
                          matching_pursuit, relative_error, write_csv)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int
-from .observation import identity_setup, noise_for_snr, observe
+from .observation import ObservationSetup, identity_setup, noise_for_snr, observe
 
 KNOWN_STRATEGIES = tuple(_SELECTORS)
 
@@ -197,6 +197,38 @@ def generate_paths(cfg: ScenarioConfig, seed: int) -> PathSet:
 
 
 @dataclass(frozen=True)
+class Scenario:
+    """One seed's channel, its full observation and the bound at its true paths.
+
+    The noise level realizes cfg.snr_db per observed entry: each of the
+    n_r x n_s received pilot samples carries that SNR on average, the
+    conventional way of quoting a training SNR. true_crb is the
+    relative-variance bound at the true parameter point; an ill-conditioned
+    Fisher matrix there only raises its flag. Y is read-only, since every
+    strategy pursues it.
+    """
+
+    seed: int
+    H: ChannelMatrix
+    setup: ObservationSetup
+    Y: np.ndarray
+    true_crb: CrbResult
+
+
+def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
+    """Generate, synthesize and observe one channel realization and bound it."""
+    g_t, g_r = cfg.geometries()
+    paths = generate_paths(cfg, seed)
+    H = synthesize(paths, g_r, g_t)
+    sigma2 = noise_for_snr(cfg.observation_snr_linear, 1.0, H.vector)
+    s = identity_setup(cfg.n_t, cfg.n_r, sigma2)
+    Y = observe(H, s, np.random.default_rng([int(seed), 1])).Y
+    Y.setflags(write=False)
+    D = channel_jacobian(paths, g_r, g_t)
+    return Scenario(seed, H, s, Y, crb_trace(D, fisher_matrix(D, s), H.vector))
+
+
+@dataclass(frozen=True)
 class BudgetResult:
     """A pursuit read after its first P_budget iterations."""
 
@@ -208,73 +240,35 @@ class BudgetResult:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One (seed, strategy) pursuit read at each budget, plus the true-point CRB.
-
-    budgets holds one reading per requested budget in increasing order; the
-    pursuit ran to the last one, whose rmse, wall_time_s and score_evals the
-    properties of the same names give.
-    """
+    """One (seed, strategy) pursuit read at each budget, in increasing order."""
 
     strategy: str
     seed: int
     budgets: tuple[BudgetResult, ...]
-    m: int
-    n: int
-    true_crb: CrbResult
 
     def at(self, P_budget: int) -> BudgetResult:
         return {b.P_budget: b for b in self.budgets}[P_budget]
 
-    @property
-    def rmse(self) -> float:
-        return self.budgets[-1].rmse
 
-    @property
-    def wall_time_s(self) -> float:
-        return self.budgets[-1].wall_time_s
+def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
+              dictionary: Dictionary) -> TrialResult:
+    """Estimate the scenario's channel with one pursuit and score it.
 
-    @property
-    def score_evals(self) -> int:
-        return self.budgets[-1].score_evals
-
-
-def run_trial(cfg: ScenarioConfig, seed: int, strategy: str, P_budgets: int | tuple[int, ...],
-              grid: DirectionGrid | None = None,
-              dictionary: Dictionary | None = None) -> TrialResult:
-    """Generate, observe, estimate and score one channel realization.
-
-    Observation is full (identity pilots and combiners). The noise level
-    realizes cfg.snr_db per observed entry: each of the n_r x n_s received
-    pilot samples carries that signal-to-noise ratio on average, the
-    conventional way of quoting a training SNR. One pursuit runs to the
-    largest of P_budgets (a single budget or several) and is read at each:
+    The pursuit runs to the largest of cfg.P_budgets and is read at each:
     the rMSE of the paths kept so far, the cumulative pursuit time and the
-    scores evaluated through that iteration. The relative-variance bound at
-    the true parameter point is recorded alongside; an ill-conditioned
-    Fisher matrix there only raises the flag inside the result.
+    scores evaluated through that iteration.
     """
-    budgets = sorted({P_budgets} if isinstance(P_budgets, int) else set(P_budgets))
-    if budgets[0] < 1:
-        raise ValueError("every P_budget must be at least 1")
     g_t, g_r = cfg.geometries()
-    paths = generate_paths(cfg, seed)
-    H = synthesize(paths, g_r, g_t)
-    sigma2 = noise_for_snr(cfg.observation_snr_linear, 1.0, H.vector)
-    s = identity_setup(cfg.n_t, cfg.n_r, sigma2)
-    Y = observe(H, s, np.random.default_rng([int(seed), 1])).Y
-    if grid is None:
-        grid = DirectionGrid.product(cfg.m, cfg.n)
-    report = matching_pursuit(Y, s, grid, g_r, g_t, budgets[-1], strategy,
-                              dictionary=dictionary)
+    budgets = sorted(cfg.P_budgets)
+    report = matching_pursuit(scenario.Y, scenario.setup, dictionary.grid, g_r, g_t,
+                              budgets[-1], strategy, dictionary=dictionary)
     # every iteration scores the same number of candidates
     readings = tuple(
-        BudgetResult(P, relative_error(H, report.estimated[:report.paths_kept[P - 1]], g_r, g_t),
+        BudgetResult(P, relative_error(scenario.H, report.estimated[:report.paths_kept[P - 1]],
+                                       g_r, g_t),
                      report.cumulative_times[P - 1], report.score_evaluations * P // report.P)
         for P in budgets)
-    D = channel_jacobian(paths, g_r, g_t)
-    I = fisher_matrix(D, s)
-    true_crb = crb_trace(D, I, H.vector)
-    return TrialResult(strategy, seed, readings, report.m, report.n, true_crb)
+    return TrialResult(strategy, scenario.seed, readings)
 
 
 BENCH_COLUMNS = ("strategy", "P_budget", "mean_rmse", "mean_wall_time_s",
@@ -307,7 +301,7 @@ class BenchRow:
 
 
 def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
-               results: list[TrialResult]) -> BenchRow:
+               results: list[TrialResult], true_crbs: list[CrbResult]) -> BenchRow:
     readings = [r.at(P_budget) for r in results]
     return BenchRow(
         strategy=strategy,
@@ -316,8 +310,8 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
         mean_wall_time_s=float(np.mean([b.wall_time_s for b in readings])),
         mean_score_evals=float(np.mean([b.score_evals for b in readings])),
         crb_floor=optimal_bound(P_budget, cfg.observation_snr_linear),
-        mean_true_crb=float(np.mean([r.true_crb.value for r in results])),
-        ill_conditioned_trials=sum(r.true_crb.ill_conditioned for r in results),
+        mean_true_crb=float(np.mean([c.value for c in true_crbs])),
+        ill_conditioned_trials=sum(c.ill_conditioned for c in true_crbs),
         trials=len(results),
     )
 
@@ -326,35 +320,31 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
 def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     """Average run_trial over trials for every (strategy, budget) pair.
 
-    Trial t uses seed base_seed + t. Each (seed, strategy) pair runs one
-    pursuit to the largest budget, read at every budget (see run_trial), so
-    a budget's wall time is the pursuit time through that many iterations.
-    Results are reduced in seed order regardless of worker scheduling, so
-    the rMSE and counter columns are reproducible bit for bit; rows come
-    back sorted by (P_budget, strategy). The call runs on one BLAS thread
-    (see blas.one_blas_thread): the trial workers are the only parallelism,
-    and the CRB column does not depend on the environment's thread count.
+    Trial t draws the scenario of seed base_seed + t (see draw_scenario)
+    and runs every strategy on it; workers take seeds, so at most `trials`
+    are busy. Results are reduced in seed order, so the rMSE and counter
+    columns are reproducible bit for bit; rows come back sorted by
+    (P_budget, strategy). The call runs on one BLAS thread (see
+    blas.one_blas_thread): the trial workers are the only parallelism, and
+    the CRB column does not depend on the environment's thread count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be a positive worker count, got {threads}")
     grid = DirectionGrid.product(cfg.m, cfg.n)
     g_t, g_r = cfg.geometries()
-    template = identity_setup(cfg.n_t, cfg.n_r, 1.0)
-    dictionary = build_dictionaries(grid, template, g_r, g_t)
-    tasks = [(s, cfg.base_seed + t) for s in cfg.strategies for t in range(cfg.trials)]
+    dictionary = build_dictionaries(grid, identity_setup(cfg.n_t, cfg.n_r, 1.0), g_r, g_t)
 
-    def work(task):
-        s, seed = task
-        return run_trial(cfg, seed, s, cfg.P_budgets, grid=grid, dictionary=dictionary)
+    def seed_work(seed):
+        scenario = draw_scenario(cfg, seed)
+        return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary)
+                                   for s in cfg.strategies}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-
-    by_strategy = {s: results[k * cfg.trials:(k + 1) * cfg.trials]
-                   for k, s in enumerate(cfg.strategies)}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_seed = list(pool.map(seed_work, range(cfg.base_seed, cfg.base_seed + cfg.trials)))
+    true_crbs = [crb for crb, _ in per_seed]
     combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
-    return [_aggregate(cfg, s, p, by_strategy[s]) for p, s in combos]
+    return [_aggregate(cfg, s, p, [trials[s] for _, trials in per_seed], true_crbs)
+            for p, s in combos]
 
 
 def rows_to_csv(rows, fh_or_path):

@@ -131,6 +131,8 @@ class ArrayGeometry:
             raise ValueError("scaled_positions must be a 3 x n matrix")
         if A.shape[1] < 1:
             raise ValueError("array needs at least one antenna")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("antenna positions must be finite")
         A -= A.mean(axis=1, keepdims=True)
         A -= A.mean(axis=1, keepdims=True)
         A.setflags(write=False)
@@ -155,15 +157,20 @@ class ArrayGeometry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArrayGeometry":
+        if not isinstance(obj, dict):
+            raise ValueError(f"array spec must be a JSON object, got {obj!r}")
         kind = obj.get("type", "custom")
-        if kind == "ula":
-            return ula(as_int(obj["n"], "n"), float(obj.get("spacing", 0.5)),
-                       obj.get("axis", "x"))
-        if kind == "upa":
-            return upa(as_int(obj["nx"], "nx"), as_int(obj["ny"], "ny"),
-                       float(obj.get("spacing", 0.5)), obj.get("plane", "yz"))
-        if kind == "custom":
-            return cls.from_positions(obj["positions"])
+        try:
+            if kind == "ula":
+                return ula(as_int(obj["n"], "n"), float(obj.get("spacing", 0.5)),
+                           obj.get("axis", "x"))
+            if kind == "upa":
+                return upa(as_int(obj["nx"], "nx"), as_int(obj["ny"], "ny"),
+                           float(obj.get("spacing", 0.5)), obj.get("plane", "yz"))
+            if kind == "custom":
+                return cls.from_positions(obj["positions"])
+        except KeyError as e:
+            raise ValueError(f"{kind} array spec requires {e}") from None
         raise ValueError(f"unknown array type {kind!r}")
 
 
@@ -179,8 +186,8 @@ def ula(n: int, spacing_wavelengths: float = 0.5, axis: str = "x") -> ArrayGeome
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if spacing_wavelengths <= 0:
-        raise ValueError("spacing must be positive")
+    if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {sorted(_AXES)}")
     offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing_wavelengths
@@ -199,8 +206,8 @@ def upa(nx: int, ny: int, spacing_wavelengths: float = 0.5,
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be positive")
-    if spacing_wavelengths <= 0:
-        raise ValueError("spacing must be positive")
+    if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
     if plane not in _PLANES:
         raise ValueError(f"plane must be one of {sorted(_PLANES)}")
     off_x = (np.arange(1, nx + 1) - (nx + 1) / 2.0) * spacing_wavelengths

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy
 
-from mimolab.bench import (BenchRow, ScenarioConfig, format_table, generate_paths,
-                           monte_carlo, rows_to_csv, rows_to_json, run_trial)
+from mimolab import bench
+from mimolab.bench import (BenchRow, ScenarioConfig, draw_scenario, format_table,
+                           generate_paths, monte_carlo, rows_to_csv, rows_to_json, run_trial)
 from mimolab.blas import blas_threads
 from mimolab.channel import synthesize
-from mimolab.estimation import DirectionGrid, matching_pursuit
+from mimolab.estimation import DirectionGrid, build_dictionaries, matching_pursuit
 from mimolab.geometry import unit_vector
 from mimolab.observation import identity_setup, noise_for_snr, observe
 
@@ -21,6 +22,12 @@ def tiny_config(**overrides):
                 base_seed=7)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def tiny_dictionary(cfg):
+    g_t, g_r = cfg.geometries()
+    return build_dictionaries(DirectionGrid.product(cfg.m, cfg.n),
+                              identity_setup(cfg.n_t, cfg.n_r, 1.0), g_r, g_t)
 
 
 def test_config_validation():
@@ -128,20 +135,23 @@ def test_generate_paths_directions_valid():
 
 def test_run_trial_counters_and_determinism():
     cfg = tiny_config()
-    t1 = run_trial(cfg, 7, "sequential", 2)
-    t2 = run_trial(cfg, 7, "sequential", 2)
-    assert t1.rmse == t2.rmse
-    assert t1.score_evals == (100 + 100) * 2
-    t3 = run_trial(cfg, 7, "joint", 2)
-    assert t3.score_evals == 100 * 100 * 2
+    dictionary = tiny_dictionary(cfg)
+    scenario = draw_scenario(cfg, 7)
+    t1 = run_trial(cfg, scenario, "sequential", dictionary)
+    t2 = run_trial(cfg, draw_scenario(cfg, 7), "sequential", dictionary)
+    assert t1.at(2).rmse == t2.at(2).rmse
+    assert t1.at(2).score_evals == (100 + 100) * 2
+    t3 = run_trial(cfg, scenario, "joint", dictionary)
+    assert t3.at(2).score_evals == 100 * 100 * 2
 
 
 def test_run_trial_flags_ill_conditioned_truth_without_failing():
     # zero spread duplicates directions inside each cluster: singular FIM
-    cfg = tiny_config(angular_spread_deg=0.0)
-    t = run_trial(cfg, 1, "sequential", 1)
-    assert t.true_crb.ill_conditioned
-    assert math.isfinite(t.true_crb.value)
+    cfg = tiny_config(angular_spread_deg=0.0, P_budgets=(1,))
+    scenario = draw_scenario(cfg, 1)
+    assert scenario.true_crb.ill_conditioned
+    assert math.isfinite(scenario.true_crb.value)
+    assert run_trial(cfg, scenario, "sequential", tiny_dictionary(cfg)).at(1).score_evals == 200
 
 
 def test_monte_carlo_rows_and_reduction():
@@ -165,10 +175,56 @@ def test_monte_carlo_rows_and_reduction():
 def test_monte_carlo_single_trial_reduces_to_run_trial():
     cfg = tiny_config(trials=1, P_budgets=(2,), strategies=("sequential",))
     row = monte_carlo(cfg)[0]
-    trial = run_trial(cfg, cfg.base_seed, "sequential", 2)
-    assert row.mean_rmse == trial.rmse
-    assert row.mean_score_evals == trial.score_evals
-    assert row.mean_true_crb == trial.true_crb.value
+    scenario = draw_scenario(cfg, cfg.base_seed)
+    trial = run_trial(cfg, scenario, "sequential", tiny_dictionary(cfg))
+    assert row.mean_rmse == trial.at(2).rmse
+    assert row.mean_score_evals == trial.at(2).score_evals
+    assert row.mean_true_crb == scenario.true_crb.value
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_bounds_each_seed_once(monkeypatch, threads):
+    # every strategy of a seed shares its scenario, so its CRB is solved once
+    calls = []
+    crb_trace = bench.crb_trace
+
+    def counting(*args):
+        calls.append(1)
+        return crb_trace(*args)
+
+    monkeypatch.setattr(bench, "crb_trace", counting)
+    cfg = tiny_config(trials=3, P_budgets=(1,), strategies=("joint", "sequential"))
+    rows = monte_carlo(cfg, threads=threads)
+    assert len(calls) == 3
+    assert all(r.trials == 3 for r in rows)
+
+
+def test_strategies_of_a_seed_pursue_one_observation(monkeypatch):
+    seen = []
+    pursue = bench.matching_pursuit
+
+    def recording(Y, *args, **kwargs):
+        seen.append((Y, args[5]))
+        return pursue(Y, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "matching_pursuit", recording)
+    cfg = tiny_config(trials=2, P_budgets=(1,))
+    monte_carlo(cfg, threads=2)
+    by_observation = {}
+    for Y, strategy in seen:
+        by_observation.setdefault(id(Y), (Y, []))[1].append(strategy)
+    assert len(by_observation) == cfg.trials
+    for Y, strategies in by_observation.values():
+        assert sorted(strategies) == ["joint", "sequential"]
+        assert not Y.flags.writeable
+    first, second = (Y for Y, _ in by_observation.values())
+    assert not np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_monte_carlo_rejects_non_positive_threads(threads):
+    with pytest.raises(ValueError, match="threads must be a positive worker count"):
+        monte_carlo(tiny_config(trials=1), threads=threads)
 
 
 @pytest.mark.parametrize("strategy", ["joint", "sequential"])

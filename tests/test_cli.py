@@ -326,6 +326,44 @@ def test_bench_repeated_entries_exit_2(tmp_path, capsys):
         assert f"{field} must not repeat" in capsys.readouterr().err
 
 
+def _custom_positions(n, bad):
+    positions = [[0.5 * i for i in range(n)], [0.0] * n, [0.0] * n]
+    positions[1][n - 1] = bad
+    return {"type": "custom", "positions": positions}
+
+
+@pytest.mark.parametrize("tx_array, message", [
+    ("upa", "array spec must be a JSON object"),
+    ([4, 4], "array spec must be a JSON object"),
+    ({"type": "upa", "nx": 4}, "upa array spec requires 'ny'"),
+    ({"type": "ula"}, "ula array spec requires 'n'"),
+    ({"type": "upa", "nx": 4, "ny": 4, "spacing": math.nan}, "spacing must be positive and finite"),
+    ({"type": "upa", "nx": 4, "ny": 4, "spacing": math.inf}, "spacing must be positive and finite"),
+    ({"type": "ula", "n": 16, "spacing": math.nan}, "spacing must be positive and finite"),
+    (_custom_positions(16, math.nan), "antenna positions must be finite"),
+    (_custom_positions(16, -math.inf), "antenna positions must be finite"),
+])
+def test_bench_malformed_array_spec_exit_2(tmp_path, capsys, tx_array, message):
+    # these ended in AttributeError, KeyError or "every DoD grid direction is
+    # annihilated" tracebacks
+    cfg = write_config(tmp_path, dict(bench_config(), tx_array=tx_array))
+    assert main(["bench", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tx, message", [
+    ({"type": "upa", "nx": 4, "ny": 4, "spacing": math.nan}, "spacing must be positive and finite"),
+    (_custom_positions(16, math.nan), "antenna positions must be finite"),
+])
+def test_crb_and_estimate_name_a_non_finite_array_spec(tmp_path, capsys, tx, message):
+    # both exited 2, but on a failed eigenvalue solve or a NaN observation
+    for command, obj in (("crb", crb_config(n_paths=2)), ("estimate", estimate_config())):
+        obj["arrays"]["tx"] = tx
+        assert main([command, "--config", write_config(tmp_path, obj)]) == 2
+        assert f"invalid array spec: {message}" in capsys.readouterr().err
+
+
 def test_override_parsing_errors(tmp_path):
     cfg = write_config(tmp_path, bench_config())
     assert main(["bench", "--config", cfg, "trials"]) == 2

@@ -1,12 +1,14 @@
 """Property test: mutated README configs exit 0, 2 or 3, never with a traceback.
 
-Each example takes the README's `crb` or `estimate` config and applies one to
+Each example takes the README's `crb`, `estimate` or `bench` config and applies one to
 three mutations: drop a key, or replace a value with NaN, an infinity, a
 negative number, zero, a fraction, a string, null, a boolean, a list or an
 object. A config whose integer field ends up holding a boolean or a
 non-integral number must exit 2: it may not be truncated and run. The
-estimate config uses 100x100 grids instead of the README's 2500x2500 so the
-examples stay fast. Valid but huge values (a 10^12-point grid, a budget of
+estimate config uses 100x100 grids instead of the README's 2500x2500, and the
+bench config 16x16 grids, one trial and budgets 1 and 2, so the examples stay
+fast; the bench config spells out its planar arrays so that their specs are
+mutated too. Valid but huge values (a 10^12-point grid, a budget of
 10^9 paths) are left out: they are slow, not malformed.
 """
 
@@ -37,6 +39,19 @@ README_ESTIMATE = {
     "strategy": "sequential",
     "P_budget": 20,
     "seed": 3,
+}
+
+README_BENCH = {
+    "n_t": 16, "n_r": 4,
+    "tx_array": {"type": "upa", "nx": 4, "ny": 4, "spacing": 0.5, "plane": "yz"},
+    "rx_array": {"type": "upa", "nx": 2, "ny": 2, "spacing": 0.5, "plane": "yz"},
+    "n_clusters": 8, "paths_per_cluster": 5,
+    "angular_spread_deg": 5.0, "gain_decay_db_per_cluster": 5.0,
+    "snr_db": 10.0,
+    "m": 16, "n": 16,
+    "P_budgets": [1, 2],
+    "strategies": ["joint", "sequential"],
+    "trials": 1, "base_seed": 0,
 }
 
 BAD_VALUES = (math.nan, math.inf, -math.inf, -1, -2.5, 0, 2.7, "x", "10", None, True,
@@ -131,6 +146,13 @@ def test_estimate_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
                capsys.readouterr().err)
 
 
+@FUZZ
+@given(muts=mutations(README_BENCH))
+def test_bench_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
+    check_exit(*run_mutated(tmp_path, "bench", README_BENCH, muts), capsys.readouterr().err)
+
+
 def test_readme_configs_run(tmp_path, capsys):
     assert run_mutated(tmp_path, "crb", README_CRB, []) == (0, False)
     assert run_mutated(tmp_path, "estimate", README_ESTIMATE, []) == (0, False)
+    assert run_mutated(tmp_path, "bench", README_BENCH, []) == (0, False)

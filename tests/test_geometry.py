@@ -172,3 +172,37 @@ def test_geometry_immutable():
     g = ula(3)
     with pytest.raises(ValueError):
         g.scaled_positions[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("spec", ["upa", None, 3, [], [{"type": "upa"}]])
+def test_geometry_from_json_rejects_non_object_spec(spec):
+    with pytest.raises(ValueError, match="array spec must be a JSON object"):
+        ArrayGeometry.from_json(spec)
+
+
+@pytest.mark.parametrize("spec, key", [({"type": "upa", "nx": 4}, "ny"),
+                                       ({"type": "upa", "ny": 4}, "nx"),
+                                       ({"type": "ula"}, "n"), ({"type": "custom"}, "positions"),
+                                       ({}, "positions")])
+def test_geometry_from_json_names_a_missing_key(spec, key):
+    with pytest.raises(ValueError, match=f"array spec requires '{key}'"):
+        ArrayGeometry.from_json(spec)
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_arrays_reject_non_finite_or_non_positive_spacing(spacing):
+    for build in (lambda: ula(4, spacing), lambda: upa(2, 2, spacing),
+                  lambda: ArrayGeometry.from_json({"type": "upa", "nx": 2, "ny": 2,
+                                                   "spacing": spacing})):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_geometry_rejects_non_finite_positions(bad):
+    positions = np.zeros((3, 4))
+    positions[1, 2] = bad
+    with pytest.raises(ValueError, match="antenna positions must be finite"):
+        ArrayGeometry.from_positions(positions)
+    with pytest.raises(ValueError, match="antenna positions must be finite"):
+        ArrayGeometry.from_json({"type": "custom", "positions": positions.tolist()})
