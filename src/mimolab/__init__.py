@@ -22,15 +22,14 @@ from .fim import (CrbResult, channel_jacobian, check_optimal_observation,
                   paths_from_vector, paths_to_vector)
 from .geometry import (ArrayGeometry, Direction, direction_from_unit,
                        tangent_basis, ula, unit_vector, upa)
-from .observation import (ObservationData, ObservationSetup, identity_setup,
-                          noise_for_snr, observe, orthogonal_pilots,
-                          projection_apply, projection_matrix, snr,
+from .observation import (ObservationSetup, identity_setup, noise_for_snr, observe,
+                          orthogonal_pilots, projection_apply, projection_matrix, snr,
                           span_combiners, span_pilots)
 
 __all__ = [
     "ArrayGeometry", "BenchRow", "ChannelMatrix", "CrbResult", "Dictionary",
-    "Direction", "DirectionGrid", "EstimationReport", "ObservationData",
-    "ObservationSetup", "PathParams", "PathSet", "ScenarioConfig",
+    "Direction", "DirectionGrid", "EstimationReport", "ObservationSetup",
+    "PathParams", "PathSet", "ScenarioConfig",
     "atomic_channel", "build_dictionaries", "channel_jacobian",
     "check_optimal_observation", "crb_report", "crb_trace",
     "direction_from_unit", "draw_scenario", "estimate_gain", "fim_block", "fisher_matrix",

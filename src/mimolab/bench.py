@@ -26,7 +26,7 @@ from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionari
                          matching_pursuit, relative_error, write_csv)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int
-from .observation import ObservationSetup, identity_setup, noise_for_snr, observe
+from .observation import identity_setup, noise_for_snr, observe
 
 KNOWN_STRATEGIES = tuple(_SELECTORS)
 
@@ -210,7 +210,6 @@ class Scenario:
 
     seed: int
     H: ChannelMatrix
-    setup: ObservationSetup
     Y: np.ndarray
     true_crb: CrbResult
 
@@ -222,10 +221,10 @@ def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     H = synthesize(paths, g_r, g_t)
     sigma2 = noise_for_snr(cfg.observation_snr_linear, 1.0, H.vector)
     s = identity_setup(cfg.n_t, cfg.n_r, sigma2)
-    Y = observe(H, s, np.random.default_rng([int(seed), 1])).Y
+    Y = observe(H, s, np.random.default_rng([int(seed), 1]))
     Y.setflags(write=False)
     D = channel_jacobian(paths, g_r, g_t)
-    return Scenario(seed, H, s, Y, crb_trace(D, fisher_matrix(D, s), H.vector))
+    return Scenario(seed, H, Y, crb_trace(D, fisher_matrix(D, s), H.vector))
 
 
 @dataclass(frozen=True)
@@ -254,18 +253,17 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
               dictionary: Dictionary) -> TrialResult:
     """Estimate the scenario's channel with one pursuit and score it.
 
-    The pursuit runs to the largest of cfg.P_budgets and is read at each:
-    the rMSE of the paths kept so far, the cumulative pursuit time and the
-    scores evaluated through that iteration.
+    The pursuit runs on the dictionary, built for the scenario's arrays
+    under identity observation, to the largest of cfg.P_budgets and is read
+    at each: the rMSE of the paths kept so far, the cumulative pursuit time
+    and the scores evaluated through that iteration.
     """
-    g_t, g_r = cfg.geometries()
     budgets = sorted(cfg.P_budgets)
-    report = matching_pursuit(scenario.Y, scenario.setup, dictionary.grid, g_r, g_t,
-                              budgets[-1], strategy, dictionary=dictionary)
+    report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy)
     # every iteration scores the same number of candidates
     readings = tuple(
         BudgetResult(P, relative_error(scenario.H, report.estimated[:report.paths_kept[P - 1]],
-                                       g_r, g_t),
+                                       dictionary.g_r, dictionary.g_t),
                      report.cumulative_times[P - 1], report.score_evaluations * P // report.P)
         for P in budgets)
     return TrialResult(strategy, scenario.seed, readings)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -19,13 +18,11 @@ import numpy as np
 from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_paths,
                     monte_carlo, rows_to_csv, rows_to_json)
 from .channel import PathSet, synthesize
-from .estimation import DirectionGrid, matching_pursuit, reports_to_csv
+from .estimation import DirectionGrid, build_dictionaries, matching_pursuit, reports_to_csv
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
 from .geometry import ArrayGeometry, as_int
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
-                          orthogonal_pilots)
-
-THREADS_ENV = "MIMO_LAB_THREADS"
+                          orthogonal_pilots, pilot_power)
 
 
 class ConfigError(ValueError):
@@ -113,32 +110,9 @@ def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
     raise ConfigError("paths must be a list of paths or a generator object")
 
 
-class _ParsedObservation:
-    """Validated observation block with the noise level possibly deferred.
-
-    Everything except a target-SNR noise level is checked up front (before
-    any channel synthesis), keeping the fail-fast contract: resolve() only
-    turns target_snr_db into sigma2 once the channel vector exists.
-    """
-
-    def __init__(self, X, W, sigma2, target_snr_db):
-        self.sigma2, self.target_snr_db = sigma2, target_snr_db
-        try:
-            self.setup = ObservationSetup(X, W, sigma2 if sigma2 is not None else 1.0)
-        except ValueError as e:
-            raise ConfigError(f"invalid observation: {e}") from e
-
-    def resolve(self, h) -> ObservationSetup:
-        if self.sigma2 is not None:
-            return self.setup
-        try:
-            sigma2 = noise_for_snr(10.0 ** (self.target_snr_db / 10.0), self.setup.alpha2, h)
-            return ObservationSetup(self.setup.X, self.setup.W, sigma2)
-        except (ValueError, OverflowError) as e:
-            raise ConfigError(f"invalid observation: {e}") from e
-
-
-def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> _ParsedObservation:
+def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
+                       h: np.ndarray) -> ObservationSetup:
+    """The observation block as one setup; target_snr_db is realized for channel h."""
     obs = _object(_require(cfg, "observation", "config"), "observation")
     n_t, n_r = g_t.n_antennas, g_r.n_antennas
     try:
@@ -162,11 +136,14 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> _Pa
             raise ConfigError(f"unknown combiners mode {combiners!r}")
         if ("sigma2" in obs) == ("target_snr_db" in obs):
             raise ConfigError("observation needs exactly one of sigma2, target_snr_db")
-        sigma2 = float(obs["sigma2"]) if "sigma2" in obs else None
-        target = float(obs["target_snr_db"]) if "target_snr_db" in obs else None
-        if target is not None and not math.isfinite(target):
-            raise ConfigError(f"target_snr_db must be finite, got {target}")
-        return _ParsedObservation(X, W, sigma2, target)
+        if "sigma2" in obs:
+            sigma2 = float(obs["sigma2"])
+        else:
+            target = float(obs["target_snr_db"])
+            if not math.isfinite(target):
+                raise ConfigError(f"target_snr_db must be finite, got {target}")
+            sigma2 = noise_for_snr(10.0 ** (target / 10.0), pilot_power(X), h)
+        return ObservationSetup(X, W, sigma2)
     except ConfigError:
         raise
     except _VALUE_ERRORS as e:
@@ -185,9 +162,7 @@ def _write_json(obj: dict, out: str | None) -> None:
 def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
-    parsed = _parse_observation(cfg, g_t, g_r)
-    h = synthesize(paths, g_r, g_t).vector
-    setup = parsed.resolve(h)
+    setup = _parse_observation(cfg, g_t, g_r, synthesize(paths, g_r, g_t).vector)
     try:
         cond_threshold = float(cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
     except (ValueError, TypeError) as e:
@@ -220,7 +195,8 @@ def _build_grid(cfg: dict) -> DirectionGrid:
 def run_estimate(cfg: dict, out: str | None) -> int:
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
-    parsed = _parse_observation(cfg, g_t, g_r)
+    H = synthesize(paths, g_r, g_t)
+    setup = _parse_observation(cfg, g_t, g_r, H.vector)
     strategy = cfg.get("strategy", "sequential")
     P_budget = _integer(cfg, "P_budget", 10)
     seed = _integer(cfg, "seed", 0)
@@ -229,12 +205,10 @@ def run_estimate(cfg: dict, out: str | None) -> int:
     if strategy not in KNOWN_STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     grid = _build_grid(cfg)
-    H = synthesize(paths, g_r, g_t)
-    setup = parsed.resolve(H.vector)
-    Y = observe(H, setup, np.random.default_rng([seed, 1])).Y
     try:
-        report = matching_pursuit(Y, setup, grid, g_r, g_t, P_budget, strategy,
-                                  true_channel=H)
+        Y = observe(H, setup, np.random.default_rng([seed, 1]))
+        dictionary = build_dictionaries(grid, setup, g_r, g_t)
+        report = matching_pursuit(Y, dictionary, P_budget, strategy, true_channel=H)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     payload = report.to_json_row()
@@ -249,6 +223,8 @@ def run_estimate(cfg: dict, out: str | None) -> int:
 
 
 def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int:
+    if threads < 1:
+        raise ConfigError(f"--threads must be a positive worker count, got {threads}")
     try:
         scen = ScenarioConfig.from_json(cfg)
     except (ValueError, TypeError) as e:
@@ -264,22 +240,6 @@ def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int
         rows_to_csv(rows, out + ".csv")
         print(f"wrote {out}.json and {out}.csv")
     return 0
-
-
-def _resolve_threads(value: int | None) -> int:
-    source = "--threads"
-    if value is None:
-        env = os.environ.get(THREADS_ENV)
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError as e:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from e
-        source = THREADS_ENV
-    if value < 1:
-        raise ConfigError(f"{source} must be a positive worker count, got {value}")
-    return value
 
 
 def _apply_seed(cfg: dict, command: str, seed: int | None) -> None:
@@ -311,12 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (crb: JSON file; estimate/bench: "
                             "basename for .json/.csv)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker cap for bench trials (default ${THREADS_ENV} or 1)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when the Fisher matrix is ill-conditioned (crb)")
-        p.add_argument("--emit-table", action="store_true",
-                       help="print an aligned text table (bench)")
+        if name == "crb":
+            p.add_argument("--strict", action="store_true",
+                           help="exit 3 when the Fisher matrix is ill-conditioned")
+        if name == "bench":
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker cap for the trials (default 1)")
+            p.add_argument("--emit-table", action="store_true",
+                           help="print an aligned text table")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="dotted-path config overrides, values parsed as JSON")
     return parser
@@ -332,8 +294,7 @@ def main(argv=None) -> int:
             return run_crb(cfg, args.out, args.strict)
         if args.command == "estimate":
             return run_estimate(cfg, args.out)
-        return run_bench(cfg, args.out, _resolve_threads(args.threads),
-                         args.emit_table)
+        return run_bench(cfg, args.out, args.threads, args.emit_table)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -31,32 +31,24 @@ _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_sel
 _U32 = 2.0 ** -24        # unit roundoff of float32
 
 
-def _cell_centres(n_az: int, n_el: int,
-                  az_span: tuple[float, float] = (-HALF_PI, HALF_PI),
-                  el_span: tuple[float, float] = (-HALF_PI, HALF_PI),
-                  ) -> np.ndarray:
+def _cell_centres(n_az: int, n_el: int) -> np.ndarray:
     """2 x (n_az * n_el) azimuths and elevations of hemisphere_directions."""
     if n_az < 1 or n_el < 1:
         raise ValueError("grid dimensions must be positive")
-    az_lo, az_hi = az_span
-    el_lo, el_hi = el_span
-    azs = az_lo + (np.arange(n_az) + 0.5) * (az_hi - az_lo) / n_az
-    els = el_lo + (np.arange(n_el) + 0.5) * (el_hi - el_lo) / n_el
+    azs = -HALF_PI + (np.arange(n_az) + 0.5) * math.pi / n_az
+    els = -HALF_PI + (np.arange(n_el) + 0.5) * math.pi / n_el
     return np.stack([np.repeat(azs, n_el), np.tile(els, n_az)])
 
 
-def hemisphere_directions(n_az: int, n_el: int,
-                          az_span: tuple[float, float] = (-HALF_PI, HALF_PI),
-                          el_span: tuple[float, float] = (-HALF_PI, HALF_PI),
-                          ) -> tuple[Direction, ...]:
-    """Cell-centered product grid of directions over an azimuth/elevation box.
+def hemisphere_directions(n_az: int, n_el: int) -> tuple[Direction, ...]:
+    """Cell-centered product grid of directions over the front hemisphere.
 
-    The default box covers the front hemisphere of a yz-plane array
-    (boresight +x). Cell centers keep every point strictly inside the box,
-    in particular away from the poles where azimuth degenerates. Azimuth is
-    the slow index.
+    The azimuth/elevation box [-pi/2, pi/2]^2 covers the front hemisphere
+    of a yz-plane array (boresight +x). Cell centers keep every point
+    strictly inside the box, in particular away from the poles where
+    azimuth degenerates. Azimuth is the slow index.
     """
-    return _directions(_cell_centres(n_az, n_el, az_span, el_span))
+    return _directions(_cell_centres(n_az, n_el))
 
 
 def _directions(angles: np.ndarray) -> tuple[Direction, ...]:
@@ -183,8 +175,10 @@ class Dictionary:
     Column j of K_r is W^H e_r(doa_j), normalized; likewise K_t holds
     X^H e_t(dod_j). Grid directions annihilated by W or X are dropped (their
     normalization is undefined); *_indices map columns back to the grid.
-    K_r_H, the C-contiguous conjugate transpose of K_r, is built once here
-    for the selectors.
+    setup (for W and X), g_r and g_t are the model the atoms were built
+    from, which Matching Pursuit fits gains against. K_r_H, the
+    C-contiguous conjugate transpose of K_r, is built once here for the
+    selectors.
     """
 
     K_r: np.ndarray
@@ -192,6 +186,9 @@ class Dictionary:
     doa_indices: tuple[int, ...]
     dod_indices: tuple[int, ...]
     grid: DirectionGrid
+    setup: ObservationSetup
+    g_r: ArrayGeometry
+    g_t: ArrayGeometry
     K_r_H: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -233,7 +230,7 @@ def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
     K_t_raw = s.X.conj().T @ steering_matrix(g_t, grid.dod_units)
     K_r, doa_idx = _normalized_atoms(K_r_raw, "DoA")
     K_t, dod_idx = _normalized_atoms(K_t_raw, "DoD")
-    return Dictionary(K_r, K_t, doa_idx, dod_idx, grid)
+    return Dictionary(K_r, K_t, doa_idx, dod_idx, grid, s, g_r, g_t)
 
 
 @dataclass(frozen=True)
@@ -433,24 +430,26 @@ class EstimationReport:
     residual_norms tracks ||R||_F from the initial observation through every
     subtraction; least-squares fitting makes it non-increasing.
     cumulative_times[k] and paths_kept[k] are the pursuit time and the number
-    of paths in estimated after iteration k + 1. Greedy pursuit is
-    deterministic, so its first p iterations are the whole run at budget p.
+    of paths in estimated after iteration k + 1, so P is their length and the
+    wall time their last entry. Greedy pursuit is deterministic, so its first
+    p iterations are the whole run at budget p.
     """
 
     strategy: str
-    P: int
     estimated: tuple[PathParams, ...]
     rmse: float | None
-    wall_time_seconds: float
     score_evaluations: int
-    m: int
-    n: int
     residual_norms: tuple[float, ...]
     cumulative_times: tuple[float, ...]
     paths_kept: tuple[int, ...]
 
-    def estimated_paths(self) -> PathSet:
-        return PathSet(self.estimated)
+    @property
+    def P(self) -> int:
+        return len(self.cumulative_times)
+
+    @property
+    def wall_time_seconds(self) -> float:
+        return self.cumulative_times[-1]
 
     def to_json_row(self) -> dict:
         return {"strategy": self.strategy, "P": self.P, "rmse": self.rmse,
@@ -463,18 +462,18 @@ REPORT_COLUMNS = ("strategy", "P", "rmse", "wall_time_s", "score_evals")
 _SELECTORS = {"joint": joint_select, "sequential": sequential_select}
 
 
-def matching_pursuit(Y: np.ndarray, s: ObservationSetup, grid: DirectionGrid,
-                     g_r: ArrayGeometry, g_t: ArrayGeometry, P_budget: int,
-                     strategy: str, true_channel=None,
-                     dictionary: Dictionary | None = None) -> EstimationReport:
+def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
+                     strategy: str, true_channel=None) -> EstimationReport:
     """Greedy P_budget-path estimate of the channel behind Y.
 
-    Each iteration selects a direction pair with the requested strategy,
-    fits its gain by least squares on the current residual, records the
-    path, and subtracts its observed contribution. Repeated selection of
-    the same pair is allowed; the gains accumulate as separate paths. The
-    wall time covers the pursuit loop only, not dictionary construction.
-    An observation holding NaN or inf raises ValueError.
+    Each iteration selects a direction pair of the dictionary with the
+    requested strategy, fits its gain by least squares on the current
+    residual against the observation and arrays the dictionary was built
+    from, records the path, and subtracts its observed contribution.
+    Repeated selection of the same pair is allowed; the gains accumulate as
+    separate paths. The wall time covers the pursuit loop only, not
+    dictionary construction. An observation holding NaN or inf raises
+    ValueError.
     """
     if P_budget < 1:
         raise ValueError("P_budget must be at least 1")
@@ -484,8 +483,7 @@ def matching_pursuit(Y: np.ndarray, s: ObservationSetup, grid: DirectionGrid,
         select = _SELECTORS[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
-    if dictionary is None:
-        dictionary = build_dictionaries(grid, s, g_r, g_t)
+    s, g_r, g_t = dictionary.setup, dictionary.g_r, dictionary.g_t
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
@@ -507,10 +505,8 @@ def matching_pursuit(Y: np.ndarray, s: ObservationSetup, grid: DirectionGrid,
     rmse = None
     if true_channel is not None:
         rmse = relative_error(true_channel, paths, g_r, g_t)
-    return EstimationReport(strategy, P_budget, tuple(paths), rmse, cumulative_times[-1],
-                            evaluations, dictionary.m, dictionary.n,
-                            tuple(residual_norms), tuple(cumulative_times),
-                            tuple(paths_kept))
+    return EstimationReport(strategy, tuple(paths), rmse, evaluations, tuple(residual_norms),
+                            tuple(cumulative_times), tuple(paths_kept))
 
 
 def write_csv(columns, rows, fh_or_path) -> None:

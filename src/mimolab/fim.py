@@ -125,8 +125,9 @@ class CrbResult:
 
     condition_number is that of the Fisher matrix equilibrated by its
     diagonal (see crb_trace), so it does not depend on units or gain scale.
-    When it exceeds the threshold the value is computed through the
-    pseudo-inverse and ill_conditioned is set: the model is not
+    When it exceeds the threshold the value is computed through an
+    eigen-truncated pseudo-inverse, which keeps it non-negative, and
+    ill_conditioned is set: the model is not
     (practically) identifiable at this parameter point, which typically
     means two paths share nearly identical directions and should be merged
     into one virtual path.
@@ -141,33 +142,36 @@ def crb_trace(D: np.ndarray, I: np.ndarray, h,
               cond_threshold: float = DEFAULT_COND_THRESHOLD) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance.
 
-    I is equilibrated by its diagonal, Ie = S I S with S = diag(I)^-1/2, and
-    the bound is solved in those coordinates: with G = D^H D,
-    trace(I^-1 G) = trace(Ie^-1 S G S). The condition number is
-    w_max / w_min over the eigenvalues of the symmetric Ie, and inf when
-    w_min <= 0. Above the threshold, the pseudo-inverse of Ie replaces the
-    solve and the result is flagged; so is a non-positive diagonal entry of
-    I, through the pseudo-inverse of I itself.
+    I is equilibrated by its diagonal, Ie = S I S with S = diag(I)^-1/2
+    (1 where a diagonal entry is not positive), and the bound is solved in
+    those coordinates: trace(I^-1 D^H D) = trace(Ie^-1 S D^H D S). The
+    condition number is w_max / w_min over the eigenvalues w of the
+    symmetric Ie, and inf when w_min <= 0 or a diagonal entry is not
+    positive. Up to the threshold the bound is a symmetric solve. Above it
+    the result is flagged, and Ie^-1 becomes the pseudo-inverse that keeps
+    only the eigenvalues above k eps w_max (k the parameter count, eps the
+    float64 epsilon): the bound is then ||D S V w^-1/2||_F^2 / ||h||^2 over
+    those eigenpairs (V, w), a sum of squares and never negative.
     """
     h = np.asarray(h)
     energy = float(np.vdot(h, h).real)
     if energy == 0.0:
         raise ValueError("zero channel")
-    G = D.conj().T @ D
     diag = np.diag(I)
-    if not np.all(diag > 0):
-        value = float(np.trace(np.linalg.pinv(I, hermitian=True) @ G).real) / energy
-        return CrbResult(value, math.inf, True)
-    S = 1.0 / np.sqrt(diag)
+    scaled = diag > 0
+    S = np.ones_like(diag)
+    S[scaled] = 1.0 / np.sqrt(diag[scaled])
     Ie = S[:, None] * I * S
-    Ge = S[:, None] * G * S
     w = np.linalg.eigvalsh(Ie)
-    cond = float(w[-1] / w[0]) if w[0] > 0 else math.inf
-    if not math.isfinite(cond) or cond > cond_threshold:
-        value = float(np.trace(np.linalg.pinv(Ie, hermitian=True) @ Ge).real) / energy
-        return CrbResult(value, cond, True)
-    value = float(np.trace(solve(Ie, Ge, assume_a="sym")).real) / energy
-    return CrbResult(value, cond, False)
+    cond = float(w[-1] / w[0]) if w[0] > 0 and scaled.all() else math.inf
+    if math.isfinite(cond) and cond <= cond_threshold:
+        Ge = S[:, None] * (D.conj().T @ D) * S
+        value = float(np.trace(solve(Ie, Ge, assume_a="sym")).real) / energy
+        return CrbResult(value, cond, False)
+    w, V = np.linalg.eigh(Ie)
+    keep = w > len(w) * np.finfo(float).eps * w[-1]
+    Z = D @ (S[:, None] * V[:, keep] / np.sqrt(w[keep]))
+    return CrbResult(float(np.vdot(Z, Z).real) / energy, cond, True)
 
 
 def optimal_bound(n_paths: int, snr_linear: float) -> float:

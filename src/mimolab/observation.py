@@ -35,7 +35,7 @@ class ObservationSetup:
     X: np.ndarray
     W: np.ndarray
     sigma2: float
-    _range_projector: np.ndarray | None = field(default=None, repr=False)
+    _range_projector: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.array(self.X, dtype=complex)
@@ -70,7 +70,7 @@ class ObservationSetup:
     @property
     def alpha2(self) -> float:
         """Average transmit power per training step, trace(X^H X)/n_s."""
-        return float(np.sum(np.abs(self.X) ** 2)) / self.n_s
+        return pilot_power(self.X)
 
     @property
     def has_orthogonal_pilots(self) -> bool:
@@ -94,11 +94,9 @@ class ObservationSetup:
         }
 
 
-@dataclass(frozen=True)
-class ObservationData:
-    """Combined received pilots, an n_c x n_s matrix."""
-
-    Y: np.ndarray
+def pilot_power(X: np.ndarray) -> float:
+    """alpha2 of training matrix X, before any setup is built from it."""
+    return float(np.sum(np.abs(X) ** 2)) / X.shape[1]
 
 
 def complex_to_json(M: np.ndarray) -> list:
@@ -139,8 +137,8 @@ def orthogonal_pilots(n_t: int, n_s: int, alpha: float = 1.0,
     return alpha * U[:, :n_s]
 
 
-def observe(H, s: ObservationSetup, seed) -> ObservationData:
-    """Send the pilots through H and combine, adding seeded white noise.
+def observe(H, s: ObservationSetup, seed) -> np.ndarray:
+    """Combined received pilots Y = W^H (H X + N), an n_c x n_s matrix.
 
     The noise matrix has i.i.d. complex Gaussian entries of variance sigma2
     (independent real/imaginary parts of variance sigma2/2 each); the same
@@ -153,12 +151,12 @@ def observe(H, s: ObservationSetup, seed) -> ObservationData:
     Wh = s.W.conj().T
     signal = Wh @ Hm @ s.X
     if s.sigma2 == 0.0:
-        return ObservationData(signal)
+        return signal
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     scale = math.sqrt(s.sigma2 / 2.0)
     N = scale * (rng.standard_normal((s.n_r, s.n_s))
                  + 1j * rng.standard_normal((s.n_r, s.n_s)))
-    return ObservationData(signal + Wh @ N)
+    return signal + Wh @ N
 
 
 def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:

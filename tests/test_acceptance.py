@@ -152,16 +152,14 @@ def test_criterion_7_exact_recovery_limit():
     p = PathParams(0.9, 2.2, grid.test_doas[true_i], grid.test_dods[true_j])
     H = synthesize(PathSet([p]), g_r, g_t)
     s = identity_setup(64, 16, 0.0)
-    Y = observe(H, s, 0).Y
+    Y = observe(H, s, 0)
     d = build_dictionaries(grid, s, g_r, g_t)
     sel_j = joint_select(Y, d)
     sel_s = sequential_select(Y, d)
     pairs_ok = ((sel_j.doa_index, sel_j.dod_index) == (true_i, true_j)
                 and (sel_s.doa_index, sel_s.dod_index) == (true_i, true_j))
-    rmse_j = matching_pursuit(Y, s, grid, g_r, g_t, 1, "joint",
-                              true_channel=H, dictionary=d).rmse
-    rmse_s = matching_pursuit(Y, s, grid, g_r, g_t, 1, "sequential",
-                              true_channel=H, dictionary=d).rmse
+    rmse_j = matching_pursuit(Y, d, 1, "joint", true_channel=H).rmse
+    rmse_s = matching_pursuit(Y, d, 1, "sequential", true_channel=H).rmse
     _verdict(7, f"noiseless on-grid path recovered exactly by both strategies "
                 f"(rMSE {rmse_j:.2e}/{rmse_s:.2e})",
              pairs_ok and rmse_j <= 1e-10 and rmse_s <= 1e-10)

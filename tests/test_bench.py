@@ -204,7 +204,7 @@ def test_strategies_of_a_seed_pursue_one_observation(monkeypatch):
     pursue = bench.matching_pursuit
 
     def recording(Y, *args, **kwargs):
-        seen.append((Y, args[5]))
+        seen.append((Y, args[2]))
         return pursue(Y, *args, **kwargs)
 
     monkeypatch.setattr(bench, "matching_pursuit", recording)
@@ -240,11 +240,12 @@ def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
         H = synthesize(generate_paths(cfg, seed), g_r, g_t)
         s = identity_setup(cfg.n_t, cfg.n_r,
                            noise_for_snr(cfg.observation_snr_linear, 1.0, H.vector))
-        observed.append((H, s, observe(H, s, np.random.default_rng([seed, 1])).Y))
+        observed.append((H, build_dictionaries(grid, s, g_r, g_t),
+                         observe(H, s, np.random.default_rng([seed, 1]))))
     assert [r.P_budget for r in rows] == [1, 3, 4]
     for row in rows:
-        reports = [matching_pursuit(Y, s, grid, g_r, g_t, row.P_budget, strategy,
-                                    true_channel=H) for H, s, Y in observed]
+        reports = [matching_pursuit(Y, d, row.P_budget, strategy, true_channel=H)
+                   for H, d, Y in observed]
         assert row.mean_rmse == float(np.mean([r.rmse for r in reports]))
         assert row.mean_score_evals == float(np.mean([r.score_evaluations for r in reports]))
     walls = [r.mean_wall_time_s for r in rows]

@@ -294,29 +294,40 @@ def test_bench_mistyped_fields_exit_2(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
-def test_bench_env_threads(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, dict(bench_config(), trials=1, P_budgets=[1],
-                                      strategies=["sequential"]))
-    monkeypatch.setenv("MIMO_LAB_THREADS", "2")
-    assert main(["bench", "--config", cfg]) == 0
-    monkeypatch.setenv("MIMO_LAB_THREADS", "soup")
-    assert main(["bench", "--config", cfg]) == 2
-
-
-@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-1")])
-def test_bench_non_positive_threads_exit_2(tmp_path, monkeypatch, capsys, flag, env):
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_bench_non_positive_threads_exit_2(tmp_path, capsys, flag):
     cfg = write_config(tmp_path, dict(bench_config(), trials=1, P_budgets=[1],
                                       strategies=["sequential"]))
     out = str(tmp_path / "run")
-    monkeypatch.delenv("MIMO_LAB_THREADS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("MIMO_LAB_THREADS", env)
-    argv = ["bench", "--config", cfg, "--out", out]
-    assert main(argv + (["--threads", flag] if flag is not None else [])) == 2
+    assert main(["bench", "--config", cfg, "--out", out, "--threads", flag]) == 2
     err = capsys.readouterr().err
     assert "positive worker count" in err
-    assert ("--threads" if flag is not None else "MIMO_LAB_THREADS") in err
+    assert "--threads" in err
     assert not os.path.exists(out + ".json")
+
+
+def test_estimate_combiner_of_wrong_size_exit_2(tmp_path, capsys):
+    # a 3-row W for a 4-antenna receiver ended in a ValueError traceback
+    obj = estimate_config()
+    obj["observation"] = {"combiners": "explicit", "target_snr_db": 20.0,
+                          "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
+    assert main(["estimate", "--config", write_config(tmp_path, obj)]) == 2
+    assert "does not match setup" in capsys.readouterr().err
+
+
+def test_cli_rejects_flags_of_other_subcommands(tmp_path, capsys):
+    # each flag is declared on the one subcommand it applies to; elsewhere
+    # argparse rejects it with exit 2 before the config is read
+    crb = write_config(tmp_path, crb_config(n_paths=1), "crb.json")
+    estimate = write_config(tmp_path, estimate_config(), "estimate.json")
+    for argv in (["crb", "--config", crb, "--threads", "2"],
+                 ["crb", "--config", crb, "--emit-table"],
+                 ["estimate", "--config", estimate, "--strict"],
+                 ["estimate", "--config", estimate, "--threads", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_repeated_entries_exit_2(tmp_path, capsys):

@@ -10,8 +10,8 @@ from mimolab.cli import _build_grid
 from mimolab.estimation import (DirectionGrid, build_dictionaries,
                                 estimate_gain, hemisphere_directions, joint_select,
                                 matching_pursuit, reports_to_csv, sequential_select)
-from mimolab.geometry import (Direction, direction_from_unit, unit_vector, unit_vectors, upa,
-                              wrap_azimuth)
+from mimolab.geometry import (Direction, direction_from_unit, ula, unit_vector, unit_vectors,
+                              upa, wrap_azimuth)
 from mimolab.observation import ObservationSetup, identity_setup, observe
 
 
@@ -19,12 +19,19 @@ def small_grid(k=6):
     return DirectionGrid(hemisphere_directions(k, k), hemisphere_directions(k, k))
 
 
+def atom_dictionary(K_r, K_t, grid):
+    """A Dictionary holding the given atoms, as if observed through identity matrices."""
+    (n_c, m), (n_s, n) = K_r.shape, K_t.shape
+    return estimation.Dictionary(K_r, K_t, tuple(range(m)), tuple(range(n)), grid,
+                                 identity_setup(n_s, n_c, 1.0), ula(n_c), ula(n_s))
+
+
 def on_grid_scenario(grid, doa_idx, dod_idx, rho=1.2, phi=0.7, n_r=(2, 2), n_t=(2, 3)):
     g_r, g_t = upa(*n_r), upa(*n_t)
     p = PathParams(rho, phi, grid.test_doas[doa_idx], grid.test_dods[dod_idx])
     H = synthesize(PathSet([p]), g_r, g_t)
     s = identity_setup(g_t.n_antennas, g_r.n_antennas, 0.0)
-    Y = observe(H, s, 0).Y
+    Y = observe(H, s, 0)
     return g_r, g_t, p, H, s, Y
 
 
@@ -353,7 +360,7 @@ def test_joint_select_planted_ties_across_blocks(monkeypatch, n_c, n_s, block_ro
     doa_axis[[150, 290]] = n_c - 1
     K_r = np.eye(n_c, dtype=complex)[:, doa_axis]
     K_t = np.eye(n_s, dtype=complex)[:, np.arange(n) % n_s]
-    d = estimation.Dictionary(K_r, K_t, tuple(range(m)), tuple(range(n)), grid)
+    d = atom_dictionary(K_r, K_t, grid)
     Y = (np.arange(n_c * n_s).reshape(n_c, n_s) % 5 - 2).astype(complex)
     Y[n_c - 1, n_s - 1] = 7j
     assert bruteforce_pick(Y, d) == (150, n_s - 1)
@@ -414,7 +421,7 @@ def test_sequential_select_exact_ties_go_to_smallest_index():
     # integer entries make every score exact, so the planted ties are exact
     K_r = np.array([[0, 1, 0, 1, 0], [1, 0, 1, 0, 1j]], dtype=complex)
     K_t = np.array([[0, 1, -1, 1j], [1, 0, 0, 0]], dtype=complex)
-    d = estimation.Dictionary(K_r, K_t, tuple(range(5)), tuple(range(4)), small_grid(3))
+    d = atom_dictionary(K_r, K_t, small_grid(3))
     Y = np.array([[1, 2j], [2, 1j]])   # every DoA atom receives energy 5
     i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
     assert len(set(energies)) == 1 and (i_hat, j_hat) == (0, 1)
@@ -462,8 +469,9 @@ def test_estimate_gain_rejects_annihilated_atom(rng):
 def test_matching_pursuit_exact_recovery():
     grid = small_grid(6)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 8, 17)
+    d = build_dictionaries(grid, s, g_r, g_t)
     for strategy in ("joint", "sequential"):
-        rep = matching_pursuit(Y, s, grid, g_r, g_t, 1, strategy, true_channel=H)
+        rep = matching_pursuit(Y, d, 1, strategy, true_channel=H)
         assert rep.rmse <= 1e-10
         assert len(rep.estimated) == 1
         est = rep.estimated[0]
@@ -478,9 +486,10 @@ def test_matching_pursuit_counters_exact(rng):
     ps = PathSet([PathParams(1.0, 0.2, grid.test_doas[4], grid.test_dods[9])])
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(4, 4, sigma2)
-    Y = observe(H, s, 3).Y
-    rep_j = matching_pursuit(Y, s, grid, g_r, g_t, 4, "joint", true_channel=H)
-    rep_s = matching_pursuit(Y, s, grid, g_r, g_t, 4, "sequential", true_channel=H)
+    Y = observe(H, s, 3)
+    d = build_dictionaries(grid, s, g_r, g_t)
+    rep_j = matching_pursuit(Y, d, 4, "joint", true_channel=H)
+    rep_s = matching_pursuit(Y, d, 4, "sequential", true_channel=H)
     assert rep_j.score_evaluations == 25 * 25 * 4
     assert rep_s.score_evaluations == (25 + 25) * 4
     assert rep_j.P == rep_s.P == 4
@@ -493,8 +502,9 @@ def test_matching_pursuit_residual_non_increasing(rng):
                   PathParams(0.6, 1.2, grid.test_doas[17], grid.test_dods[2])])
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(6, 4, 0.02)
-    Y = observe(H, s, 11).Y
-    rep = matching_pursuit(Y, s, grid, g_r, g_t, 6, "sequential", true_channel=H)
+    Y = observe(H, s, 11)
+    rep = matching_pursuit(Y, build_dictionaries(grid, s, g_r, g_t), 6, "sequential",
+                           true_channel=H)
     norms = rep.residual_norms
     assert len(norms) == 7
     times = rep.cumulative_times
@@ -508,7 +518,7 @@ def test_matching_pursuit_zero_observation():
     grid = small_grid(3)
     g_r, g_t = upa(2, 2), upa(2, 2)
     s = identity_setup(4, 4, 0.0)
-    rep = matching_pursuit(np.zeros((4, 4)), s, grid, g_r, g_t, 2, "joint")
+    rep = matching_pursuit(np.zeros((4, 4)), build_dictionaries(grid, s, g_r, g_t), 2, "joint")
     assert rep.estimated == ()
     assert rep.paths_kept == (0, 0)
     assert rep.score_evaluations == 9 * 9 * 2
@@ -518,17 +528,17 @@ def test_matching_pursuit_zero_observation():
 def test_matching_pursuit_rejects_bad_arguments():
     grid = small_grid(3)
     g_r, g_t = upa(2, 2), upa(2, 2)
-    s = identity_setup(4, 4, 1.0)
+    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
     with pytest.raises(ValueError):
-        matching_pursuit(np.zeros((4, 4)), s, grid, g_r, g_t, 0, "joint")
+        matching_pursuit(np.zeros((4, 4)), d, 0, "joint")
     with pytest.raises(ValueError):
-        matching_pursuit(np.zeros((4, 4)), s, grid, g_r, g_t, 1, "greedy")
+        matching_pursuit(np.zeros((4, 4)), d, 1, "greedy")
     for bad in (np.nan, np.inf, -np.inf):
         Y = np.ones((4, 4), dtype=complex)
         Y[1, 2] = bad
         for strategy in ("joint", "sequential"):
             with pytest.raises(ValueError, match="NaN or inf"):
-                matching_pursuit(Y, s, grid, g_r, g_t, 1, strategy)
+                matching_pursuit(Y, d, 1, strategy)
 
 
 def test_grid_permutation_changes_only_indices(rng):
@@ -540,7 +550,7 @@ def test_grid_permutation_changes_only_indices(rng):
     ps = PathSet([PathParams(1.0, 0.4, base[5], base[10])])
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(6, 4, 0.01)
-    Y = observe(H, s, 9).Y
+    Y = observe(H, s, 9)
     d1 = build_dictionaries(grid1, s, g_r, g_t)
     d2 = build_dictionaries(grid2, s, g_r, g_t)
     for select in (joint_select, sequential_select):
@@ -552,7 +562,7 @@ def test_grid_permutation_changes_only_indices(rng):
 def test_reports_to_csv(tmp_path, rng):
     grid = small_grid(3)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 1, 2)
-    rep = matching_pursuit(Y, s, grid, g_r, g_t, 1, "joint", true_channel=H)
+    rep = matching_pursuit(Y, build_dictionaries(grid, s, g_r, g_t), 1, "joint", true_channel=H)
     out = tmp_path / "rows.csv"
     reports_to_csv([rep], out)
     lines = out.read_text().strip().splitlines()

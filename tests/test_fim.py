@@ -216,7 +216,28 @@ def test_crb_trace_flags_non_positive_diagonal(rng):
         J[3, 3] = value
         res = crb_trace(D, J, h)
         assert res.ill_conditioned and res.condition_number == math.inf
-        assert math.isfinite(res.value)
+        assert 0.0 <= res.value < math.inf
+
+
+def test_crb_trace_drops_a_round_off_negative_eigenvalue(rng):
+    # A Fisher matrix that is singular up to rounding: one eigenvalue of
+    # -1e-13 against the others in [1, 3]. Inverting that eigenvalue would
+    # make the bound about -1e13; dropping it gives the bound of the exactly
+    # singular matrix.
+    k = 12
+    Q = orth(rng.normal(size=(k, k)))
+    D = rng.normal(size=(20, k)) + 1j * rng.normal(size=(20, k))
+    h = rng.normal(size=20) + 1j * rng.normal(size=20)
+    values = []
+    for w0 in (-1e-13, 0.0):
+        w = np.linspace(1.0, 3.0, k)
+        w[0] = w0
+        I = (Q * w) @ Q.T
+        res = crb_trace(D, (I + I.T) / 2, h)
+        assert res.ill_conditioned and res.condition_number > 1e15
+        assert 0.0 <= res.value < math.inf
+        values.append(res.value)
+    assert values[0] == pytest.approx(values[1], rel=1e-9)
 
 
 def test_crb_never_below_floor(rng):

@@ -62,17 +62,17 @@ def test_identity_setup_dimensions():
 def test_observe_noiseless_exact(rng):
     s = random_setup(rng, sigma2=0.0)
     H = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    Y = observe(H, s, seed=0).Y
+    Y = observe(H, s, seed=0)
     assert np.array_equal(Y, s.W.conj().T @ H @ s.X)
 
 
 def test_observe_deterministic_given_seed(rng):
     s = random_setup(rng, sigma2=0.7)
     H = rng.normal(size=(3, 4))
-    Y1 = observe(H, s, seed=123).Y
-    Y2 = observe(H, s, seed=123).Y
+    Y1 = observe(H, s, seed=123)
+    Y2 = observe(H, s, seed=123)
     assert np.array_equal(Y1, Y2)
-    Y3 = observe(H, s, seed=124).Y
+    Y3 = observe(H, s, seed=124)
     assert not np.array_equal(Y1, Y3)
 
 
@@ -86,7 +86,7 @@ def test_observe_noise_variance_monte_carlo():
     # H = 0, W = Id, sigma2 = 1: |Y_ij|^2 averages to 1 over 1e5 entries
     s = ObservationSetup(np.eye(1000)[:, :1000], np.eye(100), 1.0)
     H = np.zeros((100, 1000))
-    Y = observe(H, s, seed=7).Y
+    Y = observe(H, s, seed=7)
     assert abs(np.mean(np.abs(Y) ** 2) - 1.0) < 0.02
 
 
@@ -94,8 +94,8 @@ def test_observe_affine_in_channel(rng):
     s = random_setup(rng, sigma2=0.0)
     H1 = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     H2 = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    Y12 = observe(H1 + H2, s, 0).Y
-    assert np.allclose(Y12, observe(H1, s, 0).Y + observe(H2, s, 0).Y)
+    Y12 = observe(H1 + H2, s, 0)
+    assert np.allclose(Y12, observe(H1, s, 0) + observe(H2, s, 0))
 
 
 def test_combined_noise_covariance(rng):
@@ -107,7 +107,7 @@ def test_combined_noise_covariance(rng):
     shared = np.random.default_rng(42)
     samples = np.empty((100000, 4), dtype=complex)
     for k in range(samples.shape[0]):
-        samples[k] = observe(H, s, shared).Y.reshape(-1, order="F")
+        samples[k] = observe(H, s, shared).reshape(-1, order="F")
     emp = samples.T @ samples.conj() / samples.shape[0]
     expected = sigma2 * np.kron(np.eye(2), W.conj().T @ W)
     assert np.linalg.norm(emp - expected) / np.linalg.norm(expected) < 0.03
@@ -215,6 +215,15 @@ def test_span_setups_cover_direction_derivatives(rng):
             assert np.linalg.norm(P_x @ v - v) < 1e-10
 
 
+def test_setup_constructor_rejects_a_range_projector():
+    # the projector is derived from W on first use, never taken from a caller
+    for args, kwargs in (((np.zeros((2, 2)),), {}), ((), {"_range_projector": np.zeros((2, 2))})):
+        with pytest.raises(TypeError):
+            ObservationSetup(np.eye(3), np.eye(2), 0.5, *args, **kwargs)
+    assert np.array_equal(ObservationSetup(np.eye(3), np.eye(2), 0.5).combiner_range_projector(),
+                          np.eye(2))
+
+
 def test_complex_json_round_trip(rng):
     M = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     assert np.array_equal(complex_from_json(complex_to_json(M)), M)
@@ -233,4 +242,4 @@ def test_setup_json_round_trip(rng):
 def test_observe_accepts_channel_matrix(rng):
     s = identity_setup(3, 2, 0.0)
     H = ChannelMatrix(rng.normal(size=(2, 3)))
-    assert np.array_equal(observe(H, s, 0).Y, H.matrix)
+    assert np.array_equal(observe(H, s, 0), H.matrix)
