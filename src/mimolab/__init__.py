@@ -9,9 +9,9 @@ versus sequential greedy direction estimation inside Matching Pursuit.
 
 from .bench import (BenchRow, ScenarioConfig, draw_scenario, format_table,
                     generate_paths, monte_carlo, run_trial)
-from .channel import (ChannelMatrix, PathParams, PathSet, atomic_channel,
-                      merge_paths, steering_derivative, steering_matrix,
-                      steering_vector, synthesize)
+from .channel import (ChannelMatrix, PathParams, PathSet, merge_paths,
+                      steering_derivatives, steering_matrix, steering_vector,
+                      synthesize)
 from .estimation import (Dictionary, DirectionGrid, EstimationReport,
                          build_dictionaries, estimate_gain, hemisphere_directions,
                          joint_select, matching_pursuit, reports_to_csv,
@@ -30,7 +30,7 @@ __all__ = [
     "ArrayGeometry", "BenchRow", "ChannelMatrix", "CrbResult", "Dictionary",
     "Direction", "DirectionGrid", "EstimationReport", "ObservationSetup",
     "PathParams", "PathSet", "ScenarioConfig",
-    "atomic_channel", "build_dictionaries", "channel_jacobian",
+    "build_dictionaries", "channel_jacobian",
     "check_optimal_observation", "crb_report", "crb_trace",
     "direction_from_unit", "draw_scenario", "estimate_gain", "fim_block", "fisher_matrix",
     "format_table", "generate_paths", "hemisphere_directions",
@@ -40,7 +40,7 @@ __all__ = [
     "paths_from_vector", "paths_to_vector", "projection_apply",
     "projection_matrix", "reports_to_csv", "run_trial",
     "sequential_select", "snr", "span_combiners", "span_pilots",
-    "steering_derivative", "steering_matrix", "steering_vector",
+    "steering_derivatives", "steering_matrix", "steering_vector",
     "synthesize", "tangent_basis", "ula", "unit_vector", "upa",
 ]
 

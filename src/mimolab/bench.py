@@ -153,7 +153,10 @@ class ScenarioConfig:
 
 
 def _canonical_angles(az: float, el: float) -> tuple[float, float]:
-    # fold an out-of-range elevation back over the pole (same unit vector)
+    # fold an out-of-range elevation back over the pole (same unit vector);
+    # one fold covers |el| <= 3 pi / 2, beyond that el first drops whole turns
+    if abs(el) > 3.0 * HALF_PI:
+        el = (el + math.pi) % TWO_PI - math.pi
     if el > HALF_PI:
         el, az = math.pi - el, az + math.pi
     elif el < -HALF_PI:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (TWO_PI, ArrayGeometry, Direction, tangent_basis, unit_vector,
-                       unit_vectors)
+from .geometry import (TWO_PI, ArrayGeometry, Direction, direction_angles,
+                       tangents_from_angles, unit_vector, unit_vectors,
+                       unit_vectors_from_angles)
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,16 @@ class ChannelMatrix:
 
 
 def steering_vector(g: ArrayGeometry, d: Direction) -> np.ndarray:
-    """Unit-norm array response: entries exp(-j a_i . u) / sqrt(n)."""
-    phases = g.scaled_positions.T @ unit_vector(d)
-    return np.exp(-1j * phases) / math.sqrt(g.n_antennas)
+    """Unit-norm array response of one direction, a column of steering_matrix."""
+    return steering_matrix(g, [d])[:, 0]
 
 
 def steering_matrix(g: ArrayGeometry, directions) -> np.ndarray:
-    """Steering vectors for many directions, stacked as columns.
+    """Unit-norm array responses exp(-j A^T u) / sqrt(n), stacked as columns.
 
-    directions is a sequence of Directions or their 3 x k unit vectors.
-    steering_vector's ufuncs run in place on one complex array.
+    directions is a sequence of Directions or their 3 x k unit vectors u;
+    A is the scaled position matrix. The ufuncs run in place on one complex
+    array.
     """
     U = directions if isinstance(directions, np.ndarray) else unit_vectors(directions)
     out = np.multiply(g.scaled_positions.T @ U, -1j)
@@ -132,36 +133,28 @@ def steering_matrix(g: ArrayGeometry, directions) -> np.ndarray:
     return out
 
 
-def steering_derivative(g: ArrayGeometry, d: Direction, axis: str) -> np.ndarray:
-    """Directional derivative of the steering vector, per radian of arc.
+def steering_derivatives(g: ArrayGeometry, directions) -> tuple[np.ndarray, ...]:
+    """Steering matrix E of many directions and its two tangent derivatives.
 
-    axis selects the unit tangent ("azimuth" or "elevation") along which the
-    direction moves; the derivative is diag(-j A^T v) e(d) where A is the
-    scaled position matrix and v the chosen tangent.
+    Returns (E, dE_az, dE_el), each n x k. Column j of dE_v is the derivative
+    of e(directions[j]) per radian of arc along the unit tangent v (azimuthal
+    or elevational, see geometry.tangent_basis): diag(-j A^T v) e, from the
+    same phases as E.
     """
-    v_az, v_el = tangent_basis(d)
-    if axis == "azimuth":
-        v = v_az
-    elif axis == "elevation":
-        v = v_el
-    else:
-        raise ValueError("axis must be 'azimuth' or 'elevation'")
-    return (-1j * (g.scaled_positions.T @ v)) * steering_vector(g, d)
-
-
-def atomic_channel(p: PathParams, g_r: ArrayGeometry, g_t: ArrayGeometry) -> ChannelMatrix:
-    """Rank-1 channel of a single path; Frobenius norm equals p.rho."""
-    e_r = steering_vector(g_r, p.doa)
-    e_t = steering_vector(g_t, p.dod)
-    return ChannelMatrix(p.gain * np.outer(e_r, e_t.conj()))
+    angles = direction_angles(directions)
+    E = steering_matrix(g, unit_vectors_from_angles(*angles))
+    A_T = g.scaled_positions.T
+    return (E, *((-1j * (A_T @ V)) * E for V in tangents_from_angles(*angles)))
 
 
 def synthesize(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> ChannelMatrix:
-    """Sum of the atomic channels of all paths."""
-    H = np.zeros((g_r.n_antennas, g_t.n_antennas), dtype=complex)
-    for p in ps:
-        H += atomic_channel(p, g_r, g_t).matrix
-    return ChannelMatrix(H)
+    """Sum of the rank-1 path channels c_p e_r(doa_p) e_t(dod_p)^H, formed as
+    the one product E_r diag(c) E_t^H. A single path's channel has Frobenius
+    norm rho."""
+    E_r = steering_matrix(g_r, [p.doa for p in ps])
+    E_t = steering_matrix(g_t, [p.dod for p in ps])
+    c = np.array([p.gain for p in ps])
+    return ChannelMatrix((E_r * c) @ E_t.conj().T)
 
 
 def merge_paths(paths, direction_tol: float = 1e-9) -> PathParams:

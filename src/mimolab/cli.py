@@ -134,6 +134,11 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
             W = complex_from_json(_require(obs, "W", "explicit combiners"))
         else:
             raise ConfigError(f"unknown combiners mode {combiners!r}")
+        for name, M, side, n in (("pilot matrix X", X, "transmit", n_t),
+                                 ("combiner matrix W", W, "receive", n_r)):
+            if M.shape[0] != n:
+                raise ConfigError(f"{name} has {M.shape[0]} rows, but the {side} array "
+                                  f"has {n} antennas")
         if ("sigma2" in obs) == ("target_snr_db" in obs):
             raise ConfigError("observation needs exactly one of sigma2, target_snr_db")
         if "sigma2" in obs:

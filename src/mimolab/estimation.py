@@ -407,16 +407,11 @@ def estimate_gain(Y: np.ndarray, s: ObservationSetup, doa: Direction, dod: Direc
 
 
 def relative_error(true_channel, paths, g_r: ArrayGeometry, g_t: ArrayGeometry) -> float:
-    """||H - H_hat||_F^2 / ||H||_F^2 for the channel synthesized from paths.
-
-    true_channel is a Channel or a plain matrix; no paths means H_hat = 0.
-    """
-    Hm = true_channel.matrix if hasattr(true_channel, "matrix") else np.asarray(true_channel)
-    if paths:
-        H_hat = synthesize(PathSet(paths), g_r, g_t).matrix
-    else:
-        H_hat = np.zeros_like(Hm)
-    return float(np.linalg.norm(Hm - H_hat) ** 2 / np.linalg.norm(Hm) ** 2)
+    """||H - H_hat||_F^2 / ||H||_F^2 for the ChannelMatrix true_channel and the
+    channel synthesized from paths; no paths means H_hat = 0."""
+    H = true_channel.matrix
+    H_hat = synthesize(PathSet(paths), g_r, g_t).matrix if paths else 0.0
+    return float(np.linalg.norm(H - H_hat) ** 2 / np.linalg.norm(H) ** 2)
 
 
 @dataclass(frozen=True)

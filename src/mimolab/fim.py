@@ -18,9 +18,9 @@ import numpy as np
 from scipy.linalg import solve
 
 from .blas import one_blas_thread
-from .channel import PathParams, PathSet, steering_derivative, steering_vector, synthesize
+from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, tangent_basis
-from .observation import ObservationSetup, projection_apply, snr
+from .observation import ObservationSetup, channel_energy, projection_apply, snr
 
 PARAMS_PER_PATH = 6
 PARAM_NAMES = ("rho", "phi", "doa_az", "doa_el", "dod_az", "dod_el")
@@ -55,24 +55,24 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     the rho column is h_p / rho, the phi column j h_p, and the four
     direction columns replace e_r (resp. e_t) by its tangent derivative.
     """
-    n = g_r.n_antennas * g_t.n_antennas
-    D = np.empty((n, PARAMS_PER_PATH * len(ps)), dtype=complex)
-    for i, p in enumerate(ps):
-        e_r = steering_vector(g_r, p.doa)
-        e_t = steering_vector(g_t, p.dod)
-        de_r_az = steering_derivative(g_r, p.doa, "azimuth")
-        de_r_el = steering_derivative(g_r, p.doa, "elevation")
-        de_t_az = steering_derivative(g_t, p.dod, "azimuth")
-        de_t_el = steering_derivative(g_t, p.dod, "elevation")
-        c = p.gain
-        h_p = c * np.kron(e_t.conj(), e_r)
-        j = 6 * i
-        D[:, j + 0] = h_p / p.rho
-        D[:, j + 1] = 1j * h_p
-        D[:, j + 2] = c * np.kron(e_t.conj(), de_r_az)
-        D[:, j + 3] = c * np.kron(e_t.conj(), de_r_el)
-        D[:, j + 4] = c * np.kron(de_t_az.conj(), e_r)
-        D[:, j + 5] = c * np.kron(de_t_el.conj(), e_r)
+    E_r, dE_r_az, dE_r_el = steering_derivatives(g_r, [p.doa for p in ps])
+    E_t, dE_t_az, dE_t_el = steering_derivatives(g_t, [p.dod for p in ps])
+    c = np.array([p.gain for p in ps])
+    n_r, n_t, P = E_r.shape[0], E_t.shape[0], len(ps)
+
+    def atoms(F_t, F_r):
+        # c_p (f_t^* kron f_r) of every path p, indexed [tx antenna, rx antenna, p]
+        return c * (F_t.conj()[:, None] * F_r)
+
+    D = np.empty((n_r * n_t, PARAMS_PER_PATH * P), dtype=complex)
+    cols = D.reshape(n_t, n_r, P, PARAMS_PER_PATH)   # cols[j, i, p, k] = D[i + n_r j, 6p + k]
+    h = atoms(E_t, E_r)
+    cols[..., 0] = h / np.array([p.rho for p in ps])
+    cols[..., 1] = 1j * h
+    cols[..., 2] = atoms(E_t, dE_r_az)
+    cols[..., 3] = atoms(E_t, dE_r_el)
+    cols[..., 4] = atoms(dE_t_az, E_r)
+    cols[..., 5] = atoms(dE_t_el, E_r)
     return D
 
 
@@ -153,10 +153,7 @@ def crb_trace(D: np.ndarray, I: np.ndarray, h,
     float64 epsilon): the bound is then ||D S V w^-1/2||_F^2 / ||h||^2 over
     those eigenpairs (V, w), a sum of squares and never negative.
     """
-    h = np.asarray(h)
-    energy = float(np.vdot(h, h).real)
-    if energy == 0.0:
-        raise ValueError("zero channel")
+    energy = channel_energy(h)
     diag = np.diag(I)
     scaled = diag > 0
     S = np.ones_like(diag)

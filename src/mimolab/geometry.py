@@ -62,17 +62,11 @@ def wrap_azimuth(az):
 
 def unit_vector(d: Direction) -> np.ndarray:
     """Cartesian unit vector (cos el cos az, cos el sin az, sin el)."""
-    ca, sa = math.cos(d.azimuth), math.sin(d.azimuth)
-    ce, se = math.cos(d.elevation), math.sin(d.elevation)
-    return np.array([ce * ca, ce * sa, se])
+    return unit_vectors([d])[:, 0]
 
 
 def unit_vectors(directions) -> np.ndarray:
-    """Unit vectors of many directions, stacked as the columns of a 3 x k array.
-
-    Column j equals unit_vector(directions[j]) wherever numpy's cos and sin
-    round like the math module's.
-    """
+    """Unit vectors of many directions, stacked as the columns of a 3 x k array."""
     return unit_vectors_from_angles(*direction_angles(directions))
 
 
@@ -88,6 +82,15 @@ def unit_vectors_from_angles(az: np.ndarray, el: np.ndarray) -> np.ndarray:
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
 
 
+def tangents_from_angles(az: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tangent_basis's formula on arrays of azimuths and elevations: the
+    azimuthal and the elevational unit tangents, each 3 x k."""
+    ca, sa = np.cos(az), np.sin(az)
+    ce, se = np.cos(el), np.sin(el)
+    return (np.stack([-sa, ca, np.zeros_like(ca)]),
+            np.stack([-se * ca, -se * sa, ce]))
+
+
 def tangent_basis(d: Direction) -> tuple[np.ndarray, np.ndarray]:
     """Unit tangent vectors (azimuthal, elevational) at d.
 
@@ -96,11 +99,8 @@ def tangent_basis(d: Direction) -> tuple[np.ndarray, np.ndarray]:
     direction derivatives are expressed (per radian of arc, so moving the
     direction along either tangent by t radians traces a great circle).
     """
-    ca, sa = math.cos(d.azimuth), math.sin(d.azimuth)
-    ce, se = math.cos(d.elevation), math.sin(d.elevation)
-    v_az = np.array([-sa, ca, 0.0])
-    v_el = np.array([-se * ca, -se * sa, ce])
-    return v_az, v_el
+    v_az, v_el = tangents_from_angles(*direction_angles([d]))
+    return v_az[:, 0], v_el[:, 0]
 
 
 def direction_from_unit(u) -> Direction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import orth
 
-from .channel import ChannelMatrix, PathSet, steering_derivative, steering_vector
+from .channel import ChannelMatrix, PathSet, steering_derivatives
 from .geometry import ArrayGeometry
 
 ORTHO_PILOT_TOL = 1e-10
@@ -201,31 +201,28 @@ def snr(s: ObservationSetup, h) -> float:
     """Linear signal-to-noise ratio alpha2 * ||h||^2 / sigma2."""
     if s.sigma2 <= 0:
         raise ValueError("SNR is undefined for a noiseless setup")
-    h = np.asarray(h)
-    energy = float(np.vdot(h, h).real)
-    if energy == 0.0:
-        raise ValueError("zero channel has no SNR")
-    return s.alpha2 * energy / s.sigma2
+    return s.alpha2 * channel_energy(h) / s.sigma2
 
 
 def noise_for_snr(target_snr: float, alpha2: float, h) -> float:
     """Noise variance that realizes the target linear SNR for channel h."""
     if target_snr <= 0:
         raise ValueError("target SNR must be positive")
+    return alpha2 * channel_energy(h) / target_snr
+
+
+def channel_energy(h) -> float:
+    """Energy ||h||^2 of a vectorized channel; a zero channel raises ValueError."""
     h = np.asarray(h)
     energy = float(np.vdot(h, h).real)
     if energy == 0.0:
-        raise ValueError("zero channel has no SNR")
-    return alpha2 * energy / target_snr
+        raise ValueError("zero channel: its SNR and relative errors are undefined")
+    return energy
 
 
 def _direction_span(g: ArrayGeometry, directions) -> np.ndarray:
-    vecs = []
-    for d in directions:
-        vecs.append(steering_vector(g, d))
-        vecs.append(steering_derivative(g, d, "azimuth"))
-        vecs.append(steering_derivative(g, d, "elevation"))
-    return np.column_stack(vecs)
+    # columns e, de_az, de_el of each direction in turn
+    return np.stack(steering_derivatives(g, directions), axis=2).reshape(g.n_antennas, -1)
 
 
 def span_pilots(ps: PathSet, g_t: ArrayGeometry, alpha: float = 1.0) -> np.ndarray:

@@ -7,12 +7,13 @@ import pytest
 import scipy
 
 from mimolab import bench
-from mimolab.bench import (BenchRow, ScenarioConfig, draw_scenario, format_table,
-                           generate_paths, monte_carlo, rows_to_csv, rows_to_json, run_trial)
+from mimolab.bench import (BenchRow, ScenarioConfig, _canonical_angles, draw_scenario,
+                           format_table, generate_paths, monte_carlo, rows_to_csv,
+                           rows_to_json, run_trial)
 from mimolab.blas import blas_threads
 from mimolab.channel import synthesize
 from mimolab.estimation import DirectionGrid, build_dictionaries, matching_pursuit
-from mimolab.geometry import unit_vector
+from mimolab.geometry import HALF_PI, unit_vector, unit_vectors_from_angles
 from mimolab.observation import identity_setup, noise_for_snr, observe
 
 
@@ -131,6 +132,20 @@ def test_generate_paths_directions_valid():
             assert -math.pi <= d.azimuth < math.pi
             assert -math.pi / 2 <= d.elevation <= math.pi / 2
             assert abs(np.linalg.norm(unit_vector(d)) - 1.0) < 1e-12
+
+
+def test_generate_paths_folds_any_elevation():
+    # one fold over the pole left an elevation jittered past 3 pi / 2 out of
+    # range: 3, 113, 278 and 300 of these seeds raised, in that order
+    for spread in (60.0, 90.0, 120.0, 1000.0):
+        cfg = ScenarioConfig(n_t=4, n_r=4, m=16, n=16, angular_spread_deg=spread)
+        for seed in range(300):
+            generate_paths(cfg, seed)   # every Direction checks its elevation
+    for el in np.linspace(-60.0, 60.0, 241):
+        az, folded = _canonical_angles(0.3, float(el))
+        assert -HALF_PI <= folded <= HALF_PI
+        assert np.allclose(unit_vectors_from_angles(az, folded),
+                           unit_vectors_from_angles(0.3, el), rtol=0.0, atol=1e-13)
 
 
 def test_run_trial_counters_and_determinism():

@@ -232,6 +232,12 @@ def test_bench_smoke_outputs(tmp_path, capsys):
     assert len(csv_lines) == 5
 
 
+def test_bench_wide_angular_spread_exit_0(tmp_path):
+    # seed 14 jitters an elevation past 3 pi / 2, which ended in a traceback
+    cfg = write_config(tmp_path, dict(bench_config(), angular_spread_deg=90.0, base_seed=14))
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "wide")]) == 0
+
+
 def test_bench_outputs_reproducible_except_walltime(tmp_path):
     cfg = write_config(tmp_path, bench_config())
     outs = []
@@ -306,13 +312,22 @@ def test_bench_non_positive_threads_exit_2(tmp_path, capsys, flag):
     assert not os.path.exists(out + ".json")
 
 
-def test_estimate_combiner_of_wrong_size_exit_2(tmp_path, capsys):
-    # a 3-row W for a 4-antenna receiver ended in a ValueError traceback
-    obj = estimate_config()
-    obj["observation"] = {"combiners": "explicit", "target_snr_db": 20.0,
-                          "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
-    assert main(["estimate", "--config", write_config(tmp_path, obj)]) == 2
-    assert "does not match setup" in capsys.readouterr().err
+def test_observation_matrix_of_wrong_size_exit_2(tmp_path, capsys):
+    # a 3-row W for a 4-antenna receiver used to fail deep inside the
+    # projection or the observation, naming neither the matrix nor the sizes
+    def explicit(rows):   # rows x 2, full column rank
+        return [[[float(i == j), 0.0] for j in range(2)] for i in range(rows)]
+
+    for command, obj, n_r in (("crb", crb_config(n_paths=2), 8),
+                              ("estimate", estimate_config(), 4)):
+        for mode, key, name, side, n in (("pilots", "X", "pilot matrix X", "transmit", 16),
+                                         ("combiners", "W", "combiner matrix W", "receive",
+                                          n_r)):
+            obj["observation"] = {mode: "explicit", key: explicit(n - 1),
+                                  "target_snr_db": 20.0}
+            assert main([command, "--config", write_config(tmp_path, obj)]) == 2
+            assert (f"config error: {name} has {n - 1} rows, but the {side} array has "
+                    f"{n} antennas") in capsys.readouterr().err
 
 
 def test_cli_rejects_flags_of_other_subcommands(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mimolab.channel import ChannelMatrix, PathSet, steering_derivative, steering_vector
+from mimolab.channel import ChannelMatrix, PathSet, steering_derivatives
 from mimolab.geometry import upa
 from mimolab.observation import (ObservationSetup, complex_from_json, complex_to_json,
                                  identity_setup, noise_for_snr, observe,
@@ -204,15 +204,10 @@ def test_span_setups_cover_direction_derivatives(rng):
     # every steering vector and derivative lies in the respective range
     P_w = s.combiner_range_projector()
     P_x = X @ np.linalg.solve(X.conj().T @ X, X.conj().T)
-    for p in ps:
-        for v in (steering_vector(g_r, p.doa),
-                  steering_derivative(g_r, p.doa, "azimuth"),
-                  steering_derivative(g_r, p.doa, "elevation")):
-            assert np.linalg.norm(P_w @ v - v) < 1e-10
-        for v in (steering_vector(g_t, p.dod),
-                  steering_derivative(g_t, p.dod, "azimuth"),
-                  steering_derivative(g_t, p.dod, "elevation")):
-            assert np.linalg.norm(P_x @ v - v) < 1e-10
+    for V in steering_derivatives(g_r, [p.doa for p in ps]):
+        assert np.all(np.linalg.norm(P_w @ V - V, axis=0) < 1e-10)
+    for V in steering_derivatives(g_t, [p.dod for p in ps]):
+        assert np.all(np.linalg.norm(P_x @ V - V, axis=0) < 1e-10)
 
 
 def test_setup_constructor_rejects_a_range_projector():
