@@ -11,7 +11,6 @@ timings aside.
 from __future__ import annotations
 
 import io
-import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +26,7 @@ from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionari
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int
 from .observation import identity_setup, noise_for_snr, observe
+from .workers import Helpers, shared_map
 
 KNOWN_STRATEGIES = tuple(_SELECTORS)
 
@@ -253,16 +253,17 @@ class TrialResult:
 
 
 def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
-              dictionary: Dictionary) -> TrialResult:
+              dictionary: Dictionary, pool: Helpers | None = None) -> TrialResult:
     """Estimate the scenario's channel with one pursuit and score it.
 
     The pursuit runs on the dictionary, built for the scenario's arrays
     under identity observation, to the largest of cfg.P_budgets and is read
     at each: the rMSE of the paths kept so far, the cumulative pursuit time
-    and the scores evaluated through that iteration.
+    and the scores evaluated through that iteration. pool is passed to the
+    selector (see estimation.joint_select).
     """
     budgets = sorted(cfg.P_budgets)
-    report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy)
+    report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy, pool=pool)
     # every iteration scores the same number of candidates
     readings = tuple(
         BudgetResult(P, relative_error(scenario.H, report.estimated[:report.paths_kept[P - 1]],
@@ -317,31 +318,47 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
     )
 
 
+def scan_threads(threads: int, trials: int) -> int:
+    """Threads each seed's joint screen runs on in monte_carlo(cfg, threads)."""
+    return threads // min(threads, trials)
+
+
 @one_blas_thread
 def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     """Average run_trial over trials for every (strategy, budget) pair.
 
     Trial t draws the scenario of seed base_seed + t (see draw_scenario)
-    and runs every strategy on it; workers take seeds, so at most `trials`
-    are busy. Results are reduced in seed order, so the rMSE and counter
-    columns are reproducible bit for bit; rows come back sorted by
-    (P_budget, strategy). The call runs on one BLAS thread (see
-    blas.one_blas_thread): the trial workers are the only parallelism, and
-    the CRB column does not depend on the environment's thread count.
+    and runs every strategy on it. At most `threads` threads work at once:
+    min(threads, trials) of them take whole seeds, the calling thread among
+    them, and each seed's joint screen is split over scan_threads(threads,
+    trials) threads, the seed's own and helpers from one pool. With fewer
+    trials than threads the joint time column is therefore wall time on
+    threads // trials threads; otherwise each seed scans on its own thread.
+    Results are reduced in seed order and no pick depends on the split, so
+    the rMSE and counter columns are reproducible bit for bit for any
+    `threads`; rows come back sorted by (P_budget, strategy). The call runs
+    on one BLAS thread (see blas.one_blas_thread): these threads are the
+    only parallelism, and the CRB column does not depend on the
+    environment's thread count.
     """
     if threads < 1:
         raise ValueError(f"threads must be a positive worker count, got {threads}")
     grid = DirectionGrid.product(cfg.m, cfg.n)
     g_t, g_r = cfg.geometries()
     dictionary = build_dictionaries(grid, identity_setup(cfg.n_t, cfg.n_r, 1.0), g_r, g_t)
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
 
-    def seed_work(seed):
-        scenario = draw_scenario(cfg, seed)
-        return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary)
-                                   for s in cfg.strategies}
+    # threads - 1 pool threads besides the caller: seed runners and screen
+    # helpers never need more at once, so no task waits for a thread
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as executor:
+        scan_pool = Helpers(executor, scan_threads(threads, cfg.trials) - 1)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_seed = list(pool.map(seed_work, range(cfg.base_seed, cfg.base_seed + cfg.trials)))
+        def seed_work(seed):
+            scenario = draw_scenario(cfg, seed)
+            return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary, scan_pool)
+                                       for s in cfg.strategies}
+
+        per_seed = shared_map(seed_work, seeds, Helpers(executor, threads - 1))
     true_crbs = [crb for crb, _ in per_seed]
     combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
     return [_aggregate(cfg, s, p, [trials[s] for _, trials in per_seed], true_crbs)
@@ -356,11 +373,13 @@ def rows_to_csv(rows, fh_or_path):
 def rows_to_json(cfg: ScenarioConfig, rows, threads: int) -> dict:
     """Config, rows and, apart from both, the environment monte_carlo ran in.
 
-    env holds the trial worker count, the BLAS threads each call ran on
+    env holds the worker count `threads`, the threads each seed's joint
+    screen ran on (see scan_threads), the BLAS threads each call ran on
     (None when no OpenBLAS was found to cap) and the numpy and scipy
     versions; it is the only part that may differ between machines.
     """
-    env = {"trial_workers": threads, "blas_threads": blas_threads(),
+    env = {"trial_workers": threads, "scan_threads": scan_threads(threads, cfg.trials),
+           "blas_threads": blas_threads(),
            "numpy": np.__version__, "scipy": scipy.__version__}
     return {"config": cfg.to_json(), "rows": [r.to_json_row() for r in rows], "env": env}
 
@@ -391,8 +410,3 @@ def format_table(rows) -> str:
                 line += f"  {r.mean_rmse:<10.4f}{r.mean_wall_time_s:<14.3f}"
         print(line.rstrip(), file=out)
     return out.getvalue()
-
-
-def config_from_file(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return ScenarioConfig.from_json(json.load(fh))

@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exit 3 when the Fisher matrix is ill-conditioned")
         if name == "bench":
             p.add_argument("--threads", type=int, default=1,
-                           help="worker cap for the trials (default 1)")
+                           help="threads for the trials and, with fewer trials "
+                                "than threads, their joint scans (default 1)")
             p.add_argument("--emit-table", action="store_true",
                            help="print an aligned text table")
         p.add_argument("overrides", nargs="*", metavar="key=value",

@@ -24,6 +24,7 @@ from .channel import PathParams, PathSet, steering_matrix, steering_vector, synt
 from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, direction_angles,
                        unit_vectors_from_angles, wrap_azimuth)
 from .observation import ObservationSetup
+from .workers import Helpers, shared_map
 
 ATOM_NORM_TOL = 1e-12
 _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
@@ -270,13 +271,34 @@ def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tupl
     return best_i, best_j
 
 
-def _screened_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _screen_range(left32: np.ndarray, right32: np.ndarray, row_max: np.ndarray,
+                  C: np.ndarray, A: np.ndarray, starts: range) -> None:
+    """Write max_j |C_ij| of the rows of the blocks at `starts` into row_max.
+
+    C = left32 @ right32 is computed in complex64 one block of C.shape[0]
+    rows at a time into the buffers C and A, which no other range uses.
+    """
+    block, m = C.shape[0], len(row_max)
+    for i0 in starts:
+        k = min(block, m - i0)
+        np.matmul(left32[i0:i0 + k], right32, out=C[:k])
+        np.abs(C[:k], out=A[:k])
+        np.max(A[:k], axis=1, out=row_max[i0:i0 + k])
+
+
+def _screened_rows(left: np.ndarray, right: np.ndarray,
+                   pool: Helpers | None = None) -> np.ndarray:
     """Increasing indices of the rows of C = left @ right that may hold max |C_ij|.
 
     Each factor is scaled by its largest entry modulus, which keeps every
     complex64 product and partial sum at most r in modulus (no overflow) and
     the bound below far above float32's underflow level; positive scaling
     moves no argmax. A zero or non-finite factor returns every row.
+
+    The _SCORE_BLOCK_ROWS-row blocks are split into contiguous ranges, one
+    for the calling thread and one for each of pool's helpers, at most one
+    per block. Every block is the same product whatever the split, so the
+    screened values, and the rows returned, do not depend on pool.
     """
     m, r = left.shape
     n = right.shape[1]
@@ -293,20 +315,23 @@ def _screened_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     np.divide(left, a, out=left32, casting="same_kind")
     np.divide(right, b, out=right32, casting="same_kind")
     block = min(_SCORE_BLOCK_ROWS, m)
-    C = np.empty((block, n), dtype=np.complex64)
-    A = np.empty((block, n), dtype=np.float32)
+    starts = range(0, m, block)
+    parts = min(1 + (pool.count if pool is not None else 0), len(starts))
+    cuts = [len(starts) * p // parts for p in range(parts + 1)]
+    # Every buffer is allocated here, on the calling thread, and helpers only
+    # write into them: buffers allocated on helper threads grow glibc's
+    # per-thread malloc arenas and with them the peak RSS.
+    jobs = [(np.empty((block, n), dtype=np.complex64), np.empty((block, n), dtype=np.float32),
+             starts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     row_max = np.empty(m, dtype=np.float32)
-    for i0 in range(0, m, block):
-        k = min(block, m - i0)
-        np.matmul(left32[i0:i0 + k], right32, out=C[:k])
-        np.abs(C[:k], out=A[:k])
-        np.max(A[:k], axis=1, out=row_max[i0:i0 + k])
+    shared_map(lambda job: _screen_range(left32, right32, row_max, *job), jobs, pool)
     top = float(row_max.max())
     delta = _SCREEN_SAFETY * (r + 4) * _U32 * norms + 2.0 * _U32 * top
     return np.flatnonzero(row_max >= np.float64(top - 2.0 * delta))
 
 
-def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
+def joint_select(Y: np.ndarray, dictionary: Dictionary,
+                 pool: Helpers | None = None) -> Selection:
     """Exhaustive scan: argmax over all pairs of |k_r_i^H Y k_t_j|.
 
     Ties are broken by the smallest DoA index, then the smallest DoD index.
@@ -349,17 +374,21 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     when every row survives (a zero residual, or one whose scores all lie
     within 2 delta of each other). Usually one or two rows survive.
     score_evaluations counts all m*n candidate scores either way.
+
+    pool, when given, shares the screen's blocks between the calling thread
+    and its helpers (see _screened_rows); the pick does not depend on it.
     """
     K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
     if K_r_H.shape[1] <= K_t.shape[0]:
         left, right = K_r_H, Y @ K_t
     else:
         left, right = K_r_H @ Y, K_t
-    i, j = _best_in_rows(left, right, _screened_rows(left, right))
+    i, j = _best_in_rows(left, right, _screened_rows(left, right, pool))
     return Selection(i, j, dictionary.m * dictionary.n)
 
 
-def sequential_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
+def sequential_select(Y: np.ndarray, dictionary: Dictionary,
+                      pool: Helpers | None = None) -> Selection:
     """Decoupled scan: DoA from the marginal energy criterion, then DoD.
 
     Stage 1 maximizes the received energy along each combined receive atom,
@@ -368,6 +397,7 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     index. Stage 2 uses the normalized combined atom, which selects the
     same index as the raw steering vector whenever combining is lossless.
     The energies are sums of squares over the real view of T = K_r^H Y.
+    pool is accepted for a common selector signature and not used.
     """
     T = dictionary.K_r_H @ Y
     v = T.view(np.float64)
@@ -458,7 +488,8 @@ _SELECTORS = {"joint": joint_select, "sequential": sequential_select}
 
 
 def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
-                     strategy: str, true_channel=None) -> EstimationReport:
+                     strategy: str, true_channel=None,
+                     pool: Helpers | None = None) -> EstimationReport:
     """Greedy P_budget-path estimate of the channel behind Y.
 
     Each iteration selects a direction pair of the dictionary with the
@@ -468,7 +499,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     Repeated selection of the same pair is allowed; the gains accumulate as
     separate paths. The wall time covers the pursuit loop only, not
     dictionary construction. An observation holding NaN or inf raises
-    ValueError.
+    ValueError. pool is passed to the selector (see joint_select).
     """
     if P_budget < 1:
         raise ValueError("P_budget must be at least 1")
@@ -486,7 +517,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     cumulative_times, paths_kept = [], []
     start = time.perf_counter()
     for _ in range(P_budget):
-        sel = select(R, dictionary)
+        sel = select(R, dictionary, pool)
         evaluations += sel.score_evaluations
         doa, dod = dictionary.doa_of(sel.doa_index), dictionary.dod_of(sel.dod_index)
         a_r, a_t = _observed_atoms(s, doa, dod, g_r, g_t)

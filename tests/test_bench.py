@@ -1,12 +1,13 @@
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy
 
-from mimolab import bench
+from mimolab import bench, estimation
 from mimolab.bench import (BenchRow, ScenarioConfig, _canonical_angles, draw_scenario,
                            format_table, generate_paths, monte_carlo, rows_to_csv,
                            rows_to_json, run_trial)
@@ -268,13 +269,51 @@ def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
 
 
 def test_monte_carlo_deterministic_across_threads():
-    cfg = tiny_config()
-    rows1 = monte_carlo(cfg, threads=1)
-    rows2 = monte_carlo(cfg, threads=2)
-    for a, b in zip(rows1, rows2):
-        assert a.mean_rmse == b.mean_rmse
-        assert a.mean_score_evals == b.mean_score_evals
-        assert a.mean_true_crb == b.mean_true_crb
+    # two trials on two threads split seeds; one trial on two or three
+    # threads splits its screen; two on three do both (one thread idles)
+    for trials, thread_counts in ((2, (2, 3)), (1, (2, 3))):
+        cfg = tiny_config(trials=trials)
+        rows1 = monte_carlo(cfg, threads=1)
+        for threads in thread_counts:
+            rows2 = monte_carlo(cfg, threads=threads)
+            assert len(rows1) == len(rows2)
+            for a, b in zip(rows1, rows2):
+                assert a.mean_rmse == b.mean_rmse
+                assert a.mean_score_evals == b.mean_score_evals
+                assert a.mean_true_crb == b.mean_true_crb
+
+
+@pytest.mark.parametrize("trials, threads", [(1, 2), (1, 3), (2, 3), (3, 2), (2, 2)])
+def test_monte_carlo_keeps_to_its_thread_budget(monkeypatch, trials, threads):
+    # seed work and screen ranges record the threads doing them; no more than
+    # `threads` may be busy at once, and the calling thread runs a seed
+    lock = threading.Lock()
+    busy, peak, seed_threads = {}, [0], set()
+
+    def recording(fn, seed_work):
+        def record(*args, **kwargs):
+            me = threading.get_ident()
+            with lock:
+                busy[me] = busy.get(me, 0) + 1
+                peak[0] = max(peak[0], len(busy))
+                if seed_work:
+                    seed_threads.add(me)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    busy[me] -= 1
+                    if not busy[me]:
+                        del busy[me]
+        return record
+
+    monkeypatch.setattr(bench, "run_trial", recording(bench.run_trial, True))
+    monkeypatch.setattr(estimation, "_screen_range", recording(estimation._screen_range, False))
+    cfg = tiny_config(trials=trials, m=400, strategies=("joint",))
+    monte_carlo(cfg, threads=threads)
+    assert 1 <= peak[0] <= threads
+    assert threading.get_ident() in seed_threads
+    assert len(seed_threads) <= min(trials, threads)
 
 
 def test_monte_carlo_seed_changes_results():
@@ -299,8 +338,11 @@ def test_rows_serialization(tmp_path):
     payload = rows_to_json(cfg, rows, 2)
     assert payload["config"]["n_t"] == 16
     assert payload["rows"][0]["strategy"] == "sequential"
-    assert payload["env"] == {"trial_workers": 2, "blas_threads": blas_threads(),
+    assert payload["env"] == {"trial_workers": 2, "scan_threads": 2,
+                              "blas_threads": blas_threads(),
                               "numpy": np.__version__, "scipy": scipy.__version__}
+    assert rows_to_json(tiny_config(trials=2), rows, 3)["env"]["scan_threads"] == 1
+    assert rows_to_json(tiny_config(trials=1), rows, 3)["env"]["scan_threads"] == 3
 
 
 def test_format_table_layout():

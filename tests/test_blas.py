@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mimolab import bench, blas, fim
+from mimolab import bench, blas, estimation, fim
 from mimolab.channel import PathSet
 from mimolab.fim import crb_report
 from mimolab.geometry import upa
@@ -60,12 +60,41 @@ def test_monte_carlo_restores_when_a_trial_raises(two_threads, monkeypatch):
     def failing(*args, **kwargs):
         raise RuntimeError("trial failed")
 
+    threads_before = threading.active_count()
     monkeypatch.setattr(bench, "run_trial", failing)
-    cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=2)
-    for threads in (1, 2):
+    # two trials on one or two threads; one trial on two, raising on the
+    # calling thread, which runs the only seed
+    for trials, threads in ((2, 1), (2, 2), (1, 2)):
+        cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=trials)
         with pytest.raises(RuntimeError, match="trial failed"):
             bench.monte_carlo(cfg, threads=threads)
         assert counts() == two_threads
+        assert threading.active_count() == threads_before
+
+
+def test_monte_carlo_restores_when_a_screen_helper_raises(two_threads, monkeypatch):
+    # One trial on two threads: the calling thread runs the seed and one
+    # screen range, and waits until a helper has taken the other and raised.
+    caller = threading.get_ident()
+    helper_ran = threading.Event()
+    screen_range = estimation._screen_range
+
+    def failing_in_helper(*args):
+        if threading.get_ident() != caller:
+            helper_ran.set()
+            raise RuntimeError("screen failed")
+        helper_ran.wait(timeout=30)
+        return screen_range(*args)
+
+    threads_before = threading.active_count()
+    monkeypatch.setattr(estimation, "_screen_range", failing_in_helper)
+    cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=144, n=16, n_clusters=2, paths_per_cluster=2,
+                               P_budgets=(1,), strategies=("joint",), trials=1)
+    with pytest.raises(RuntimeError, match="screen failed"):
+        bench.monte_carlo(cfg, threads=2)
+    assert helper_ran.is_set()
+    assert counts() == two_threads
+    assert threading.active_count() == threads_before
 
 
 def test_crb_report_caps_and_restores(two_threads, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mimolab.estimation import (DirectionGrid, build_dictionaries,
 from mimolab.geometry import (Direction, direction_from_unit, ula, unit_vector, unit_vectors,
                               upa, wrap_azimuth)
 from mimolab.observation import ObservationSetup, identity_setup, observe
+from mimolab.workers import Helpers
 
 
 def small_grid(k=6):
@@ -345,6 +347,54 @@ def test_joint_select_zero_observation_tie_break():
     assert np.array_equal(rows, np.arange(d.m))
     sel = joint_select(Y, d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
+
+
+@pytest.fixture
+def executor():
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("m_az, m_el", [(20, 15), (10, 10), (6, 5)])
+@pytest.mark.parametrize("zero", [False, True])
+def test_joint_select_split_screen_matches_one_thread(rng, executor, m_az, m_el, zero):
+    # 300 DoAs make five blocks, four full; 100 make two, fewer than the
+    # four threads of three helpers; 30 make one block shorter than 64 rows.
+    # Y = 0 keeps every row.
+    grid = DirectionGrid(hemisphere_directions(m_az, m_el), hemisphere_directions(6, 5))
+    g_r, g_t = upa(2, 3), upa(2, 4)
+    d = build_dictionaries(grid, identity_setup(8, 6, 1.0), g_r, g_t)
+    for _ in range(3):
+        Y = np.zeros((6, 8), dtype=complex) if zero else (
+            rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
+        rows = estimation._screened_rows(*contracted_factors(Y, d))
+        sel = joint_select(Y, d)
+        if zero:
+            assert np.array_equal(rows, np.arange(d.m))
+        for count in (1, 2, 3):
+            pool = Helpers(executor, count)
+            assert np.array_equal(estimation._screened_rows(*contracted_factors(Y, d), pool),
+                                  rows)
+            assert joint_select(Y, d, pool) == sel
+
+
+def test_joint_select_split_screen_covers_every_block_once(monkeypatch, executor):
+    ranges = []
+    screen_range = estimation._screen_range
+
+    def recording(left32, right32, row_max, C, A, starts):
+        ranges.append(list(starts))
+        screen_range(left32, right32, row_max, C, A, starts)
+
+    monkeypatch.setattr(estimation, "_screen_range", recording)
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(4, 4))
+    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), upa(2, 2), upa(2, 2))
+    Y = np.ones((4, 4), dtype=complex)
+    for count, sizes in ((0, [5]), (1, [2, 3]), (2, [1, 2, 2]), (3, [1, 1, 1, 2])):
+        ranges.clear()
+        estimation._screened_rows(*contracted_factors(Y, d), Helpers(executor, count))
+        assert sorted(ranges) == [[64 * b for b in range(lo, lo + k)]
+                                  for lo, k in zip(np.cumsum([0] + sizes), sizes)]
 
 
 @pytest.mark.parametrize("n_c, n_s", [(3, 4), (4, 3)])
