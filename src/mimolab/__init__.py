@@ -17,9 +17,8 @@ from .estimation import (Dictionary, DirectionGrid, EstimationReport,
                          joint_select, matching_pursuit, reports_to_csv,
                          sequential_select)
 from .fim import (CrbResult, channel_jacobian, check_optimal_observation,
-                  crb_report, crb_trace, fim_block, fisher_matrix,
-                  inter_path_coupling_mass, intra_path_block, optimal_bound,
-                  paths_from_vector, paths_to_vector)
+                  crb_report, crb_trace, fim_block, fisher_factor, fisher_matrix,
+                  inter_path_coupling_mass, intra_path_block, optimal_bound)
 from .geometry import (ArrayGeometry, Direction, direction_from_unit,
                        tangent_basis, ula, unit_vector, upa)
 from .observation import (ObservationSetup, identity_setup, noise_for_snr, observe,
@@ -32,12 +31,13 @@ __all__ = [
     "PathParams", "PathSet", "ScenarioConfig",
     "build_dictionaries", "channel_jacobian",
     "check_optimal_observation", "crb_report", "crb_trace",
-    "direction_from_unit", "draw_scenario", "estimate_gain", "fim_block", "fisher_matrix",
+    "direction_from_unit", "draw_scenario", "estimate_gain", "fim_block",
+    "fisher_factor", "fisher_matrix",
     "format_table", "generate_paths", "hemisphere_directions",
     "identity_setup", "inter_path_coupling_mass", "intra_path_block",
     "joint_select", "matching_pursuit", "merge_paths", "monte_carlo",
     "noise_for_snr", "observe", "optimal_bound", "orthogonal_pilots",
-    "paths_from_vector", "paths_to_vector", "projection_apply",
+    "projection_apply",
     "projection_matrix", "reports_to_csv", "run_trial",
     "sequential_select", "snr", "span_combiners", "span_pilots",
     "steering_derivatives", "steering_matrix", "steering_vector",

@@ -23,7 +23,7 @@ from .blas import blas_threads, one_blas_thread
 from .channel import ChannelMatrix, PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
                          matching_pursuit, relative_error, write_csv)
-from .fim import CrbResult, channel_jacobian, crb_trace, fisher_matrix, optimal_bound
+from .fim import CrbResult, channel_jacobian, crb_trace, fisher_factor, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int
 from .observation import identity_setup, noise_for_snr, observe
 from .workers import Helpers, shared_map
@@ -227,7 +227,7 @@ def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     Y = observe(H, s, np.random.default_rng([int(seed), 1]))
     Y.setflags(write=False)
     D = channel_jacobian(paths, g_r, g_t)
-    return Scenario(seed, H, Y, crb_trace(D, fisher_matrix(D, s), H.vector))
+    return Scenario(seed, H, Y, crb_trace(D, fisher_factor(D, s), H.vector))
 
 
 @dataclass(frozen=True)

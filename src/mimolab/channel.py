@@ -106,13 +106,6 @@ class ChannelMatrix:
         """Column-major (column-stacked) flattening of the matrix."""
         return self.matrix.reshape(-1, order="F")
 
-    @classmethod
-    def from_vector(cls, vec, n_r: int, n_t: int) -> "ChannelMatrix":
-        v = np.asarray(vec, dtype=complex)
-        if v.size != n_r * n_t:
-            raise ValueError(f"vector of length {v.size} is not {n_r}x{n_t}")
-        return cls(v.reshape((n_r, n_t), order="F"))
-
 
 def steering_vector(g: ArrayGeometry, d: Direction) -> np.ndarray:
     """Unit-norm array response of one direction, a column of steering_matrix."""

@@ -168,15 +168,13 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
     setup = _parse_observation(cfg, g_t, g_r, synthesize(paths, g_r, g_t).vector)
+    include_blocks = cfg.get("include_blocks", False)
+    if not isinstance(include_blocks, bool):
+        raise ConfigError(f"include_blocks must be true or false, got {include_blocks!r}")
     try:
-        cond_threshold = float(cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"cond_threshold must be a number: {e}") from e
-    try:
-        report = crb_report(paths, g_r, g_t, setup,
-                            include_blocks=bool(cfg.get("include_blocks", False)),
-                            cond_threshold=cond_threshold)
-    except ValueError as e:   # e.g. sigma2 = 0: the information diverges
+        report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks,
+                            cond_threshold=cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
+    except ValueError as e:   # sigma2 = 0 (the information diverges) or a bad cond_threshold
         raise ConfigError(str(e)) from e
     _write_json(report, out)
     if strict and report["ill_conditioned"]:

@@ -2,20 +2,24 @@
 
 Each path contributes six real parameters, ordered (rho, phi, doa_az,
 doa_el, dod_az, dod_el); a P-path model therefore has 6P parameters. The
-Fisher matrix follows from the Gaussian observation model as
-(2 alpha2 / sigma2) Re{D^H P D}, with D the channel Jacobian and P the
-observation projection. Direction entries are per radian of arc along the
-unit tangents, which keeps the bound shape-independent for isotropic
+Fisher matrix follows from the Gaussian observation model as I = A^T A,
+where column k of the real factor A is the derivative of the whitened
+observation: sqrt(2 / sigma2) times the real and imaginary parts of
+vec(Q_w^H D_k X), with D_k column k of the channel Jacobian D as an
+n_r x n_t matrix and Q_w an orthonormal basis of the combiner range. The
+bound is computed from A, never from I, so its digits do not suffer the
+squared conditioning of I. Direction entries are per radian of arc along
+the unit tangents, which keeps the bound shape-independent for isotropic
 arrays.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
 
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
@@ -25,27 +29,6 @@ from .observation import ObservationSetup, channel_energy, projection_apply, snr
 PARAMS_PER_PATH = 6
 PARAM_NAMES = ("rho", "phi", "doa_az", "doa_el", "dod_az", "dod_el")
 DEFAULT_COND_THRESHOLD = 1e12
-
-
-def paths_to_vector(ps: PathSet) -> np.ndarray:
-    """Flatten a path set into the 6P real parameter vector."""
-    out = np.empty(PARAMS_PER_PATH * len(ps))
-    for i, p in enumerate(ps):
-        out[6 * i: 6 * i + 6] = (p.rho, p.phi, p.doa.azimuth, p.doa.elevation,
-                                 p.dod.azimuth, p.dod.elevation)
-    return out
-
-
-def paths_from_vector(theta) -> PathSet:
-    """Inverse of paths_to_vector."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size % PARAMS_PER_PATH != 0 or theta.size == 0:
-        raise ValueError("parameter vector length must be a positive multiple of 6")
-    paths = []
-    for i in range(theta.size // PARAMS_PER_PATH):
-        rho, phi, ra, re, ta, te = theta[6 * i: 6 * i + 6]
-        paths.append(PathParams(rho, phi, Direction(ra, re), Direction(ta, te)))
-    return PathSet(paths)
 
 
 def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.ndarray:
@@ -76,13 +59,31 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     return D
 
 
-def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
-    """Fisher information (2 alpha2 / sigma2) Re{D^H P D}, symmetrized."""
+def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
+    """Real factor A of the Fisher information I = A^T A, one column per parameter.
+
+    Column k stacks the real and imaginary parts of
+    sqrt(2 / sigma2) vec(Q_w^H D_k X) in a fixed row order that neither
+    A^T A nor a QR of A depends on. A is Fortran-ordered, so each column is
+    contiguous.
+    """
     if s.sigma2 <= 0:
         raise ValueError("Fisher information diverges for a noiseless setup")
-    PD = projection_apply(s, D)
-    M = (2.0 * s.alpha2 / s.sigma2) * (D.conj().T @ PD).real
-    return (M + M.T) / 2.0
+    k = D.shape[1]
+    Qh = math.sqrt(2.0 / s.sigma2) * np.linalg.qr(s.W)[0].conj().T
+    # Allocated before the temporary DX, so that freeing DX leaves no hole
+    # below the long-lived A (3-4 MB of peak memory on a 64x16 report).
+    Z = np.empty((k, s.n_s, s.n_c), dtype=complex)
+    # DX[j, i, k] = (D_k X)[i, j]; D's rows are i + n_r j, so the reshape is free
+    DX = (s.X.T @ D.reshape(s.n_t, s.n_r * k)).reshape(s.n_s, s.n_r, k)
+    np.matmul(Qh, DX, out=Z.transpose(1, 2, 0))
+    return Z.view(float).reshape(k, -1).T
+
+
+def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
+    """Fisher information A^T A of the Jacobian D (see fisher_factor)."""
+    A = fisher_factor(D, s)
+    return A.T @ A
 
 
 def fim_block(I: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -125,9 +126,9 @@ class CrbResult:
 
     condition_number is that of the Fisher matrix equilibrated by its
     diagonal (see crb_trace), so it does not depend on units or gain scale.
-    When it exceeds the threshold the value is computed through an
-    eigen-truncated pseudo-inverse, which keeps it non-negative, and
-    ill_conditioned is set: the model is not
+    When it exceeds the threshold the value keeps only the singular values
+    of the factor above a round-off cutoff, a truncated pseudo-inverse that
+    is never negative, and ill_conditioned is set: the model is not
     (practically) identifiable at this parameter point, which typically
     means two paths share nearly identical directions and should be merged
     into one virtual path.
@@ -138,37 +139,40 @@ class CrbResult:
     ill_conditioned: bool
 
 
-def crb_trace(D: np.ndarray, I: np.ndarray, h,
+def crb_trace(D: np.ndarray, A: np.ndarray, h,
               cond_threshold: float = DEFAULT_COND_THRESHOLD) -> CrbResult:
-    """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance.
+    """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = A^T A.
 
-    I is equilibrated by its diagonal, Ie = S I S with S = diag(I)^-1/2
-    (1 where a diagonal entry is not positive), and the bound is solved in
-    those coordinates: trace(I^-1 D^H D) = trace(Ie^-1 S D^H D S). The
-    condition number is w_max / w_min over the eigenvalues w of the
-    symmetric Ie, and inf when w_min <= 0 or a diagonal entry is not
-    positive. Up to the threshold the bound is a symmetric solve. Above it
-    the result is flagged, and Ie^-1 becomes the pseudo-inverse that keeps
-    only the eigenvalues above k eps w_max (k the parameter count, eps the
-    float64 epsilon): the bound is then ||D S V w^-1/2||_F^2 / ||h||^2 over
-    those eigenpairs (V, w), a sum of squares and never negative.
+    The columns of A are equilibrated to unit norm, A S with S = diag(I)^-1/2
+    (1 for a zero column). With A = Q R, A S = Q (R S), and R S has the
+    same column norms as A S; its SVD is R S = U Sigma V^T. Then
+    I^-1 = S V Sigma^-2 V^T S, and the bound is
+    ||[Re D; Im D] S V Sigma^-1||_F^2 / ||h||^2, a sum of squares. The
+    condition number is (sigma_max / sigma_min)^2, the eigenvalue ratio of
+    S I S, and inf for a zero column or sigma_min = 0. The threshold decides
+    only which singular values are kept: all of them up to it; above it the
+    result is flagged and only those with sigma^2 > k eps sigma_max^2 are
+    kept (k the parameter count, eps the float64 epsilon). cond_threshold
+    must be a finite number of at least 1 (ValueError otherwise).
     """
+    if (isinstance(cond_threshold, bool) or not isinstance(cond_threshold, numbers.Real)
+            or not 1.0 <= cond_threshold < math.inf):
+        raise ValueError("cond_threshold must be a finite number of at least 1, "
+                         f"got {cond_threshold!r}")
     energy = channel_energy(h)
-    diag = np.diag(I)
-    scaled = diag > 0
-    S = np.ones_like(diag)
-    S[scaled] = 1.0 / np.sqrt(diag[scaled])
-    Ie = S[:, None] * I * S
-    w = np.linalg.eigvalsh(Ie)
-    cond = float(w[-1] / w[0]) if w[0] > 0 and scaled.all() else math.inf
-    if math.isfinite(cond) and cond <= cond_threshold:
-        Ge = S[:, None] * (D.conj().T @ D) * S
-        value = float(np.trace(solve(Ie, Ge, assume_a="sym")).real) / energy
-        return CrbResult(value, cond, False)
-    w, V = np.linalg.eigh(Ie)
-    keep = w > len(w) * np.finfo(float).eps * w[-1]
-    Z = D @ (S[:, None] * V[:, keep] / np.sqrt(w[keep]))
-    return CrbResult(float(np.vdot(Z, Z).real) / energy, cond, True)
+    k = A.shape[1]
+    R = np.linalg.qr(A, mode="r")
+    norms = np.linalg.norm(R, axis=0)
+    S = 1.0 / np.where(norms > 0, norms, 1.0)
+    _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
+    full_rank = sigma.size == k and sigma[-1] > 0 and norms.all()
+    cond = float(sigma[0] / sigma[-1]) ** 2 if full_rank else math.inf
+    flagged = not cond <= cond_threshold
+    keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2 if flagged else slice(None)
+    B = S[:, None] * Vt[keep].T / sigma[keep]
+    # the halves of [Re D; Im D] B one at a time, to hold one in memory
+    value = sum(np.linalg.norm(part @ B) ** 2 for part in (D.real, D.imag))
+    return CrbResult(float(value) / energy, cond, flagged)
 
 
 def optimal_bound(n_paths: int, snr_linear: float) -> float:
@@ -207,14 +211,15 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
                cond_threshold: float = DEFAULT_COND_THRESHOLD) -> dict:
     """Bundle the bound, its floor, and the identifiability diagnostics.
 
-    Runs on one BLAS thread (see blas.one_blas_thread): its solves are too
-    small to gain from more, and the bound's digits then do not depend on
-    the environment's thread count.
+    Runs on one BLAS thread (see blas.one_blas_thread): its factorizations
+    are too small to gain from more, and the bound's digits then do not
+    depend on the environment's thread count.
     """
     D = channel_jacobian(ps, g_r, g_t)
-    I = fisher_matrix(D, s)
+    A = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    result = crb_trace(D, I, h, cond_threshold=cond_threshold)
+    result = crb_trace(D, A, h, cond_threshold=cond_threshold)
+    I = A.T @ A
     snr_linear = snr(s, h)
     report = {
         "n_p": int(I.shape[0]),

@@ -163,20 +163,19 @@ def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:
     """Apply the observation projection to columns of M (length n_r*n_t).
 
     Works factor-by-factor, never materializing the n_r*n_t square matrix:
-    each column is reshaped to n_r x n_t, hit with the combiner-range
+    each column, as an n_r x n_t matrix, is hit with the combiner-range
     projector on the left and with X X^H / alpha2 on the right.
     """
     M = np.asarray(M, dtype=complex)
     single = M.ndim == 1
     cols = M[:, None] if single else M
-    n_r, n_t = s.n_r, s.n_t
+    n_r, n_t, k = s.n_r, s.n_t, cols.shape[1]
     if cols.shape[0] != n_r * n_t:
         raise ValueError("column length must be n_r * n_t")
-    G_w = s.combiner_range_projector()
     M_t = (s.X @ s.X.conj().T) / s.alpha2
-    stack = cols.reshape((n_r, n_t, cols.shape[1]), order="F")
-    out = np.einsum("ab,btk,tc->ack", G_w, stack, M_t, optimize=True)
-    out = out.reshape((n_r * n_t, cols.shape[1]), order="F")
+    # rows are i + n_r j, so [j, (i, k)] is a free reshape of a C-ordered M
+    right = (M_t.T @ cols.reshape(n_t, n_r * k)).reshape(n_t, n_r, k)
+    out = np.matmul(s.combiner_range_projector(), right).reshape(n_r * n_t, k)
     return out[:, 0] if single else out
 
 

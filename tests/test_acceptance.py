@@ -15,7 +15,7 @@ from mimolab.bench import ScenarioConfig, monte_carlo
 from mimolab.channel import PathParams, PathSet, synthesize
 from mimolab.estimation import (DirectionGrid, build_dictionaries, joint_select,
                                 matching_pursuit, sequential_select)
-from mimolab.fim import (channel_jacobian, crb_trace, fisher_matrix,
+from mimolab.fim import (channel_jacobian, crb_trace, fisher_factor, fisher_matrix,
                          intra_path_block, optimal_bound)
 from mimolab.channel import merge_paths
 from mimolab.geometry import Direction, upa
@@ -52,9 +52,8 @@ def test_criterion_1_crb_floor_equality():
         ps = PathSet(PathParams(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi), a, d)
                      for a, d in zip(doas, dods))
         D = channel_jacobian(ps, g_r, g_t)
-        I = fisher_matrix(D, s)
         h = synthesize(ps, g_r, g_t).vector
-        res = crb_trace(D, I, h)
+        res = crb_trace(D, fisher_factor(D, s), h)
         floor = optimal_bound(P, snr(s, h))
         assert not res.ill_conditioned
         worst = max(worst, abs(res.value - floor) / floor)
@@ -190,10 +189,10 @@ def test_criterion_9_identifiability_failure_and_merge():
     s = identity_setup(16, 8, 0.2)
     ps = PathSet([p, q])
     D = channel_jacobian(ps, g_r, g_t)
-    res_dup = crb_trace(D, fisher_matrix(D, s), synthesize(ps, g_r, g_t).vector)
+    res_dup = crb_trace(D, fisher_factor(D, s), synthesize(ps, g_r, g_t).vector)
     merged = PathSet([merge_paths([p, q])])
     D_m = channel_jacobian(merged, g_r, g_t)
-    res_merged = crb_trace(D_m, fisher_matrix(D_m, s),
+    res_merged = crb_trace(D_m, fisher_factor(D_m, s),
                            synthesize(merged, g_r, g_t).vector)
     _verdict(9, f"coincident paths flagged (cond {res_dup.condition_number:.2e}), "
                 f"virtual-path merge restores conditioning "

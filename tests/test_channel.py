@@ -161,8 +161,7 @@ def test_synthesize_linear_in_gains(rng):
 def test_channel_matrix_vector_round_trip(rng):
     M = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     H = ChannelMatrix(M)
-    H2 = ChannelMatrix.from_vector(H.vector, 3, 5)
-    assert np.array_equal(H.matrix, H2.matrix)
+    assert np.array_equal(H.vector.reshape((3, 5), order="F"), M)
     # column-major stacking: first column first
     assert np.array_equal(H.vector[:3], M[:, 0])
 

@@ -75,12 +75,46 @@ def test_crb_generated_paths_and_seed_override(tmp_path):
     assert main(["crb", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["crb", "--config", cfg, "--out", str(out2), "--seed", "2"]) == 0
     r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
-    assert r1["crb_relative"] != r2["crb_relative"]
+    # identity observation puts both bounds on the same 3P/SNR floor, so the
+    # override shows in the conditioning of the paths it draws
+    assert r1["crb_relative"] == pytest.approx(r2["crb_relative"], rel=1e-12)
+    assert r1["condition_number"] != r2["condition_number"]
 
 
 def test_crb_seed_rejected_for_explicit_paths(tmp_path):
     cfg = write_config(tmp_path, crb_config(n_paths=2))
     assert main(["crb", "--config", cfg, "--seed", "3"]) == 2
+
+
+def test_crb_bad_cond_threshold_exit_2(tmp_path, capsys):
+    # one well-separated path reads condition number about 2; each of these
+    # used to flag it, and --strict then exited 3
+    obj = crb_config(n_paths=1)
+    for value in (math.nan, -1, True, False, 0.5, math.inf, "1e12", None, [1e12]):
+        cfg = write_config(tmp_path, dict(obj, cond_threshold=value))
+        assert main(["crb", "--config", cfg, "--strict"]) == 2, value
+        assert "cond_threshold must be a finite number of at least 1" in capsys.readouterr().err
+    # the smallest threshold is accepted and flags the path; 1e12 does not
+    out = tmp_path / "r.json"
+    for value, code in ((1, 3), (1e12, 0)):
+        cfg = write_config(tmp_path, dict(obj, cond_threshold=value))
+        assert main(["crb", "--config", cfg, "--out", str(out), "--strict"]) == code
+        report = json.loads(out.read_text())
+        assert report["ill_conditioned"] == (code == 3)
+        assert 1.5 < report["condition_number"] < 3.0
+
+
+def test_crb_include_blocks_must_be_a_boolean(tmp_path, capsys):
+    obj = crb_config(n_paths=2)
+    for value in ("false", "true", 0, 1, None):
+        cfg = write_config(tmp_path, dict(obj, include_blocks=value))
+        assert main(["crb", "--config", cfg]) == 2, value
+        assert "include_blocks must be true or false" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    for value in (True, False):
+        cfg = write_config(tmp_path, dict(obj, include_blocks=value))
+        assert main(["crb", "--config", cfg, "--out", str(out)]) == 0
+        assert ("per_path_blocks" in json.loads(out.read_text())) == value
 
 
 def test_config_errors_exit_2(tmp_path):

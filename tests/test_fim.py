@@ -1,33 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import orth
 
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
 from mimolab.fim import (channel_jacobian, check_optimal_observation, crb_report,
-                         crb_trace, fim_block, fisher_matrix, intra_path_block,
-                         inter_path_coupling_mass, optimal_bound, paths_from_vector,
-                         paths_to_vector)
+                         crb_trace, fim_block, fisher_factor, fisher_matrix,
+                         intra_path_block, inter_path_coupling_mass, optimal_bound)
 from mimolab.geometry import Direction, ula, upa
 from mimolab.observation import ObservationSetup, identity_setup, snr, span_combiners, span_pilots
 
 from conftest import (fd_jacobian, random_geometry, random_path,
                       separated_directions)
-
-
-def test_param_vector_round_trip(rng):
-    ps = PathSet(random_path(rng) for _ in range(3))
-    theta = paths_to_vector(ps)
-    assert theta.shape == (18,)
-    ps2 = paths_from_vector(theta)
-    for a, b in zip(ps, ps2):
-        assert abs(a.rho - b.rho) < 1e-15
-        assert abs(a.doa.azimuth - b.doa.azimuth) < 1e-15
-    with pytest.raises(ValueError):
-        paths_from_vector(np.zeros(7))
-    with pytest.raises(ValueError):
-        paths_from_vector(np.zeros(0))
 
 
 def test_jacobian_phase_column_definitional(rng):
@@ -147,9 +133,8 @@ def test_crb_floor_equality_identity_observation(rng):
                  for a, d in zip(doas, dods))
     s = identity_setup(4, 4, 0.25)
     D = channel_jacobian(ps, g_r, g_t)
-    I = fisher_matrix(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    res = crb_trace(D, I, h)
+    res = crb_trace(D, fisher_factor(D, s), h)
     floor = optimal_bound(3, snr(s, h))
     assert not res.ill_conditioned
     assert abs(res.value - floor) <= 1e-9 * floor
@@ -161,8 +146,7 @@ def test_crb_trace_flags_duplicate_paths(rng):
     ps = PathSet([PathParams(1.0, 0.1, d_a, d_d), PathParams(0.7, 1.0, d_a, d_d)])
     s = identity_setup(4, 4, 0.5)
     D = channel_jacobian(ps, g_r, g_t)
-    I = fisher_matrix(D, s)
-    res = crb_trace(D, I, synthesize(ps, g_r, g_t).vector)
+    res = crb_trace(D, fisher_factor(D, s), synthesize(ps, g_r, g_t).vector)
     assert res.ill_conditioned
     assert res.condition_number > 1e12
     assert math.isfinite(res.value)  # pseudo-inverse value still reported
@@ -177,7 +161,7 @@ def test_crb_condition_number_free_of_gain_scale(rng):
         D = channel_jacobian(ps, g_r, g_t)
         h = synthesize(ps, g_r, g_t).vector
         s = identity_setup(6, 4, 0.5)
-        res = crb_trace(D, fisher_matrix(D, s), h)
+        res = crb_trace(D, fisher_factor(D, s), h)
         assert not res.ill_conditioned
         assert abs(res.value - optimal_bound(1, snr(s, h))) <= 1e-12 * res.value
         results.append(res.condition_number)
@@ -192,52 +176,93 @@ def test_crb_trace_equilibrated_matches_direct_solve(rng):
                  for a, d in zip(doas, dods))
     W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
     D = channel_jacobian(ps, g_r, g_t)
-    I = fisher_matrix(D, ObservationSetup(np.eye(6), W, 0.3))
+    s = ObservationSetup(np.eye(6), W, 0.3)
+    A, I = fisher_factor(D, s), fisher_matrix(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    res = crb_trace(D, I, h)
+    res = crb_trace(D, A, h)
     direct = np.trace(np.linalg.solve(I, D.conj().T @ D)).real / np.vdot(h, h).real
     assert not res.ill_conditioned
     assert abs(res.value - direct) <= 1e-10 * direct
     S = np.diag(1 / np.sqrt(np.diag(I)))
     w = np.linalg.eigvalsh(S @ I @ S)
     assert res.condition_number == pytest.approx(w[-1] / w[0], rel=1e-10)
-    assert crb_trace(D, I, h, cond_threshold=0.5 * res.condition_number).ill_conditioned
+    assert crb_trace(D, A, h, cond_threshold=0.5 * res.condition_number).ill_conditioned
 
 
 def test_crb_trace_flags_non_positive_diagonal(rng):
+    # a zero column of A is a zero diagonal entry of I = A^T A; fewer rows
+    # than parameters leave I singular as well
     g_r, g_t = upa(2, 2), upa(2, 2)
     ps = PathSet([random_path(rng)])
     D = channel_jacobian(ps, g_r, g_t)
-    I = fisher_matrix(D, identity_setup(4, 4, 0.5))
+    A = fisher_factor(D, identity_setup(4, 4, 0.5))
     h = synthesize(ps, g_r, g_t).vector
-    for value in (0.0, -1.0):
-        J = I.copy()
-        J[3, :] = J[:, 3] = 0.0
-        J[3, 3] = value
-        res = crb_trace(D, J, h)
+    zero_column = A.copy(order="F")
+    zero_column[:, 3] = 0.0
+    for B in (zero_column, A[:5]):
+        res = crb_trace(D, B, h)
         assert res.ill_conditioned and res.condition_number == math.inf
         assert 0.0 <= res.value < math.inf
+    # the zero column's parameter drops out: the bound of the other five
+    kept = [0, 1, 2, 4, 5]
+    assert crb_trace(D, zero_column, h).value == pytest.approx(
+        crb_trace(D[:, kept], A[:, kept], h).value, rel=1e-12)
 
 
-def test_crb_trace_drops_a_round_off_negative_eigenvalue(rng):
-    # A Fisher matrix that is singular up to rounding: one eigenvalue of
-    # -1e-13 against the others in [1, 3]. Inverting that eigenvalue would
-    # make the bound about -1e13; dropping it gives the bound of the exactly
-    # singular matrix.
+def test_crb_trace_drops_a_round_off_singular_value(rng):
+    # A factor that is rank-deficient up to rounding: one singular value of
+    # 1e-13 or exactly 0 against the others in [1, 3]. Inverting 1e-13 would
+    # make the bound about 1e26 larger; dropping it gives the bound of the
+    # exactly rank-deficient factor, and that of its pseudo-inverse.
     k = 12
-    Q = orth(rng.normal(size=(k, k)))
+    U = orth(rng.normal(size=(40, k)))
+    V = orth(rng.normal(size=(k, k)))
     D = rng.normal(size=(20, k)) + 1j * rng.normal(size=(20, k))
     h = rng.normal(size=20) + 1j * rng.normal(size=20)
     values = []
-    for w0 in (-1e-13, 0.0):
-        w = np.linspace(1.0, 3.0, k)
-        w[0] = w0
-        I = (Q * w) @ Q.T
-        res = crb_trace(D, (I + I.T) / 2, h)
+    for s0 in (1e-13, 0.0):
+        sv = np.linspace(1.0, 3.0, k)
+        sv[0] = s0
+        A = (U * sv) @ V.T
+        res = crb_trace(D, A, h)
         assert res.ill_conditioned and res.condition_number > 1e15
         assert 0.0 <= res.value < math.inf
         values.append(res.value)
     assert values[0] == pytest.approx(values[1], rel=1e-9)
+    S = 1 / np.linalg.norm(A, axis=0)
+    Ie_pinv = np.linalg.pinv(S[:, None] * (A.T @ A) * S, rcond=1e-10, hermitian=True)
+    reference = np.trace(S[:, None] * Ie_pinv * S @ (D.conj().T @ D)).real / np.vdot(h, h).real
+    assert values[1] == pytest.approx(reference, rel=1e-9)
+
+
+def test_crb_trace_matches_a_50_digit_reference(rng):
+    # a twin of the second path, both elevations eps away: equilibrated
+    # condition numbers 1.2e8 to 2.3e11 (they grow as eps^-4), all below the
+    # threshold. The reference inverts A^T A exactly as given, at 50 digits;
+    # an equilibrated solve with the Fisher matrix itself misses it by up to
+    # 2.6e-6 here.
+    g_r, g_t = upa(2, 3), upa(3, 2)
+    W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
+    s = ObservationSetup(np.eye(6), W, 0.3)
+    doas, dods = separated_directions(rng, 2, 0.6), separated_directions(rng, 2, 0.6)
+    for eps in (1e-2, 3e-3, 1.5e-3):
+        twin = PathParams(0.8, 2.0, Direction(doas[1].azimuth, doas[1].elevation + eps),
+                          Direction(dods[1].azimuth, dods[1].elevation + eps))
+        ps = PathSet([PathParams(1.0, 0.4, doas[0], dods[0]),
+                      PathParams(1.3, 1.1, doas[1], dods[1]), twin])
+        D = channel_jacobian(ps, g_r, g_t)
+        A = fisher_factor(D, s)
+        h = synthesize(ps, g_r, g_t).vector
+        res = crb_trace(D, A, h)
+        assert not res.ill_conditioned and 1e8 <= res.condition_number <= 3e11
+        with mpmath.workdps(50):
+            A_mp = mpmath.matrix(A.tolist())
+            M = mpmath.matrix(np.concatenate((D.real, D.imag)).tolist())
+            I_inv, G = mpmath.inverse(A_mp.T * A_mp), M.T * M
+            bound = mpmath.fsum(I_inv[i, j] * G[j, i]
+                                for i in range(G.rows) for j in range(G.cols))
+            reference = float(bound / mpmath.fsum(abs(z) ** 2 for z in h.tolist()))
+        assert abs(res.value - reference) <= 1e-10 * reference
 
 
 def test_crb_never_below_floor(rng):
@@ -251,9 +276,8 @@ def test_crb_never_below_floor(rng):
         W = orth(rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c)))
         s = ObservationSetup(np.eye(6), W, 0.3)
         D = channel_jacobian(ps, g_r, g_t)
-        I = fisher_matrix(D, s)
         h = synthesize(ps, g_r, g_t).vector
-        res = crb_trace(D, I, h)
+        res = crb_trace(D, fisher_factor(D, s), h)
         if not res.ill_conditioned:
             assert res.value >= optimal_bound(2, snr(s, h)) - 1e-9
 
@@ -293,9 +317,8 @@ def test_optimal_observation_residual_span_setup(rng):
     D = channel_jacobian(ps, g_r, g_t)
     assert check_optimal_observation(D, s) <= 1e-10
     # and the bound then reaches its floor
-    I = fisher_matrix(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    res = crb_trace(D, I, h)
+    res = crb_trace(D, fisher_factor(D, s), h)
     assert abs(res.value - optimal_bound(2, snr(s, h))) <= 1e-9 * res.value
 
 
@@ -308,11 +331,11 @@ def test_subspace_restriction_never_helps(rng):
     D = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
     s_full = identity_setup(4, 6, 0.5)
-    full = crb_trace(D, fisher_matrix(D, s_full), h)
+    full = crb_trace(D, fisher_factor(D, s_full), h)
     assert not full.ill_conditioned
     for _ in range(5):
         W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
-        restricted = crb_trace(D, fisher_matrix(D, ObservationSetup(np.eye(4), W, 0.5)), h)
+        restricted = crb_trace(D, fisher_factor(D, ObservationSetup(np.eye(4), W, 0.5)), h)
         if not restricted.ill_conditioned:
             assert restricted.value >= full.value - 1e-9 * full.value
 
@@ -377,3 +400,17 @@ def test_crb_report_contents(rng):
     assert not report["ill_conditioned"]
     assert len(report["per_path_blocks"]) == 2
     assert len(report["per_path_blocks"][0]) == 6
+
+
+def test_crb_rejects_bad_cond_threshold(rng):
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    ps = PathSet([PathParams(1.0, 0.4, Direction(0.3, -0.2), Direction(-0.6, 0.5))])
+    s = identity_setup(6, 4, 0.5)
+    D = channel_jacobian(ps, g_r, g_t)
+    A, h = fisher_factor(D, s), synthesize(ps, g_r, g_t).vector
+    for value in (math.nan, -1.0, 0.5, math.inf, True, "1e12", None):
+        with pytest.raises(ValueError, match="cond_threshold"):
+            crb_trace(D, A, h, cond_threshold=value)
+        with pytest.raises(ValueError, match="cond_threshold"):
+            crb_report(ps, g_r, g_t, s, cond_threshold=value)
+    assert crb_trace(D, A, h, cond_threshold=np.float64(1e12)) == crb_trace(D, A, h)
