@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .blas import blas_threads, one_blas_thread
 from .channel import ChannelMatrix, PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
                          matching_pursuit, relative_error, write_csv)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_factor, optimal_bound
-from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int
+from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int, is_finite_real
 from .observation import identity_setup, noise_for_snr, observe
 from .workers import Helpers, shared_map
 
@@ -72,8 +70,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a list, not the string {value!r}")
         for name in ("snr_db", "angular_spread_deg", "gain_decay_db_per_cluster"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         self.P_budgets = tuple(as_int(p, "P_budgets") for p in self.P_budgets)
         self.strategies = tuple(self.strategies)
@@ -375,12 +372,11 @@ def rows_to_json(cfg: ScenarioConfig, rows, threads: int) -> dict:
 
     env holds the worker count `threads`, the threads each seed's joint
     screen ran on (see scan_threads), the BLAS threads each call ran on
-    (None when no OpenBLAS was found to cap) and the numpy and scipy
-    versions; it is the only part that may differ between machines.
+    (None when no OpenBLAS was found to cap) and the numpy version; it is
+    the only part that may differ between machines.
     """
     env = {"trial_workers": threads, "scan_threads": scan_threads(threads, cfg.trials),
-           "blas_threads": blas_threads(),
-           "numpy": np.__version__, "scipy": scipy.__version__}
+           "blas_threads": blas_threads(), "numpy": np.__version__}
     return {"config": cfg.to_json(), "rows": [r.to_json_row() for r in rows], "env": env}
 
 

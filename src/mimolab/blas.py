@@ -1,13 +1,14 @@
 """Run a call on one OpenBLAS thread.
 
-numpy and scipy each load their own OpenBLAS, and each starts one thread per
-core. `monte_carlo` already runs trials on worker threads and `crb_report`
-solves matrices of a few hundred rows, so extra BLAS threads only contend
-for the same cores; and a multithreaded reduction may round differently
-from a single-threaded one, so the bound's last digits would depend on the
-environment's thread count. `one_blas_thread` caps every OpenBLAS loaded in
-the process at one thread while a call runs and restores the previous
-counts when it returns or raises.
+numpy loads its own OpenBLAS (as does scipy, where a program imports it),
+and each starts one thread per core. `monte_carlo` already runs trials on
+worker threads and `crb_report` solves matrices of a few hundred rows, so
+extra BLAS threads only contend for the same cores; and a multithreaded
+reduction may round differently from a single-threaded one, so the bound's
+last digits would depend on the environment's thread count.
+`one_blas_thread` caps every OpenBLAS loaded in the process at one thread
+while a call runs and restores the previous counts when it returns or
+raises.
 
 The libraries are looked up in /proc/self/maps on first use, not at import.
 Where there is no such file or no OpenBLAS (another BLAS, another OS),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,7 +19,7 @@ from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_pat
 from .channel import PathSet, synthesize
 from .estimation import DirectionGrid, build_dictionaries, matching_pursuit, reports_to_csv
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
-from .geometry import ArrayGeometry, as_int
+from .geometry import ArrayGeometry, as_int, is_finite_real
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
                           orthogonal_pilots, pilot_power)
 
@@ -120,8 +119,7 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
         if pilots == "identity":
             X = np.eye(n_t)
         elif pilots == "orthogonal":
-            X = orthogonal_pilots(n_t, _integer(obs, "n_s", n_t),
-                                  float(obs.get("alpha", 1.0)),
+            X = orthogonal_pilots(n_t, _integer(obs, "n_s", n_t), obs.get("alpha", 1.0),
                                   obs.get("basis", "identity"))
         elif pilots == "explicit":
             X = complex_from_json(_require(obs, "X", "explicit pilots"))
@@ -142,11 +140,11 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
         if ("sigma2" in obs) == ("target_snr_db" in obs):
             raise ConfigError("observation needs exactly one of sigma2, target_snr_db")
         if "sigma2" in obs:
-            sigma2 = float(obs["sigma2"])
+            sigma2 = obs["sigma2"]
         else:
-            target = float(obs["target_snr_db"])
-            if not math.isfinite(target):
-                raise ConfigError(f"target_snr_db must be finite, got {target}")
+            target = obs["target_snr_db"]
+            if not is_finite_real(target):
+                raise ConfigError(f"target_snr_db must be a finite number, got {target!r}")
             sigma2 = noise_for_snr(10.0 ** (target / 10.0), pilot_power(X), h)
         return ObservationSetup(X, W, sigma2)
     except ConfigError:

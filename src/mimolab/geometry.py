@@ -22,6 +22,17 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def is_finite_real(value) -> bool:
+    """True for a finite int or float (numpy scalars included); False for a
+    bool, a string, None, NaN, an infinity or an integer beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Direction:
     """A look direction, azimuth in [-pi, pi) and elevation in [-pi/2, pi/2].

@@ -12,21 +12,29 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import orth
 
 from .channel import ChannelMatrix, PathSet, steering_derivatives
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, is_finite_real
 
 ORTHO_PILOT_TOL = 1e-10
 DENSE_PROJECTION_LIMIT = 4096
+
+
+def range_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of M: the left singular vectors above
+    matrix_rank's cutoff s_max * max(M.shape) * eps (also scipy.linalg.orth's)."""
+    U, sv, _ = np.linalg.svd(M, full_matrices=False)
+    tol = sv.max(initial=0.0) * max(M.shape) * np.finfo(float).eps
+    return U[:, :np.count_nonzero(sv > tol)]
 
 
 @dataclass(eq=False)
 class ObservationSetup:
     """Training matrix X (n_t x n_s), combiners W (n_r x n_c), noise level.
 
-    W must have full column rank (the projection onto its range needs
-    W^H W invertible). sigma2 must be finite and non-negative; sigma2 = 0
+    X and W must have finite entries, and W full column rank; Q_w, an
+    orthonormal basis of the combiner range, is derived from W once at
+    construction. sigma2 must be a finite non-negative number; sigma2 = 0
     describes a noiseless observation, valid for observing and estimating
     but rejected by the information-matrix and SNR operations, which divide
     by it.
@@ -35,21 +43,26 @@ class ObservationSetup:
     X: np.ndarray
     W: np.ndarray
     sigma2: float
-    _range_projector: np.ndarray | None = field(default=None, init=False, repr=False)
+    Q_w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.array(self.X, dtype=complex)
         self.W = np.array(self.W, dtype=complex)
         if self.X.ndim != 2 or self.W.ndim != 2:
             raise ValueError("X and W must be matrices")
-        if not 0 <= self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be non-negative, not NaN or inf, got {self.sigma2}")
-        if np.linalg.matrix_rank(self.W) < self.W.shape[1]:
+        for name, M in (("pilot matrix X", self.X), ("combiner matrix W", self.W)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} has a NaN or inf entry")
+        if not (is_finite_real(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError("sigma2 must be a non-negative number, not NaN or inf, "
+                             f"got {self.sigma2!r}")
+        self.Q_w = range_basis(self.W)
+        if self.Q_w.shape[1] < self.n_c:
             raise ValueError("W must have full column rank")
         if self.alpha2 <= 0:
             raise ValueError("X must carry nonzero transmit power")
-        self.X.setflags(write=False)
-        self.W.setflags(write=False)
+        for M in (self.X, self.W, self.Q_w):
+            M.setflags(write=False)
 
     @property
     def n_t(self) -> int:
@@ -78,13 +91,6 @@ class ObservationSetup:
         G = self.X.conj().T @ self.X
         dev = np.linalg.norm(G - self.alpha2 * np.eye(self.n_s))
         return dev <= ORTHO_PILOT_TOL * self.alpha2 * self.n_s
-
-    def combiner_range_projector(self) -> np.ndarray:
-        """Orthogonal projector W (W^H W)^-1 W^H onto the combiner range."""
-        if self._range_projector is None:
-            G = self.W.conj().T @ self.W
-            self._range_projector = self.W @ np.linalg.solve(G, self.W.conj().T)
-        return self._range_projector
 
     def to_json(self) -> dict:
         return {
@@ -126,8 +132,8 @@ def orthogonal_pilots(n_t: int, n_s: int, alpha: float = 1.0,
     """
     if n_s > n_t:
         raise ValueError(f"cannot fit {n_s} orthogonal pilots in dimension {n_t}")
-    if n_s < 1 or alpha <= 0:
-        raise ValueError("need n_s >= 1 and alpha > 0")
+    if n_s < 1 or not (is_finite_real(alpha) and alpha > 0):
+        raise ValueError(f"need n_s >= 1 and a finite alpha > 0, got {n_s} and {alpha!r}")
     if basis == "identity":
         U = np.eye(n_t, dtype=complex)
     elif basis == "dft":
@@ -164,7 +170,7 @@ def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:
 
     Works factor-by-factor, never materializing the n_r*n_t square matrix:
     each column, as an n_r x n_t matrix, is hit with the combiner-range
-    projector on the left and with X X^H / alpha2 on the right.
+    projector Q_w Q_w^H on the left and with X X^H / alpha2 on the right.
     """
     M = np.asarray(M, dtype=complex)
     single = M.ndim == 1
@@ -175,12 +181,12 @@ def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:
     M_t = (s.X @ s.X.conj().T) / s.alpha2
     # rows are i + n_r j, so [j, (i, k)] is a free reshape of a C-ordered M
     right = (M_t.T @ cols.reshape(n_t, n_r * k)).reshape(n_t, n_r, k)
-    out = np.matmul(s.combiner_range_projector(), right).reshape(n_r * n_t, k)
+    out = np.matmul(s.Q_w @ s.Q_w.conj().T, right).reshape(n_r * n_t, k)
     return out[:, 0] if single else out
 
 
 def projection_matrix(s: ObservationSetup, max_dense: int = DENSE_PROJECTION_LIMIT) -> np.ndarray:
-    """Dense observation projection (X^* X^T) kron (combiner projector) / alpha2.
+    """Dense observation projection (X^* X^T) kron (Q_w Q_w^H) / alpha2.
 
     Only a true orthogonal projection when the pilots are orthogonal; a
     warning is emitted (and the matrix still returned) otherwise. Refuses to
@@ -193,7 +199,7 @@ def projection_matrix(s: ObservationSetup, max_dense: int = DENSE_PROJECTION_LIM
     if not s.has_orthogonal_pilots:
         warnings.warn("pilots are not orthogonal: the returned matrix is not a projection",
                       stacklevel=2)
-    return np.kron(s.X.conj() @ s.X.T, s.combiner_range_projector()) / s.alpha2
+    return np.kron(s.X.conj() @ s.X.T, s.Q_w @ s.Q_w.conj().T) / s.alpha2
 
 
 def snr(s: ObservationSetup, h) -> float:
@@ -228,11 +234,10 @@ def span_pilots(ps: PathSet, g_t: ArrayGeometry, alpha: float = 1.0) -> np.ndarr
     """Orthogonal pilots whose range spans every transmit steering vector
     and its two direction derivatives, the transmit-side condition for the
     observation to be lossless for these paths."""
-    Q = orth(_direction_span(g_t, (p.dod for p in ps)))
-    return alpha * Q
+    return alpha * range_basis(_direction_span(g_t, (p.dod for p in ps)))
 
 
 def span_combiners(ps: PathSet, g_r: ArrayGeometry) -> np.ndarray:
     """Combiners spanning every receive steering vector and its derivatives,
     the receive-side counterpart of span_pilots."""
-    return orth(_direction_span(g_r, (p.doa for p in ps)))
+    return range_basis(_direction_span(g_r, (p.doa for p in ps)))

@@ -5,7 +5,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy
 
 from mimolab import bench, estimation
 from mimolab.bench import (BenchRow, ScenarioConfig, _canonical_angles, draw_scenario,
@@ -339,8 +338,7 @@ def test_rows_serialization(tmp_path):
     assert payload["config"]["n_t"] == 16
     assert payload["rows"][0]["strategy"] == "sequential"
     assert payload["env"] == {"trial_workers": 2, "scan_threads": 2,
-                              "blas_threads": blas_threads(),
-                              "numpy": np.__version__, "scipy": scipy.__version__}
+                              "blas_threads": blas_threads(), "numpy": np.__version__}
     assert rows_to_json(tiny_config(trials=2), rows, 3)["env"]["scan_threads"] == 1
     assert rows_to_json(tiny_config(trials=1), rows, 3)["env"]["scan_threads"] == 3
 

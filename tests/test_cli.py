@@ -328,7 +328,7 @@ def test_bench_invalid_config_exit_2(tmp_path):
 def test_bench_mistyped_fields_exit_2(tmp_path, capsys):
     for field, value in (("strategies", "joint"), ("P_budgets", "5"), ("snr_db", "10"),
                          ("snr_db", math.nan), ("angular_spread_deg", math.nan),
-                         ("gain_decay_db_per_cluster", "5")):
+                         ("gain_decay_db_per_cluster", "5"), ("snr_db", 10 ** 400)):
         cfg = write_config(tmp_path, dict(bench_config(), **{field: value}))
         assert main(["bench", "--config", cfg]) == 2
         assert field in capsys.readouterr().err
@@ -427,3 +427,48 @@ def test_crb_and_estimate_name_a_non_finite_array_spec(tmp_path, capsys, tx, mes
 def test_override_parsing_errors(tmp_path):
     cfg = write_config(tmp_path, bench_config())
     assert main(["bench", "--config", cfg, "trials"]) == 2
+
+
+@pytest.mark.parametrize("key, entry, name", [
+    ("X", math.nan, "pilot matrix X"),
+    ("W", math.inf, "combiner matrix W"),
+])
+def test_crb_and_estimate_name_a_non_finite_observation_matrix(tmp_path, capsys, key, entry,
+                                                              name):
+    # a NaN X ended in "SVD did not converge" (crb) or "every DoD grid
+    # direction is annihilated" (estimate); an inf W read "full column rank"
+    for command, obj in (("crb", crb_config(n_paths=2)), ("estimate", estimate_config())):
+        n = obj["arrays"]["tx" if key == "X" else "rx"]
+        M = [[[float(i == j), 0.0] for j in range(n["nx"] * n["ny"])]
+             for i in range(n["nx"] * n["ny"])]
+        M[1][1][0] = entry
+        mode = "pilots" if key == "X" else "combiners"
+        obj["observation"] = {mode: "explicit", key: M, "target_snr_db": 20.0}
+        assert main([command, "--config", write_config(tmp_path, obj)]) == 2
+        assert f"{name} has a NaN or inf entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sigma2", True), ("sigma2", "0.1"), ("target_snr_db", True), ("target_snr_db", "10"),
+    ("alpha", True), ("alpha", math.nan),
+])
+def test_observation_numbers_reject_bools_and_strings(tmp_path, capsys, field, value):
+    # each was read as a number (true as 1, "0.1" as 0.1) and exited 0
+    obs = {field: value}
+    if field == "alpha":
+        obs.update(pilots="orthogonal", sigma2=0.1)
+    cfg = write_config(tmp_path, crb_config(n_paths=2, **obs))
+    assert main(["crb", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg alone took about 0.3 s of a fresh `import mimolab`
+    src = str(Path(mimolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, mimolab; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "False"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mimolab.channel import ChannelMatrix, PathSet, steering_derivatives
+from mimolab.fim import channel_jacobian, check_optimal_observation
 from mimolab.geometry import upa
 from mimolab.observation import (ObservationSetup, complex_from_json, complex_to_json,
                                  identity_setup, noise_for_snr, observe,
                                  orthogonal_pilots, projection_apply, projection_matrix,
-                                 snr, span_combiners, span_pilots)
+                                 range_basis, snr, span_combiners, span_pilots)
 
 from conftest import random_path
 
@@ -20,9 +21,17 @@ def random_setup(rng, n_t=4, n_r=3, n_s=4, n_c=3, sigma2=0.5):
 
 
 def test_setup_validation(rng):
-    for sigma2 in (-1.0, math.nan, math.inf):
+    # a bool or a string used to be stored, or read as a number
+    for sigma2 in (-1.0, math.nan, math.inf, True, False, "0.1", None, 10 ** 400):
         with pytest.raises(ValueError, match="sigma2"):
             ObservationSetup(np.eye(4), np.eye(3), sigma2)
+    # a NaN X passed (alpha2 = NaN is not <= 0), an inf W read "full column rank"
+    for X, W, name in ((np.full((4, 4), np.nan), np.eye(3), "pilot matrix X"),
+                       (np.eye(4), np.diag([1.0, 1.0, np.inf]), "combiner matrix W"),
+                       (np.eye(4), np.diag([1.0, 1.0, np.nan * 1j]), "combiner matrix W")):
+        with pytest.raises(ValueError, match=f"{name} has a NaN or inf entry"):
+            ObservationSetup(X, W, 1.0)
+    assert ObservationSetup(np.eye(4), np.eye(3), np.float64(0.5)).sigma2 == 0.5
     with pytest.raises(ValueError):
         ObservationSetup(np.zeros((4, 2)), np.eye(3), 1.0)  # no transmit power
     W_deficient = np.ones((3, 2))  # duplicate columns
@@ -50,6 +59,12 @@ def test_orthogonal_pilots_dft_basis():
 def test_orthogonal_pilots_rejects_overwide():
     with pytest.raises(ValueError):
         orthogonal_pilots(4, 5)
+
+
+def test_orthogonal_pilots_rejects_a_non_finite_or_non_number_alpha():
+    for alpha in (True, "2", math.nan, math.inf, None, 0.0):
+        with pytest.raises(ValueError, match="finite alpha > 0"):
+            orthogonal_pilots(4, 2, alpha)
 
 
 def test_identity_setup_dimensions():
@@ -202,21 +217,54 @@ def test_span_setups_cover_direction_derivatives(rng):
     assert s.has_orthogonal_pilots
     assert np.allclose(W.conj().T @ W, np.eye(W.shape[1]), atol=1e-12)
     # every steering vector and derivative lies in the respective range
-    P_w = s.combiner_range_projector()
-    P_x = X @ np.linalg.solve(X.conj().T @ X, X.conj().T)
+    P_w = s.Q_w @ s.Q_w.conj().T
+    P_x = X @ X.conj().T / s.alpha2
     for V in steering_derivatives(g_r, [p.doa for p in ps]):
         assert np.all(np.linalg.norm(P_w @ V - V, axis=0) < 1e-10)
     for V in steering_derivatives(g_t, [p.dod for p in ps]):
         assert np.all(np.linalg.norm(P_x @ V - V, axis=0) < 1e-10)
 
 
-def test_setup_constructor_rejects_a_range_projector():
-    # the projector is derived from W on first use, never taken from a caller
-    for args, kwargs in (((np.zeros((2, 2)),), {}), ((), {"_range_projector": np.zeros((2, 2))})):
+def test_setup_constructor_rejects_a_range_basis():
+    # Q_w is derived from W at construction, never taken from a caller
+    for args, kwargs in (((np.zeros((2, 2)),), {}), ((), {"Q_w": np.zeros((2, 2))})):
         with pytest.raises(TypeError):
             ObservationSetup(np.eye(3), np.eye(2), 0.5, *args, **kwargs)
-    assert np.array_equal(ObservationSetup(np.eye(3), np.eye(2), 0.5).combiner_range_projector(),
-                          np.eye(2))
+    s = ObservationSetup(np.eye(3), np.eye(2), 0.5)
+    assert np.array_equal(s.Q_w, np.eye(2))
+    assert not s.Q_w.flags.writeable
+
+
+def _rank_deficient(rng, rows, cols, rank):
+    left = rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank))
+    return left @ (rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols)))
+
+
+def test_range_basis_matches_scipy_orth(rng):
+    # scipy.linalg.orth, with the same cutoff, is the independent reference
+    from scipy.linalg import orth
+    for _ in range(100):
+        rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        M = _rank_deficient(rng, rows, cols, int(rng.integers(0, min(rows, cols) + 1)))
+        if rng.random() < 0.3:
+            M = M.real
+        Q, ref = range_basis(M), orth(M)
+        assert Q.shape == ref.shape
+        assert np.linalg.norm(Q @ Q.conj().T - ref @ ref.conj().T) <= 1e-12
+
+
+def test_residual_is_zero_for_an_ill_conditioned_lossless_combiner(rng):
+    # W = span_combiners(...) @ M keeps the range for any invertible M; the
+    # normal-equations projector W (W^H W)^-1 W^H read 3.2e-6 here, 1.2e-11 now
+    g_r, g_t = upa(4, 4), upa(4, 4)
+    ps = PathSet(random_path(rng) for _ in range(2))
+    Q = span_combiners(ps, g_r)
+    U, _, Vh = np.linalg.svd(rng.normal(size=(Q.shape[1],) * 2))
+    W = Q @ (U * np.logspace(0, -6, Q.shape[1]) @ Vh)
+    assert 0.5e6 < np.linalg.cond(W) < 2e6
+    s = ObservationSetup(np.eye(g_t.n_antennas), W, 1.0)
+    D = channel_jacobian(ps, g_r, g_t)
+    assert check_optimal_observation(D, s) <= 1e-10
 
 
 def test_complex_json_round_trip(rng):
