@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (TWO_PI, ArrayGeometry, Direction, direction_angles,
+from .geometry import (TWO_PI, ArrayGeometry, Direction, as_real, direction_angles,
                        tangents_from_angles, unit_vector, unit_vectors,
                        unit_vectors_from_angles)
 
@@ -24,7 +24,7 @@ class PathParams:
 
     rho must be strictly positive: zero-gain paths make the gain-magnitude
     information entry (which carries a 1/rho^2 factor) meaningless and the
-    Fisher matrix singular. rho and phi must be finite.
+    Fisher matrix singular. rho and phi must be finite numbers.
     """
 
     rho: float
@@ -33,12 +33,13 @@ class PathParams:
     dod: Direction
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ValueError(f"path gain magnitude must be positive and finite, got {self.rho}")
-        phi = float(self.phi)
+        rho = as_real(self.rho, "path gain magnitude")
+        if not 0 < rho < math.inf:
+            raise ValueError(f"path gain magnitude must be positive and finite, got {rho}")
+        phi = as_real(self.phi, "path phase")
         if not math.isfinite(phi):
             raise ValueError(f"path phase {phi} is not finite")
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "phi", phi % TWO_PI)
 
     @property
@@ -51,7 +52,7 @@ class PathParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PathParams":
-        return cls(float(obj["rho"]), float(obj["phi"]),
+        return cls(obj["rho"], obj["phi"],
                    Direction.from_json(obj["doa"]), Direction.from_json(obj["dod"]))
 
 
@@ -96,10 +97,6 @@ class ChannelMatrix:
             raise ValueError("channel must be a 2D matrix")
         M.setflags(write=False)
         self.matrix = M
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
     @property
     def vector(self) -> np.ndarray:

@@ -90,6 +90,11 @@ def _build_arrays(cfg: dict) -> tuple[ArrayGeometry, ArrayGeometry]:
         raise ConfigError(f"invalid array spec: {e}") from e
 
 
+# The ScenarioConfig fields that shape a path draw; the rest only concern bench.
+_GENERATOR_KEYS = ("n_clusters", "paths_per_cluster", "angular_spread_deg",
+                   "gain_decay_db_per_cluster")
+
+
 def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
     spec = _require(cfg, "paths", "config")
     if isinstance(spec, list):
@@ -99,10 +104,15 @@ def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
             raise ConfigError(f"invalid explicit paths: {e}") from e
     if isinstance(spec, dict):
         gen = _object(spec.get("generator", {}), "paths.generator")
+        unknown = [key for key in gen if key not in _GENERATOR_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown paths.generator keys {unknown}; "
+                              f"expected some of {list(_GENERATOR_KEYS)}")
         seed = _integer(spec, "seed", 0)
         try:
+            arrays = cfg["arrays"]
             scen = ScenarioConfig(n_t=g_t.n_antennas, n_r=g_r.n_antennas,
-                                  tx_array=g_t.to_json(), rx_array=g_r.to_json(), **gen)
+                                  tx_array=arrays["tx"], rx_array=arrays["rx"], **gen)
             return generate_paths(scen, seed)
         except _VALUE_ERRORS as e:
             raise ConfigError(f"invalid path generator: {e}") from e
@@ -122,14 +132,15 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
             X = orthogonal_pilots(n_t, _integer(obs, "n_s", n_t), obs.get("alpha", 1.0),
                                   obs.get("basis", "identity"))
         elif pilots == "explicit":
-            X = complex_from_json(_require(obs, "X", "explicit pilots"))
+            X = complex_from_json(_require(obs, "X", "explicit pilots"), "pilot matrix X")
         else:
             raise ConfigError(f"unknown pilots mode {pilots!r}")
         combiners = obs.get("combiners", "identity")
         if combiners == "identity":
             W = np.eye(n_r)
         elif combiners == "explicit":
-            W = complex_from_json(_require(obs, "W", "explicit combiners"))
+            W = complex_from_json(_require(obs, "W", "explicit combiners"),
+                                  "combiner matrix W")
         else:
             raise ConfigError(f"unknown combiners mode {combiners!r}")
         for name, M, side, n in (("pilot matrix X", X, "transmit", n_t),

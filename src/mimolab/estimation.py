@@ -423,19 +423,6 @@ def _least_squares_gain(Y: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> comp
     return complex(a_r.conj() @ Y @ a_t) / denom
 
 
-def estimate_gain(Y: np.ndarray, s: ObservationSetup, doa: Direction, dod: Direction,
-                  g_r: ArrayGeometry, g_t: ArrayGeometry) -> complex:
-    """Least-squares complex gain of one direction pair against Y.
-
-    Convention: a path of gain c contributes c * a_r a_t^H to the
-    observation, with a_r = W^H e_r(doa) and a_t = X^H e_t(dod); the
-    minimizer of ||Y - c a_r a_t^H||_F is c = a_r^H Y a_t / (||a_r||^2
-    ||a_t||^2), which recovers the true gain exactly in the noiseless
-    single-path case.
-    """
-    return _least_squares_gain(Y, *_observed_atoms(s, doa, dod, g_r, g_t))
-
-
 def relative_error(true_channel, paths, g_r: ArrayGeometry, g_t: ArrayGeometry) -> float:
     """||H - H_hat||_F^2 / ||H||_F^2 for the ChannelMatrix true_channel and the
     channel synthesized from paths; no paths means H_hat = 0."""

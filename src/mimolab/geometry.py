@@ -22,10 +22,25 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """True for an int or float (numpy scalars, NaN and infinities included);
+    False for a bool, a string, None or any other non-number."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def as_real(value, name: str) -> float:
+    """value as a float, if it is an int or float (NaN and infinities pass, for
+    the caller's range check); a bool, a string or None raises ValueError
+    instead of being converted."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def is_finite_real(value) -> bool:
     """True for a finite int or float (numpy scalars included); False for a
     bool, a string, None, NaN, an infinity or an integer beyond float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         return False
     try:
         return math.isfinite(value)
@@ -33,25 +48,37 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def real_array(obj, name: str) -> np.ndarray:
+    """Nested lists (or an array) of real numbers as a float array. Every
+    entry is checked, since np.asarray would read True as 1 and "0.5" as 0.5:
+    a bool, a string or any other non-number raises ValueError naming name.
+    NaN and infinities pass, for the caller's finiteness check."""
+    entries = np.asarray(obj, dtype=object)
+    bad = [x for x in entries.flat if not _is_real(x)]
+    if bad:
+        raise ValueError(f"{name} must hold only numbers, got {bad[0]!r}")
+    return entries.astype(float)
+
+
 @dataclass(frozen=True)
 class Direction:
     """A look direction, azimuth in [-pi, pi) and elevation in [-pi/2, pi/2].
 
-    Azimuth is wrapped into range at construction; a non-finite azimuth and
-    an out-of-range elevation are rejected. At elevation +-pi/2 the azimuth
-    is degenerate; the tangent formulas below still return finite values
-    there, but information-matrix conditioning degrades for directions at
-    the poles.
+    Azimuth is wrapped into range at construction; a non-number, a
+    non-finite azimuth and an out-of-range elevation are rejected. At
+    elevation +-pi/2 the azimuth is degenerate; the tangent formulas below
+    still return finite values there, but information-matrix conditioning
+    degrades for directions at the poles.
     """
 
     azimuth: float
     elevation: float
 
     def __post_init__(self):
-        el = float(self.elevation)
+        el = as_real(self.elevation, "elevation")
         if not -HALF_PI <= el <= HALF_PI:
             raise ValueError(f"elevation {el} outside [-pi/2, pi/2]")
-        az = float(self.azimuth)
+        az = as_real(self.azimuth, "azimuth")
         if not math.isfinite(az):
             raise ValueError(f"azimuth {az} is not finite")
         object.__setattr__(self, "azimuth", wrap_azimuth(az))
@@ -62,7 +89,7 @@ class Direction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Direction":
-        return cls(float(obj["az"]), float(obj["el"]))
+        return cls(obj["az"], obj["el"])
 
 
 def wrap_azimuth(az):
@@ -134,9 +161,9 @@ class ArrayGeometry:
     matrix relies on the scaled position matrix having zero row sums.
     """
 
-    __slots__ = ("scaled_positions", "_spec")
+    __slots__ = ("scaled_positions",)
 
-    def __init__(self, scaled_positions, spec: dict | None = None):
+    def __init__(self, scaled_positions):
         A = np.array(scaled_positions, dtype=float)
         if A.ndim != 2 or A.shape[0] != 3:
             raise ValueError("scaled_positions must be a 3 x n matrix")
@@ -148,10 +175,6 @@ class ArrayGeometry:
         A -= A.mean(axis=1, keepdims=True)
         A.setflags(write=False)
         self.scaled_positions = A
-        self._spec = spec or {
-            "type": "custom",
-            "positions": (A / TWO_PI).tolist(),
-        }
 
     @property
     def n_antennas(self) -> int:
@@ -160,11 +183,7 @@ class ArrayGeometry:
     @classmethod
     def from_positions(cls, positions_wavelengths) -> "ArrayGeometry":
         """Build from raw antenna positions expressed in wavelengths."""
-        pos = np.asarray(positions_wavelengths, dtype=float)
-        return cls(TWO_PI * pos)
-
-    def to_json(self) -> dict:
-        return dict(self._spec)
+        return cls(TWO_PI * real_array(positions_wavelengths, "antenna positions"))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArrayGeometry":
@@ -173,11 +192,11 @@ class ArrayGeometry:
         kind = obj.get("type", "custom")
         try:
             if kind == "ula":
-                return ula(as_int(obj["n"], "n"), float(obj.get("spacing", 0.5)),
+                return ula(as_int(obj["n"], "n"), obj.get("spacing", 0.5),
                            obj.get("axis", "x"))
             if kind == "upa":
                 return upa(as_int(obj["nx"], "nx"), as_int(obj["ny"], "ny"),
-                           float(obj.get("spacing", 0.5)), obj.get("plane", "yz"))
+                           obj.get("spacing", 0.5), obj.get("plane", "yz"))
             if kind == "custom":
                 return cls.from_positions(obj["positions"])
         except KeyError as e:
@@ -197,6 +216,7 @@ def ula(n: int, spacing_wavelengths: float = 0.5, axis: str = "x") -> ArrayGeome
     """
     if n < 1:
         raise ValueError("n must be positive")
+    spacing_wavelengths = as_real(spacing_wavelengths, "spacing")
     if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
         raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
     if axis not in _AXES:
@@ -204,9 +224,7 @@ def ula(n: int, spacing_wavelengths: float = 0.5, axis: str = "x") -> ArrayGeome
     offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing_wavelengths
     pos = np.zeros((3, n))
     pos[_AXES[axis]] = offsets
-    return ArrayGeometry(TWO_PI * pos, spec={
-        "type": "ula", "n": n, "spacing": spacing_wavelengths, "axis": axis,
-    })
+    return ArrayGeometry(TWO_PI * pos)
 
 
 def upa(nx: int, ny: int, spacing_wavelengths: float = 0.5,
@@ -217,6 +235,7 @@ def upa(nx: int, ny: int, spacing_wavelengths: float = 0.5,
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be positive")
+    spacing_wavelengths = as_real(spacing_wavelengths, "spacing")
     if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
         raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
     if plane not in _PLANES:
@@ -227,7 +246,4 @@ def upa(nx: int, ny: int, spacing_wavelengths: float = 0.5,
     pos = np.zeros((3, nx * ny))
     pos[a] = np.repeat(off_x, ny)
     pos[b] = np.tile(off_y, nx)
-    return ArrayGeometry(TWO_PI * pos, spec={
-        "type": "upa", "nx": nx, "ny": ny,
-        "spacing": spacing_wavelengths, "plane": plane,
-    })
+    return ArrayGeometry(TWO_PI * pos)

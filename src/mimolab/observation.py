@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelMatrix, PathSet, steering_derivatives
-from .geometry import ArrayGeometry, is_finite_real
+from .geometry import ArrayGeometry, is_finite_real, real_array
 
 ORTHO_PILOT_TOL = 1e-10
 DENSE_PROJECTION_LIMIT = 4096
@@ -32,12 +32,12 @@ def range_basis(M: np.ndarray) -> np.ndarray:
 class ObservationSetup:
     """Training matrix X (n_t x n_s), combiners W (n_r x n_c), noise level.
 
-    X and W must have finite entries, and W full column rank; Q_w, an
-    orthonormal basis of the combiner range, is derived from W once at
-    construction. sigma2 must be a finite non-negative number; sigma2 = 0
-    describes a noiseless observation, valid for observing and estimating
-    but rejected by the information-matrix and SNR operations, which divide
-    by it.
+    X and W must have at least one column and finite entries, and W full
+    column rank; Q_w, an orthonormal basis of the combiner range, is derived
+    from W once at construction. sigma2 must be a finite non-negative
+    number; sigma2 = 0 describes a noiseless observation, valid for observing
+    and estimating but rejected by the information-matrix and SNR
+    operations, which divide by it.
     """
 
     X: np.ndarray
@@ -51,6 +51,8 @@ class ObservationSetup:
         if self.X.ndim != 2 or self.W.ndim != 2:
             raise ValueError("X and W must be matrices")
         for name, M in (("pilot matrix X", self.X), ("combiner matrix W", self.W)):
+            if M.shape[1] == 0:
+                raise ValueError(f"{name} has no columns")
             if not np.isfinite(M).all():
                 raise ValueError(f"{name} has a NaN or inf entry")
         if not (is_finite_real(self.sigma2) and self.sigma2 >= 0):
@@ -92,26 +94,16 @@ class ObservationSetup:
         dev = np.linalg.norm(G - self.alpha2 * np.eye(self.n_s))
         return dev <= ORTHO_PILOT_TOL * self.alpha2 * self.n_s
 
-    def to_json(self) -> dict:
-        return {
-            "pilots": "explicit", "X": complex_to_json(self.X),
-            "combiners": "explicit", "W": complex_to_json(self.W),
-            "sigma2": self.sigma2,
-        }
-
 
 def pilot_power(X: np.ndarray) -> float:
     """alpha2 of training matrix X, before any setup is built from it."""
     return float(np.sum(np.abs(X) ** 2)) / X.shape[1]
 
 
-def complex_to_json(M: np.ndarray) -> list:
-    """Nested lists with each complex entry encoded as [re, im]."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
-
-
-def complex_from_json(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+def complex_from_json(obj, name: str) -> np.ndarray:
+    """Complex matrix from nested lists of [re, im] entries; a part that is
+    not a number raises ValueError naming the matrix as name."""
+    arr = real_array(obj, name)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("expected a nested [re, im] matrix encoding")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -185,17 +177,17 @@ def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def projection_matrix(s: ObservationSetup, max_dense: int = DENSE_PROJECTION_LIMIT) -> np.ndarray:
+def projection_matrix(s: ObservationSetup) -> np.ndarray:
     """Dense observation projection (X^* X^T) kron (Q_w Q_w^H) / alpha2.
 
     Only a true orthogonal projection when the pilots are orthogonal; a
     warning is emitted (and the matrix still returned) otherwise. Refuses to
-    materialize beyond max_dense rows; use projection_apply there.
+    materialize beyond DENSE_PROJECTION_LIMIT rows; use projection_apply there.
     """
     dim = s.n_r * s.n_t
-    if dim > max_dense:
-        raise ValueError(f"dense projection of size {dim} exceeds limit {max_dense}; "
-                         "use projection_apply")
+    if dim > DENSE_PROJECTION_LIMIT:
+        raise ValueError(f"dense projection of size {dim} exceeds limit "
+                         f"{DENSE_PROJECTION_LIMIT}; use projection_apply")
     if not s.has_orthogonal_pilots:
         warnings.warn("pilots are not orthogonal: the returned matrix is not a projection",
                       stacklevel=2)

@@ -24,6 +24,12 @@ def test_path_params_validation():
     for phi in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="phase"):
             PathParams(1.0, phi, d, d)
+    # a string or a bool used to be read as a number by from_json's float()
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError, match="path gain magnitude must be a number"):
+            PathParams(bad, 0.0, d, d)
+        with pytest.raises(ValueError, match="path phase must be a number"):
+            PathParams(1.0, bad, d, d)
     p = PathParams(1.0, -0.5, d, d)
     assert 0.0 <= p.phi < 2 * math.pi
     assert abs(p.gain - cmath.exp(-0.5j)) < 1e-15

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import mimolab
-from mimolab.cli import main
+from mimolab.bench import ScenarioConfig, generate_paths
+from mimolab.cli import _build_arrays, _build_paths, main
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -463,12 +464,79 @@ def test_observation_numbers_reject_bools_and_strings(tmp_path, capsys, field, v
     assert field in err and "Traceback" not in err
 
 
+def _identity_entries(n, entry):
+    M = [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+    M[1][1][0] = entry
+    return M
+
+
+def _set_field(obj, field, value):
+    if field in ("rho", "phi"):
+        obj["paths"][1][field] = value
+    elif field in ("az", "el"):
+        obj["paths"][1]["doa"][field] = value
+    elif field == "spacing":
+        obj["arrays"]["tx"]["spacing"] = value
+    elif field == "positions":
+        obj["arrays"]["tx"] = _custom_positions(16, value)
+    elif field == "X":
+        obj["observation"] = {"pilots": "explicit", "X": _identity_entries(16, value),
+                              "target_snr_db": 20.0}
+    else:
+        obj["observation"] = {"combiners": "explicit", "W": _identity_entries(8, value),
+                              "target_snr_db": 20.0}
+
+
+@pytest.mark.parametrize("value", ["0.5", True])
+@pytest.mark.parametrize("field, name", [
+    ("rho", "path gain magnitude"), ("phi", "path phase"), ("az", "azimuth"),
+    ("el", "elevation"), ("spacing", "spacing"), ("positions", "antenna positions"),
+    ("X", "pilot matrix X"), ("W", "combiner matrix W"),
+])
+def test_crb_rejects_a_string_or_bool_for_a_number(tmp_path, capsys, field, name, value):
+    # each was read as a number through float() or np.asarray and exited 0
+    obj = crb_config(n_paths=2)
+    _set_field(obj, field, value)
+    assert main(["crb", "--config", write_config(tmp_path, obj)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and repr(value) in err and "Traceback" not in err
+
+
+def test_path_generator_rejects_keys_only_bench_reads(tmp_path, capsys):
+    # trials was ignored (exit 0) and m = 0 read "m must be positive"
+    for gen, unknown in (({"trials": 7}, ["trials"]),
+                         ({"m": 0, "n_clusters": 2, "snr_db": 3.0}, ["m", "snr_db"])):
+        obj = dict(crb_config(), paths={"generator": gen, "seed": 1})
+        assert main(["crb", "--config", write_config(tmp_path, obj)]) == 2
+        assert f"unknown paths.generator keys {unknown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tx", [
+    {"type": "ula", "n": 6, "spacing": 0.4, "axis": "y"},
+    {"type": "upa", "nx": 2, "ny": 3, "plane": "xz"},
+    _custom_positions(5, 0.25),
+])
+def test_path_generator_draws_the_scenario_paths(tx):
+    gen = {"n_clusters": 2, "paths_per_cluster": 3, "angular_spread_deg": 4.0,
+           "gain_decay_db_per_cluster": 2.0}
+    rx = {"type": "upa", "nx": 2, "ny": 2}
+    cfg = {"arrays": {"tx": tx, "rx": rx}, "paths": {"generator": gen, "seed": 9}}
+    g_t, g_r = _build_arrays(cfg)
+    scen = ScenarioConfig(n_t=g_t.n_antennas, n_r=4, tx_array=tx, rx_array=rx, **gen)
+    assert _build_paths(cfg, g_t, g_r).to_json() == generate_paths(scen, 9).to_json()
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg alone took about 0.3 s of a fresh `import mimolab`
+    # scipy.linalg alone took about 0.3 s of a fresh `import mimolab`; the
+    # package loads its eight modules and no others (not the CLI)
     src = str(Path(mimolab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, mimolab; print('scipy' in sys.modules)"
+    code = ("import sys, mimolab; print('scipy' in sys.modules); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mimolab'))")
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    scipy_loaded, modules = done.stdout.splitlines()
+    assert scipy_loaded == "False"
+    assert modules.split() == ["mimolab"] + [f"mimolab.{name}" for name in (
+        "bench", "blas", "channel", "estimation", "fim", "geometry", "observation", "workers")]

@@ -8,9 +8,9 @@ from scipy.linalg import orth
 from mimolab import estimation
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
 from mimolab.cli import _build_grid
-from mimolab.estimation import (DirectionGrid, build_dictionaries,
-                                estimate_gain, hemisphere_directions, joint_select,
-                                matching_pursuit, reports_to_csv, sequential_select)
+from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_directions,
+                                joint_select, matching_pursuit, reports_to_csv,
+                                sequential_select)
 from mimolab.geometry import (Direction, direction_from_unit, ula, unit_vector, unit_vectors,
                               upa, wrap_azimuth)
 from mimolab.observation import ObservationSetup, identity_setup, observe
@@ -488,34 +488,6 @@ def test_sequential_select_zero_observation_tie_break():
     assert (sel.doa_index, sel.dod_index) == (0, 0)
 
 
-def test_estimate_gain_recovers_true_gain():
-    grid = small_grid(5)
-    g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 3, 21)
-    c = estimate_gain(Y, s, p.doa, p.dod, g_r, g_t)
-    assert abs(c - p.gain) <= 1e-10
-
-
-def test_estimate_gain_zero_and_linear(rng):
-    g_r, g_t = upa(2, 2), upa(2, 2)
-    s = identity_setup(4, 4, 1.0)
-    doa, dod = Direction(0.2, -0.1), Direction(-0.4, 0.3)
-    assert estimate_gain(np.zeros((4, 4)), s, doa, dod, g_r, g_t) == 0.0
-    Y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    c1 = estimate_gain(Y, s, doa, dod, g_r, g_t)
-    c2 = estimate_gain(2 * Y, s, doa, dod, g_r, g_t)
-    assert abs(c2 - 2 * c1) < 1e-13
-
-
-def test_estimate_gain_rejects_annihilated_atom(rng):
-    g_r, g_t = upa(2, 2), upa(2, 2)
-    doa = Direction(0.3, 0.2)
-    e0 = steering_vector(g_r, doa)
-    W = orth(np.eye(4) - np.outer(e0, e0.conj()))
-    s = ObservationSetup(np.eye(4), W, 1.0)
-    with pytest.raises(ValueError):
-        estimate_gain(np.zeros((3, 4)), s, doa, Direction(0, 0), g_r, g_t)
-
-
 def test_matching_pursuit_exact_recovery():
     grid = small_grid(6)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 8, 17)
@@ -527,6 +499,34 @@ def test_matching_pursuit_exact_recovery():
         est = rep.estimated[0]
         assert est.doa == p.doa and est.dod == p.dod
         assert abs(est.gain - p.gain) <= 1e-10
+
+
+def test_matching_pursuit_gain_is_linear_in_the_observation(rng):
+    grid = small_grid(4)
+    g_r, g_t = upa(2, 2), upa(2, 2)
+    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
+    Y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for strategy in ("joint", "sequential"):
+        (p1,) = matching_pursuit(Y, d, 1, strategy).estimated
+        (p2,) = matching_pursuit(2 * Y, d, 1, strategy).estimated
+        assert (p2.doa, p2.dod) == (p1.doa, p1.dod)
+        assert abs(p2.gain - 2 * p1.gain) < 1e-13
+
+
+def test_matching_pursuit_rejects_a_pick_its_setup_annihilates():
+    # atoms that disagree with the dictionary's setup: W annihilates the
+    # picked DoA, so its gain has no least-squares fit
+    grid = small_grid(3)
+    g_r, g_t = upa(2, 2), upa(2, 2)
+    e0 = steering_vector(g_r, grid.test_doas[0])
+    W = orth(np.eye(4) - np.outer(e0, e0.conj()))
+    d = estimation.Dictionary(np.eye(3, grid.m), np.eye(4, grid.n), tuple(range(grid.m)),
+                              tuple(range(grid.n)), grid, ObservationSetup(np.eye(4), W, 1.0),
+                              g_r, g_t)
+    Y = np.zeros((3, 4))
+    Y[0, 0] = 1.0
+    with pytest.raises(ValueError, match="annihilated"):
+        matching_pursuit(Y, d, 1, "joint")
 
 
 def test_matching_pursuit_counters_exact(rng):
