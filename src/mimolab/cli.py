@@ -73,6 +73,21 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _check_keys(obj: dict, known, name: str) -> None:
+    """Reject a key of obj outside known: a misspelt key would fall back to a default."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}; expected some of {list(known)}")
+
+
+# The top-level keys each subcommand reads; bench's are ScenarioConfig's fields.
+_CRB_KEYS = ("arrays", "paths", "observation", "include_blocks", "cond_threshold")
+_ESTIMATE_KEYS = ("arrays", "paths", "observation", "grid", "strategy", "P_budget", "seed")
+_OBSERVATION_KEYS = ("pilots", "n_s", "alpha", "basis", "X", "combiners", "W", "sigma2",
+                     "target_snr_db")
+_GRID_KEYS = ("m", "n", "m_az", "m_el", "n_az", "n_el")
+
+
 def _integer(cfg: dict, key: str, default: int) -> int:
     try:
         return as_int(cfg.get(key, default), key)
@@ -82,6 +97,7 @@ def _integer(cfg: dict, key: str, default: int) -> int:
 
 def _build_arrays(cfg: dict) -> tuple[ArrayGeometry, ArrayGeometry]:
     arrays = _object(_require(cfg, "arrays", "config"), "arrays")
+    _check_keys(arrays, ("tx", "rx"), "arrays")
     tx = _object(_require(arrays, "tx", "arrays"), "arrays.tx")
     rx = _object(_require(arrays, "rx", "arrays"), "arrays.rx")
     try:
@@ -103,11 +119,9 @@ def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
         except _VALUE_ERRORS as e:
             raise ConfigError(f"invalid explicit paths: {e}") from e
     if isinstance(spec, dict):
+        _check_keys(spec, ("generator", "seed"), "paths")
         gen = _object(spec.get("generator", {}), "paths.generator")
-        unknown = [key for key in gen if key not in _GENERATOR_KEYS]
-        if unknown:
-            raise ConfigError(f"unknown paths.generator keys {unknown}; "
-                              f"expected some of {list(_GENERATOR_KEYS)}")
+        _check_keys(gen, _GENERATOR_KEYS, "paths.generator")
         seed = _integer(spec, "seed", 0)
         try:
             arrays = cfg["arrays"]
@@ -123,6 +137,7 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
                        h: np.ndarray) -> ObservationSetup:
     """The observation block as one setup; target_snr_db is realized for channel h."""
     obs = _object(_require(cfg, "observation", "config"), "observation")
+    _check_keys(obs, _OBSERVATION_KEYS, "observation")
     n_t, n_r = g_t.n_antennas, g_r.n_antennas
     try:
         pilots = obs.get("pilots", "identity")
@@ -174,6 +189,7 @@ def _write_json(obj: dict, out: str | None) -> None:
 
 
 def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
+    _check_keys(cfg, _CRB_KEYS, "config")
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
     setup = _parse_observation(cfg, g_t, g_r, synthesize(paths, g_r, g_t).vector)
@@ -195,6 +211,7 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
 
 def _build_grid(cfg: dict) -> DirectionGrid:
     grid = _object(cfg.get("grid", {}), "grid")
+    _check_keys(grid, _GRID_KEYS, "grid")
     try:
         if {"m_az", "m_el", "n_az", "n_el"} <= set(grid):
             return DirectionGrid.hemisphere(
@@ -205,6 +222,7 @@ def _build_grid(cfg: dict) -> DirectionGrid:
 
 
 def run_estimate(cfg: dict, out: str | None) -> int:
+    _check_keys(cfg, _ESTIMATE_KEYS, "config")
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
     H = synthesize(paths, g_r, g_t)

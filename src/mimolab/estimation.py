@@ -30,6 +30,8 @@ ATOM_NORM_TOL = 1e-12
 _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
 _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
 _U32 = 2.0 ** -24        # unit roundoff of float32
+_U64 = 2.0 ** -53        # unit roundoff of float64
+_PRUNE_SAFETY = 16.0     # c in the joint prune's rounding margin (see joint_select)
 
 
 def _cell_centres(n_az: int, n_el: int) -> np.ndarray:
@@ -243,6 +245,53 @@ class Selection:
     score_evaluations: int
 
 
+def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """Y / a, a = max|Y|, and the rounding margin of marginals read from Y / a.
+
+    None when Y is zero or holds NaN or inf. See joint_select for the margin.
+    """
+    a = float(np.abs(Y).max())
+    if not 0.0 < a < math.inf:
+        return None
+    Ys = Y / a
+    n_c, n_s = Y.shape
+    return Ys, a, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * float(np.linalg.norm(Ys))
+
+
+def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """||k^H Y|| for every row k^H of K_H, from the triangular factor of Y^H.
+
+    With Y^H = Q S (Q with orthonormal columns, S min(n_c, n_s) x n_c),
+    Y = S^H Q^H and so ||k^H Y|| = ||k^H S^H||: the sums of squares run over
+    the real view of K_H S^H, of min(n_c, n_s) columns instead of n_s.
+    """
+    S = np.linalg.qr(Y.conj().T, mode="r")
+    T = K_H @ S.conj().T
+    v = T.view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _candidates(K_H: np.ndarray, Y: np.ndarray, YK: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing rows of K_H and columns of YK = Y K that may hold max |(K_H Y K)_ij|.
+
+    These are the rows and columns whose marginal norm ||k_i^H Y|| or
+    ||Y k_j|| is at least the score of the better of two feasible pairs,
+    less the rounding margin (see joint_select). A zero or non-finite Y
+    keeps every row and column.
+    """
+    scaled = _scaled(Y)
+    if scaled is None:
+        return np.arange(K_H.shape[0]), np.arange(YK.shape[1])
+    Ys, a, margin = scaled
+    YKs = YK / a
+    row_norms = _marginal_norms(K_H, Ys)
+    col_norms = np.linalg.norm(YKs, axis=0)
+    i0, j1 = int(np.argmax(row_norms)), int(np.argmax(col_norms))
+    floor = max(float(np.abs(K_H[i0] @ YKs).max()),
+                float(np.abs(K_H @ YKs[:, j1]).max())) - margin
+    return np.flatnonzero(row_norms >= floor), np.flatnonzero(col_norms >= floor)
+
+
 def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
     """First-occurrence argmax of |C_ij|^2 over the given rows of C = left @ right.
 
@@ -337,18 +386,45 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     Ties are broken by the smallest DoA index, then the smallest DoD index.
     The product C = K_r^H Y K_t = left @ right is contracted over the smaller
     side of Y: left = K_r^H, right = Y K_t when n_c <= n_s, and left =
-    K_r^H Y, right = K_t otherwise; r is that inner dimension. The scan runs
-    in two passes and returns the exact complex128 argmax.
+    K_r^H Y, right = K_t otherwise; r is that inner dimension. The scan
+    prunes the grid, screens what is left in complex64 and returns the exact
+    complex128 argmax.
 
-    Screen. Both factors are scaled (see _screened_rows) so that float32
-    cannot overflow and its underflow stays far below the bound, every
-    |C_ij| is computed in complex64 (unit roundoff u = 2^-24), and each row
-    keeps its largest value. A
+    Prune. The atoms have unit norm, so by Cauchy-Schwarz a pair's score
+    |C_ij| is at most both of its marginals, ||k_r_i^H Y|| and ||Y k_t_j||.
+    L is the better score of two feasible pairs, computed in complex128: the
+    DoA of largest marginal with its best DoD, and the DoD of largest
+    marginal with its best DoA. Every maximizing pair scores at least L, so
+    both its marginals are at least L, and only the DoAs and DoDs whose
+    marginal is at least L - margin are kept (see _candidates). The
+    marginals and L are read from Y / max|Y|, whose largest entry has
+    modulus 1, so no scale of Y overflows or underflows them, and
+
+        margin = c (n_c + 1) (n_s + 1) u ||Y / max|Y| ||_F,
+
+    with u = 2^-53 and c = _PRUNE_SAFETY = 16. The marginals of the side
+    whose atoms are not multiplied into Y come from the triangular factor
+    of a Householder QR (see _marginal_norms), which is exact for a matrix
+    within a small multiple of n_c n_s u ||Y||_F of the one factored
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    19.3); the other side's are the norms of the factor holding Y. The
+    products, the sums of squares, the scaling and the unit norms of the
+    stored atoms add a small multiple of (n_c + n_s) u ||Y||_F to a marginal
+    or to L, so the margin covers them all. A zero or non-finite Y keeps
+    every pair. On paper-scale residuals (16 x 64 observations, 2500 x 2500
+    grids) the prune keeps under 1% of the m*n pairs while strong paths
+    remain, and most of them once the residual is mostly noise.
+
+    Screen. The kept rows of left and columns of right are scaled (see
+    _screened_rows) so that float32 cannot overflow and its underflow stays
+    far below the bound, every kept |C_ij| is computed in complex64 (unit
+    roundoff u = 2^-24), and each kept row keeps its largest value. A
     screened value s_ij differs from the scaled |C_ij| by at most
 
         delta = c (r + 4) u max_i ||left_i|| max_j ||right_j|| + 2 u top,
 
-    where top is the largest screened value and c = _SCREEN_SAFETY = 4.
+    where top is the largest screened value, the maxima over the kept rows
+    and columns, and c = _SCREEN_SAFETY = 4.
     With S_ij = sum_k |left_ik| |right_kj| <= ||left_i|| ||right_j||
     (Cauchy-Schwarz):
     - rounding the factors to complex64 moves each entry by at most u
@@ -364,16 +440,17 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     scaling, the underflow of scaled entries (about r 2^-126 in absolute
     terms even with subnormals flushed to zero, while delta >= c (r + 4) u
     because both largest norms are at least 1) and the complex128 rounding
-    of the exact pass, all far below u. So if the pick lies in row i with
-    scaled value v, then s_i >= v - delta and top <= v + delta: a row
-    survives when its screened maximum is at least top - 2 delta, and the
-    row holding the maximum always does.
+    of the exact pass, all far below u. Every maximizing pair is kept, so if
+    the pick lies in row i with scaled value v, then s_i >= v - delta and
+    top <= v + delta: a row survives when its screened maximum is at least
+    top - 2 delta, and every row holding the maximum does.
 
     Rescore. The surviving rows, in increasing order, are scored exactly in
-    complex128 by _best_in_rows, the same code that scores the whole grid
-    when every row survives (a zero residual, or one whose scores all lie
-    within 2 delta of each other). Usually one or two rows survive.
-    score_evaluations counts all m*n candidate scores either way.
+    complex128 over all n columns by _best_in_rows, the same code that
+    scores the whole grid when every row survives (a zero residual, or one
+    whose scores all lie within 2 delta of each other). Usually one or two
+    rows survive. score_evaluations counts all m*n candidate scores either
+    way, the paper's cost model.
 
     pool, when given, shares the screen's blocks between the calling thread
     and its helpers (see _screened_rows); the pick does not depend on it.
@@ -381,9 +458,12 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
     if K_r_H.shape[1] <= K_t.shape[0]:
         left, right = K_r_H, Y @ K_t
+        rows, cols = _candidates(K_r_H, Y, right)
     else:
         left, right = K_r_H @ Y, K_t
-    i, j = _best_in_rows(left, right, _screened_rows(left, right, pool))
+        cols, rows = _candidates(K_t.T, Y.T, left.T)
+    screened = rows[_screened_rows(left[rows], right[:, cols], pool)]
+    i, j = _best_in_rows(left, right, screened)
     return Selection(i, j, dictionary.m * dictionary.n)
 
 
@@ -392,20 +472,36 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     """Decoupled scan: DoA from the marginal energy criterion, then DoD.
 
     Stage 1 maximizes the received energy along each combined receive atom,
-    diag(K_r^H Y Y^H K_r), over m candidates; stage 2 fixes that atom and
-    maximizes |k_r^H Y K_t| over n candidates. Ties break to the smallest
-    index. Stage 2 uses the normalized combined atom, which selects the
-    same index as the raw steering vector whenever combining is lossless.
-    The energies are sums of squares over the real view of T = K_r^H Y.
-    pool is accepted for a common selector signature and not used.
+    ||k_r_i^H Y||^2 = diag(K_r^H Y Y^H K_r), over m candidates; stage 2 fixes
+    that atom and maximizes |k_r^H Y K_t| over n candidates. Ties break to
+    the smallest index. Stage 2 uses the normalized combined atom, which
+    selects the same index as the raw steering vector whenever combining is
+    lossless.
+
+    Stage 1 screens, then rescores. The marginal norms come from the
+    triangular factor of Y^H (see _marginal_norms), in m n_c min(n_c, n_s)
+    multiply-adds instead of the m n_c n_s of K_r^H Y, and each lies within
+    joint_select's margin of ||k_r_i^H Y||. The DoAs whose norm is within
+    twice the margin of the largest, usually one, hold every maximum; their
+    rows of T = K_r^H Y are formed, and their energies are the sums of
+    squares over the real view of those rows, as if T were formed whole.
+    Stage 2 multiplies the picked row of T by K_t. A zero or non-finite Y
+    forms every row. pool is accepted for a common selector signature and
+    not used.
     """
-    T = dictionary.K_r_H @ Y
+    K_r_H = dictionary.K_r_H
+    rows = np.arange(dictionary.m)
+    scaled = _scaled(Y)
+    if scaled is not None:
+        Ys, _, margin = scaled
+        norms = _marginal_norms(K_r_H, Ys)
+        rows = np.flatnonzero(norms >= norms.max() - 2.0 * margin)
+    T = K_r_H[rows] @ Y
     v = T.view(np.float64)
-    energies = np.einsum("ij,ij->i", v, v)
-    i_hat = int(np.argmax(energies))
-    row = T[i_hat] @ dictionary.K_t
+    k = int(np.argmax(np.einsum("ij,ij->i", v, v)))
+    row = T[k] @ dictionary.K_t
     j_hat = int(np.argmax(row.real ** 2 + row.imag ** 2))
-    return Selection(i_hat, j_hat, dictionary.m + dictionary.n)
+    return Selection(int(rows[k]), j_hat, dictionary.m + dictionary.n)
 
 
 def _observed_atoms(s: ObservationSetup, doa: Direction, dod: Direction,

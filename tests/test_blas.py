@@ -75,6 +75,8 @@ def test_monte_carlo_restores_when_a_trial_raises(two_threads, monkeypatch):
 def test_monte_carlo_restores_when_a_screen_helper_raises(two_threads, monkeypatch):
     # One trial on two threads: the calling thread runs the seed and one
     # screen range, and waits until a helper has taken the other and raised.
+    # The observation is all noise, so the joint scan prunes none of the 144
+    # DoAs and the screen spans three blocks, more than one range.
     caller = threading.get_ident()
     helper_ran = threading.Event()
     screen_range = estimation._screen_range
@@ -89,7 +91,7 @@ def test_monte_carlo_restores_when_a_screen_helper_raises(two_threads, monkeypat
     threads_before = threading.active_count()
     monkeypatch.setattr(estimation, "_screen_range", failing_in_helper)
     cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=144, n=16, n_clusters=2, paths_per_cluster=2,
-                               P_budgets=(1,), strategies=("joint",), trials=1)
+                               snr_db=-60.0, P_budgets=(1,), strategies=("joint",), trials=1)
     with pytest.raises(RuntimeError, match="screen failed"):
         bench.monte_carlo(cfg, threads=2)
     assert helper_ran.is_set()

@@ -511,6 +511,55 @@ def test_path_generator_rejects_keys_only_bench_reads(tmp_path, capsys):
         assert f"unknown paths.generator keys {unknown}" in capsys.readouterr().err
 
 
+def command_config(command):
+    return crb_config(n_paths=2) if command == "crb" else estimate_config()
+
+
+def assert_unknown_key(tmp_path, capsys, command, obj, message):
+    assert main([command, "--config", write_config(tmp_path, obj)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["crb", "estimate"])
+def test_misspelt_generator_key_exits_2(tmp_path, capsys, command):
+    # drew the default 8x5 scenario and exited 0
+    obj = dict(command_config(command), paths={"generatr": {"n_clusters": 1}, "seed": 2})
+    assert_unknown_key(tmp_path, capsys, command, obj, "unknown paths keys ['generatr']")
+
+
+@pytest.mark.parametrize("command", ["crb", "estimate"])
+def test_misspelt_top_level_key_exits_2(tmp_path, capsys, command):
+    # crb wrote a report without blocks and exited 0
+    obj = dict(command_config(command), include_block=True)
+    assert_unknown_key(tmp_path, capsys, command, obj, "unknown config keys ['include_block']")
+
+
+@pytest.mark.parametrize("command", ["crb", "estimate"])
+def test_misspelt_observation_key_exits_2(tmp_path, capsys, command):
+    # ran identity pilots and exited 0
+    obj = dict(command_config(command),
+               observation={"pilot": "orthogonal", "n_s": 8, "target_snr_db": 10.0})
+    assert_unknown_key(tmp_path, capsys, command, obj, "unknown observation keys ['pilot']")
+
+
+@pytest.mark.parametrize("command", ["crb", "estimate"])
+def test_unknown_arrays_key_exits_2(tmp_path, capsys, command):
+    obj = command_config(command)
+    obj["arrays"] = dict(obj["arrays"], txx={"type": "ula", "n": 4})
+    assert_unknown_key(tmp_path, capsys, command, obj, "unknown arrays keys ['txx']")
+
+
+def test_unknown_grid_key_and_keys_of_the_other_command_exit_2(tmp_path, capsys):
+    est = estimate_config()
+    assert_unknown_key(tmp_path, capsys, "estimate", dict(est, grid={"m": 100, "nn": 100}),
+                       "unknown grid keys ['nn']")
+    assert_unknown_key(tmp_path, capsys, "estimate", dict(est, include_blocks=True),
+                       "unknown config keys ['include_blocks']")
+    assert_unknown_key(tmp_path, capsys, "crb", dict(crb_config(n_paths=2), grid=est["grid"]),
+                       "unknown config keys ['grid']")
+
+
 @pytest.mark.parametrize("tx", [
     {"type": "ula", "n": 6, "spacing": 0.4, "axis": "y"},
     {"type": "upa", "nx": 2, "ny": 3, "plane": "xz"},

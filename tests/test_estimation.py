@@ -1,8 +1,11 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from mimolab import estimation
@@ -418,6 +421,81 @@ def test_joint_select_planted_ties_across_blocks(monkeypatch, n_c, n_s, block_ro
     assert (sel.doa_index, sel.dod_index) == (150, n_s - 1)
 
 
+@cache
+def hybrid_dictionary(n_c, n_s):
+    """300 DoAs and 30 DoDs seen through fixed random W (n_c columns) and X (n_s)."""
+    rng = np.random.default_rng([n_c, n_s])
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    W = rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c))
+    X = rng.normal(size=(8, n_s)) + 1j * rng.normal(size=(8, n_s))
+    return build_dictionaries(grid, ObservationSetup(X, W, 1.0), upa(2, 3), upa(2, 4))
+
+
+@cache
+def basis_dictionary(n_c, n_s, seed):
+    """Standard basis atoms: every score is one entry of Y, so equal entries tie exactly."""
+    rng = np.random.default_rng(seed)
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    return atom_dictionary(np.eye(n_c, dtype=complex)[:, rng.integers(0, n_c, 300)],
+                           np.eye(n_s, dtype=complex)[:, rng.integers(0, n_s, 30)], grid)
+
+
+def candidates(Y, d):
+    """The DoA rows and DoD columns joint_select screens, as it forms them."""
+    if d.K_r.shape[0] <= d.K_t.shape[0]:
+        return estimation._candidates(d.K_r_H, Y, Y @ d.K_t)
+    cols, rows = estimation._candidates(d.K_t.T, Y.T, (d.K_r_H @ Y).T)
+    return rows, cols
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sides=st.sampled_from([(3, 6), (6, 3)]),
+       kind=st.sampled_from(["random", "rank1", "ties", "zero"]),
+       scale=st.sampled_from([1.0, 1e-150, 1e150]),
+       seed=st.integers(0, 2 ** 16))
+def test_pruned_joint_select_matches_bruteforce(sides, kind, scale, seed):
+    # every maximizing pair is a candidate, and the pick is brute force's
+    n_c, n_s = sides
+    rng = np.random.default_rng(seed)
+    d = basis_dictionary(n_c, n_s, seed % 4) if kind == "ties" else hybrid_dictionary(n_c, n_s)
+    if kind == "random":
+        Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+    elif kind == "rank1":
+        i, j = rng.integers(0, d.m), rng.integers(0, d.n)
+        Y = (rng.normal() + 1j * rng.normal()) * np.outer(d.K_r[:, i], d.K_t[:, j].conj())
+    elif kind == "ties":
+        Y = rng.integers(-2, 3, size=(n_c, n_s)) + 1j * rng.integers(-2, 3, size=(n_c, n_s))
+    else:
+        Y = np.zeros((n_c, n_s), dtype=complex)
+    Y = scale * Y
+    scores = np.abs(d.K_r_H @ Y @ d.K_t)
+    rows, cols = candidates(Y, d)
+    for i, j in zip(*np.nonzero(scores == scores.max())):
+        assert i in rows and j in cols
+    if kind == "zero":
+        assert len(rows) == d.m and len(cols) == d.n
+    sel = joint_select(Y, d)
+    assert (sel.doa_index, sel.dod_index) == bruteforce_pick(Y, d)
+    assert sel.score_evaluations == d.m * d.n
+
+
+def test_joint_select_screens_few_rows_for_an_on_grid_path(monkeypatch):
+    screened = []
+    screen_range = estimation._screen_range
+
+    def recording(left32, right32, row_max, C, A, starts):
+        screened.append(len(row_max))
+        screen_range(left32, right32, row_max, C, A, starts)
+
+    monkeypatch.setattr(estimation, "_screen_range", recording)
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 157, 17, n_r=(3, 3), n_t=(3, 3))
+    d = build_dictionaries(grid, s, g_r, g_t)
+    sel = joint_select(Y, d)
+    assert (sel.doa_index, sel.dod_index) == (157, 17)
+    assert screened and max(screened) <= d.m // 10
+
+
 def test_sequential_select_matches_joint_on_grid():
     # exhaustive oracle scenario on a 20x20-point grid per side
     grid = DirectionGrid(hemisphere_directions(5, 4), hemisphere_directions(4, 5))
@@ -485,6 +563,40 @@ def test_sequential_select_zero_observation_tie_break():
     g_r, g_t = upa(2, 2), upa(2, 2)
     d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
     sel = sequential_select(np.zeros((4, 4), dtype=complex), d)
+    assert (sel.doa_index, sel.dod_index) == (0, 0)
+
+
+@pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_marginal_norms_match_the_direct_energies(rng, n_c, n_s, rank):
+    # rank 0 is Y = 0; ranks 1 and 2 are rank-deficient on either side
+    d = hybrid_dictionary(n_c, n_s)
+    for _ in range(5):
+        A = rng.normal(size=(n_c, rank)) + 1j * rng.normal(size=(n_c, rank))
+        B = rng.normal(size=(rank, n_s)) + 1j * rng.normal(size=(rank, n_s))
+        Y = A @ B
+        direct = (np.abs(d.K_r_H @ Y) ** 2).sum(axis=1)
+        qr_route = estimation._marginal_norms(d.K_r_H, Y) ** 2
+        if rank == 0:
+            assert not qr_route.any()
+        assert np.abs(qr_route - direct).max() <= 1e-12 * direct.max()
+
+
+def whole_product_sequential(Y, d):
+    """The sequential picks from the whole product T = K_r^H Y."""
+    T = d.K_r_H @ Y
+    i_hat = int(np.argmax((np.abs(T) ** 2).sum(axis=1)))
+    return i_hat, int(np.argmax(np.abs(T[i_hat] @ d.K_t)))
+
+
+@pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
+def test_sequential_select_matches_the_whole_product(rng, n_c, n_s):
+    d = hybrid_dictionary(n_c, n_s)
+    for _ in range(20):
+        Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+        sel = sequential_select(Y, d)
+        assert (sel.doa_index, sel.dod_index) == whole_product_sequential(Y, d)
+    sel = sequential_select(np.zeros((n_c, n_s), dtype=complex), d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
 
 
