@@ -212,10 +212,12 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
 def _build_grid(cfg: dict) -> DirectionGrid:
     grid = _object(cfg.get("grid", {}), "grid")
     _check_keys(grid, _GRID_KEYS, "grid")
+    layout = _GRID_KEYS[2:]
+    if set(grid) & set(layout) and set(grid) != set(layout):
+        raise ConfigError(f"grid gives {sorted(grid)}; give all of {list(layout)} or only m, n")
     try:
-        if {"m_az", "m_el", "n_az", "n_el"} <= set(grid):
-            return DirectionGrid.hemisphere(
-                *(_integer(grid, key, 0) for key in ("m_az", "m_el", "n_az", "n_el")))
+        if layout[0] in grid:
+            return DirectionGrid.hemisphere(*(_integer(grid, key, 0) for key in layout))
         return DirectionGrid.product(_integer(grid, "m", 2500), _integer(grid, "n", 2500))
     except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid grid: {e}") from e

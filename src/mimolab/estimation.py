@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import PathParams, PathSet, steering_matrix, steering_vector, synthesize
+from .channel import PathParams, PathSet, steering_matrix, synthesize
 from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, direction_angles,
                        unit_vectors_from_angles, wrap_azimuth)
 from .observation import ObservationSetup
@@ -173,23 +173,22 @@ class DirectionGrid:
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Unit-norm combined receive atoms K_r and precoded transmit atoms K_t.
+    """Observed atoms, the one model of a path that Matching Pursuit scores and fits.
 
-    Column j of K_r is W^H e_r(doa_j), normalized; likewise K_t holds
-    X^H e_t(dod_j). Grid directions annihilated by W or X are dropped (their
-    normalization is undefined); *_indices map columns back to the grid.
-    setup (for W and X), g_r and g_t are the model the atoms were built
-    from, which Matching Pursuit fits gains against. K_r_H, the
-    C-contiguous conjugate transpose of K_r, is built once here for the
-    selectors.
+    Column i of K_r is W^H e_r(doa_i) / doa_norms[i], doa_norms[i] =
+    ||W^H e_r(doa_i)||, and doa_angles[:, i] holds doa_i's azimuth and
+    elevation; likewise K_t, dod_norms and dod_angles for X^H e_t(dod_j).
+    Grid directions annihilated by W or X are dropped. g_r and g_t are the
+    arrays. K_r_H, the C-contiguous conjugate transpose of K_r, is built
+    once here for the selectors.
     """
 
     K_r: np.ndarray
     K_t: np.ndarray
-    doa_indices: tuple[int, ...]
-    dod_indices: tuple[int, ...]
-    grid: DirectionGrid
-    setup: ObservationSetup
+    doa_norms: np.ndarray
+    dod_norms: np.ndarray
+    doa_angles: np.ndarray
+    dod_angles: np.ndarray
     g_r: ArrayGeometry
     g_t: ArrayGeometry
     K_r_H: np.ndarray = field(init=False, repr=False)
@@ -206,34 +205,34 @@ class Dictionary:
         return self.K_t.shape[1]
 
     def doa_of(self, col: int) -> Direction:
-        return Direction(*self.grid.doa_angles[:, self.doa_indices[col]].tolist())
+        return Direction(*self.doa_angles[:, col].tolist())
 
     def dod_of(self, col: int) -> Direction:
-        return Direction(*self.grid.dod_angles[:, self.dod_indices[col]].tolist())
+        return Direction(*self.dod_angles[:, col].tolist())
 
 
-def _normalized_atoms(raw: np.ndarray, label: str):
-    """raw's columns normalized, in place when none is dropped, and their indices."""
+def _observed_side(raw: np.ndarray, angles: np.ndarray, label: str):
+    """raw's kept columns normalized, in place when none is dropped, their norms and angles."""
     norms = np.linalg.norm(raw, axis=0)
     keep = norms > ATOM_NORM_TOL
-    if np.all(keep):
-        raw /= norms
-        return raw, tuple(range(raw.shape[1]))
-    warnings.warn(f"dropping {int((~keep).sum())} {label} grid directions "
-                  "annihilated by the observation matrices", stacklevel=3)
-    if not np.any(keep):
-        raise ValueError(f"every {label} grid direction is annihilated")
-    return raw[:, keep] / norms[keep], tuple(int(i) for i in np.nonzero(keep)[0])
+    if not np.all(keep):
+        warnings.warn(f"dropping {int((~keep).sum())} {label} grid directions "
+                      "annihilated by the observation matrices", stacklevel=3)
+        if not np.any(keep):
+            raise ValueError(f"every {label} grid direction is annihilated")
+        raw, norms, angles = raw[:, keep], norms[keep], angles[:, keep]
+    raw /= norms
+    return raw, norms, angles
 
 
 def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
                        g_r: ArrayGeometry, g_t: ArrayGeometry) -> Dictionary:
     """Project the grid's steering vectors through W and X and normalize."""
-    K_r_raw = s.W.conj().T @ steering_matrix(g_r, grid.doa_units)
-    K_t_raw = s.X.conj().T @ steering_matrix(g_t, grid.dod_units)
-    K_r, doa_idx = _normalized_atoms(K_r_raw, "DoA")
-    K_t, dod_idx = _normalized_atoms(K_t_raw, "DoD")
-    return Dictionary(K_r, K_t, doa_idx, dod_idx, grid, s, g_r, g_t)
+    K_r, doa_norms, doa_angles = _observed_side(
+        s.W.conj().T @ steering_matrix(g_r, grid.doa_units), grid.doa_angles, "DoA")
+    K_t, dod_norms, dod_angles = _observed_side(
+        s.X.conj().T @ steering_matrix(g_t, grid.dod_units), grid.dod_angles, "DoD")
+    return Dictionary(K_r, K_t, doa_norms, dod_norms, doa_angles, dod_angles, g_r, g_t)
 
 
 @dataclass(frozen=True)
@@ -245,17 +244,20 @@ class Selection:
     score_evaluations: int
 
 
-def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Y / a, a = max|Y|, and the rounding margin of marginals read from Y / a.
+def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """Ys = Y / 2^e with 1/2 <= max|Ys| < 1, and the margin of marginals read from Ys.
 
-    None when Y is zero or holds NaN or inf. See joint_select for the margin.
+    The scaling is exact, so products of Ys are those of Y exactly scaled
+    and no squared score overflows or underflows. (Y, None) when Y is zero
+    or holds NaN or inf. See joint_select for the margin.
     """
     a = float(np.abs(Y).max())
     if not 0.0 < a < math.inf:
-        return None
-    Ys = Y / a
+        return Y, None
+    e = math.frexp(a)[1]
+    Ys = Y * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -(e // 2))  # 2^-e alone may overflow
     n_c, n_s = Y.shape
-    return Ys, a, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * float(np.linalg.norm(Ys))
+    return Ys, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * float(np.linalg.norm(Ys))
 
 
 def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -271,35 +273,34 @@ def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _candidates(K_H: np.ndarray, Y: np.ndarray, YK: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Increasing rows of K_H and columns of YK = Y K that may hold max |(K_H Y K)_ij|.
+def _candidates(K_H: np.ndarray, Ys: np.ndarray, YK: np.ndarray,
+                margin: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Increasing rows of K_H and columns of YK = Ys K that may hold max |(K_H Ys K)_ij|.
 
-    These are the rows and columns whose marginal norm ||k_i^H Y|| or
-    ||Y k_j|| is at least the score of the better of two feasible pairs,
-    less the rounding margin (see joint_select). A zero or non-finite Y
-    keeps every row and column.
+    These are the rows and columns whose marginal norm ||k_i^H Ys|| or
+    ||Ys k_j|| is at least the score of the better of two feasible pairs,
+    less the rounding margin; (Ys, margin) is _scaled's (see joint_select).
+    A None margin, for a zero or non-finite Y, keeps every row and column.
     """
-    scaled = _scaled(Y)
-    if scaled is None:
+    if margin is None:
         return np.arange(K_H.shape[0]), np.arange(YK.shape[1])
-    Ys, a, margin = scaled
-    YKs = YK / a
     row_norms = _marginal_norms(K_H, Ys)
-    col_norms = np.linalg.norm(YKs, axis=0)
+    col_norms = np.linalg.norm(YK, axis=0)
     i0, j1 = int(np.argmax(row_norms)), int(np.argmax(col_norms))
-    floor = max(float(np.abs(K_H[i0] @ YKs).max()),
-                float(np.abs(K_H @ YKs[:, j1]).max())) - margin
+    floor = max(float(np.abs(K_H[i0] @ YK).max()),
+                float(np.abs(K_H @ YK[:, j1]).max())) - margin
     return np.flatnonzero(row_norms >= floor), np.flatnonzero(col_norms >= floor)
 
 
 def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
     """First-occurrence argmax of |C_ij|^2 over the given rows of C = left @ right.
 
-    rows must be non-empty and increasing. Scores are computed in complex128,
-    _SCORE_BLOCK_ROWS rows at a time into buffers reused from block to block;
-    within a block np.argmax takes the first maximum, and across blocks only
-    a strictly larger score replaces the best, so ties break to the smallest
-    row, then the smallest column.
+    rows must be non-empty and increasing; left and right are formed from
+    _scaled's Ys, whose largest squared scores neither overflow nor underflow.
+    Scores are computed in complex128, _SCORE_BLOCK_ROWS rows at a time into
+    buffers reused from block to block; within a block np.argmax takes the
+    first maximum, and across blocks only a strictly larger score replaces
+    the best, so ties break to the smallest row, then the smallest column.
     """
     n = right.shape[1]
     block = min(_SCORE_BLOCK_ROWS, len(rows))
@@ -384,11 +385,12 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     """Exhaustive scan: argmax over all pairs of |k_r_i^H Y k_t_j|.
 
     Ties are broken by the smallest DoA index, then the smallest DoD index.
-    The product C = K_r^H Y K_t = left @ right is contracted over the smaller
-    side of Y: left = K_r^H, right = Y K_t when n_c <= n_s, and left =
-    K_r^H Y, right = K_t otherwise; r is that inner dimension. The scan
-    prunes the grid, screens what is left in complex64 and returns the exact
-    complex128 argmax.
+    The product C = K_r^H Ys K_t = left @ right of Ys = Y / 2^e (see
+    _scaled), which scales every score exactly, is contracted over the
+    smaller side of Y: left = K_r^H, right = Ys K_t when n_c <= n_s, and
+    left = K_r^H Ys, right = K_t otherwise; r is that inner dimension. The
+    scan prunes the grid, screens what is left in complex64 and returns the
+    exact complex128 argmax.
 
     Prune. The atoms have unit norm, so by Cauchy-Schwarz a pair's score
     |C_ij| is at most both of its marginals, ||k_r_i^H Y|| and ||Y k_t_j||.
@@ -397,10 +399,10 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     marginal with its best DoA. Every maximizing pair scores at least L, so
     both its marginals are at least L, and only the DoAs and DoDs whose
     marginal is at least L - margin are kept (see _candidates). The
-    marginals and L are read from Y / max|Y|, whose largest entry has
-    modulus 1, so no scale of Y overflows or underflows them, and
+    marginals and L are read from Ys, so no scale of Y overflows or
+    underflows them, and
 
-        margin = c (n_c + 1) (n_s + 1) u ||Y / max|Y| ||_F,
+        margin = c (n_c + 1) (n_s + 1) u ||Ys||_F,
 
     with u = 2^-53 and c = _PRUNE_SAFETY = 16. The marginals of the side
     whose atoms are not multiplied into Y come from the triangular factor
@@ -456,12 +458,13 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     and its helpers (see _screened_rows); the pick does not depend on it.
     """
     K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
+    Ys, margin = _scaled(Y)
     if K_r_H.shape[1] <= K_t.shape[0]:
-        left, right = K_r_H, Y @ K_t
-        rows, cols = _candidates(K_r_H, Y, right)
+        left, right = K_r_H, Ys @ K_t
+        rows, cols = _candidates(K_r_H, Ys, right, margin)
     else:
-        left, right = K_r_H @ Y, K_t
-        cols, rows = _candidates(K_t.T, Y.T, left.T)
+        left, right = K_r_H @ Ys, K_t
+        cols, rows = _candidates(K_t.T, Ys.T, left.T, margin)
     screened = rows[_screened_rows(left[rows], right[:, cols], pool)]
     i, j = _best_in_rows(left, right, screened)
     return Selection(i, j, dictionary.m * dictionary.n)
@@ -478,37 +481,29 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     selects the same index as the raw steering vector whenever combining is
     lossless.
 
-    Stage 1 screens, then rescores. The marginal norms come from the
-    triangular factor of Y^H (see _marginal_norms), in m n_c min(n_c, n_s)
-    multiply-adds instead of the m n_c n_s of K_r^H Y, and each lies within
-    joint_select's margin of ||k_r_i^H Y||. The DoAs whose norm is within
-    twice the margin of the largest, usually one, hold every maximum; their
-    rows of T = K_r^H Y are formed, and their energies are the sums of
-    squares over the real view of those rows, as if T were formed whole.
-    Stage 2 multiplies the picked row of T by K_t. A zero or non-finite Y
-    forms every row. pool is accepted for a common selector signature and
-    not used.
+    Both stages read Ys = Y / 2^e (see _scaled). Stage 1 screens, then
+    rescores. The marginal norms come from the triangular factor of Ys^H
+    (see _marginal_norms), in m n_c min(n_c, n_s) multiply-adds instead of
+    the m n_c n_s of K_r^H Ys, and each lies within joint_select's margin of
+    ||k_r_i^H Ys||. The DoAs whose norm is within twice the margin of the
+    largest, usually one, hold every maximum; their rows of T = K_r^H Ys are
+    formed, and their energies are the sums of squares over the real view
+    of those rows, as if T were formed whole. Stage 2 scores the picked row
+    of T against K_t with _best_in_rows, as joint_select does. A zero or
+    non-finite Y forms every row. pool is accepted for a common selector
+    signature and not used.
     """
     K_r_H = dictionary.K_r_H
     rows = np.arange(dictionary.m)
-    scaled = _scaled(Y)
-    if scaled is not None:
-        Ys, _, margin = scaled
+    Ys, margin = _scaled(Y)
+    if margin is not None:
         norms = _marginal_norms(K_r_H, Ys)
         rows = np.flatnonzero(norms >= norms.max() - 2.0 * margin)
-    T = K_r_H[rows] @ Y
+    T = K_r_H[rows] @ Ys
     v = T.view(np.float64)
     k = int(np.argmax(np.einsum("ij,ij->i", v, v)))
-    row = T[k] @ dictionary.K_t
-    j_hat = int(np.argmax(row.real ** 2 + row.imag ** 2))
+    _, j_hat = _best_in_rows(T, dictionary.K_t, np.array([k]))
     return Selection(int(rows[k]), j_hat, dictionary.m + dictionary.n)
-
-
-def _observed_atoms(s: ObservationSetup, doa: Direction, dod: Direction,
-                    g_r: ArrayGeometry, g_t: ArrayGeometry):
-    a_r = s.W.conj().T @ steering_vector(g_r, doa)
-    a_t = s.X.conj().T @ steering_vector(g_t, dod)
-    return a_r, a_t
 
 
 def _least_squares_gain(Y: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> complex:
@@ -575,10 +570,10 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
                      pool: Helpers | None = None) -> EstimationReport:
     """Greedy P_budget-path estimate of the channel behind Y.
 
-    Each iteration selects a direction pair of the dictionary with the
-    requested strategy, fits its gain by least squares on the current
-    residual against the observation and arrays the dictionary was built
-    from, records the path, and subtracts its observed contribution.
+    Each iteration selects dictionary columns (k_r, k_t) with the requested
+    strategy, fits c = k_r^H R k_t on the residual R, subtracts c k_r k_t^H
+    and records the path with gain c divided by the columns' norms before
+    normalization, the least-squares gain of its observed contribution.
     Repeated selection of the same pair is allowed; the gains accumulate as
     separate paths. The wall time covers the pursuit loop only, not
     dictionary construction. An observation holding NaN or inf raises
@@ -592,7 +587,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
         select = _SELECTORS[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
-    s, g_r, g_t = dictionary.setup, dictionary.g_r, dictionary.g_t
+    K_r, K_t = dictionary.K_r, dictionary.K_t
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
@@ -602,18 +597,19 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     for _ in range(P_budget):
         sel = select(R, dictionary, pool)
         evaluations += sel.score_evaluations
-        doa, dod = dictionary.doa_of(sel.doa_index), dictionary.dod_of(sel.dod_index)
-        a_r, a_t = _observed_atoms(s, doa, dod, g_r, g_t)
-        c = _least_squares_gain(R, a_r, a_t)
+        i, j = sel.doa_index, sel.dod_index
+        c = _least_squares_gain(R, K_r[:, i], K_t[:, j])
         if c != 0:
-            paths.append(PathParams(abs(c), cmath.phase(c) % TWO_PI, doa, dod))
-            R -= c * np.outer(a_r, a_t.conj())
+            gain = c / (dictionary.doa_norms[i] * dictionary.dod_norms[j])
+            paths.append(PathParams(abs(gain), cmath.phase(gain) % TWO_PI,
+                                    dictionary.doa_of(i), dictionary.dod_of(j)))
+            R -= c * np.outer(K_r[:, i], K_t[:, j].conj())
         residual_norms.append(float(np.linalg.norm(R)))
         cumulative_times.append(time.perf_counter() - start)
         paths_kept.append(len(paths))
     rmse = None
     if true_channel is not None:
-        rmse = relative_error(true_channel, paths, g_r, g_t)
+        rmse = relative_error(true_channel, paths, dictionary.g_r, dictionary.g_t)
     return EstimationReport(strategy, tuple(paths), rmse, evaluations, tuple(residual_norms),
                             tuple(cumulative_times), tuple(paths_kept))
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -273,16 +274,28 @@ def test_bench_wide_angular_spread_exit_0(tmp_path):
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "wide")]) == 0
 
 
-def test_bench_outputs_reproducible_except_walltime(tmp_path):
-    cfg = write_config(tmp_path, bench_config())
+@pytest.mark.parametrize("command", ["bench", "estimate", "crb"])
+def test_outputs_reproducible_except_walltime(tmp_path, command):
+    # bench and estimate are compared, JSON and CSV, without their wall-time
+    # fields; crb reports no timing, so its JSON must match byte for byte
+    obj = {"bench": bench_config(), "estimate": estimate_config(),
+           "crb": crb_config(n_paths=2)}[command]
+    cfg = write_config(tmp_path, obj)
+    threads = ["--threads", "2"] if command == "bench" else []
+    wall = {"bench": "mean_wall_time_s", "estimate": "wall_time_s"}.get(command)
     outs = []
     for name in ("one", "two"):
         base = str(tmp_path / name)
-        assert main(["bench", "--config", cfg, "--out", base, "--threads", "2"]) == 0
-        payload = json.loads((tmp_path / f"{name}.json").read_text())
-        for row in payload["rows"]:
-            row.pop("mean_wall_time_s")
-        outs.append(payload)
+        assert main([command, "--config", cfg, "--out", base, *threads]) == 0
+        if command == "crb":
+            outs.append(Path(base).read_bytes())
+            continue
+        payload = json.loads(Path(base + ".json").read_text())
+        with open(base + ".csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        for row in (payload["rows"] if command == "bench" else [payload]) + csv_rows:
+            row.pop(wall)
+        outs.append((payload, csv_rows))
     assert outs[0] == outs[1]
 
 
@@ -558,6 +571,19 @@ def test_unknown_grid_key_and_keys_of_the_other_command_exit_2(tmp_path, capsys)
                        "unknown config keys ['include_blocks']")
     assert_unknown_key(tmp_path, capsys, "crb", dict(crb_config(n_paths=2), grid=est["grid"]),
                        "unknown config keys ['grid']")
+
+
+@pytest.mark.parametrize("grid", [
+    {"m_az": 3, "m_el": 3, "m": 16},   # ran a 16 x 2500 product grid and exited 0
+    {"m_az": 3, "m_el": 3},
+    {"m_az": 3, "m_el": 3, "n_az": 4},
+    {"n_el": 4, "n": 16},
+    {"m_az": 3, "m_el": 3, "n_az": 4, "n_el": 4, "n": 16},
+])
+def test_estimate_partial_or_mixed_grid_layout_exits_2(tmp_path, capsys, grid):
+    assert_unknown_key(tmp_path, capsys, "estimate", dict(estimate_config(), grid=grid),
+                       f"grid gives {sorted(grid)}; give all of "
+                       "['m_az', 'm_el', 'n_az', 'n_el'] or only m, n")
 
 
 @pytest.mark.parametrize("tx", [

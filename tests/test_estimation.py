@@ -25,10 +25,10 @@ def small_grid(k=6):
 
 
 def atom_dictionary(K_r, K_t, grid):
-    """A Dictionary holding the given atoms, as if observed through identity matrices."""
+    """A Dictionary holding the given atoms at unit norm, on the grid's first directions."""
     (n_c, m), (n_s, n) = K_r.shape, K_t.shape
-    return estimation.Dictionary(K_r, K_t, tuple(range(m)), tuple(range(n)), grid,
-                                 identity_setup(n_s, n_c, 1.0), ula(n_c), ula(n_s))
+    return estimation.Dictionary(K_r, K_t, np.ones(m), np.ones(n), grid.doa_angles[:, :m],
+                                 grid.dod_angles[:, :n], ula(n_c), ula(n_s))
 
 
 def on_grid_scenario(grid, doa_idx, dod_idx, rho=1.2, phi=0.7, n_r=(2, 2), n_t=(2, 3)):
@@ -251,9 +251,10 @@ def test_dictionary_drops_annihilated_directions(rng):
     s = ObservationSetup(np.eye(4), basis, 1.0)
     with pytest.warns(UserWarning):
         d = build_dictionaries(grid, s, g_r, g_t)
-    assert d.m == grid.m - 1
-    assert 0 not in d.doa_indices
-    assert d.doa_of(0) == grid.test_doas[d.doa_indices[0]]
+    assert d.m == grid.m - 1 and d.n == grid.n
+    assert np.array_equal(d.doa_angles, grid.doa_angles[:, 1:])
+    assert [d.doa_of(i) for i in range(d.m)] == list(grid.test_doas[1:])
+    assert [d.dod_of(j) for j in range(d.n)] == list(grid.test_dods)
 
 
 def test_joint_select_finds_on_grid_path():
@@ -314,9 +315,10 @@ def bruteforce_pick(Y, d):
 
 def contracted_factors(Y, d):
     """The (left, right) factors joint_select screens, as it forms them."""
+    Ys, _ = estimation._scaled(Y)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
-        return d.K_r.conj().T, Y @ d.K_t
-    return d.K_r.conj().T @ Y, d.K_t
+        return d.K_r.conj().T, Ys @ d.K_t
+    return d.K_r.conj().T @ Ys, d.K_t
 
 
 @pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
@@ -442,19 +444,26 @@ def basis_dictionary(n_c, n_s, seed):
 
 def candidates(Y, d):
     """The DoA rows and DoD columns joint_select screens, as it forms them."""
+    Ys, margin = estimation._scaled(Y)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
-        return estimation._candidates(d.K_r_H, Y, Y @ d.K_t)
-    cols, rows = estimation._candidates(d.K_t.T, Y.T, (d.K_r_H @ Y).T)
+        return estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)
+    cols, rows = estimation._candidates(d.K_t.T, Ys.T, (d.K_r_H @ Ys).T, margin)
     return rows, cols
+
+
+# Far from unit scale the squares of the residual's scores overflow (1e160)
+# or underflow (1e-165, 1e-200) in float64 unless the selectors scale it.
+SCALES = [1.0, 1e-150, 1e150, 1e160, 1e-165, 1e-200]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sides=st.sampled_from([(3, 6), (6, 3)]),
        kind=st.sampled_from(["random", "rank1", "ties", "zero"]),
-       scale=st.sampled_from([1.0, 1e-150, 1e150]),
+       scale=st.sampled_from(SCALES),
        seed=st.integers(0, 2 ** 16))
 def test_pruned_joint_select_matches_bruteforce(sides, kind, scale, seed):
-    # every maximizing pair is a candidate, and the pick is brute force's
+    # every maximizing pair is a candidate, and the pick is brute force's on
+    # the unscaled Y, whose squared scores stay in range
     n_c, n_s = sides
     rng = np.random.default_rng(seed)
     d = basis_dictionary(n_c, n_s, seed % 4) if kind == "ties" else hybrid_dictionary(n_c, n_s)
@@ -467,6 +476,7 @@ def test_pruned_joint_select_matches_bruteforce(sides, kind, scale, seed):
         Y = rng.integers(-2, 3, size=(n_c, n_s)) + 1j * rng.integers(-2, 3, size=(n_c, n_s))
     else:
         Y = np.zeros((n_c, n_s), dtype=complex)
+    expected = bruteforce_pick(Y, d)
     Y = scale * Y
     scores = np.abs(d.K_r_H @ Y @ d.K_t)
     rows, cols = candidates(Y, d)
@@ -475,7 +485,7 @@ def test_pruned_joint_select_matches_bruteforce(sides, kind, scale, seed):
     if kind == "zero":
         assert len(rows) == d.m and len(cols) == d.n
     sel = joint_select(Y, d)
-    assert (sel.doa_index, sel.dod_index) == bruteforce_pick(Y, d)
+    assert (sel.doa_index, sel.dod_index) == expected
     assert sel.score_evaluations == d.m * d.n
 
 
@@ -531,18 +541,37 @@ def brute_force_sequential(Y, d):
     return i_hat, max(range(d.n), key=lambda j: (row[j], -j)), energies, row
 
 
-def test_sequential_select_matches_bruteforce_oracle(rng):
-    grid = DirectionGrid(hemisphere_directions(6, 5), hemisphere_directions(5, 4))
-    g_r, g_t = upa(2, 3), upa(3, 2)
-    d = build_dictionaries(grid, identity_setup(6, 6, 1.0), g_r, g_t)
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("observed", ["identity", "hybrid"])
+def test_sequential_select_matches_bruteforce_oracle(rng, observed, scale):
+    # the oracle reads the unscaled Y; hybrid is 3 combiners, 6 pilots, 300
+    # DoAs and 30 DoDs
+    if observed == "identity":
+        grid = DirectionGrid(hemisphere_directions(6, 5), hemisphere_directions(5, 4))
+        d = build_dictionaries(grid, identity_setup(6, 6, 1.0), upa(2, 3), upa(3, 2))
+    else:
+        d = hybrid_dictionary(3, 6)
+    n_c, n_s = d.K_r.shape[0], d.K_t.shape[0]
     for _ in range(20):
-        Y = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
         i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
         # a near-tie could be decided by rounding; random residuals have none
         assert sorted(energies)[-1] - sorted(energies)[-2] > 1e-9 * max(energies)
         assert sorted(row)[-1] - sorted(row)[-2] > 1e-9 * max(row)
-        sel = sequential_select(Y, d)
+        sel = sequential_select(scale * Y, d)
         assert (sel.doa_index, sel.dod_index) == (i_hat, j_hat)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_sequential_select_ranks_near_tied_energies_at_any_scale(scale):
+    # DoA energies 1 and 1 + 2^-46 lie within the screen's margin, so both
+    # rows are rescored; unscaled, their energies underflow to zero at 1e-200
+    d = atom_dictionary(np.eye(2, dtype=complex), np.eye(2, dtype=complex), small_grid(2))
+    Y = np.array([[1, 0], [2.0 ** -23, 1]], dtype=complex)
+    i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
+    assert (i_hat, j_hat) == (1, 1) and energies[1] > energies[0]
+    sel = sequential_select(scale * Y, d)
+    assert (sel.doa_index, sel.dod_index) == (1, 1)
 
 
 def test_sequential_select_exact_ties_go_to_smallest_index():
@@ -625,20 +654,46 @@ def test_matching_pursuit_gain_is_linear_in_the_observation(rng):
         assert abs(p2.gain - 2 * p1.gain) < 1e-13
 
 
-def test_matching_pursuit_rejects_a_pick_its_setup_annihilates():
-    # atoms that disagree with the dictionary's setup: W annihilates the
-    # picked DoA, so its gain has no least-squares fit
+@pytest.mark.parametrize("strategy", ["joint", "sequential"])
+def test_matching_pursuit_rejects_a_zero_atom_it_picks(strategy):
+    # a hand-built Dictionary may hold a zero column; Y is seen by no atom,
+    # so every score ties at 0 and the pick is (0, 0), whose DoA atom is
+    # zero and has no least-squares gain
     grid = small_grid(3)
-    g_r, g_t = upa(2, 2), upa(2, 2)
-    e0 = steering_vector(g_r, grid.test_doas[0])
-    W = orth(np.eye(4) - np.outer(e0, e0.conj()))
-    d = estimation.Dictionary(np.eye(3, grid.m), np.eye(4, grid.n), tuple(range(grid.m)),
-                              tuple(range(grid.n)), grid, ObservationSetup(np.eye(4), W, 1.0),
-                              g_r, g_t)
+    K_r = np.zeros((3, grid.m), dtype=complex)
+    K_r[[1, 2], [1, 2]] = 1.0
+    d = atom_dictionary(K_r, np.eye(4, grid.n, dtype=complex), grid)
     Y = np.zeros((3, 4))
     Y[0, 0] = 1.0
     with pytest.raises(ValueError, match="annihilated"):
-        matching_pursuit(Y, d, 1, "joint")
+        matching_pursuit(Y, d, 1, strategy)
+
+
+def test_pursuit_gains_are_least_squares_fits_of_the_observed_paths(rng):
+    # Random W and X give atoms of unequal norms before normalization. Each
+    # reported gain must be the least-squares gain of W^H e_r(doa) and
+    # X^H e_t(dod), rebuilt from the reported path, on the residual left by
+    # the paths before it.
+    grid = DirectionGrid(hemisphere_directions(6, 5), hemisphere_directions(5, 4))
+    g_r, g_t = upa(2, 3), upa(2, 4)
+    W = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    X = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    s = ObservationSetup(X, W, 0.01)
+    ps = PathSet([PathParams(1.0, 0.3, grid.test_doas[4], grid.test_dods[7]),
+                  PathParams(0.5, 2.0, grid.test_doas[21], grid.test_dods[12])])
+    Y = observe(synthesize(ps, g_r, g_t), s, 4)
+    d = build_dictionaries(grid, s, g_r, g_t)
+    assert np.ptp(d.doa_norms) > 0.1 and np.ptp(d.dod_norms) > 0.1
+    for strategy in ("joint", "sequential"):
+        rep = matching_pursuit(Y, d, 5, strategy)
+        assert len(rep.estimated) == 5
+        R = np.array(Y, dtype=complex)
+        for p in rep.estimated:
+            a_r = W.conj().T @ steering_vector(g_r, p.doa)
+            a_t = X.conj().T @ steering_vector(g_t, p.dod)
+            c = np.vdot(a_r, R @ a_t) / (np.vdot(a_r, a_r).real * np.vdot(a_t, a_t).real)
+            assert abs(p.gain - c) <= 1e-12 * abs(c)
+            R -= c * np.outer(a_r, a_t.conj())
 
 
 def test_matching_pursuit_counters_exact(rng):
