@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,6 +93,16 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must not repeat an entry, got {list(value)}")
         if self.angular_spread_deg < 0 or self.gain_decay_db_per_cluster < 0:
             raise ValueError("angular spread and gain decay must be non-negative")
+        if any(math.isqrt(k) ** 2 != k for k in (self.m, self.n)):
+            raise ValueError(f"m and n must be perfect squares, got m={self.m}, n={self.n}")
+        # keeps the linear SNRs and 1 / snr_linear, a unit-power entry's noise variance, finite
+        if not abs(self.snr_db) + 10.0 * math.log10(self.n_r * self.n_t) < 3000.0:
+            raise ValueError(f"|snr_db| + 10 log10(n_r n_t) must be below 3000, got {self.snr_db}")
+        # below a normal float, a path power (this times a unit-mean draw) may underflow to 0
+        weakest = (10.0 ** (-self.gain_decay_db_per_cluster / 10.0)) ** (self.n_clusters - 1)
+        if weakest < sys.float_info.min:
+            raise ValueError(f"gain_decay_db_per_cluster {self.gain_decay_db_per_cluster} "
+                             "underflows the weakest cluster's power")
         self.base_seed = as_int(self.base_seed, "base_seed")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")

@@ -31,6 +31,7 @@ _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time
 _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
 _U32 = 2.0 ** -24        # unit roundoff of float32
 _U64 = 2.0 ** -53        # unit roundoff of float64
+_TINY32 = 2.0 ** -122    # 16 x float32's smallest normal: the screen's underflow allowance
 _PRUNE_SAFETY = 16.0     # c in the joint prune's rounding margin (see joint_select)
 
 
@@ -181,6 +182,15 @@ class Dictionary:
     Grid directions annihilated by W or X are dropped. g_r and g_t are the
     arrays. K_r_H, the C-contiguous conjugate transpose of K_r, is built
     once here for the selectors.
+
+    The constructor enforces what the selectors' proofs and the gain fit
+    assume, raising ValueError that names the field: K_r and K_t are 2-D
+    with at least one column, every column of a d-row K has a computed
+    squared norm within 8 d u of 1 (u = 2^-53, so a norm within about
+    5 d u of 1, which a normalized column meets), doa_norms / dod_norms
+    hold one finite norm above ATOM_NORM_TOL per column, and doa_angles /
+    dod_angles are 2 x columns. Every array is then read-only; the atoms
+    are not copied.
     """
 
     K_r: np.ndarray
@@ -194,7 +204,26 @@ class Dictionary:
     K_r_H: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for atoms, norms, angles in (("K_r", "doa_norms", "doa_angles"),
+                                     ("K_t", "dod_norms", "dod_angles")):
+            K, nv, av = getattr(self, atoms), getattr(self, norms), getattr(self, angles)
+            if K.ndim != 2 or K.shape[1] == 0:
+                raise ValueError(f"{atoms} must be a 2-D array of at least one column, "
+                                 f"got shape {K.shape}")
+            d, k = K.shape
+            v = np.ascontiguousarray(K, dtype=complex).view(np.float64)
+            sq = np.einsum("ij,ij->j", v, v)
+            off = np.flatnonzero(~(np.abs(sq[0::2] + sq[1::2] - 1.0) <= 8 * d * _U64))
+            if off.size:
+                raise ValueError(f"{atoms} column {off[0]} does not have unit norm")
+            if nv.shape != (k,) or not np.all(np.isfinite(nv) & (nv > ATOM_NORM_TOL)):
+                raise ValueError(f"{norms} must hold {k} finite norms above {ATOM_NORM_TOL}")
+            if av.shape != (2, k):
+                raise ValueError(f"{angles} must be a 2 x {k} array, got shape {av.shape}")
         object.__setattr__(self, "K_r_H", np.conjugate(self.K_r.T, order="C"))
+        for name in ("K_r", "K_t", "K_r_H", "doa_norms", "dod_norms", "doa_angles",
+                     "dod_angles"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -274,22 +303,21 @@ def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _candidates(K_H: np.ndarray, Ys: np.ndarray, YK: np.ndarray,
-                margin: float | None) -> tuple[np.ndarray, np.ndarray]:
+                margin: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Increasing rows of K_H and columns of YK = Ys K that may hold max |(K_H Ys K)_ij|.
 
     These are the rows and columns whose marginal norm ||k_i^H Ys|| or
     ||Ys k_j|| is at least the score of the better of two feasible pairs,
     less the rounding margin; (Ys, margin) is _scaled's (see joint_select).
-    A None margin, for a zero or non-finite Y, keeps every row and column.
+    The largest norm of a kept column of YK is returned third.
     """
-    if margin is None:
-        return np.arange(K_H.shape[0]), np.arange(YK.shape[1])
     row_norms = _marginal_norms(K_H, Ys)
     col_norms = np.linalg.norm(YK, axis=0)
     i0, j1 = int(np.argmax(row_norms)), int(np.argmax(col_norms))
     floor = max(float(np.abs(K_H[i0] @ YK).max()),
                 float(np.abs(K_H @ YK[:, j1]).max())) - margin
-    return np.flatnonzero(row_norms >= floor), np.flatnonzero(col_norms >= floor)
+    cols = np.flatnonzero(col_norms >= floor)
+    return np.flatnonzero(row_norms >= floor), cols, float(col_norms[cols].max())
 
 
 def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
@@ -336,14 +364,14 @@ def _screen_range(left32: np.ndarray, right32: np.ndarray, row_max: np.ndarray,
         np.max(A[:k], axis=1, out=row_max[i0:i0 + k])
 
 
-def _screened_rows(left: np.ndarray, right: np.ndarray,
+def _screened_rows(left: np.ndarray, right: np.ndarray, norm: float,
                    pool: Helpers | None = None) -> np.ndarray:
     """Increasing indices of the rows of C = left @ right that may hold max |C_ij|.
 
-    Each factor is scaled by its largest entry modulus, which keeps every
-    complex64 product and partial sum at most r in modulus (no overflow) and
-    the bound below far above float32's underflow level; positive scaling
-    moves no argmax. A zero or non-finite factor returns every row.
+    One factor holds unit atoms and the other, whose largest row or column
+    norm is norm, is formed from _scaled's Ys; both are screened in
+    complex64 as they are, and a row survives when its screened maximum is
+    within 2 delta of the largest (see joint_select).
 
     The _SCORE_BLOCK_ROWS-row blocks are split into contiguous ranges, one
     for the calling thread and one for each of pool's helpers, at most one
@@ -352,18 +380,7 @@ def _screened_rows(left: np.ndarray, right: np.ndarray,
     """
     m, r = left.shape
     n = right.shape[1]
-    abs_left, abs_right = np.abs(left), np.abs(right)
-    a, b = float(abs_left.max()), float(abs_right.max())
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        return np.arange(m)
-    abs_left /= a
-    abs_right /= b
-    norms = math.sqrt(float(np.square(abs_left).sum(axis=1).max())
-                      * float(np.square(abs_right).sum(axis=0).max()))
-    left32 = np.empty(left.shape, dtype=np.complex64)
-    right32 = np.empty(right.shape, dtype=np.complex64)
-    np.divide(left, a, out=left32, casting="same_kind")
-    np.divide(right, b, out=right32, casting="same_kind")
+    left32, right32 = left.astype(np.complex64), right.astype(np.complex64)
     block = min(_SCORE_BLOCK_ROWS, m)
     starts = range(0, m, block)
     parts = min(1 + (pool.count if pool is not None else 0), len(starts))
@@ -376,7 +393,7 @@ def _screened_rows(left: np.ndarray, right: np.ndarray,
     row_max = np.empty(m, dtype=np.float32)
     shared_map(lambda job: _screen_range(left32, right32, row_max, *job), jobs, pool)
     top = float(row_max.max())
-    delta = _SCREEN_SAFETY * (r + 4) * _U32 * norms + 2.0 * _U32 * top
+    delta = _SCREEN_SAFETY * (r + 4) * (_U32 * norm + _TINY32 * (1.0 + norm)) + 2.0 * _U32 * top
     return np.flatnonzero(row_max >= np.float64(top - 2.0 * delta))
 
 
@@ -412,23 +429,24 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     19.3); the other side's are the norms of the factor holding Y. The
     products, the sums of squares, the scaling and the unit norms of the
     stored atoms add a small multiple of (n_c + n_s) u ||Y||_F to a marginal
-    or to L, so the margin covers them all. A zero or non-finite Y keeps
-    every pair. On paper-scale residuals (16 x 64 observations, 2500 x 2500
-    grids) the prune keeps under 1% of the m*n pairs while strong paths
-    remain, and most of them once the residual is mostly noise.
+    or to L, so the margin covers them all. On paper-scale residuals (16 x
+    64 observations, 2500 x 2500 grids) the prune keeps under 1% of the m*n
+    pairs while strong paths remain, and most of them once the residual is
+    mostly noise.
 
-    Screen. The kept rows of left and columns of right are scaled (see
-    _screened_rows) so that float32 cannot overflow and its underflow stays
-    far below the bound, every kept |C_ij| is computed in complex64 (unit
-    roundoff u = 2^-24), and each kept row keeps its largest value. A
-    screened value s_ij differs from the scaled |C_ij| by at most
+    Screen. One factor holds unit atoms and the other is formed from Ys
+    (entries below 1 in modulus), so no complex64 value can overflow: the
+    kept rows of left and columns of right are rounded to complex64 (unit
+    roundoff u = 2^-24) as they are, every kept |C_ij| is computed in
+    complex64, and each kept row keeps its largest value. A screened value
+    s_ij differs from the scaled |C_ij| by at most
 
-        delta = c (r + 4) u max_i ||left_i|| max_j ||right_j|| + 2 u top,
+        delta = c (r + 4) (u N + t (1 + N)) + 2 u top,
 
-    where top is the largest screened value, the maxima over the kept rows
-    and columns, and c = _SCREEN_SAFETY = 4.
-    With S_ij = sum_k |left_ik| |right_kj| <= ||left_i|| ||right_j||
-    (Cauchy-Schwarz):
+    where N is the largest norm of a kept row or column of the factor
+    formed from Ys (see _candidates), t = _TINY32 = 2^-122, top is the
+    largest screened value and c = _SCREEN_SAFETY = 4. With unit atoms,
+    S_ij = sum_k |left_ik| |right_kj| <= ||left_i|| ||right_j|| <= N:
     - rounding the factors to complex64 moves each entry by at most u
       relatively, and so the product by at most (2u + u^2) S_ij;
     - the complex64 inner product of length r adds at most
@@ -438,35 +456,37 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     - the float32 modulus of a computed value z adds at most 2u |z|, and
       |z| <= top (1 + 3u).
     As sqrt(2) (r + 2) + 2 <= sqrt(2) (r + 4), c = sqrt(2) would do up to
-    second-order terms. c = 4 also covers the gamma denominator, the float64
-    scaling, the underflow of scaled entries (about r 2^-126 in absolute
-    terms even with subnormals flushed to zero, while delta >= c (r + 4) u
-    because both largest norms are at least 1) and the complex128 rounding
-    of the exact pass, all far below u. Every maximizing pair is kept, so if
-    the pick lies in row i with scaled value v, then s_i >= v - delta and
-    top <= v + delta: a row survives when its screened maximum is at least
-    top - 2 delta, and every row holding the maximum does.
+    second-order terms; c = 4 also covers the gamma denominator, the atoms'
+    norms (1 within 5 d u, see Dictionary) and the complex128 rounding of
+    the exact pass. Flushing every value below 2^-126 to zero adds at most
+    sqrt(2) 2^-126 sqrt(r) (1 + N) through the factors' entries and 2^-126
+    through each of the 8r + 1 real operations, below c (r + 4) t (1 + N).
+    Every maximizing pair is kept, so if the pick lies in row i with value
+    v, then s_i >= v - delta and top <= v + delta: a row survives when its
+    screened maximum is at least top - 2 delta, as every maximum's row does.
 
     Rescore. The surviving rows, in increasing order, are scored exactly in
-    complex128 over all n columns by _best_in_rows, the same code that
-    scores the whole grid when every row survives (a zero residual, or one
-    whose scores all lie within 2 delta of each other). Usually one or two
-    rows survive. score_evaluations counts all m*n candidate scores either
-    way, the paper's cost model.
+    complex128 over all n columns by _best_in_rows. All rows are when the
+    scores lie within 2 delta of each other, or when _scaled gives no
+    margin (a zero or non-finite Y), which skips the prune and the screen.
+    Usually one or two rows survive. score_evaluations counts all m*n
+    candidate scores either way, the paper's cost model.
 
     pool, when given, shares the screen's blocks between the calling thread
     and its helpers (see _screened_rows); the pick does not depend on it.
     """
     K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
     Ys, margin = _scaled(Y)
-    if K_r_H.shape[1] <= K_t.shape[0]:
-        left, right = K_r_H, Ys @ K_t
-        rows, cols = _candidates(K_r_H, Ys, right, margin)
-    else:
-        left, right = K_r_H @ Ys, K_t
-        cols, rows = _candidates(K_t.T, Ys.T, left.T, margin)
-    screened = rows[_screened_rows(left[rows], right[:, cols], pool)]
-    i, j = _best_in_rows(left, right, screened)
+    contract_combiners = K_r_H.shape[1] <= K_t.shape[0]
+    left, right = (K_r_H, Ys @ K_t) if contract_combiners else (K_r_H @ Ys, K_t)
+    rows = np.arange(dictionary.m)
+    if margin is not None:
+        if contract_combiners:
+            rows, cols, norm = _candidates(K_r_H, Ys, right, margin)
+        else:
+            cols, rows, norm = _candidates(K_t.T, Ys.T, left.T, margin)
+        rows = rows[_screened_rows(left[rows], right[:, cols], norm, pool)]
+    i, j = _best_in_rows(left, right, rows)
     return Selection(i, j, dictionary.m * dictionary.n)
 
 
@@ -504,14 +524,6 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     k = int(np.argmax(np.einsum("ij,ij->i", v, v)))
     _, j_hat = _best_in_rows(T, dictionary.K_t, np.array([k]))
     return Selection(int(rows[k]), j_hat, dictionary.m + dictionary.n)
-
-
-def _least_squares_gain(Y: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> complex:
-    """argmin_c ||Y - c a_r a_t^H||_F = a_r^H Y a_t / (||a_r||^2 ||a_t||^2)."""
-    denom = float(np.vdot(a_r, a_r).real * np.vdot(a_t, a_t).real)
-    if denom <= ATOM_NORM_TOL ** 2:
-        raise ValueError("direction pair is annihilated by the observation matrices")
-    return complex(a_r.conj() @ Y @ a_t) / denom
 
 
 def relative_error(true_channel, paths, g_r: ArrayGeometry, g_t: ArrayGeometry) -> float:
@@ -571,14 +583,18 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     """Greedy P_budget-path estimate of the channel behind Y.
 
     Each iteration selects dictionary columns (k_r, k_t) with the requested
-    strategy, fits c = k_r^H R k_t on the residual R, subtracts c k_r k_t^H
-    and records the path with gain c divided by the columns' norms before
-    normalization, the least-squares gain of its observed contribution.
-    Repeated selection of the same pair is allowed; the gains accumulate as
-    separate paths. The wall time covers the pursuit loop only, not
-    dictionary construction. An observation holding NaN or inf raises
-    ValueError. pool is passed to the selector (see joint_select).
+    strategy, fits c = k_r^H R k_t on the residual R (the least-squares gain
+    of unit atoms), subtracts c k_r k_t^H and records the path with gain c
+    divided by the columns' norms before normalization, the least-squares
+    gain of its observed contribution. Repeated selection of the same pair
+    is allowed; the gains accumulate as separate paths. The wall time covers
+    the pursuit loop only. A Y that is not K_r.shape[0] x K_t.shape[0] or
+    holds NaN or inf raises ValueError. pool goes to the selector.
     """
+    K_r, K_t = dictionary.K_r, dictionary.K_t
+    if np.shape(Y) != (K_r.shape[0], K_t.shape[0]):
+        raise ValueError(f"observation Y has shape {np.shape(Y)}, but the dictionary's "
+                         f"atoms need {(K_r.shape[0], K_t.shape[0])}")
     if P_budget < 1:
         raise ValueError("P_budget must be at least 1")
     if not np.all(np.isfinite(Y)):
@@ -587,7 +603,6 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
         select = _SELECTORS[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
-    K_r, K_t = dictionary.K_r, dictionary.K_t
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
@@ -598,7 +613,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
         sel = select(R, dictionary, pool)
         evaluations += sel.score_evaluations
         i, j = sel.doa_index, sel.dod_index
-        c = _least_squares_gain(R, K_r[:, i], K_t[:, j])
+        c = complex(dictionary.K_r_H[i] @ R @ K_t[:, j])
         if c != 0:
             gain = c / (dictionary.doa_norms[i] * dictionary.dod_norms[j])
             paths.append(PathParams(abs(gain), cmath.phase(gain) % TWO_PI,

@@ -348,6 +348,19 @@ def test_bench_mistyped_fields_exit_2(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 3),                              # ValueError from DirectionGrid.product
+    ("snr_db", -4000),                     # "target SNR must be positive"
+    ("snr_db", 4000),                      # OverflowError
+    ("gain_decay_db_per_cluster", 4000),   # "path gain magnitude must be positive"
+])
+def test_bench_config_monte_carlo_cannot_run_exit_2(tmp_path, capsys, field, value):
+    # each ended in a traceback (exit 1) once monte_carlo started
+    obj = {"n_t": 4, "n_r": 4, "m": 4, "n": 4, "trials": 1, "P_budgets": [1], field: value}
+    assert main(["bench", "--config", write_config(tmp_path, obj)]) == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["0", "-2"])
 def test_bench_non_positive_threads_exit_2(tmp_path, capsys, flag):
     cfg = write_config(tmp_path, dict(bench_config(), trials=1, P_budgets=[1],

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -257,6 +258,42 @@ def test_dictionary_drops_annihilated_directions(rng):
     assert [d.dod_of(j) for j in range(d.n)] == list(grid.test_dods)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("K_r", np.ones(2, dtype=complex)),                 # 1-D
+    ("K_t", np.ones((2, 2, 1), dtype=complex)),         # 3-D
+    ("K_r", np.zeros((2, 0), dtype=complex)),           # no atom
+    # joint_select's unit-atom prune dropped every row for this K_t and
+    # Y = diag(1, 0.5), then failed on an empty screen; brute force picks (1, 1)
+    ("K_t", np.diag([1.0, 3.0]).astype(complex)),
+    ("K_r", np.diag([1.0, 1.0 + 1e-12])),               # off by 1e-12
+    ("K_t", np.diag([1.0, np.nan])),
+    ("doa_norms", np.ones(3)),                          # one per column
+    ("dod_norms", np.ones((2, 1))),
+    ("doa_norms", np.array([1.0, 0.0])),                # ended in ZeroDivisionError
+    ("dod_norms", np.array([1.0, np.inf])),
+    ("doa_angles", np.zeros((2, 3))),                   # ended in IndexError
+    ("dod_angles", np.zeros((3, 2))),
+])
+def test_dictionary_rejects_a_bad_field(field, value):
+    grid = small_grid(2)
+    fields = dict(K_r=np.eye(2, dtype=complex), K_t=np.eye(2, dtype=complex),
+                  doa_norms=np.ones(2), dod_norms=np.ones(2), doa_angles=grid.doa_angles[:, :2],
+                  dod_angles=grid.dod_angles[:, :2], g_r=ula(2), g_t=ula(2))
+    estimation.Dictionary(**fields)
+    with pytest.raises(ValueError, match=field):
+        estimation.Dictionary(**dict(fields, **{field: value}))
+
+
+def test_dictionary_arrays_are_read_only():
+    # a write to K_r would leave K_r_H stale
+    grid = small_grid(3)
+    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), upa(2, 2), upa(2, 2))
+    for name in ("K_r", "K_t", "K_r_H", "doa_norms", "dod_norms", "doa_angles", "dod_angles"):
+        array = getattr(d, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+
+
 def test_joint_select_finds_on_grid_path():
     grid = small_grid(6)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 13, 29)
@@ -314,18 +351,22 @@ def bruteforce_pick(Y, d):
 
 
 def contracted_factors(Y, d):
-    """The (left, right) factors joint_select screens, as it forms them."""
+    """The factors joint_select screens, as it forms them, and the largest
+    norm of a row or column of the one formed from Ys."""
     Ys, _ = estimation._scaled(Y)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
-        return d.K_r.conj().T, Ys @ d.K_t
-    return d.K_r.conj().T @ Ys, d.K_t
+        right = Ys @ d.K_t
+        return d.K_r.conj().T, right, float(np.linalg.norm(right, axis=0).max())
+    left = d.K_r.conj().T @ Ys
+    return left, d.K_t, float(np.linalg.norm(left, axis=1).max())
 
 
 @pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
 def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
-    # 1e-150 underflows and 1e150 overflows float32 unless the screen scales
-    # its factors; 300 DoAs are not a multiple of the block size
+    # 1e-150 underflows and 1e150 overflows float32 unless the screened
+    # factors are formed from _scaled's Ys; 300 DoAs are not a multiple of
+    # the block size
     grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
     g_r, g_t = upa(2, 3), upa(2, 4)
     W = rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c))
@@ -342,16 +383,51 @@ def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
         assert sel.score_evaluations == 300 * 30
 
 
-def test_joint_select_zero_observation_tie_break():
-    # every row survives the screen; 300 DoAs span several score blocks
+def test_joint_select_zero_observation_tie_break(monkeypatch):
+    # a zero Y skips the prune and the screen, so every row is scored
+    # exactly; 300 DoAs span several score blocks
     grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(4, 4))
     g_r, g_t = upa(2, 2), upa(2, 2)
     d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
     Y = np.zeros((4, 4), dtype=complex)
-    rows = estimation._screened_rows(*contracted_factors(Y, d))
-    assert np.array_equal(rows, np.arange(d.m))
+    # a zero product also keeps every row of the screen
+    assert np.array_equal(estimation._screened_rows(*contracted_factors(Y, d)), np.arange(d.m))
+    scored = []
+    best_in_rows = estimation._best_in_rows
+    monkeypatch.setattr(estimation, "_screened_rows", None)
+    monkeypatch.setattr(estimation, "_best_in_rows",
+                        lambda left, right, rows: scored.append(rows) or
+                        best_in_rows(left, right, rows))
     sel = joint_select(Y, d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
+    assert len(scored) == 1 and np.array_equal(scored[0], np.arange(d.m))
+
+
+@pytest.mark.parametrize("n_c, n_s", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("tiny", [1e-39, 1e-42, 1e-44])
+def test_joint_select_screens_a_subnormal_factor(rng, n_c, n_s, tiny):
+    # Every atom is orthogonal to Y's first row and column, which hold its
+    # largest entry, so the screened factor formed from Ys has entries near
+    # tiny, in float32's subnormal range below 2^-126
+    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+
+    def atoms(rows, k):
+        A = np.zeros((rows, k), dtype=complex)
+        A[1:] = rng.normal(size=(rows - 1, k)) + 1j * rng.normal(size=(rows - 1, k))
+        return A / np.linalg.norm(A, axis=0)
+
+    d = atom_dictionary(atoms(n_c, 300), atoms(n_s, 30), grid)
+    for _ in range(3):
+        Y = np.zeros((n_c, n_s), dtype=complex)
+        Y[0, 0] = 1.0
+        Y[1:, 1:] = tiny * (rng.normal(size=(n_c - 1, n_s - 1))
+                            + 1j * rng.normal(size=(n_c - 1, n_s - 1)))
+        arg = bruteforce_pick(Y, d)
+        left, right, norm = contracted_factors(Y, d)
+        assert 0 < np.abs(right if n_c <= n_s else left).max() < 2.0 ** -126
+        assert arg[0] in estimation._screened_rows(left, right, norm)
+        sel = joint_select(Y, d)
+        assert (sel.doa_index, sel.dod_index) == arg
 
 
 @pytest.fixture
@@ -443,11 +519,15 @@ def basis_dictionary(n_c, n_s, seed):
 
 
 def candidates(Y, d):
-    """The DoA rows and DoD columns joint_select screens, as it forms them."""
+    """The DoA rows and DoD columns joint_select screens, as it forms them;
+    every one when _scaled gives no margin."""
     Ys, margin = estimation._scaled(Y)
+    if margin is None:
+        return np.arange(d.m), np.arange(d.n)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
-        return estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)
-    cols, rows = estimation._candidates(d.K_t.T, Ys.T, (d.K_r_H @ Ys).T, margin)
+        rows, cols, _ = estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)
+    else:
+        cols, rows, _ = estimation._candidates(d.K_t.T, Ys.T, (d.K_r_H @ Ys).T, margin)
     return rows, cols
 
 
@@ -656,17 +736,18 @@ def test_matching_pursuit_gain_is_linear_in_the_observation(rng):
 
 @pytest.mark.parametrize("strategy", ["joint", "sequential"])
 def test_matching_pursuit_rejects_a_zero_atom_it_picks(strategy):
-    # a hand-built Dictionary may hold a zero column; Y is seen by no atom,
-    # so every score ties at 0 and the pick is (0, 0), whose DoA atom is
-    # zero and has no least-squares gain
+    # a zero column has no least-squares gain; Y is seen by no atom, so
+    # every score would tie at 0 and the pick would be (0, 0), whose DoA
+    # atom is zero. The Dictionary refuses that column when it is built,
+    # so neither strategy can ever pick it.
     grid = small_grid(3)
     K_r = np.zeros((3, grid.m), dtype=complex)
     K_r[[1, 2], [1, 2]] = 1.0
-    d = atom_dictionary(K_r, np.eye(4, grid.n, dtype=complex), grid)
     Y = np.zeros((3, 4))
     Y[0, 0] = 1.0
-    with pytest.raises(ValueError, match="annihilated"):
-        matching_pursuit(Y, d, 1, strategy)
+    with pytest.raises(ValueError, match="K_r column 0 does not have unit norm"):
+        matching_pursuit(Y, atom_dictionary(K_r, np.eye(4, grid.n, dtype=complex), grid),
+                         1, strategy)
 
 
 def test_pursuit_gains_are_least_squares_fits_of_the_observed_paths(rng):
@@ -756,6 +837,12 @@ def test_matching_pursuit_rejects_bad_arguments():
         for strategy in ("joint", "sequential"):
             with pytest.raises(ValueError, match="NaN or inf"):
                 matching_pursuit(Y, d, 1, strategy)
+    # each ended in a numpy matmul or unpacking error
+    for shape in ((4, 5), (5, 4), (3, 4), (4,)):
+        for strategy in ("joint", "sequential"):
+            message = f"Y has shape {shape}, but the dictionary's atoms need (4, 4)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                matching_pursuit(np.ones(shape), d, 1, strategy)
 
 
 def test_grid_permutation_changes_only_indices(rng):
