@@ -14,14 +14,14 @@ import io
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .blas import blas_threads, one_blas_thread
 from .channel import ChannelMatrix, PathParams, PathSet, synthesize
-from .estimation import (_SELECTORS, Dictionary, DirectionGrid, build_dictionaries,
-                         matching_pursuit, relative_error, write_csv)
+from .estimation import (_SELECTORS, Dictionary, DirectionGrid, Reading, build_dictionaries,
+                         matching_pursuit)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_factor, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int, is_finite_real
 from .observation import identity_setup, noise_for_snr, observe
@@ -138,16 +138,8 @@ class ScenarioConfig:
         return ArrayGeometry.from_json(self.tx_array), ArrayGeometry.from_json(self.rx_array)
 
     def to_json(self) -> dict:
-        return {
-            "n_t": self.n_t, "n_r": self.n_r,
-            "tx_array": self.tx_array, "rx_array": self.rx_array,
-            "n_clusters": self.n_clusters, "paths_per_cluster": self.paths_per_cluster,
-            "angular_spread_deg": self.angular_spread_deg,
-            "gain_decay_db_per_cluster": self.gain_decay_db_per_cluster,
-            "snr_db": self.snr_db, "m": self.m, "n": self.n,
-            "P_budgets": list(self.P_budgets), "strategies": list(self.strategies),
-            "trials": self.trials, "base_seed": self.base_seed,
-        }
+        return dict(asdict(self), P_budgets=list(self.P_budgets),
+                    strategies=list(self.strategies))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScenarioConfig":
@@ -239,25 +231,15 @@ def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
 
 
 @dataclass(frozen=True)
-class BudgetResult:
-    """A pursuit read after its first P_budget iterations."""
-
-    P_budget: int
-    rmse: float
-    wall_time_s: float
-    score_evals: int
-
-
-@dataclass(frozen=True)
 class TrialResult:
     """One (seed, strategy) pursuit read at each budget, in increasing order."""
 
     strategy: str
     seed: int
-    budgets: tuple[BudgetResult, ...]
+    budgets: tuple[Reading, ...]
 
-    def at(self, P_budget: int) -> BudgetResult:
-        return {b.P_budget: b for b in self.budgets}[P_budget]
+    def at(self, P: int) -> Reading:
+        return {b.P: b for b in self.budgets}[P]
 
 
 def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
@@ -272,18 +254,9 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
     """
     budgets = sorted(cfg.P_budgets)
     report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy, pool=pool)
-    # every iteration scores the same number of candidates
-    readings = tuple(
-        BudgetResult(P, relative_error(scenario.H, report.estimated[:report.paths_kept[P - 1]],
-                                       dictionary.g_r, dictionary.g_t),
-                     report.cumulative_times[P - 1], report.score_evaluations * P // report.P)
-        for P in budgets)
-    return TrialResult(strategy, scenario.seed, readings)
-
-
-BENCH_COLUMNS = ("strategy", "P_budget", "mean_rmse", "mean_wall_time_s",
-                 "mean_score_evals", "crb_floor", "mean_true_crb",
-                 "ill_conditioned_trials", "trials")
+    g_t, g_r = cfg.geometries()
+    return TrialResult(strategy, scenario.seed,
+                       tuple(report.reading(P, scenario.H, g_r, g_t) for P in budgets))
 
 
 @dataclass(frozen=True)
@@ -307,7 +280,7 @@ class BenchRow:
     trials: int
 
     def to_json_row(self) -> dict:
-        return {name: getattr(self, name) for name in BENCH_COLUMNS}
+        return asdict(self)
 
 
 def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
@@ -371,11 +344,6 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
     return [_aggregate(cfg, s, p, [trials[s] for _, trials in per_seed], true_crbs)
             for p, s in combos]
-
-
-def rows_to_csv(rows, fh_or_path):
-    """Write benchmark rows as CSV (one line per strategy/budget pair)."""
-    write_csv(BENCH_COLUMNS, rows, fh_or_path)
 
 
 def rows_to_json(cfg: ScenarioConfig, rows, threads: int) -> dict:

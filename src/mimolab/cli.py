@@ -9,15 +9,17 @@ ill-conditioned Fisher matrix under --strict.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_paths,
-                    monte_carlo, rows_to_csv, rows_to_json)
+                    monte_carlo, rows_to_json)
 from .channel import PathSet, synthesize
-from .estimation import DirectionGrid, build_dictionaries, matching_pursuit, reports_to_csv
+from .estimation import DirectionGrid, build_dictionaries, matching_pursuit
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
 from .geometry import ArrayGeometry, as_int, is_finite_real
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
@@ -169,8 +171,10 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
             sigma2 = obs["sigma2"]
         else:
             target = obs["target_snr_db"]
-            if not is_finite_real(target):
-                raise ConfigError(f"target_snr_db must be a finite number, got {target!r}")
+            # keeps the linear SNR and its reciprocal finite, as bench's snr_db rule does
+            if not (is_finite_real(target) and abs(target) < 3000.0):
+                raise ConfigError("target_snr_db must be a number between -3000 and 3000, "
+                                  f"got {target!r}")
             sigma2 = noise_for_snr(10.0 ** (target / 10.0), pilot_power(X), h)
         return ObservationSetup(X, W, sigma2)
     except ConfigError:
@@ -188,6 +192,21 @@ def _write_json(obj: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def write_csv(rows: list[dict], path: str) -> None:
+    """Write rows as CSV under a header of the first row's keys; path is replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _write_outputs(payload: dict, rows: list[dict], out: str) -> None:
+    """payload as <out>.json and rows as <out>.csv."""
+    _write_json(payload, out + ".json")
+    write_csv(rows, out + ".csv")
+    print(f"wrote {out}.json and {out}.csv")
+
+
 def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     _check_keys(cfg, _CRB_KEYS, "config")
     g_t, g_r = _build_arrays(cfg)
@@ -199,7 +218,7 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     try:
         report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks,
                             cond_threshold=cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
-    except ValueError as e:   # sigma2 = 0 (the information diverges) or a bad cond_threshold
+    except ValueError as e:   # a noise level out of range or a bad cond_threshold
         raise ConfigError(str(e)) from e
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
@@ -240,17 +259,15 @@ def run_estimate(cfg: dict, out: str | None) -> int:
     try:
         Y = observe(H, setup, np.random.default_rng([seed, 1]))
         dictionary = build_dictionaries(grid, setup, g_r, g_t)
-        report = matching_pursuit(Y, dictionary, P_budget, strategy, true_channel=H)
+        report = matching_pursuit(Y, dictionary, P_budget, strategy)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    payload = report.to_json_row()
-    payload["estimated_paths"] = [p.to_json() for p in report.estimated]
+    row = {"strategy": strategy, **asdict(report.reading(P_budget, H, g_r, g_t))}
+    payload = dict(row, estimated_paths=[p.to_json() for p in report.estimated])
     if out is None:
         _write_json(payload, None)
     else:
-        _write_json(payload, out + ".json")
-        reports_to_csv([report], out + ".csv")
-        print(f"wrote {out}.json and {out}.csv")
+        _write_outputs(payload, [row], out)
     return 0
 
 
@@ -264,13 +281,12 @@ def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int
     rows = monte_carlo(scen, threads=threads)
     if emit_table:
         print(format_table(rows), end="")
+    payload = rows_to_json(scen, rows, threads)
     if out is None:
         if not emit_table:
-            _write_json(rows_to_json(scen, rows, threads), None)
+            _write_json(payload, None)
     else:
-        _write_json(rows_to_json(scen, rows, threads), out + ".json")
-        rows_to_csv(rows, out + ".csv")
-        print(f"wrote {out}.json and {out}.csv")
+        _write_outputs(payload, payload["rows"], out)
     return 0
 
 

@@ -11,7 +11,6 @@ least squares, subtract, repeat.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import time
 import warnings
@@ -64,9 +63,12 @@ def _directions(angles: np.ndarray) -> tuple[Direction, ...]:
 _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 # Above the rounding error of a computed projection difference (about 1e-15).
 _SWEEP_SLACK = 1e-14
+# tol of _check_no_duplicates: grid directions whose unit vectors lie within
+# it of each other are duplicates.
+_DUPLICATE_TOL = 1e-12
 
 
-def _check_no_duplicates(units: np.ndarray, label: str, tol: float = 1e-12):
+def _check_no_duplicates(units: np.ndarray, label: str):
     """Raise for the smallest index pair (a, b), a < b, with ||u_a - u_b|| <= tol.
 
     units holds the unit vectors u as the columns of a 3 x k array.
@@ -77,6 +79,7 @@ def _check_no_duplicates(units: np.ndarray, label: str, tol: float = 1e-12):
     no such pair, as none can then exist further apart. Each candidate pair
     gets the exact test sum((u_a - u_b)**2) <= tol**2.
     """
+    tol = _DUPLICATE_TOL
     U = units.T
     proj = U @ _SWEEP_AXIS
     order = np.argsort(proj)
@@ -179,9 +182,9 @@ class Dictionary:
     Column i of K_r is W^H e_r(doa_i) / doa_norms[i], doa_norms[i] =
     ||W^H e_r(doa_i)||, and doa_angles[:, i] holds doa_i's azimuth and
     elevation; likewise K_t, dod_norms and dod_angles for X^H e_t(dod_j).
-    Grid directions annihilated by W or X are dropped. g_r and g_t are the
-    arrays. K_r_H, the C-contiguous conjugate transpose of K_r, is built
-    once here for the selectors.
+    Grid directions annihilated by W or X are dropped. K_r_H, the
+    C-contiguous conjugate transpose of K_r, is built once here for the
+    selectors.
 
     The constructor enforces what the selectors' proofs and the gain fit
     assume, raising ValueError that names the field: K_r and K_t are 2-D
@@ -199,8 +202,6 @@ class Dictionary:
     dod_norms: np.ndarray
     doa_angles: np.ndarray
     dod_angles: np.ndarray
-    g_r: ArrayGeometry
-    g_t: ArrayGeometry
     K_r_H: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -261,7 +262,7 @@ def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
         s.W.conj().T @ steering_matrix(g_r, grid.doa_units), grid.doa_angles, "DoA")
     K_t, dod_norms, dod_angles = _observed_side(
         s.X.conj().T @ steering_matrix(g_t, grid.dod_units), grid.dod_angles, "DoD")
-    return Dictionary(K_r, K_t, doa_norms, dod_norms, doa_angles, dod_angles, g_r, g_t)
+    return Dictionary(K_r, K_t, doa_norms, dod_norms, doa_angles, dod_angles)
 
 
 @dataclass(frozen=True)
@@ -526,12 +527,19 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     return Selection(int(rows[k]), j_hat, dictionary.m + dictionary.n)
 
 
-def relative_error(true_channel, paths, g_r: ArrayGeometry, g_t: ArrayGeometry) -> float:
-    """||H - H_hat||_F^2 / ||H||_F^2 for the ChannelMatrix true_channel and the
-    channel synthesized from paths; no paths means H_hat = 0."""
-    H = true_channel.matrix
-    H_hat = synthesize(PathSet(paths), g_r, g_t).matrix if paths else 0.0
-    return float(np.linalg.norm(H - H_hat) ** 2 / np.linalg.norm(H) ** 2)
+@dataclass(frozen=True)
+class Reading:
+    """A pursuit read after its first P iterations: what the paper's table reports.
+
+    rmse is ||H - H_hat||_F^2 / ||H||_F^2 for the channel H_hat of the
+    paths kept by then, wall_time_s the pursuit time and score_evals the
+    candidate scores evaluated through iteration P.
+    """
+
+    P: int
+    rmse: float
+    wall_time_s: float
+    score_evals: int
 
 
 @dataclass(frozen=True)
@@ -539,20 +547,18 @@ class EstimationReport:
     """Outcome of one Matching Pursuit run.
 
     score_evaluations is exactly m*n*P for the joint strategy and (m+n)*P
-    for the sequential one. rmse is ||H - H_hat||_F^2 / ||H||_F^2 and is
-    None when the true channel was not supplied. estimated is empty only in
-    the degenerate case where every fitted gain was exactly zero.
-    residual_norms tracks ||R||_F from the initial observation through every
-    subtraction; least-squares fitting makes it non-increasing.
-    cumulative_times[k] and paths_kept[k] are the pursuit time and the number
-    of paths in estimated after iteration k + 1, so P is their length and the
-    wall time their last entry. Greedy pursuit is deterministic, so its first
-    p iterations are the whole run at budget p.
+    for the sequential one. estimated is empty only in the degenerate case
+    where every fitted gain was exactly zero. residual_norms tracks ||R||_F
+    from the initial observation through every subtraction; least-squares
+    fitting makes it non-increasing. cumulative_times[k] and paths_kept[k]
+    are the pursuit time and the number of paths in estimated after
+    iteration k + 1, so P is their length. Greedy pursuit is deterministic,
+    so its first p iterations are the whole run at budget p, and
+    reading(p, ...) reads it there.
     """
 
     strategy: str
     estimated: tuple[PathParams, ...]
-    rmse: float | None
     score_evaluations: int
     residual_norms: tuple[float, ...]
     cumulative_times: tuple[float, ...]
@@ -562,24 +568,26 @@ class EstimationReport:
     def P(self) -> int:
         return len(self.cumulative_times)
 
-    @property
-    def wall_time_seconds(self) -> float:
-        return self.cumulative_times[-1]
+    def reading(self, P: int, true_channel, g_r: ArrayGeometry,
+                g_t: ArrayGeometry) -> Reading:
+        """The run at budget P, 1 <= P <= self.P, scored against the ChannelMatrix
+        true_channel on the arrays g_r and g_t; no paths kept means H_hat = 0."""
+        if not 1 <= P <= self.P:
+            raise ValueError(f"budget P must lie in [1, {self.P}], got {P}")
+        paths = self.estimated[:self.paths_kept[P - 1]]
+        H = true_channel.matrix
+        H_hat = synthesize(PathSet(paths), g_r, g_t).matrix if paths else 0.0
+        rmse = float(np.linalg.norm(H - H_hat) ** 2 / np.linalg.norm(H) ** 2)
+        # every iteration scores the same number of candidates
+        return Reading(P, rmse, self.cumulative_times[P - 1],
+                       self.score_evaluations * P // self.P)
 
-    def to_json_row(self) -> dict:
-        return {"strategy": self.strategy, "P": self.P, "rmse": self.rmse,
-                "wall_time_s": self.wall_time_seconds,
-                "score_evals": self.score_evaluations}
-
-
-REPORT_COLUMNS = ("strategy", "P", "rmse", "wall_time_s", "score_evals")
 
 _SELECTORS = {"joint": joint_select, "sequential": sequential_select}
 
 
 def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
-                     strategy: str, true_channel=None,
-                     pool: Helpers | None = None) -> EstimationReport:
+                     strategy: str, pool: Helpers | None = None) -> EstimationReport:
     """Greedy P_budget-path estimate of the channel behind Y.
 
     Each iteration selects dictionary columns (k_r, k_t) with the requested
@@ -622,28 +630,6 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
         residual_norms.append(float(np.linalg.norm(R)))
         cumulative_times.append(time.perf_counter() - start)
         paths_kept.append(len(paths))
-    rmse = None
-    if true_channel is not None:
-        rmse = relative_error(true_channel, paths, dictionary.g_r, dictionary.g_t)
-    return EstimationReport(strategy, tuple(paths), rmse, evaluations, tuple(residual_norms),
+    return EstimationReport(strategy, tuple(paths), evaluations, tuple(residual_norms),
                             tuple(cumulative_times), tuple(paths_kept))
 
-
-def write_csv(columns, rows, fh_or_path) -> None:
-    """Write rows (objects with to_json_row()) as CSV under a header of columns.
-
-    fh_or_path is an open text file or a path, which is created or replaced.
-    """
-    if not hasattr(fh_or_path, "write"):
-        with open(fh_or_path, "w", newline="") as fh:
-            write_csv(columns, rows, fh)
-        return
-    writer = csv.DictWriter(fh_or_path, fieldnames=columns)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row.to_json_row())
-
-
-def reports_to_csv(reports, fh_or_path):
-    """Write report rows ({strategy, P, rmse, wall_time_s, score_evals}) as CSV."""
-    write_csv(REPORT_COLUMNS, reports, fh_or_path)

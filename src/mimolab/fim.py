@@ -26,7 +26,6 @@ from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
 from .observation import ObservationSetup, channel_energy, projection_apply, snr
 
 PARAMS_PER_PATH = 6
-PARAM_NAMES = ("rho", "phi", "doa_az", "doa_el", "dod_az", "dod_el")
 DEFAULT_COND_THRESHOLD = 1e12
 
 
@@ -64,10 +63,13 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     Column k stacks the real and imaginary parts of
     sqrt(2 / sigma2) vec(Q_w^H D_k X) in a fixed row order that neither
     A^T A nor a QR of A depends on. A is Fortran-ordered, so each column is
-    contiguous.
+    contiguous. A sigma2 of 0, or so small that 2 / sigma2 overflows, raises
+    ValueError.
     """
-    if s.sigma2 <= 0:
-        raise ValueError("Fisher information diverges for a noiseless setup")
+    if s.sigma2 <= 0 or 2.0 / s.sigma2 == math.inf:
+        raise ValueError("Fisher information diverges: 2 / sigma2 overflows for a noiseless "
+                         f"or nearly noiseless setup, sigma2 = {s.sigma2} (given or set by "
+                         "target_snr_db)")
     k = D.shape[1]
     Qh = math.sqrt(2.0 / s.sigma2) * s.Q_w.conj().T
     # Allocated before the temporary DX, so that freeing DX leaves no hole
@@ -83,6 +85,15 @@ def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     """Fisher information A^T A of the Jacobian D (see fisher_factor)."""
     A = fisher_factor(D, s)
     return A.T @ A
+
+
+def _exponent(M: np.ndarray) -> int:
+    """e with 1/2 <= max|M_ij| / 2^e < 1 (0 for a zero M), for a real array M.
+
+    Dividing M by 2^e is exact, and no square of an entry of M / 2^e
+    overflows.
+    """
+    return math.frexp(max(float(M.max()), -float(M.min())))[1]
 
 
 def fim_block(I: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -153,6 +164,12 @@ def crb_trace(D: np.ndarray, A: np.ndarray, h,
     result is flagged and only those with sigma^2 > k eps sigma_max^2 are
     kept (k the parameter count, eps the float64 epsilon). cond_threshold
     must be a finite number of at least 1 (ValueError otherwise).
+
+    R is divided by 2^e (see _exponent) first and the bound multiplied by
+    4^e last, both exactly, so that no norm of R overflows and no term of the
+    sum underflows at extreme noise levels; elsewhere the digits are those
+    of the unscaled computation. A bound above the largest float raises
+    ValueError.
     """
     if not (is_finite_real(cond_threshold) and cond_threshold >= 1.0):
         raise ValueError("cond_threshold must be a finite number of at least 1, "
@@ -160,6 +177,8 @@ def crb_trace(D: np.ndarray, A: np.ndarray, h,
     energy = channel_energy(h)
     k = A.shape[1]
     R = np.linalg.qr(A, mode="r")
+    e = _exponent(R)
+    R = np.ldexp(R, -e)
     norms = np.linalg.norm(R, axis=0)
     S = 1.0 / np.where(norms > 0, norms, 1.0)
     _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
@@ -170,7 +189,12 @@ def crb_trace(D: np.ndarray, A: np.ndarray, h,
     B = S[:, None] * Vt[keep].T / sigma[keep]
     # the halves of [Re D; Im D] B one at a time, to hold one in memory
     value = sum(np.linalg.norm(part @ B) ** 2 for part in (D.real, D.imag))
-    return CrbResult(float(value) / energy, cond, flagged)
+    try:
+        bound = math.ldexp(float(value) / energy, -2 * e)
+    except OverflowError:
+        raise ValueError("the bound exceeds the largest float: the information is too "
+                         "weak for the noise variance sigma2") from None
+    return CrbResult(bound, cond, flagged)
 
 
 def optimal_bound(n_paths: int, snr_linear: float) -> float:
@@ -217,18 +241,26 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
     A = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector
     result = crb_trace(D, A, h, cond_threshold=cond_threshold)
-    I = A.T @ A
+    # The Fisher matrix I = 4^e F, F = (A / 2^e)^T (A / 2^e), both exact (see
+    # _exponent): F does not overflow at extreme noise levels, and the
+    # coupling mass, a ratio, is read off F.
+    e = _exponent(A)
+    F = np.ldexp(A, -e, out=A).T @ A
     snr_linear = snr(s, h)
     report = {
-        "n_p": int(I.shape[0]),
+        "n_p": int(F.shape[0]),
         "snr": snr_linear,
         "crb_relative": result.value,
         "floor_3p_over_snr": optimal_bound(len(ps), snr_linear),
         "condition_number": result.condition_number,
         "optimal_observation_residual": check_optimal_observation(D, s),
         "ill_conditioned": result.ill_conditioned,
-        "inter_path_coupling_mass": inter_path_coupling_mass(I),
+        "inter_path_coupling_mass": inter_path_coupling_mass(F),
     }
     if include_blocks:
+        if _exponent(F) + 2 * e > 1024:
+            raise ValueError("per-path blocks exceed the largest float at the noise variance "
+                             f"sigma2 = {s.sigma2}; raise it or leave out include_blocks")
+        I = np.ldexp(F, 2 * e)
         report["per_path_blocks"] = [fim_block(I, p, p).tolist() for p in range(len(ps))]
     return report

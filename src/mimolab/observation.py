@@ -198,7 +198,10 @@ def snr(s: ObservationSetup, h) -> float:
     """Linear signal-to-noise ratio alpha2 * ||h||^2 / sigma2."""
     if s.sigma2 <= 0:
         raise ValueError("SNR is undefined for a noiseless setup")
-    return s.alpha2 * channel_energy(h) / s.sigma2
+    value = s.alpha2 * channel_energy(h) / s.sigma2
+    if value == math.inf:
+        raise ValueError(f"SNR exceeds the largest float at sigma2 = {s.sigma2}")
+    return value
 
 
 def noise_for_snr(target_snr: float, alpha2: float, h) -> float:

@@ -157,8 +157,8 @@ def test_criterion_7_exact_recovery_limit():
     sel_s = sequential_select(Y, d)
     pairs_ok = ((sel_j.doa_index, sel_j.dod_index) == (true_i, true_j)
                 and (sel_s.doa_index, sel_s.dod_index) == (true_i, true_j))
-    rmse_j = matching_pursuit(Y, d, 1, "joint", true_channel=H).rmse
-    rmse_s = matching_pursuit(Y, d, 1, "sequential", true_channel=H).rmse
+    rmse_j = matching_pursuit(Y, d, 1, "joint").reading(1, H, g_r, g_t).rmse
+    rmse_s = matching_pursuit(Y, d, 1, "sequential").reading(1, H, g_r, g_t).rmse
     _verdict(7, f"noiseless on-grid path recovered exactly by both strategies "
                 f"(rMSE {rmse_j:.2e}/{rmse_s:.2e})",
              pairs_ok and rmse_j <= 1e-10 and rmse_s <= 1e-10)

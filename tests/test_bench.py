@@ -8,8 +8,7 @@ import pytest
 
 from mimolab import bench, estimation
 from mimolab.bench import (BenchRow, ScenarioConfig, _canonical_angles, draw_scenario,
-                           format_table, generate_paths, monte_carlo, rows_to_csv,
-                           rows_to_json, run_trial)
+                           format_table, generate_paths, monte_carlo, rows_to_json, run_trial)
 from mimolab.blas import blas_threads
 from mimolab.channel import synthesize
 from mimolab.estimation import DirectionGrid, build_dictionaries, matching_pursuit
@@ -259,10 +258,11 @@ def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
                          observe(H, s, np.random.default_rng([seed, 1]))))
     assert [r.P_budget for r in rows] == [1, 3, 4]
     for row in rows:
-        reports = [matching_pursuit(Y, d, row.P_budget, strategy, true_channel=H)
-                   for H, d, Y in observed]
-        assert row.mean_rmse == float(np.mean([r.rmse for r in reports]))
-        assert row.mean_score_evals == float(np.mean([r.score_evaluations for r in reports]))
+        readings = [matching_pursuit(Y, d, row.P_budget, strategy).reading(row.P_budget, H,
+                                                                            g_r, g_t)
+                    for H, d, Y in observed]
+        assert row.mean_rmse == float(np.mean([r.rmse for r in readings]))
+        assert row.mean_score_evals == float(np.mean([r.score_evals for r in readings]))
     walls = [r.mean_wall_time_s for r in rows]
     assert walls == sorted(walls)
 
@@ -322,18 +322,9 @@ def test_monte_carlo_seed_changes_results():
     assert r1.mean_rmse != r2.mean_rmse
 
 
-def test_rows_serialization(tmp_path):
+def test_rows_serialization():
     cfg = tiny_config(trials=1, P_budgets=(1,), strategies=("sequential",))
     rows = monte_carlo(cfg)
-    buf = io.StringIO()
-    rows_to_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("strategy,P_budget,mean_rmse,mean_wall_time_s,"
-                               "mean_score_evals,crb_floor")
-    assert len(lines) == 2
-    path = tmp_path / "rows.csv"
-    rows_to_csv(rows, path)
-    assert path.read_text().splitlines()[0] == lines[0]
     payload = rows_to_json(cfg, rows, 2)
     assert payload["config"]["n_t"] == 16
     assert payload["rows"][0]["strategy"] == "sequential"

@@ -155,6 +155,38 @@ def test_crb_non_finite_gain_or_noise_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("observation, second_path, field", [
+    ({"target_snr_db": 600}, True, None),
+    ({"target_snr_db": 1500}, True, None),            # coupling mass NaN, exit 0
+    ({"target_snr_db": 2999}, False, "target_snr_db"),
+    ({"target_snr_db": 3000}, False, "target_snr_db"),  # SVD did not converge
+    ({"sigma2": 1e-320}, False, "sigma2"),              # SVD did not converge
+    ({"target_snr_db": 3090}, False, "target_snr_db"),  # (34, 'Numerical result out of range')
+    ({"target_snr_db": 4000}, False, "target_snr_db"),
+    ({"target_snr_db": -3090}, False, "target_snr_db"),  # crb_relative NaN, exit 0
+], ids=["600dB", "1500dB", "2999dB", "3000dB", "sigma2_1e-320", "3090dB", "4000dB", "-3090dB"])
+def test_crb_at_extreme_noise_levels(tmp_path, capsys, observation, second_path, field):
+    # a weak lossless path: the report is its floor, or the noise level is named
+    path = {"rho": 1e-7, "phi": 0.3, "doa": {"az": 0.5, "el": -0.2},
+            "dod": {"az": -1.0, "el": 0.4}}
+    second = {"rho": 1e-7, "phi": 1.1, "doa": {"az": -0.4, "el": 0.3},
+              "dod": {"az": 0.6, "el": -0.5}}
+    paths = [path, second] if second_path else [path]
+    obj = {"arrays": {"tx": {"type": "upa", "nx": 2, "ny": 2},
+                      "rx": {"type": "upa", "nx": 2, "ny": 2}},
+           "paths": paths, "observation": observation, "include_blocks": second_path}
+    code = main(["crb", "--config", write_config(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    if field is not None:
+        assert code == 2 and field in err and out == ""
+        return
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+    assert not report["ill_conditioned"]
+    assert report["crb_relative"] == pytest.approx(report["floor_3p_over_snr"], rel=1e-8)
+    assert 0.0 < report["inter_path_coupling_mass"] < 1.0
+
+
 def test_malformed_values_exit_2(tmp_path, capsys):
     # each of these ended in a traceback (exit 1)
     crb, est = crb_config(n_paths=1), estimate_config()
@@ -266,6 +298,34 @@ def test_bench_smoke_outputs(tmp_path, capsys):
     assert len(payload["rows"]) == 4  # two strategies x two budgets
     csv_lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 5
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_csv_rows_equal_json_rows(tmp_path, capsys, command):
+    # one writer for both: the header is the JSON row's keys in the record's
+    # order, and every cell is the JSON value as written
+    if command == "estimate":
+        obj = dict(estimate_config(), strategy="joint", P_budget=2)
+        header = ["strategy", "P", "rmse", "wall_time_s", "score_evals"]
+        first = ["joint", "2"]
+    else:
+        obj = bench_config()
+        header = ["strategy", "P_budget", "mean_rmse", "mean_wall_time_s", "mean_score_evals",
+                  "crb_floor", "mean_true_crb", "ill_conditioned_trials", "trials"]
+        first = ["joint", "1"]   # rows sorted by (P_budget, strategy)
+    base = str(tmp_path / command)
+    assert main([command, "--config", write_config(tmp_path, obj), "--out", base]) == 0
+    assert capsys.readouterr().out == f"wrote {base}.json and {base}.csv\n"
+    payload = json.loads(Path(base + ".json").read_text())
+    json_rows = payload["rows"] if command == "bench" else [payload]
+    with open(base + ".csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == header
+    assert len(lines) == 1 + len(json_rows)
+    for cells, row in zip(lines[1:], json_rows):
+        assert set(row) - {"estimated_paths"} == set(header)
+        assert cells == [str(row[key]) for key in header]
+    assert lines[1][:2] == first
 
 
 def test_bench_wide_angular_spread_exit_0(tmp_path):

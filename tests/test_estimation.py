@@ -13,10 +13,9 @@ from mimolab import estimation
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
 from mimolab.cli import _build_grid
 from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_directions,
-                                joint_select, matching_pursuit, reports_to_csv,
-                                sequential_select)
-from mimolab.geometry import (Direction, direction_from_unit, ula, unit_vector, unit_vectors,
-                              upa, wrap_azimuth)
+                                joint_select, matching_pursuit, sequential_select)
+from mimolab.geometry import (Direction, direction_from_unit, unit_vector, unit_vectors, upa,
+                              wrap_azimuth)
 from mimolab.observation import ObservationSetup, identity_setup, observe
 from mimolab.workers import Helpers
 
@@ -27,9 +26,9 @@ def small_grid(k=6):
 
 def atom_dictionary(K_r, K_t, grid):
     """A Dictionary holding the given atoms at unit norm, on the grid's first directions."""
-    (n_c, m), (n_s, n) = K_r.shape, K_t.shape
+    m, n = K_r.shape[1], K_t.shape[1]
     return estimation.Dictionary(K_r, K_t, np.ones(m), np.ones(n), grid.doa_angles[:, :m],
-                                 grid.dod_angles[:, :n], ula(n_c), ula(n_s))
+                                 grid.dod_angles[:, :n])
 
 
 def on_grid_scenario(grid, doa_idx, dod_idx, rho=1.2, phi=0.7, n_r=(2, 2), n_t=(2, 3)):
@@ -278,7 +277,7 @@ def test_dictionary_rejects_a_bad_field(field, value):
     grid = small_grid(2)
     fields = dict(K_r=np.eye(2, dtype=complex), K_t=np.eye(2, dtype=complex),
                   doa_norms=np.ones(2), dod_norms=np.ones(2), doa_angles=grid.doa_angles[:, :2],
-                  dod_angles=grid.dod_angles[:, :2], g_r=ula(2), g_t=ula(2))
+                  dod_angles=grid.dod_angles[:, :2])
     estimation.Dictionary(**fields)
     with pytest.raises(ValueError, match=field):
         estimation.Dictionary(**dict(fields, **{field: value}))
@@ -714,8 +713,8 @@ def test_matching_pursuit_exact_recovery():
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 8, 17)
     d = build_dictionaries(grid, s, g_r, g_t)
     for strategy in ("joint", "sequential"):
-        rep = matching_pursuit(Y, d, 1, strategy, true_channel=H)
-        assert rep.rmse <= 1e-10
+        rep = matching_pursuit(Y, d, 1, strategy)
+        assert rep.reading(1, H, g_r, g_t).rmse <= 1e-10
         assert len(rep.estimated) == 1
         est = rep.estimated[0]
         assert est.doa == p.doa and est.dod == p.dod
@@ -786,8 +785,8 @@ def test_matching_pursuit_counters_exact(rng):
     s = identity_setup(4, 4, sigma2)
     Y = observe(H, s, 3)
     d = build_dictionaries(grid, s, g_r, g_t)
-    rep_j = matching_pursuit(Y, d, 4, "joint", true_channel=H)
-    rep_s = matching_pursuit(Y, d, 4, "sequential", true_channel=H)
+    rep_j = matching_pursuit(Y, d, 4, "joint")
+    rep_s = matching_pursuit(Y, d, 4, "sequential")
     assert rep_j.score_evaluations == 25 * 25 * 4
     assert rep_s.score_evaluations == (25 + 25) * 4
     assert rep_j.P == rep_s.P == 4
@@ -801,12 +800,11 @@ def test_matching_pursuit_residual_non_increasing(rng):
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(6, 4, 0.02)
     Y = observe(H, s, 11)
-    rep = matching_pursuit(Y, build_dictionaries(grid, s, g_r, g_t), 6, "sequential",
-                           true_channel=H)
+    rep = matching_pursuit(Y, build_dictionaries(grid, s, g_r, g_t), 6, "sequential")
     norms = rep.residual_norms
     assert len(norms) == 7
     times = rep.cumulative_times
-    assert len(times) == 6 and times[-1] == rep.wall_time_seconds
+    assert len(times) == 6 and times[-1] == rep.reading(6, H, g_r, g_t).wall_time_s
     assert all(a <= b for a, b in zip(times, times[1:]))
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-12
@@ -820,7 +818,10 @@ def test_matching_pursuit_zero_observation():
     assert rep.estimated == ()
     assert rep.paths_kept == (0, 0)
     assert rep.score_evaluations == 9 * 9 * 2
-    assert rep.rmse is None
+    # no path kept: the estimate is the zero channel
+    H = synthesize(PathSet([PathParams(1.0, 0.3, grid.test_doas[2], grid.test_dods[5])]),
+                   g_r, g_t)
+    assert rep.reading(2, H, g_r, g_t).rmse == 1.0
 
 
 def test_matching_pursuit_rejects_bad_arguments():
@@ -863,12 +864,31 @@ def test_grid_permutation_changes_only_indices(rng):
         assert d1.dod_of(s1.dod_index) == d2.dod_of(s2.dod_index)
 
 
-def test_reports_to_csv(tmp_path, rng):
+@pytest.mark.parametrize("strategy", ["joint", "sequential"])
+def test_reading_below_the_budget_equals_a_fresh_pursuit(strategy):
+    # greedy pursuit is deterministic, so a run read at P is the run to P
+    grid = small_grid(5)
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    ps = PathSet([PathParams(1.0, 0.2, grid.test_doas[3], grid.test_dods[8]),
+                  PathParams(0.6, 1.2, grid.test_doas[17], grid.test_dods[2])])
+    H = synthesize(ps, g_r, g_t)
+    s = identity_setup(6, 4, 0.05)
+    Y = observe(H, s, 12)
+    d = build_dictionaries(grid, s, g_r, g_t)
+    rep = matching_pursuit(Y, d, 5, strategy)
+    for P in range(1, 5):
+        fresh = matching_pursuit(Y, d, P, strategy)
+        got = rep.reading(P, H, g_r, g_t)
+        assert got.P == P
+        assert got.rmse == fresh.reading(P, H, g_r, g_t).rmse
+        assert got.score_evals == fresh.score_evaluations
+        assert got.wall_time_s == rep.cumulative_times[P - 1]
+
+
+@pytest.mark.parametrize("P", [0, -1, 3])
+def test_reading_rejects_a_budget_outside_the_run(P):
     grid = small_grid(3)
-    g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 1, 2)
-    rep = matching_pursuit(Y, build_dictionaries(grid, s, g_r, g_t), 1, "joint", true_channel=H)
-    out = tmp_path / "rows.csv"
-    reports_to_csv([rep], out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "strategy,P,rmse,wall_time_s,score_evals"
-    assert lines[1].startswith("joint,1,")
+    g_r, g_t, _, H, s, Y = on_grid_scenario(grid, 1, 2)
+    rep = matching_pursuit(Y, build_dictionaries(grid, s, g_r, g_t), 2, "joint")
+    with pytest.raises(ValueError, match=r"budget P must lie in \[1, 2\]"):
+        rep.reading(P, H, g_r, g_t)

@@ -402,6 +402,61 @@ def test_crb_report_contents(rng):
     assert len(report["per_path_blocks"][0]) == 6
 
 
+def two_paths(rho=1.0):
+    return PathSet([PathParams(rho, 0.3, Direction(0.5, -0.2), Direction(-1.0, 0.4)),
+                    PathParams(rho, 1.1, Direction(-0.4, 0.3), Direction(0.6, -0.5))])
+
+
+@pytest.mark.parametrize("sigma2", [1e-306, 1e-300, 1e-200, 1e200, 1e300, 1e307])
+def test_crb_report_is_scale_free_in_the_noise_level(sigma2):
+    # Lossless observation, so the bound is its floor at every noise level.
+    # At 1e-300 the norm of the Fisher matrix overflowed (coupling mass NaN)
+    # and below it the column norms of R in crb_trace (condition number inf).
+    g_r, g_t = upa(2, 2), upa(8, 8)
+    ref = crb_report(two_paths(), g_r, g_t, identity_setup(64, 4, 1.0),
+                     include_blocks=True)
+    report = crb_report(two_paths(), g_r, g_t, identity_setup(64, 4, sigma2),
+                        include_blocks=True)
+    assert not report["ill_conditioned"]
+    assert report["crb_relative"] == pytest.approx(report["floor_3p_over_snr"], rel=1e-8)
+    for key in ("condition_number", "inter_path_coupling_mass"):
+        assert report[key] == pytest.approx(ref[key], rel=1e-12)
+    blocks = np.array(report["per_path_blocks"])
+    assert np.isfinite(blocks).all()
+    ref_blocks = np.array(ref["per_path_blocks"])
+    assert np.abs(blocks * sigma2 - ref_blocks).max() <= 1e-12 * np.abs(ref_blocks).max()
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 5e-324, 1e-320, 1e-309])
+def test_fisher_factor_rejects_a_noise_level_whose_information_overflows(sigma2):
+    # 2 / sigma2 overflowed to inf: a RuntimeWarning, then SVD did not converge
+    D = channel_jacobian(two_paths(), upa(2, 2), upa(2, 2))
+    with pytest.raises(ValueError, match=f"noiseless setup, sigma2 = {sigma2}"):
+        fisher_factor(D, identity_setup(4, 4, sigma2))
+
+
+@pytest.mark.parametrize("rho, sigma2, include_blocks, message", [
+    (1.0, 1e-307, True, "per-path blocks exceed the largest float"),
+    (3.0, 2e-308, False, "SNR exceeds the largest float"),
+])
+def test_crb_report_rejects_values_beyond_the_floats(rho, sigma2, include_blocks, message):
+    g_r, g_t = upa(2, 2), upa(8, 8)
+    with pytest.raises(ValueError, match=message):
+        crb_report(two_paths(rho), g_r, g_t, identity_setup(64, 4, sigma2),
+                   include_blocks=include_blocks)
+    if include_blocks:   # the rest of the report is representable
+        crb_report(two_paths(rho), g_r, g_t, identity_setup(64, 4, sigma2))
+
+
+def test_crb_trace_rejects_a_bound_beyond_the_floats():
+    # a weak path under loud noise: 3 P / SNR is above the largest float
+    ps = PathSet([PathParams(1e-7, 0.3, Direction(0.5, -0.2), Direction(-1.0, 0.4))])
+    g_r, g_t = upa(2, 2), upa(2, 2)
+    D = channel_jacobian(ps, g_r, g_t)
+    with pytest.raises(ValueError, match="the bound exceeds the largest float"):
+        crb_trace(D, fisher_factor(D, identity_setup(4, 4, 1e300)), synthesize(ps, g_r, g_t).vector)
+
+
 def test_crb_rejects_bad_cond_threshold(rng):
     g_r, g_t = upa(2, 2), upa(2, 3)
     ps = PathSet([PathParams(1.0, 0.4, Direction(0.3, -0.2), Direction(-0.6, 0.5))])
