@@ -67,8 +67,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("P_budgets", "strategies"):
             value = getattr(self, name)
-            if isinstance(value, str):
-                raise ValueError(f"{name} must be a list, not the string {value!r}")
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         for name in ("snr_db", "angular_spread_deg", "gain_decay_db_per_cluster"):
             value = getattr(self, name)
             if not is_finite_real(value):

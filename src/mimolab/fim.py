@@ -3,12 +3,14 @@
 Each path contributes six real parameters, ordered (rho, phi, doa_az,
 doa_el, dod_az, dod_el); a P-path model therefore has 6P parameters. The
 Fisher matrix follows from the Gaussian observation model as I = A^T A,
-where column k of the real factor A is the derivative of the whitened
+where column k of the real matrix A is the derivative of the whitened
 observation: sqrt(2 / sigma2) times the real and imaginary parts of
 vec(Q_w^H D_k X), with D_k column k of the channel Jacobian D as an
-n_r x n_t matrix and Q_w an orthonormal basis of the combiner range. The
-bound is computed from A, never from I, so its digits do not suffer the
-squared conditioning of I. Direction entries are per radian of arc along
+n_r x n_t matrix and Q_w an orthonormal basis of the combiner range. One
+QR of A gives the triangular factor R with I = R^T R, and the bound, the
+per-path blocks and the coupling mass are all read off R. The bound is
+never computed from I, so its digits do not suffer the squared
+conditioning of I. Direction entries are per radian of arc along
 the unit tangents, which keeps the bound shape-independent for isotropic
 arrays.
 """
@@ -58,13 +60,13 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
 
 
 def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
-    """Real factor A of the Fisher information I = A^T A, one column per parameter.
+    """Upper-triangular factor R of the Fisher information I = R^T R.
 
-    Column k stacks the real and imaginary parts of
-    sqrt(2 / sigma2) vec(Q_w^H D_k X) in a fixed row order that neither
-    A^T A nor a QR of A depends on. A is Fortran-ordered, so each column is
-    contiguous. A sigma2 of 0, or so small that 2 / sigma2 overflows, raises
-    ValueError.
+    R is that of one QR of the real 2 n_c n_s x k matrix A whose column k
+    stacks the real and imaginary parts of sqrt(2 / sigma2) vec(Q_w^H D_k X),
+    so I = A^T A too; R is k x k, with fewer rows only when A has fewer than
+    k. A is not kept. A sigma2 of 0, or so small that 2 / sigma2 overflows,
+    raises ValueError.
     """
     if s.sigma2 <= 0 or 2.0 / s.sigma2 == math.inf:
         raise ValueError("Fisher information diverges: 2 / sigma2 overflows for a noiseless "
@@ -72,19 +74,18 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
                          "target_snr_db)")
     k = D.shape[1]
     Qh = math.sqrt(2.0 / s.sigma2) * s.Q_w.conj().T
-    # Allocated before the temporary DX, so that freeing DX leaves no hole
-    # below the long-lived A (3-4 MB of peak memory on a 64x16 report).
     Z = np.empty((k, s.n_s, s.n_c), dtype=complex)
     # DX[j, i, k] = (D_k X)[i, j]; D's rows are i + n_r j, so the reshape is free
     DX = (s.X.T @ D.reshape(s.n_t, s.n_r * k)).reshape(s.n_s, s.n_r, k)
     np.matmul(Qh, DX, out=Z.transpose(1, 2, 0))
-    return Z.view(float).reshape(k, -1).T
+    del DX   # before the QR copies A: 3 MB of peak memory on a 64x16 report
+    return np.linalg.qr(Z.view(float).reshape(k, -1).T, mode="r")
 
 
 def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
-    """Fisher information A^T A of the Jacobian D (see fisher_factor)."""
-    A = fisher_factor(D, s)
-    return A.T @ A
+    """Fisher information R^T R of the Jacobian D (see fisher_factor)."""
+    R = fisher_factor(D, s)
+    return R.T @ R
 
 
 def _exponent(M: np.ndarray) -> int:
@@ -149,13 +150,14 @@ class CrbResult:
     ill_conditioned: bool
 
 
-def crb_trace(D: np.ndarray, A: np.ndarray, h,
+def crb_trace(D: np.ndarray, R: np.ndarray, h,
               cond_threshold: float = DEFAULT_COND_THRESHOLD) -> CrbResult:
-    """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = A^T A.
+    """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = R^T R.
 
-    The columns of A are equilibrated to unit norm, A S with S = diag(I)^-1/2
-    (1 for a zero column). With A = Q R, A S = Q (R S), and R S has the
-    same column norms as A S; its SVD is R S = U Sigma V^T. Then
+    R is any real factor of I with one column per parameter, such as that
+    of fisher_factor. Its columns are equilibrated to unit norm, R S with
+    S = diag(I)^-1/2 (1 for a zero column), and the SVD R S = U Sigma V^T
+    is taken. Then
     I^-1 = S V Sigma^-2 V^T S, and the bound is
     ||[Re D; Im D] S V Sigma^-1||_F^2 / ||h||^2, a sum of squares. The
     condition number is (sigma_max / sigma_min)^2, the eigenvalue ratio of
@@ -175,8 +177,7 @@ def crb_trace(D: np.ndarray, A: np.ndarray, h,
         raise ValueError("cond_threshold must be a finite number of at least 1, "
                          f"got {cond_threshold!r}")
     energy = channel_energy(h)
-    k = A.shape[1]
-    R = np.linalg.qr(A, mode="r")
+    k = R.shape[1]
     e = _exponent(R)
     R = np.ldexp(R, -e)
     norms = np.linalg.norm(R, axis=0)
@@ -238,14 +239,13 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
     depend on the environment's thread count.
     """
     D = channel_jacobian(ps, g_r, g_t)
-    A = fisher_factor(D, s)
+    R = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    result = crb_trace(D, A, h, cond_threshold=cond_threshold)
-    # The Fisher matrix I = 4^e F, F = (A / 2^e)^T (A / 2^e), both exact (see
-    # _exponent): F does not overflow at extreme noise levels, and the
-    # coupling mass, a ratio, is read off F.
-    e = _exponent(A)
-    F = np.ldexp(A, -e, out=A).T @ A
+    result = crb_trace(D, R, h, cond_threshold=cond_threshold)
+    # I = 4^e F exactly (see _exponent), and F does not overflow at any noise level
+    e = _exponent(R)
+    F = np.ldexp(R, -e)
+    F = F.T @ F
     snr_linear = snr(s, h)
     report = {
         "n_p": int(F.shape[0]),

@@ -61,6 +61,16 @@ def test_config_rejects_mistyped_fields(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("strategies", {"joint": 1}), ("strategies", 3), ("strategies", None),
+    ("P_budgets", {"1": 0}), ("P_budgets", 3), ("P_budgets", {1, 2}),
+])
+def test_config_rejects_fields_that_are_not_lists(field, value):
+    # a dict ran as its keys, and an int raised TypeError: 'int' object is not iterable
+    with pytest.raises(ValueError, match=f"{field} must be a list"):
+        tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
     ("P_budgets", (2.7,)), ("P_budgets", (True,)), ("P_budgets", (5, math.nan)),
     ("P_budgets", ("5",)), ("m", 100.5), ("trials", True), ("n_clusters", "3"),
     ("base_seed", 7.5), ("base_seed", math.inf),

@@ -409,6 +409,19 @@ def test_bench_mistyped_fields_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("strategies", {"joint": 1}),          # exit 0, running the object's keys
+    ("P_budgets", {"1": 0}),               # "P_budgets must be an integer, got '1'"
+    ("strategies", 3),                     # "'int' object is not iterable"
+    ("P_budgets", 3),
+])
+def test_bench_list_fields_that_are_not_lists_exit_2(tmp_path, capsys, field, value):
+    obj = {"n_t": 4, "n_r": 4, "m": 16, "n": 16, "trials": 2, "P_budgets": [1, 2],
+           "n_clusters": 1, "paths_per_cluster": 2, field: value}
+    assert main(["bench", "--config", write_config(tmp_path, obj)]) == 2
+    assert f"{field} must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
     ("m", 3),                              # ValueError from DirectionGrid.product
     ("snr_db", -4000),                     # "target SNR must be positive"
     ("snr_db", 4000),                      # OverflowError

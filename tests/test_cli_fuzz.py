@@ -1,45 +1,39 @@
 """Property test: mutated README configs exit 0, 2 or 3, never with a traceback.
 
-Each example takes the README's `crb`, `estimate` or `bench` config and applies one to
-three mutations: drop a key, or replace a value with NaN, an infinity, a
-negative number, zero, a fraction, a string, null, a boolean, a list or an
-object. A config whose integer field ends up holding a boolean or a
-non-integral number must exit 2: it may not be truncated and run. The
-estimate config uses 100x100 grids instead of the README's 2500x2500, and the
-bench config 16x16 grids, one trial and budgets 1 and 2, so the examples stay
-fast; the bench config spells out its planar arrays so that their specs are
-mutated too. Valid but huge values (a 10^12-point grid, a budget of
-10^9 paths) are left out: they are slow, not malformed.
+Each example takes the `crb` or `estimate` config as README.md prints it,
+or a small `bench` config, and applies one to three mutations: drop a key,
+or replace a value with NaN, an infinity, a negative number, zero, a
+fraction, a string, null, a boolean, a list or an object. A config whose
+integer field ends up holding a boolean or a non-integral number must exit
+2: it may not be truncated and run. The estimate config uses 100x100 grids
+instead of the README's 2500x2500, and the bench config 16x16 grids, one
+trial and budgets 1 and 2, so the examples stay fast; the bench config
+spells out its planar arrays so that their specs are mutated too. Valid
+but huge values (a 10^12-point grid, a budget of 10^9 paths) are left out:
+they are slow, not malformed.
 """
 
 import json
 import math
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mimolab.cli import main
 
-README_CRB = {
-    "arrays": {"tx": {"type": "upa", "nx": 4, "ny": 4},
-               "rx": {"type": "upa", "nx": 2, "ny": 4}},
-    "paths": [{"rho": 1.0, "phi": 0.3,
-               "doa": {"az": 0.5, "el": -0.2},
-               "dod": {"az": -1.0, "el": 0.4}}],
-    "observation": {"pilots": "identity", "combiners": "identity",
-                    "target_snr_db": 10.0},
-}
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
-README_ESTIMATE = {
-    "arrays": {"tx": {"type": "upa", "nx": 8, "ny": 8},
-               "rx": {"type": "upa", "nx": 4, "ny": 4}},
-    "paths": {"generator": {}, "seed": 3},
-    "observation": {"target_snr_db": 10.0},
-    "grid": {"m": 100, "n": 100},
-    "strategy": "sequential",
-    "P_budget": 20,
-    "seed": 3,
-}
+
+def readme_example(name):
+    """The JSON block that follows the README's "`name` —" paragraph."""
+    after = README[README.index(f"`{name}` —"):]
+    start = after.index("```json\n") + len("```json\n")
+    return json.loads(after[start:after.index("```", start)])
+
+
+README_CRB = readme_example("crb.json")
+README_ESTIMATE = dict(readme_example("estimate.json"), grid={"m": 100, "n": 100})
 
 README_BENCH = {
     "n_t": 16, "n_r": 4,
@@ -154,5 +148,8 @@ def test_bench_mutated_readme_config_exits_cleanly(tmp_path, capsys, muts):
 
 def test_readme_configs_run(tmp_path, capsys):
     assert run_mutated(tmp_path, "crb", README_CRB, []) == (0, False)
+    capsys.readouterr()
     assert run_mutated(tmp_path, "estimate", README_ESTIMATE, []) == (0, False)
+    # an estimate worse than none (rmse 1) would mean the example runs below the noise
+    assert json.loads(capsys.readouterr().out)["rmse"] < 1.0
     assert run_mutated(tmp_path, "bench", README_BENCH, []) == (0, False)

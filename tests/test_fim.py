@@ -177,36 +177,90 @@ def test_crb_trace_equilibrated_matches_direct_solve(rng):
     W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
     D = channel_jacobian(ps, g_r, g_t)
     s = ObservationSetup(np.eye(6), W, 0.3)
-    A, I = fisher_factor(D, s), fisher_matrix(D, s)
+    R, I = fisher_factor(D, s), fisher_matrix(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    res = crb_trace(D, A, h)
+    res = crb_trace(D, R, h)
     direct = np.trace(np.linalg.solve(I, D.conj().T @ D)).real / np.vdot(h, h).real
     assert not res.ill_conditioned
     assert abs(res.value - direct) <= 1e-10 * direct
     S = np.diag(1 / np.sqrt(np.diag(I)))
     w = np.linalg.eigvalsh(S @ I @ S)
     assert res.condition_number == pytest.approx(w[-1] / w[0], rel=1e-10)
-    assert crb_trace(D, A, h, cond_threshold=0.5 * res.condition_number).ill_conditioned
+    assert crb_trace(D, R, h, cond_threshold=0.5 * res.condition_number).ill_conditioned
 
 
 def test_crb_trace_flags_non_positive_diagonal(rng):
-    # a zero column of A is a zero diagonal entry of I = A^T A; fewer rows
+    # a zero column of R is a zero diagonal entry of I = R^T R; fewer rows
     # than parameters leave I singular as well
     g_r, g_t = upa(2, 2), upa(2, 2)
     ps = PathSet([random_path(rng)])
     D = channel_jacobian(ps, g_r, g_t)
-    A = fisher_factor(D, identity_setup(4, 4, 0.5))
+    R = fisher_factor(D, identity_setup(4, 4, 0.5))
     h = synthesize(ps, g_r, g_t).vector
-    zero_column = A.copy(order="F")
+    zero_column = R.copy()
     zero_column[:, 3] = 0.0
-    for B in (zero_column, A[:5]):
+    for B in (zero_column, R[:5]):
         res = crb_trace(D, B, h)
         assert res.ill_conditioned and res.condition_number == math.inf
         assert 0.0 <= res.value < math.inf
     # the zero column's parameter drops out: the bound of the other five
     kept = [0, 1, 2, 4, 5]
     assert crb_trace(D, zero_column, h).value == pytest.approx(
-        crb_trace(D[:, kept], A[:, kept], h).value, rel=1e-12)
+        crb_trace(D[:, kept], R[:, kept], h).value, rel=1e-12)
+
+
+def whitened_derivative(D, s):
+    """The tall real A with I = A^T A, column k from sqrt(2 / sigma2) Q_w^H D_k X."""
+    cols = []
+    for k in range(D.shape[1]):
+        D_k = D[:, k].reshape(s.n_t, s.n_r).T   # D's rows are i + n_r j
+        M = math.sqrt(2.0 / s.sigma2) * s.Q_w.conj().T @ D_k @ s.X
+        cols.append(np.concatenate((M.real.ravel(), M.imag.ravel())))
+    return np.array(cols).T
+
+
+def identity_and_hybrid_setups(rng):
+    W = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    X = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    return identity_setup(4, 6, 0.3), ObservationSetup(X, W, 0.3)
+
+
+def test_fisher_factor_is_the_triangular_factor_of_the_whitened_derivative(rng):
+    g_r, g_t = upa(2, 3), upa(2, 2)
+    doas, dods = separated_directions(rng, 3, 0.5), separated_directions(rng, 3, 0.5)
+    ps = PathSet(PathParams(rng.uniform(0.5, 2), rng.uniform(0, 6), a, d)
+                 for a, d in zip(doas, dods))
+    D = channel_jacobian(ps, g_r, g_t)
+    h = synthesize(ps, g_r, g_t).vector
+    for s in identity_and_hybrid_setups(rng):
+        R, A = fisher_factor(D, s), whitened_derivative(D, s)
+        assert A.shape == (2 * s.n_c * s.n_s, 18) and R.shape == (18, 18)
+        assert np.array_equal(R, np.triu(R))
+        gram = A.T @ A
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
+        assert np.array_equal(fisher_matrix(D, s), R.T @ R)
+        # the bound reads any real factor: the tall A gives R's bound
+        from_R, from_A = crb_trace(D, R, h), crb_trace(D, A, h)
+        assert from_R.value == pytest.approx(from_A.value, rel=1e-12)
+        assert from_R.ill_conditioned == from_A.ill_conditioned
+        assert from_R.condition_number == pytest.approx(from_A.condition_number, rel=1e-9)
+
+
+def test_crb_report_blocks_and_coupling_mass_are_those_of_the_fisher_matrix(rng):
+    g_r, g_t = upa(2, 3), upa(2, 2)
+    doas, dods = separated_directions(rng, 3, 0.5), separated_directions(rng, 3, 0.5)
+    ps = PathSet(PathParams(rng.uniform(0.5, 2), rng.uniform(0, 6), a, d)
+                 for a, d in zip(doas, dods))
+    D = channel_jacobian(ps, g_r, g_t)
+    for s in identity_and_hybrid_setups(rng):
+        report = crb_report(ps, g_r, g_t, s, include_blocks=True)
+        I = fisher_matrix(D, s)
+        mass = inter_path_coupling_mass(I)
+        assert 0.0 < mass < 1.0
+        assert report["inter_path_coupling_mass"] == pytest.approx(mass, rel=1e-13)
+        blocks = np.array(report["per_path_blocks"])
+        expected = np.array([fim_block(I, p, p) for p in range(len(ps))])
+        assert np.abs(blocks - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_crb_trace_drops_a_round_off_singular_value(rng):
@@ -462,10 +516,10 @@ def test_crb_rejects_bad_cond_threshold(rng):
     ps = PathSet([PathParams(1.0, 0.4, Direction(0.3, -0.2), Direction(-0.6, 0.5))])
     s = identity_setup(6, 4, 0.5)
     D = channel_jacobian(ps, g_r, g_t)
-    A, h = fisher_factor(D, s), synthesize(ps, g_r, g_t).vector
+    R, h = fisher_factor(D, s), synthesize(ps, g_r, g_t).vector
     for value in (math.nan, -1.0, 0.5, math.inf, True, "1e12", None):
         with pytest.raises(ValueError, match="cond_threshold"):
-            crb_trace(D, A, h, cond_threshold=value)
+            crb_trace(D, R, h, cond_threshold=value)
         with pytest.raises(ValueError, match="cond_threshold"):
             crb_report(ps, g_r, g_t, s, cond_threshold=value)
-    assert crb_trace(D, A, h, cond_threshold=np.float64(1e12)) == crb_trace(D, A, h)
+    assert crb_trace(D, R, h, cond_threshold=np.float64(1e12)) == crb_trace(D, R, h)
