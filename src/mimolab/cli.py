@@ -236,7 +236,7 @@ def _build_grid(cfg: dict) -> DirectionGrid:
         raise ConfigError(f"grid gives {sorted(grid)}; give all of {list(layout)} or only m, n")
     try:
         if layout[0] in grid:
-            return DirectionGrid.hemisphere(*(_integer(grid, key, 0) for key in layout))
+            return DirectionGrid(*(_integer(grid, key, 0) for key in layout))
         return DirectionGrid.product(_integer(grid, "m", 2500), _integer(grid, "n", 2500))
     except _VALUE_ERRORS as e:
         raise ConfigError(f"invalid grid: {e}") from e

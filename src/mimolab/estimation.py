@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .channel import PathParams, PathSet, steering_matrix, synthesize
-from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, direction_angles,
-                       unit_vectors_from_angles, wrap_azimuth)
-from .observation import ObservationSetup
+from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors_from_angles,
+                       wrap_azimuth)
+from .observation import ObservationSetup, exact_scale
 from .workers import Helpers, shared_map
 
 ATOM_NORM_TOL = 1e-12
@@ -34,13 +34,18 @@ _TINY32 = 2.0 ** -122    # 16 x float32's smallest normal: the screen's underflo
 _PRUNE_SAFETY = 16.0     # c in the joint prune's rounding margin (see joint_select)
 
 
-def _cell_centres(n_az: int, n_el: int) -> np.ndarray:
-    """2 x (n_az * n_el) azimuths and elevations of hemisphere_directions."""
+def _cell_centres(n_az: int, n_el: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 2 x (n_az * n_el) azimuths and elevations of hemisphere_directions,
+    and the 3 x (n_az * n_el) unit vectors of the wrapped directions."""
     if n_az < 1 or n_el < 1:
         raise ValueError("grid dimensions must be positive")
     azs = -HALF_PI + (np.arange(n_az) + 0.5) * math.pi / n_az
     els = -HALF_PI + (np.arange(n_el) + 0.5) * math.pi / n_el
-    return np.stack([np.repeat(azs, n_el), np.tile(els, n_az)])
+    angles = np.stack([np.repeat(azs, n_el), np.tile(els, n_az)])
+    units = unit_vectors_from_angles(wrap_azimuth(angles[0]), angles[1])
+    angles.setflags(write=False)
+    units.setflags(write=False)
+    return angles, units
 
 
 def hemisphere_directions(n_az: int, n_el: int) -> tuple[Direction, ...]:
@@ -51,98 +56,34 @@ def hemisphere_directions(n_az: int, n_el: int) -> tuple[Direction, ...]:
     strictly inside the box, in particular away from the poles where
     azimuth degenerates. Azimuth is the slow index.
     """
-    return _directions(_cell_centres(n_az, n_el))
+    return _directions(_cell_centres(n_az, n_el)[0])
 
 
 def _directions(angles: np.ndarray) -> tuple[Direction, ...]:
     return tuple(Direction(a, e) for a, e in zip(*angles.tolist()))
 
 
-# Unit axis for the duplicate sweep. Its unequal irrational components keep
-# mirror images in a symmetric grid from sharing a projection.
-_SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
-# Above the rounding error of a computed projection difference (about 1e-15).
-_SWEEP_SLACK = 1e-14
-# tol of _check_no_duplicates: grid directions whose unit vectors lie within
-# it of each other are duplicates.
-_DUPLICATE_TOL = 1e-12
-
-
-def _check_no_duplicates(units: np.ndarray, label: str):
-    """Raise for the smallest index pair (a, b), a < b, with ||u_a - u_b|| <= tol.
-
-    units holds the unit vectors u as the columns of a 3 x k array.
-    Sort-sweep in O(k log k) for spread-out directions: projecting on a unit
-    axis shrinks distances, so every close pair is a pair of neighbours in
-    projection order whose projections differ by at most tol. The sweep
-    tries neighbours s = 1, 2, ... places apart and stops at the first s with
-    no such pair, as none can then exist further apart. Each candidate pair
-    gets the exact test sum((u_a - u_b)**2) <= tol**2.
-    """
-    tol = _DUPLICATE_TOL
-    U = units.T
-    proj = U @ _SWEEP_AXIS
-    order = np.argsort(proj)
-    proj = proj[order]
-    reach = tol + _SWEEP_SLACK
-    k = len(proj)
-    first = k * k   # smallest a * k + b over close pairs (a, b), a < b
-    for s in range(1, k):
-        near = np.nonzero(proj[s:] - proj[:-s] <= reach)[0]
-        if near.size == 0:
-            break
-        a, b = order[near], order[near + s]
-        hit = ((U[a] - U[b]) ** 2).sum(axis=1) <= tol * tol
-        if hit.any():
-            keys = np.minimum(a, b) * k + np.maximum(a, b)
-            first = min(first, int(keys[hit].min()))
-    if first < k * k:
-        a, b = divmod(first, k)
-        raise ValueError(f"duplicate {label} directions at indices {a} and {b}")
-
-
-def _grid_side(side, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (angles, units) of one grid side, checked as Direction checks.
-
-    side is a sequence of Directions or a 2 x k array of azimuths (row 0)
-    and elevations (row 1).
-    """
-    if isinstance(side, np.ndarray):
-        angles = np.array(side, dtype=float)
-    else:
-        angles = direction_angles(side)
-    if angles.ndim != 2 or angles.shape[0] != 2:
-        raise ValueError(f"{label} angles must be a 2 x k array")
-    if angles.shape[1] == 0:
-        raise ValueError("grid must test at least one DoA and one DoD")
-    az, el = angles
-    bad = np.flatnonzero(~((el >= -HALF_PI) & (el <= HALF_PI)))
-    if bad.size:
-        raise ValueError(f"elevation {el[bad[0]]} outside [-pi/2, pi/2]")
-    bad = np.flatnonzero(~np.isfinite(az))
-    if bad.size:
-        raise ValueError(f"azimuth {az[bad[0]]} is not finite")
-    units = unit_vectors_from_angles(wrap_azimuth(az), el)
-    _check_no_duplicates(units, label)
-    angles.setflags(write=False)
-    units.setflags(write=False)
-    return angles, units
-
-
 class DirectionGrid:
-    """Candidate DoAs and DoDs to test; directions must be pairwise distinct.
+    """Candidate DoAs and DoDs to test: the cell centres of two hemisphere layouts.
 
-    Each side is given as a sequence of Directions or as a 2 x k array of
-    azimuths and elevations, checked as Direction checks them. It is held
-    as two read-only arrays: doa_angles / dod_angles, the angles as given,
-    and doa_units / dod_units, the 3 x k unit vectors of the wrapped
+    The DoAs are hemisphere_directions(m_az, m_el) and the DoDs
+    hemisphere_directions(n_az, n_el). Each side is held as two read-only
+    arrays: doa_angles / dod_angles, the 2 x k azimuths and elevations, and
+    doa_units / dod_units, the 3 x k unit vectors of the wrapped
     directions. test_doas and test_dods are built from the angles on first
     use.
+
+    Distinct centres of an n_az x n_el side lie at least 2 / (n_az n_el)
+    apart as unit vectors: with cos(el) >= sin(pi / (2 n_el)) > 0 inside the
+    box, elevations d_el >= pi / n_el apart give at least 2 sin(d_el / 2),
+    azimuths d_az >= pi / n_az apart at one elevation el give
+    2 cos(el) sin(d_az / 2), and sin x >= 2x / pi on [0, pi/2]. Rounding
+    (about 1e-16) cannot make two of them coincide below 2e12 directions.
     """
 
-    def __init__(self, test_doas, test_dods):
-        self.doa_angles, self.doa_units = _grid_side(test_doas, "DoA")
-        self.dod_angles, self.dod_units = _grid_side(test_dods, "DoD")
+    def __init__(self, m_az: int, m_el: int, n_az: int, n_el: int):
+        self.doa_angles, self.doa_units = _cell_centres(m_az, m_el)
+        self.dod_angles, self.dod_units = _cell_centres(n_az, n_el)
 
     @cached_property
     def test_doas(self) -> tuple[Direction, ...]:
@@ -161,18 +102,13 @@ class DirectionGrid:
         return self.dod_angles.shape[1]
 
     @classmethod
-    def hemisphere(cls, m_az: int, m_el: int, n_az: int, n_el: int) -> "DirectionGrid":
-        """DoAs on hemisphere_directions(m_az, m_el), DoDs on (n_az, n_el)."""
-        return cls(_cell_centres(m_az, m_el), _cell_centres(n_az, n_el))
-
-    @classmethod
     def product(cls, m: int, n: int) -> "DirectionGrid":
-        """Square product grids of m DoAs and n DoDs (m, n perfect squares)."""
+        """Square layouts of m DoAs and n DoDs (m, n perfect squares)."""
         ka, kd = math.isqrt(m), math.isqrt(n)
         if ka * ka != m or kd * kd != n:
             raise ValueError("product grid sizes must be perfect squares; "
-                             "use DirectionGrid.hemisphere for other layouts")
-        return cls.hemisphere(ka, ka, kd, kd)
+                             "use DirectionGrid(m_az, m_el, n_az, n_el) for other layouts")
+        return cls(ka, ka, kd, kd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +127,9 @@ class Dictionary:
     with at least one column, every column of a d-row K has a computed
     squared norm within 8 d u of 1 (u = 2^-53, so a norm within about
     5 d u of 1, which a normalized column meets), doa_norms / dod_norms
-    hold one finite norm above ATOM_NORM_TOL per column, and doa_angles /
-    dod_angles are 2 x columns. Every array is then read-only; the atoms
-    are not copied.
+    hold one finite norm per column above ATOM_NORM_TOL times their
+    largest, and doa_angles / dod_angles are 2 x columns. Every array is
+    then read-only; the atoms are not copied.
     """
 
     K_r: np.ndarray
@@ -217,8 +153,9 @@ class Dictionary:
             off = np.flatnonzero(~(np.abs(sq[0::2] + sq[1::2] - 1.0) <= 8 * d * _U64))
             if off.size:
                 raise ValueError(f"{atoms} column {off[0]} does not have unit norm")
-            if nv.shape != (k,) or not np.all(np.isfinite(nv) & (nv > ATOM_NORM_TOL)):
-                raise ValueError(f"{norms} must hold {k} finite norms above {ATOM_NORM_TOL}")
+            if nv.shape != (k,) or not np.all(np.isfinite(nv) & (nv > ATOM_NORM_TOL * nv.max())):
+                raise ValueError(f"{norms} must hold {k} finite norms above {ATOM_NORM_TOL} "
+                                 "times the largest")
             if av.shape != (2, k):
                 raise ValueError(f"{angles} must be a 2 x {k} array, got shape {av.shape}")
         object.__setattr__(self, "K_r_H", np.conjugate(self.K_r.T, order="C"))
@@ -241,10 +178,23 @@ class Dictionary:
         return Direction(*self.dod_angles[:, col].tolist())
 
 
-def _observed_side(raw: np.ndarray, angles: np.ndarray, label: str):
-    """raw's kept columns normalized, in place when none is dropped, their norms and angles."""
+def _observed_side(M: np.ndarray, E: np.ndarray, angles: np.ndarray, label: str, name: str):
+    """The kept columns of M^H E normalized in place, their norms and their angles.
+
+    M, here W or X, is finite and nonzero; M^H E is formed as (M / 2^e)^H E
+    (see exact_scale), a largest norm outside the normal floats raises
+    ValueError naming M as name, and a column whose norm is at most
+    ATOM_NORM_TOL times the largest is dropped as annihilated.
+    """
+    Ms, e = exact_scale(M)
+    raw = Ms.conj().T @ E
+    del E   # before the norms' temporaries: 2.5 MB of peak memory for 64 x 2500 atoms
     norms = np.linalg.norm(raw, axis=0)
-    keep = norms > ATOM_NORM_TOL
+    top = float(norms.max())
+    if not -1021 <= e + math.frexp(top)[1] <= 1024:
+        raise ValueError(f"{name} gives the {label} atoms norms outside the range of "
+                         "normal floats")
+    keep = norms > ATOM_NORM_TOL * top
     if not np.all(keep):
         warnings.warn(f"dropping {int((~keep).sum())} {label} grid directions "
                       "annihilated by the observation matrices", stacklevel=3)
@@ -252,16 +202,22 @@ def _observed_side(raw: np.ndarray, angles: np.ndarray, label: str):
             raise ValueError(f"every {label} grid direction is annihilated")
         raw, norms, angles = raw[:, keep], norms[keep], angles[:, keep]
     raw /= norms
-    return raw, norms, angles
+    return raw, np.ldexp(norms, e), angles
+
+
+def _norm(M: np.ndarray) -> float:
+    """||M||_F, formed on M / 2^e (see exact_scale) so that no square overflows."""
+    Ms, e = exact_scale(M)
+    return math.ldexp(float(np.linalg.norm(Ms)), e or 0)
 
 
 def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
                        g_r: ArrayGeometry, g_t: ArrayGeometry) -> Dictionary:
     """Project the grid's steering vectors through W and X and normalize."""
     K_r, doa_norms, doa_angles = _observed_side(
-        s.W.conj().T @ steering_matrix(g_r, grid.doa_units), grid.doa_angles, "DoA")
+        s.W, steering_matrix(g_r, grid.doa_units), grid.doa_angles, "DoA", "combiner matrix W")
     K_t, dod_norms, dod_angles = _observed_side(
-        s.X.conj().T @ steering_matrix(g_t, grid.dod_units), grid.dod_angles, "DoD")
+        s.X, steering_matrix(g_t, grid.dod_units), grid.dod_angles, "DoD", "pilot matrix X")
     return Dictionary(K_r, K_t, doa_norms, dod_norms, doa_angles, dod_angles)
 
 
@@ -275,17 +231,11 @@ class Selection:
 
 
 def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float | None]:
-    """Ys = Y / 2^e with 1/2 <= max|Ys| < 1, and the margin of marginals read from Ys.
-
-    The scaling is exact, so products of Ys are those of Y exactly scaled
-    and no squared score overflows or underflows. (Y, None) when Y is zero
-    or holds NaN or inf. See joint_select for the margin.
-    """
-    a = float(np.abs(Y).max())
-    if not 0.0 < a < math.inf:
+    """exact_scale's Ys = Y / 2^e and the margin of marginals read from Ys (see
+    joint_select), or (Y, None) when Y is zero or holds NaN or inf."""
+    Ys, e = exact_scale(Y)
+    if e is None:
         return Y, None
-    e = math.frexp(a)[1]
-    Ys = Y * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -(e // 2))  # 2^-e alone may overflow
     n_c, n_s = Y.shape
     return Ys, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * float(np.linalg.norm(Ys))
 
@@ -614,7 +564,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
-    residual_norms = [float(np.linalg.norm(R))]
+    residual_norms = [_norm(R)]
     cumulative_times, paths_kept = [], []
     start = time.perf_counter()
     for _ in range(P_budget):
@@ -627,7 +577,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
             paths.append(PathParams(abs(gain), cmath.phase(gain) % TWO_PI,
                                     dictionary.doa_of(i), dictionary.dod_of(j)))
             R -= c * np.outer(K_r[:, i], K_t[:, j].conj())
-        residual_norms.append(float(np.linalg.norm(R)))
+        residual_norms.append(_norm(R))
         cumulative_times.append(time.perf_counter() - start)
         paths_kept.append(len(paths))
     return EstimationReport(strategy, tuple(paths), evaluations, tuple(residual_norms),

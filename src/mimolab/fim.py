@@ -25,7 +25,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
-from .observation import ObservationSetup, channel_energy, projection_apply, snr
+from .observation import ObservationSetup, channel_energy, exact_scale, projection_apply, snr
 
 PARAMS_PER_PATH = 6
 DEFAULT_COND_THRESHOLD = 1e12
@@ -86,15 +86,6 @@ def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     """Fisher information R^T R of the Jacobian D (see fisher_factor)."""
     R = fisher_factor(D, s)
     return R.T @ R
-
-
-def _exponent(M: np.ndarray) -> int:
-    """e with 1/2 <= max|M_ij| / 2^e < 1 (0 for a zero M), for a real array M.
-
-    Dividing M by 2^e is exact, and no square of an entry of M / 2^e
-    overflows.
-    """
-    return math.frexp(max(float(M.max()), -float(M.min())))[1]
 
 
 def fim_block(I: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -167,7 +158,7 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h,
     kept (k the parameter count, eps the float64 epsilon). cond_threshold
     must be a finite number of at least 1 (ValueError otherwise).
 
-    R is divided by 2^e (see _exponent) first and the bound multiplied by
+    R is divided by 2^e (see exact_scale) first and the bound multiplied by
     4^e last, both exactly, so that no norm of R overflows and no term of the
     sum underflows at extreme noise levels; elsewhere the digits are those
     of the unscaled computation. A bound above the largest float raises
@@ -178,8 +169,7 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h,
                          f"got {cond_threshold!r}")
     energy = channel_energy(h)
     k = R.shape[1]
-    e = _exponent(R)
-    R = np.ldexp(R, -e)
+    R, e = exact_scale(R)
     norms = np.linalg.norm(R, axis=0)
     S = 1.0 / np.where(norms > 0, norms, 1.0)
     _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
@@ -242,9 +232,8 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
     R = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector
     result = crb_trace(D, R, h, cond_threshold=cond_threshold)
-    # I = 4^e F exactly (see _exponent), and F does not overflow at any noise level
-    e = _exponent(R)
-    F = np.ldexp(R, -e)
+    # I = 4^e F exactly (see exact_scale), and F does not overflow at any noise level
+    F, e = exact_scale(R)
     F = F.T @ F
     snr_linear = snr(s, h)
     report = {
@@ -258,7 +247,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
         "inter_path_coupling_mass": inter_path_coupling_mass(F),
     }
     if include_blocks:
-        if _exponent(F) + 2 * e > 1024:
+        if math.frexp(float(np.abs(F).max()))[1] + 2 * e > 1024:
             raise ValueError("per-path blocks exceed the largest float at the noise variance "
                              f"sigma2 = {s.sigma2}; raise it or leave out include_blocks")
         I = np.ldexp(F, 2 * e)

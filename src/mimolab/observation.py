@@ -95,9 +95,29 @@ class ObservationSetup:
         return dev <= ORTHO_PILOT_TOL * self.alpha2 * self.n_s
 
 
+def exact_scale(M: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """(M / 2^e, e) with 1/2 <= max|M / 2^e| < 1, or (M, None) for a zero M or
+    one with NaN or inf. The scaling is exact, so sums of squares of M / 2^e
+    are those of M scaled by 4^-e, without overflow or underflow."""
+    a = float(np.abs(M).max())
+    if not 0.0 < a < math.inf:
+        return M, None
+    e = math.frexp(a)[1]
+    Ms = M * math.ldexp(1.0, -e // 2)
+    Ms *= math.ldexp(1.0, -(e // 2))   # 2^-e alone may overflow
+    return Ms, e
+
+
 def pilot_power(X: np.ndarray) -> float:
-    """alpha2 of training matrix X, before any setup is built from it."""
-    return float(np.sum(np.abs(X) ** 2)) / X.shape[1]
+    """alpha2 of training matrix X, trace(X^H X)/n_s, summed on X / 2^e (see
+    exact_scale); a nonzero finite X whose power is not a normal float raises
+    ValueError. A zero, NaN or inf X is left for ObservationSetup to reject."""
+    Xs, e = exact_scale(X)
+    p = float(np.sum(np.abs(Xs) ** 2)) / X.shape[1]
+    if e is not None and not -1021 <= 2 * e + math.frexp(p)[1] <= 1024:
+        raise ValueError("pilot matrix X has a transmit power trace(X^H X)/n_s outside "
+                         "the range of normal floats")
+    return p if e is None else math.ldexp(p, 2 * e)
 
 
 def complex_from_json(obj, name: str) -> np.ndarray:

@@ -548,6 +548,54 @@ def test_crb_and_estimate_name_a_non_finite_observation_matrix(tmp_path, capsys,
         assert f"{name} has a NaN or inf entry" in capsys.readouterr().err
 
 
+def _scaled_identity(n, scale):
+    return [[[scale * (i == j), 0.0] for j in range(n)] for i in range(n)]
+
+
+def _estimated_directions(payload):
+    return [(p["doa"], p["dod"]) for p in payload["estimated_paths"]]
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e160, 1e-170])
+def test_estimate_with_combiners_at_any_scale_picks_as_identity_combiners(tmp_path, capsys,
+                                                                          scale):
+    # 1e-13 I and 1e-170 I exited 2 with "every DoA grid direction is
+    # annihilated", and 1e160 I overflowed the atoms' norms and exited 2 with
+    # "K_r column 0 does not have unit norm"
+    runs = []
+    for W in (_scaled_identity(4, 1.0), _scaled_identity(4, scale)):
+        obj = dict(estimate_config(), observation={"combiners": "explicit", "W": W,
+                                                   "target_snr_db": 20.0})
+        assert main(["estimate", "--config", write_config(tmp_path, obj)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        runs.append(json.loads(out))
+    assert _estimated_directions(runs[1]) == _estimated_directions(runs[0])
+    assert runs[1]["rmse"] == pytest.approx(runs[0]["rmse"], rel=1e-9)
+
+
+@pytest.mark.parametrize("command, observation, message", [
+    # overflowed alpha2 with a RuntimeWarning, then exited 2 with "K_t
+    # column 0 does not have unit norm" (estimate) or blamed sigma2 (crb)
+    ("estimate", {"pilots": "orthogonal", "alpha": 1e160, "sigma2": 1.0}, "pilot matrix X"),
+    ("crb", {"pilots": "orthogonal", "alpha": 1e160, "sigma2": 1.0}, "pilot matrix X"),
+    # alpha2 underflowed to 0: "X must carry nonzero transmit power"
+    ("estimate", {"pilots": "orthogonal", "alpha": 1e-170, "sigma2": 1.0}, "pilot matrix X"),
+    ("crb", {"pilots": "orthogonal", "alpha": 1e-170, "target_snr_db": 10.0}, "pilot matrix X"),
+    # atom norms of 1e-320 lose their digits: "every DoA grid direction is annihilated"
+    ("estimate", {"combiners": "explicit", "W": _scaled_identity(4, 1e-320),
+                  "target_snr_db": 20.0}, "combiner matrix W"),
+], ids=["estimate_alpha_1e160", "crb_alpha_1e160", "estimate_alpha_1e-170", "crb_alpha_1e-170",
+        "estimate_W_1e-320"])
+def test_observation_matrices_beyond_the_float_range_are_named(tmp_path, capsys, command,
+                                                               observation, message):
+    obj = crb_config(n_paths=2) if command == "crb" else estimate_config()
+    obj["observation"] = observation
+    assert main([command, "--config", write_config(tmp_path, obj)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "range of normal floats" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("sigma2", True), ("sigma2", "0.1"), ("target_snr_db", True), ("target_snr_db", "10"),
     ("alpha", True), ("alpha", math.nan),

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
@@ -10,18 +11,17 @@ from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from mimolab import estimation
-from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
+from mimolab.channel import PathParams, PathSet, steering_matrix, steering_vector, synthesize
 from mimolab.cli import _build_grid
 from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_directions,
                                 joint_select, matching_pursuit, sequential_select)
-from mimolab.geometry import (Direction, direction_from_unit, unit_vector, unit_vectors, upa,
-                              wrap_azimuth)
+from mimolab.geometry import Direction, direction_angles, unit_vectors, upa, wrap_azimuth
 from mimolab.observation import ObservationSetup, identity_setup, observe
 from mimolab.workers import Helpers
 
 
 def small_grid(k=6):
-    return DirectionGrid(hemisphere_directions(k, k), hemisphere_directions(k, k))
+    return DirectionGrid(k, k, k, k)
 
 
 def atom_dictionary(K_r, K_t, grid):
@@ -50,15 +50,10 @@ def test_hemisphere_directions_layout():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        DirectionGrid((), hemisphere_directions(2, 2))
-    d = Direction(0.1, 0.2)
-    with pytest.raises(ValueError):
-        DirectionGrid((d, Direction(0.1, 0.2)), (Direction(0.0, 0.0),))
-    # same physical direction through pole folding is also a duplicate
-    with pytest.raises(ValueError):
-        DirectionGrid((Direction(0.0, math.pi / 2), Direction(1.0, math.pi / 2)),
-                      (Direction(0.0, 0.0),))
+    # a grid is its layout: a count below 1 anywhere leaves a side empty
+    for counts in ((0, 4, 2, 2), (4, 0, 2, 2), (2, 2, 0, 4), (2, 2, 4, -1)):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            DirectionGrid(*counts)
 
 
 def test_grid_product_requires_squares():
@@ -68,79 +63,15 @@ def test_grid_product_requires_squares():
         DirectionGrid.product(2000, 100)
 
 
-def first_duplicate(directions, tol=1e-12):
-    """Brute-force O(k^2) oracle: smallest (a, b), a < b, within tol, or None."""
-    U = np.stack([unit_vector(d) for d in directions])
-    d2 = ((U[:, None, :] - U[None, :, :]) ** 2).sum(axis=2)
-    a, b = np.nonzero(np.triu(d2 <= tol * tol, k=1))
-    return (int(a[0]), int(b[0])) if a.size else None
-
-
-def grid_error(directions):
-    """The message _check_no_duplicates raises for directions' unit vectors, or None."""
-    try:
-        estimation._check_no_duplicates(unit_vectors(directions), "DoA")
-    except ValueError as e:
-        return str(e)
-    return None
-
-
-def near_copy(rng, d, distance):
-    """A direction whose unit vector lies `distance` away from d's."""
-    u = unit_vector(d)
-    v = rng.normal(size=3)
-    v -= (v @ u) * u
-    return direction_from_unit(u + distance * v / np.linalg.norm(v))
-
-
-def random_directions(rng, k):
-    return [Direction(a, e) for a, e in zip(rng.uniform(-math.pi, math.pi, k),
-                                            rng.uniform(-1.5, 1.5, k))]
-
-
-@pytest.mark.parametrize("factor, duplicate", [(0.5, True), (2.0, False)])
-def test_duplicate_check_matches_bruteforce_oracle(rng, factor, duplicate):
-    for _ in range(40):
-        dirs = random_directions(rng, int(rng.integers(2, 300)))
-        for _ in range(int(rng.integers(1, 4))):
-            twin = near_copy(rng, dirs[int(rng.integers(len(dirs)))], factor * 1e-12)
-            dirs.insert(int(rng.integers(len(dirs) + 1)), twin)
-        oracle = first_duplicate(dirs)
-        assert (oracle is not None) == duplicate
-        expected = None if oracle is None else (
-            "duplicate DoA directions at indices %d and %d" % oracle)
-        assert grid_error(dirs) == expected
-
-
-def test_duplicate_check_far_apart_indices():
-    dirs = list(hemisphere_directions(50, 50))
-    dirs.append(dirs[0])
-    assert grid_error(dirs) == "duplicate DoA directions at indices 0 and 2500"
-    dirs = [dirs[1234]] + list(hemisphere_directions(50, 50))
-    assert grid_error(dirs) == "duplicate DoA directions at indices 0 and 1235"
-
-
-def test_duplicate_check_shuffled_reports_smallest_pair(rng):
-    base = list(hemisphere_directions(20, 20))
-    dirs = base + [base[i] for i in (17, 250, 399)] + [base[250]]
-    for _ in range(10):
-        shuffled = [dirs[i] for i in rng.permutation(len(dirs))]
-        oracle = first_duplicate(shuffled)
-        assert grid_error(shuffled) == "duplicate DoA directions at indices %d and %d" % oracle
-
-
-def test_duplicate_check_poles_and_single_direction(rng):
-    assert grid_error([Direction(0.4, 0.2)]) is None
-    assert grid_error([Direction(0.4, math.pi / 2)]) is None
-    # every azimuth names the same point at a pole
-    dirs = random_directions(rng, 200)
-    dirs.insert(30, Direction(-2.0, -math.pi / 2))
-    dirs.insert(150, Direction(1.0, -math.pi / 2))
-    dirs.insert(90, Direction(3.0, math.pi / 2))
-    assert first_duplicate(dirs) == (30, 151)
-    assert grid_error(dirs) == "duplicate DoA directions at indices 30 and 151"
-    north = [Direction(0.0, math.pi / 2), Direction(0.0, -math.pi / 2)]
-    assert grid_error(north) is None
+def test_grid_directions_lie_the_stated_bound_apart():
+    # DirectionGrid's docstring: distinct directions of an n_az x n_el side
+    # lie at least 2 / (n_az n_el) apart as unit vectors, so none coincide
+    for n_az in range(1, 17):
+        for n_el in range(1, 17):
+            U = DirectionGrid(n_az, n_el, 1, 1).doa_units
+            d2 = ((U[:, :, None] - U[:, None, :]) ** 2).sum(axis=0)
+            np.fill_diagonal(d2, np.inf)
+            assert np.sqrt(d2.min()) >= 2 / (n_az * n_el), (n_az, n_el)
 
 
 def test_grid_product_large():
@@ -149,71 +80,50 @@ def test_grid_product_large():
     assert (g.m, g.n) == (10000, 2500)
 
 
-def assert_grids_identical(a, b, setups, g_r, g_t):
-    """Same directions, unit vectors and dictionaries, bit for bit.
-
-    b is built from Directions, whose azimuths are already wrapped; a keeps
-    its angles as given, which equal b's once wrapped.
-    """
-    assert a.test_doas == b.test_doas and a.test_dods == b.test_dods
-    for side in ("doa", "dod"):
-        (az, el), (az_b, el_b) = getattr(a, side + "_angles"), getattr(b, side + "_angles")
-        assert np.array_equal(wrap_azimuth(az), az_b) and np.array_equal(el, el_b)
-        assert np.array_equal(getattr(a, side + "_units"), getattr(b, side + "_units"))
+def assert_grid_is_its_layout(grid, doa_layout, dod_layout, setups, g_r, g_t):
+    """The grid's directions, unit vectors and dictionaries are those built
+    from hemisphere_directions' Directions, bit for bit; its angles equal
+    theirs once wrapped."""
+    E = {}
+    for side, layout, g in (("doa", doa_layout, g_r), ("dod", dod_layout, g_t)):
+        dirs = hemisphere_directions(*layout)
+        assert getattr(grid, f"test_{side}s") == dirs
+        (az, el), (az_d, el_d) = getattr(grid, side + "_angles"), direction_angles(dirs)
+        assert np.array_equal(wrap_azimuth(az), az_d) and np.array_equal(el, el_d)
+        assert np.array_equal(getattr(grid, side + "_units"), unit_vectors(dirs))
+        E[side] = steering_matrix(g, dirs)
     for s in setups:
-        da, db = build_dictionaries(a, s, g_r, g_t), build_dictionaries(b, s, g_r, g_t)
-        assert np.array_equal(da.K_r, db.K_r) and np.array_equal(da.K_t, db.K_t)
-        assert [da.doa_of(i) for i in range(da.m)] == list(b.test_doas)
-        assert [da.dod_of(j) for j in range(da.n)] == list(b.test_dods)
+        d = build_dictionaries(grid, s, g_r, g_t)
+        for K, norms, M, side in ((d.K_r, d.doa_norms, s.W, "doa"),
+                                  (d.K_t, d.dod_norms, s.X, "dod")):
+            raw = M.conj().T @ E[side]
+            assert np.array_equal(norms, np.linalg.norm(raw, axis=0))
+            assert np.array_equal(K, raw / norms)
 
 
 def test_grid_from_angles_equals_grid_from_directions(rng):
     g_r, g_t = upa(4, 4), upa(4, 2)
     W = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
     setups = (identity_setup(8, 16, 1.0), ObservationSetup(np.eye(8)[:, :6], W, 1.0))
-    assert_grids_identical(DirectionGrid.product(2500, 400),
-                           DirectionGrid(hemisphere_directions(50, 50),
-                                         hemisphere_directions(20, 20)), setups, g_r, g_t)
+    assert_grid_is_its_layout(DirectionGrid.product(2500, 400), (50, 50), (20, 20), setups,
+                              g_r, g_t)
     # a non-square layout, through the CLI's grid block
     cli_grid = _build_grid({"grid": {"m_az": 7, "m_el": 3, "n_az": 4, "n_el": 9}})
     assert (cli_grid.m, cli_grid.n) == (21, 36)
-    assert_grids_identical(cli_grid, DirectionGrid(hemisphere_directions(7, 3),
-                                                   hemisphere_directions(4, 9)),
-                           setups, g_r, g_t)
+    assert_grid_is_its_layout(cli_grid, (7, 3), (4, 9), setups, g_r, g_t)
 
 
 def test_grid_angles_kept_as_given_and_wrapped_once():
-    angles = np.array([[4.0, -7.5, 0.3], [0.1, -0.2, math.pi / 2]])
-    grid = DirectionGrid(angles, angles[:, :1])
-    assert np.array_equal(grid.doa_angles, angles)
-    assert grid.test_doas == tuple(Direction(a, e) for a, e in angles.T)
+    # the angles are the cell centres as computed; Directions and unit
+    # vectors read them wrapped
+    grid = DirectionGrid(5, 3, 2, 4)
+    az = -math.pi / 2 + (np.arange(5) + 0.5) * math.pi / 5
+    el = -math.pi / 2 + (np.arange(3) + 0.5) * math.pi / 3
+    assert np.array_equal(grid.doa_angles, [np.repeat(az, 3), np.tile(el, 5)])
+    assert grid.test_doas == tuple(Direction(a, e) for a, e in grid.doa_angles.T)
     assert np.array_equal(grid.doa_units, unit_vectors(grid.test_doas))
     assert not grid.doa_angles.flags.writeable and not grid.doa_units.flags.writeable
     assert isinstance(grid.test_doas, tuple) and grid.test_doas is grid.test_doas
-
-
-@pytest.mark.parametrize("az, el", [(0.1, 2.0), (0.1, -1.6), (0.1, math.nan),
-                                    (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1)])
-def test_grid_angles_rejected_like_direction(az, el):
-    with pytest.raises(ValueError) as expected:
-        Direction(az, el)
-    good = np.array([[0.0, 0.5], [0.0, 0.2]])
-    bad = np.array([[0.3, az], [0.4, el]])
-    for doas, dods in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError) as got:
-            DirectionGrid(doas, dods)
-        assert str(got.value) == str(expected.value)
-
-
-def test_grid_angles_shape_and_emptiness_checked():
-    good = np.array([[0.0], [0.0]])
-    for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 0))):
-        with pytest.raises(ValueError):
-            DirectionGrid(bad, good)
-        with pytest.raises(ValueError):
-            DirectionGrid(good, bad)
-    with pytest.raises(ValueError, match="duplicate DoD directions at indices 0 and 2"):
-        DirectionGrid(good, np.array([[0.1, 0.2, 0.1 + 2 * math.pi], [0.0, 0.0, 0.0]]))
 
 
 def test_dictionary_conjugate_transpose_built_once(rng):
@@ -255,6 +165,39 @@ def test_dictionary_drops_annihilated_directions(rng):
     assert np.array_equal(d.doa_angles, grid.doa_angles[:, 1:])
     assert [d.doa_of(i) for i in range(d.m)] == list(grid.test_doas[1:])
     assert [d.dod_of(j) for j in range(d.n)] == list(grid.test_dods)
+
+
+@pytest.mark.parametrize("annihilating", [False, True])
+def test_dictionary_and_pursuit_do_not_depend_on_the_scale_of_w_and_x(rng, annihilating):
+    # W and X scaled by a power of two s keep the same atoms and picks; the
+    # norms scale by s. An absolute bound of 1e-12 on the norms dropped every
+    # direction at s = 2^-40, and annihilating=True drops DoA 0 at any s.
+    grid = small_grid(4)
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    e0 = steering_vector(g_r, grid.test_doas[0])
+    W = orth(np.eye(4) - np.outer(e0, e0.conj())) if annihilating else np.eye(4)
+    X = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    H = synthesize(PathSet([PathParams(1.0, 0.4, grid.test_doas[5], grid.test_dods[10]),
+                            PathParams(0.5, 2.0, grid.test_doas[9], grid.test_dods[3])]),
+                   g_r, g_t)
+
+    def run(scale):
+        s = ObservationSetup(scale * X, scale * W, 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            d = build_dictionaries(grid, s, g_r, g_t)
+        assert len(caught) == annihilating
+        Y = observe(H, s, 0)
+        return d, [matching_pursuit(Y, d, 3, strategy).estimated
+                   for strategy in ("joint", "sequential")]
+
+    d1, picks1 = run(1.0)
+    for scale in (2.0 ** -300, 2.0 ** -40, 2.0 ** 40, 2.0 ** 300):
+        d, picks = run(scale)
+        assert np.array_equal(d.K_r, d1.K_r) and np.array_equal(d.K_t, d1.K_t)
+        assert np.array_equal(d.doa_norms, scale * d1.doa_norms)
+        assert np.array_equal(d.dod_norms, scale * d1.dod_norms)
+        assert picks == picks1
 
 
 @pytest.mark.parametrize("field, value", [
@@ -324,7 +267,7 @@ def test_joint_select_matches_bruteforce_oracle_hybrid(rng, monkeypatch, n_c, n_
     # n_c < n_s contracts over the combiner side, n_c > n_s over the pilot
     # side; 100 DoAs leave a partial last block for either block size
     monkeypatch.setattr(estimation, "_SCORE_BLOCK_ROWS", block_rows)
-    grid = DirectionGrid(hemisphere_directions(10, 10), hemisphere_directions(4, 5))
+    grid = DirectionGrid(10, 10, 4, 5)
     g_r, g_t = upa(2, 2), upa(2, 3)
     W = rng.normal(size=(4, n_c)) + 1j * rng.normal(size=(4, n_c))
     X = rng.normal(size=(6, n_s)) + 1j * rng.normal(size=(6, n_s))
@@ -366,7 +309,7 @@ def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
     # 1e-150 underflows and 1e150 overflows float32 unless the screened
     # factors are formed from _scaled's Ys; 300 DoAs are not a multiple of
     # the block size
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    grid = DirectionGrid(20, 15, 6, 5)
     g_r, g_t = upa(2, 3), upa(2, 4)
     W = rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c))
     X = rng.normal(size=(8, n_s)) + 1j * rng.normal(size=(8, n_s))
@@ -385,7 +328,7 @@ def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
 def test_joint_select_zero_observation_tie_break(monkeypatch):
     # a zero Y skips the prune and the screen, so every row is scored
     # exactly; 300 DoAs span several score blocks
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(4, 4))
+    grid = DirectionGrid(20, 15, 4, 4)
     g_r, g_t = upa(2, 2), upa(2, 2)
     d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
     Y = np.zeros((4, 4), dtype=complex)
@@ -408,7 +351,7 @@ def test_joint_select_screens_a_subnormal_factor(rng, n_c, n_s, tiny):
     # Every atom is orthogonal to Y's first row and column, which hold its
     # largest entry, so the screened factor formed from Ys has entries near
     # tiny, in float32's subnormal range below 2^-126
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    grid = DirectionGrid(20, 15, 6, 5)
 
     def atoms(rows, k):
         A = np.zeros((rows, k), dtype=complex)
@@ -441,7 +384,7 @@ def test_joint_select_split_screen_matches_one_thread(rng, executor, m_az, m_el,
     # 300 DoAs make five blocks, four full; 100 make two, fewer than the
     # four threads of three helpers; 30 make one block shorter than 64 rows.
     # Y = 0 keeps every row.
-    grid = DirectionGrid(hemisphere_directions(m_az, m_el), hemisphere_directions(6, 5))
+    grid = DirectionGrid(m_az, m_el, 6, 5)
     g_r, g_t = upa(2, 3), upa(2, 4)
     d = build_dictionaries(grid, identity_setup(8, 6, 1.0), g_r, g_t)
     for _ in range(3):
@@ -467,7 +410,7 @@ def test_joint_select_split_screen_covers_every_block_once(monkeypatch, executor
         screen_range(left32, right32, row_max, C, A, starts)
 
     monkeypatch.setattr(estimation, "_screen_range", recording)
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(4, 4))
+    grid = DirectionGrid(20, 15, 4, 4)
     d = build_dictionaries(grid, identity_setup(4, 4, 1.0), upa(2, 2), upa(2, 2))
     Y = np.ones((4, 4), dtype=complex)
     for count, sizes in ((0, [5]), (1, [2, 3]), (2, [1, 2, 2]), (3, [1, 1, 1, 2])):
@@ -485,7 +428,7 @@ def test_joint_select_planted_ties_across_blocks(monkeypatch, n_c, n_s, block_ro
     # from n_s - 1 on. Single-row blocks also split the surviving rows.
     monkeypatch.setattr(estimation, "_SCORE_BLOCK_ROWS", block_rows)
     m, n = 300, 40
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(8, 5))
+    grid = DirectionGrid(20, 15, 8, 5)
     doa_axis = np.arange(m) % (n_c - 1)
     doa_axis[[150, 290]] = n_c - 1
     K_r = np.eye(n_c, dtype=complex)[:, doa_axis]
@@ -502,7 +445,7 @@ def test_joint_select_planted_ties_across_blocks(monkeypatch, n_c, n_s, block_ro
 def hybrid_dictionary(n_c, n_s):
     """300 DoAs and 30 DoDs seen through fixed random W (n_c columns) and X (n_s)."""
     rng = np.random.default_rng([n_c, n_s])
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    grid = DirectionGrid(20, 15, 6, 5)
     W = rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c))
     X = rng.normal(size=(8, n_s)) + 1j * rng.normal(size=(8, n_s))
     return build_dictionaries(grid, ObservationSetup(X, W, 1.0), upa(2, 3), upa(2, 4))
@@ -512,7 +455,7 @@ def hybrid_dictionary(n_c, n_s):
 def basis_dictionary(n_c, n_s, seed):
     """Standard basis atoms: every score is one entry of Y, so equal entries tie exactly."""
     rng = np.random.default_rng(seed)
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    grid = DirectionGrid(20, 15, 6, 5)
     return atom_dictionary(np.eye(n_c, dtype=complex)[:, rng.integers(0, n_c, 300)],
                            np.eye(n_s, dtype=complex)[:, rng.integers(0, n_s, 30)], grid)
 
@@ -577,7 +520,7 @@ def test_joint_select_screens_few_rows_for_an_on_grid_path(monkeypatch):
         screen_range(left32, right32, row_max, C, A, starts)
 
     monkeypatch.setattr(estimation, "_screen_range", recording)
-    grid = DirectionGrid(hemisphere_directions(20, 15), hemisphere_directions(6, 5))
+    grid = DirectionGrid(20, 15, 6, 5)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 157, 17, n_r=(3, 3), n_t=(3, 3))
     d = build_dictionaries(grid, s, g_r, g_t)
     sel = joint_select(Y, d)
@@ -587,7 +530,7 @@ def test_joint_select_screens_few_rows_for_an_on_grid_path(monkeypatch):
 
 def test_sequential_select_matches_joint_on_grid():
     # exhaustive oracle scenario on a 20x20-point grid per side
-    grid = DirectionGrid(hemisphere_directions(5, 4), hemisphere_directions(4, 5))
+    grid = DirectionGrid(5, 4, 4, 5)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 7, 11)
     d = build_dictionaries(grid, s, g_r, g_t)
     js, ss = joint_select(Y, d), sequential_select(Y, d)
@@ -626,7 +569,7 @@ def test_sequential_select_matches_bruteforce_oracle(rng, observed, scale):
     # the oracle reads the unscaled Y; hybrid is 3 combiners, 6 pilots, 300
     # DoAs and 30 DoDs
     if observed == "identity":
-        grid = DirectionGrid(hemisphere_directions(6, 5), hemisphere_directions(5, 4))
+        grid = DirectionGrid(6, 5, 5, 4)
         d = build_dictionaries(grid, identity_setup(6, 6, 1.0), upa(2, 3), upa(3, 2))
     else:
         d = hybrid_dictionary(3, 6)
@@ -754,7 +697,7 @@ def test_pursuit_gains_are_least_squares_fits_of_the_observed_paths(rng):
     # reported gain must be the least-squares gain of W^H e_r(doa) and
     # X^H e_t(dod), rebuilt from the reported path, on the residual left by
     # the paths before it.
-    grid = DirectionGrid(hemisphere_directions(6, 5), hemisphere_directions(5, 4))
+    grid = DirectionGrid(6, 5, 5, 4)
     g_r, g_t = upa(2, 3), upa(2, 4)
     W = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     X = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
@@ -847,17 +790,17 @@ def test_matching_pursuit_rejects_bad_arguments():
 
 
 def test_grid_permutation_changes_only_indices(rng):
-    base = hemisphere_directions(4, 4)
-    perm = list(rng.permutation(len(base)))
-    grid1 = DirectionGrid(base, base)
-    grid2 = DirectionGrid(tuple(base[i] for i in perm), tuple(base[i] for i in perm))
+    # the same atoms in another column order pick the same directions
     g_r, g_t = upa(2, 2), upa(2, 3)
-    ps = PathSet([PathParams(1.0, 0.4, base[5], base[10])])
-    H = synthesize(ps, g_r, g_t)
+    grid = small_grid(4)
+    H = synthesize(PathSet([PathParams(1.0, 0.4, grid.test_doas[5], grid.test_dods[10])]),
+                   g_r, g_t)
     s = identity_setup(6, 4, 0.01)
     Y = observe(H, s, 9)
-    d1 = build_dictionaries(grid1, s, g_r, g_t)
-    d2 = build_dictionaries(grid2, s, g_r, g_t)
+    d1 = build_dictionaries(grid, s, g_r, g_t)
+    p, q = rng.permutation(d1.m), rng.permutation(d1.n)
+    d2 = estimation.Dictionary(d1.K_r[:, p], d1.K_t[:, q], d1.doa_norms[p], d1.dod_norms[q],
+                               d1.doa_angles[:, p], d1.dod_angles[:, q])
     for select in (joint_select, sequential_select):
         s1, s2 = select(Y, d1), select(Y, d2)
         assert d1.doa_of(s1.doa_index) == d2.doa_of(s2.doa_index)
