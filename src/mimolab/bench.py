@@ -378,10 +378,7 @@ def format_table(rows) -> str:
     for p in budgets:
         line = f"{'P=' + str(p):>8}"
         for s in strategies:
-            r = cell.get((p, s))
-            if r is None:
-                line += f"  {'-':<10}{'-':<14}"
-            else:
-                line += f"  {r.mean_rmse:<10.4f}{r.mean_wall_time_s:<14.3f}"
+            r = cell[(p, s)]
+            line += f"  {r.mean_rmse:<10.4f}{r.mean_wall_time_s:<14.3f}"
         print(line.rstrip(), file=out)
     return out.getvalue()

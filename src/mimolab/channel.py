@@ -106,17 +106,16 @@ class ChannelMatrix:
 
 def steering_vector(g: ArrayGeometry, d: Direction) -> np.ndarray:
     """Unit-norm array response of one direction, a column of steering_matrix."""
-    return steering_matrix(g, [d])[:, 0]
+    return steering_matrix(g, unit_vectors([d]))[:, 0]
 
 
-def steering_matrix(g: ArrayGeometry, directions) -> np.ndarray:
+def steering_matrix(g: ArrayGeometry, U: np.ndarray) -> np.ndarray:
     """Unit-norm array responses exp(-j A^T u) / sqrt(n), stacked as columns.
 
-    directions is a sequence of Directions or their 3 x k unit vectors u;
-    A is the scaled position matrix. The ufuncs run in place on one complex
-    array.
+    U holds the directions' unit vectors u as its columns, 3 x k (see
+    geometry.unit_vectors); A is the scaled position matrix. The ufuncs run
+    in place on one complex array.
     """
-    U = directions if isinstance(directions, np.ndarray) else unit_vectors(directions)
     out = np.multiply(g.scaled_positions.T @ U, -1j)
     np.exp(out, out=out)
     out /= math.sqrt(g.n_antennas)
@@ -141,8 +140,8 @@ def synthesize(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> ChannelMa
     """Sum of the rank-1 path channels c_p e_r(doa_p) e_t(dod_p)^H, formed as
     the one product E_r diag(c) E_t^H. A single path's channel has Frobenius
     norm rho."""
-    E_r = steering_matrix(g_r, [p.doa for p in ps])
-    E_t = steering_matrix(g_t, [p.dod for p in ps])
+    E_r = steering_matrix(g_r, unit_vectors([p.doa for p in ps]))
+    E_t = steering_matrix(g_t, unit_vectors([p.dod for p in ps]))
     c = np.array([p.gain for p in ps])
     return ChannelMatrix((E_r * c) @ E_t.conj().T)
 

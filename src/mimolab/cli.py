@@ -260,9 +260,9 @@ def run_estimate(cfg: dict, out: str | None) -> int:
         Y = observe(H, setup, np.random.default_rng([seed, 1]))
         dictionary = build_dictionaries(grid, setup, g_r, g_t)
         report = matching_pursuit(Y, dictionary, P_budget, strategy)
+        row = {"strategy": strategy, **asdict(report.reading(P_budget, H, g_r, g_t))}
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    row = {"strategy": strategy, **asdict(report.reading(P_budget, H, g_r, g_t))}
     payload = dict(row, estimated_paths=[p.to_json() for p in report.estimated])
     if out is None:
         _write_json(payload, None)

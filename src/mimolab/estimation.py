@@ -276,23 +276,19 @@ def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tupl
 
     rows must be non-empty and increasing; left and right are formed from
     _scaled's Ys, whose largest squared scores neither overflow nor underflow.
-    Scores are computed in complex128, _SCORE_BLOCK_ROWS rows at a time into
-    buffers reused from block to block; within a block np.argmax takes the
-    first maximum, and across blocks only a strictly larger score replaces
-    the best, so ties break to the smallest row, then the smallest column.
+    Scores are computed in complex128, _SCORE_BLOCK_ROWS rows at a time, as
+    re^2 + im^2 of the product squared in place; within a block np.argmax
+    takes the first maximum, and across blocks only a strictly larger score
+    replaces the best, so ties break to the smallest row, then the smallest
+    column.
     """
     n = right.shape[1]
-    block = min(_SCORE_BLOCK_ROWS, len(rows))
-    C = np.empty((block, n), dtype=complex)
-    S, S_imag = np.empty((block, n)), np.empty((block, n))
     best_v, best_i, best_j = -1.0, 0, 0
-    for b0 in range(0, len(rows), block):
-        idx = rows[b0:b0 + block]
-        c, s, s_imag = C[:len(idx)], S[:len(idx)], S_imag[:len(idx)]
-        np.matmul(left[idx], right, out=c)
-        np.multiply(c.real, c.real, out=s)
-        np.multiply(c.imag, c.imag, out=s_imag)
-        s += s_imag
+    for b0 in range(0, len(rows), _SCORE_BLOCK_ROWS):
+        idx = rows[b0:b0 + _SCORE_BLOCK_ROWS]
+        sq = (left[idx] @ right).view(np.float64)
+        sq *= sq
+        s = sq[:, 0::2] + sq[:, 1::2]
         flat = int(np.argmax(s))
         v = float(s.flat[flat])
         if v > best_v:
@@ -521,13 +517,22 @@ class EstimationReport:
     def reading(self, P: int, true_channel, g_r: ArrayGeometry,
                 g_t: ArrayGeometry) -> Reading:
         """The run at budget P, 1 <= P <= self.P, scored against the ChannelMatrix
-        true_channel on the arrays g_r and g_t; no paths kept means H_hat = 0."""
+        true_channel on the arrays g_r and g_t; no paths kept means H_hat = 0.
+        rmse is read off (H - H_hat) / 2^e and H / 2^e' (see exact_scale), so it
+        is the unscaled value wherever that is finite, and raises ValueError
+        where that overflows."""
         if not 1 <= P <= self.P:
             raise ValueError(f"budget P must lie in [1, {self.P}], got {P}")
         paths = self.estimated[:self.paths_kept[P - 1]]
         H = true_channel.matrix
         H_hat = synthesize(PathSet(paths), g_r, g_t).matrix if paths else 0.0
-        rmse = float(np.linalg.norm(H - H_hat) ** 2 / np.linalg.norm(H) ** 2)
+        (a, e_a), (b, e_b) = exact_scale(H - H_hat), exact_scale(H)
+        try:
+            rmse = math.ldexp(float(np.linalg.norm(a) ** 2 / np.linalg.norm(b) ** 2),
+                              2 * ((e_a or 0) - (e_b or 0)))
+        except OverflowError:
+            raise ValueError("rmse exceeds the largest float: the estimate lies too far "
+                             "from the channel, as at a sigma2 far above the signal") from None
         # every iteration scores the same number of candidates
         return Reading(P, rmse, self.cumulative_times[P - 1],
                        self.score_evaluations * P // self.P)

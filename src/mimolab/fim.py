@@ -66,7 +66,8 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     stacks the real and imaginary parts of sqrt(2 / sigma2) vec(Q_w^H D_k X),
     so I = A^T A too; R is k x k, with fewer rows only when A has fewer than
     k. A is not kept. A sigma2 of 0, or so small that 2 / sigma2 overflows,
-    raises ValueError.
+    raises ValueError, as does an R that is not finite: A, or its column
+    norms, beyond the largest float at this pilot power and sigma2.
     """
     if s.sigma2 <= 0 or 2.0 / s.sigma2 == math.inf:
         raise ValueError("Fisher information diverges: 2 / sigma2 overflows for a noiseless "
@@ -77,20 +78,20 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     Z = np.empty((k, s.n_s, s.n_c), dtype=complex)
     # DX[j, i, k] = (D_k X)[i, j]; D's rows are i + n_r j, so the reshape is free
     DX = (s.X.T @ D.reshape(s.n_t, s.n_r * k)).reshape(s.n_s, s.n_r, k)
-    np.matmul(Qh, DX, out=Z.transpose(1, 2, 0))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is caught in R below
+        np.matmul(Qh, DX, out=Z.transpose(1, 2, 0))
     del DX   # before the QR copies A: 3 MB of peak memory on a 64x16 report
-    return np.linalg.qr(Z.view(float).reshape(k, -1).T, mode="r")
+    R = np.linalg.qr(Z.view(float).reshape(k, -1).T, mode="r")
+    if not np.isfinite(R).all():
+        raise ValueError("Fisher information overflows at pilot power alpha2 = "
+                         f"{s.alpha2} and noise variance sigma2 = {s.sigma2}")
+    return R
 
 
 def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     """Fisher information R^T R of the Jacobian D (see fisher_factor)."""
     R = fisher_factor(D, s)
     return R.T @ R
-
-
-def fim_block(I: np.ndarray, p: int, q: int) -> np.ndarray:
-    """6x6 coupling block between the parameters of paths p and q."""
-    return I[6 * p: 6 * p + 6, 6 * q: 6 * q + 6]
 
 
 def _direction_info(g: ArrayGeometry, d: Direction) -> np.ndarray:
@@ -251,5 +252,5 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
             raise ValueError("per-path blocks exceed the largest float at the noise variance "
                              f"sigma2 = {s.sigma2}; raise it or leave out include_blocks")
         I = np.ldexp(F, 2 * e)
-        report["per_path_blocks"] = [fim_block(I, p, p).tolist() for p in range(len(ps))]
+        report["per_path_blocks"] = [I[i:i + 6, i:i + 6].tolist() for i in range(0, len(I), 6)]
     return report

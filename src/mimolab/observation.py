@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, PathSet, steering_derivatives
+from .channel import PathSet, steering_derivatives
 from .geometry import ArrayGeometry, is_finite_real, real_array
 
 ORTHO_PILOT_TOL = 1e-10
@@ -158,19 +158,19 @@ def orthogonal_pilots(n_t: int, n_s: int, alpha: float = 1.0,
 def observe(H, s: ObservationSetup, seed) -> np.ndarray:
     """Combined received pilots Y = W^H (H X + N), an n_c x n_s matrix.
 
-    The noise matrix has i.i.d. complex Gaussian entries of variance sigma2
-    (independent real/imaginary parts of variance sigma2/2 each); the same
-    seed always reproduces the same draw.
+    H is the ChannelMatrix that synthesize returns. The noise matrix has
+    i.i.d. complex Gaussian entries of variance sigma2 (independent
+    real/imaginary parts of variance sigma2/2 each), drawn from
+    np.random.default_rng(seed), so the same seed reproduces the same draw.
     """
-    Hm = H.matrix if isinstance(H, ChannelMatrix) else np.asarray(H, dtype=complex)
-    if Hm.shape != (s.n_r, s.n_t):
-        raise ValueError(f"channel shape {Hm.shape} does not match setup "
+    if H.matrix.shape != (s.n_r, s.n_t):
+        raise ValueError(f"channel shape {H.matrix.shape} does not match setup "
                          f"({s.n_r}, {s.n_t})")
     Wh = s.W.conj().T
-    signal = Wh @ Hm @ s.X
+    signal = Wh @ H.matrix @ s.X
     if s.sigma2 == 0.0:
         return signal
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     scale = math.sqrt(s.sigma2 / 2.0)
     N = scale * (rng.standard_normal((s.n_r, s.n_s))
                  + 1j * rng.standard_normal((s.n_r, s.n_s)))
@@ -178,23 +178,19 @@ def observe(H, s: ObservationSetup, seed) -> np.ndarray:
 
 
 def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:
-    """Apply the observation projection to columns of M (length n_r*n_t).
+    """Apply the observation projection to the columns of the 2-D M (n_r*n_t rows).
 
     Works factor-by-factor, never materializing the n_r*n_t square matrix:
     each column, as an n_r x n_t matrix, is hit with the combiner-range
     projector Q_w Q_w^H on the left and with X X^H / alpha2 on the right.
     """
-    M = np.asarray(M, dtype=complex)
-    single = M.ndim == 1
-    cols = M[:, None] if single else M
-    n_r, n_t, k = s.n_r, s.n_t, cols.shape[1]
-    if cols.shape[0] != n_r * n_t:
+    n_r, n_t, k = s.n_r, s.n_t, M.shape[1]
+    if M.shape[0] != n_r * n_t:
         raise ValueError("column length must be n_r * n_t")
     M_t = (s.X @ s.X.conj().T) / s.alpha2
     # rows are i + n_r j, so [j, (i, k)] is a free reshape of a C-ordered M
-    right = (M_t.T @ cols.reshape(n_t, n_r * k)).reshape(n_t, n_r, k)
-    out = np.matmul(s.Q_w @ s.Q_w.conj().T, right).reshape(n_r * n_t, k)
-    return out[:, 0] if single else out
+    right = (M_t.T @ M.reshape(n_t, n_r * k)).reshape(n_t, n_r, k)
+    return np.matmul(s.Q_w @ s.Q_w.conj().T, right).reshape(n_r * n_t, k)
 
 
 def projection_matrix(s: ObservationSetup) -> np.ndarray:
@@ -233,7 +229,6 @@ def noise_for_snr(target_snr: float, alpha2: float, h) -> float:
 
 def channel_energy(h) -> float:
     """Energy ||h||^2 of a vectorized channel; a zero channel raises ValueError."""
-    h = np.asarray(h)
     energy = float(np.vdot(h, h).real)
     if energy == 0.0:
         raise ValueError("zero channel: its SNR and relative errors are undefined")

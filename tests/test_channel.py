@@ -7,7 +7,7 @@ import pytest
 from mimolab.channel import (ChannelMatrix, PathParams, PathSet, merge_paths,
                              steering_derivatives, steering_matrix, steering_vector,
                              synthesize)
-from mimolab.geometry import Direction, ula, upa
+from mimolab.geometry import Direction, ula, unit_vectors, upa
 
 from conftest import random_direction, random_geometry, random_path, shift_direction
 
@@ -72,7 +72,7 @@ def test_steering_two_element_ula_hand_values():
 def test_steering_matrix_matches_vectors(rng):
     g = random_geometry(rng, 7)
     dirs = [random_direction(rng) for _ in range(5)]
-    E = steering_matrix(g, dirs)
+    E = steering_matrix(g, unit_vectors(dirs))
     # one matrix product against one matrix-vector product per column: the
     # BLAS kernels round differently, so columns agree to a few ulp, not bits
     for k, d in enumerate(dirs):
@@ -93,10 +93,11 @@ def test_steering_derivative_matches_finite_differences(rng):
         g = random_geometry(rng, int(rng.integers(2, 10)))
         dirs = [random_direction(rng) for _ in range(5)]
         E, *analytic = steering_derivatives(g, dirs)
-        assert np.allclose(E, steering_matrix(g, dirs), rtol=0.0, atol=1e-15)
+        assert np.allclose(E, steering_matrix(g, unit_vectors(dirs)), rtol=0.0, atol=1e-15)
         for axis, dE in zip(("azimuth", "elevation"), analytic):
-            e_plus = steering_matrix(g, [shift_direction(d, axis, step) for d in dirs])
-            e_minus = steering_matrix(g, [shift_direction(d, axis, -step) for d in dirs])
+            e_plus = steering_matrix(g, unit_vectors([shift_direction(d, axis, step) for d in dirs]))
+            e_minus = steering_matrix(g, unit_vectors([shift_direction(d, axis, -step)
+                                                      for d in dirs]))
             fd = (e_plus - e_minus) / (2 * step)
             scale = np.maximum(np.linalg.norm(dE, axis=0), 1e-3)
             assert np.all(np.linalg.norm(fd - dE, axis=0) / scale <= 1e-6)

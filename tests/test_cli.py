@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,39 @@ def test_observation_matrices_beyond_the_float_range_are_named(tmp_path, capsys,
     assert main([command, "--config", write_config(tmp_path, obj)]) == 2
     err = capsys.readouterr().err
     assert message in err and "range of normal floats" in err
+
+
+_UPA_2X2 = {"type": "upa", "nx": 2, "ny": 2}
+_ESTIMATE_ONE_PATH = {"grid": {"m": 100, "n": 100}, "P_budget": 2}
+
+
+@pytest.mark.parametrize("command, arrays, rho, observation, message", [
+    # wrote "rmse": Infinity after "RuntimeWarning: overflow encountered in dot"
+    ("estimate", (_UPA_2X2, _UPA_2X2), 1.0,
+     {"pilots": "orthogonal", "n_s": 4, "sigma2": 1.7e308}, "sigma2"),
+    ("estimate", (_UPA_2X2, _UPA_2X2), 1.0,
+     {"pilots": "orthogonal", "n_s": 4, "alpha": 1.5e-154, "sigma2": 100.0}, "sigma2"),
+    # RuntimeWarnings from crb_trace, then "SVD did not converge"; at rho 100
+    # the whitened Jacobian's product overflowed as well
+    ("crb", ({"type": "upa", "nx": 8, "ny": 8}, {"type": "upa", "nx": 4, "ny": 4}), 1.0,
+     {"pilots": "orthogonal", "n_s": 64, "alpha": 1e154, "sigma2": 1.2e-308},
+     "pilot power alpha2 = 1e+308 and noise variance sigma2 = 1.2e-308"),
+    ("crb", ({"type": "upa", "nx": 8, "ny": 8}, {"type": "upa", "nx": 4, "ny": 4}), 100.0,
+     {"pilots": "orthogonal", "n_s": 64, "alpha": 1e154, "sigma2": 1.2e-308},
+     "pilot power alpha2 = 1e+308 and noise variance sigma2 = 1.2e-308"),
+], ids=["estimate_sigma2_1.7e308", "estimate_alpha_1.5e-154", "crb_alpha_1e154",
+        "crb_alpha_1e154_rho_100"])
+def test_results_beyond_the_float_range_exit_2_naming_the_noise_level(
+        tmp_path, capsys, command, arrays, rho, observation, message):
+    obj = {"arrays": dict(zip(("tx", "rx"), arrays)), "observation": observation,
+           "paths": [{"rho": rho, "phi": 0.3, "doa": {"az": 0.2, "el": 0.1},
+                      "dod": {"az": -0.4, "el": 0.3}}],
+           **(_ESTIMATE_ONE_PATH if command == "estimate" else {})}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", write_config(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and message in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -91,7 +91,7 @@ def assert_grid_is_its_layout(grid, doa_layout, dod_layout, setups, g_r, g_t):
         (az, el), (az_d, el_d) = getattr(grid, side + "_angles"), direction_angles(dirs)
         assert np.array_equal(wrap_azimuth(az), az_d) and np.array_equal(el, el_d)
         assert np.array_equal(getattr(grid, side + "_units"), unit_vectors(dirs))
-        E[side] = steering_matrix(g, dirs)
+        E[side] = steering_matrix(g, unit_vectors(dirs))
     for s in setups:
         d = build_dictionaries(grid, s, g_r, g_t)
         for K, norms, M, side in ((d.K_r, d.doa_norms, s.W, "doa"),
@@ -301,6 +301,36 @@ def contracted_factors(Y, d):
         return d.K_r.conj().T, right, float(np.linalg.norm(right, axis=0).max())
     left = d.K_r.conj().T @ Ys
     return left, d.K_t, float(np.linalg.norm(left, axis=1).max())
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_best_in_rows_is_the_first_argmax_of_the_scores(rng, monkeypatch, block_rows, scale):
+    # Rows of left are standard basis vectors, so each score row is a row of
+    # right exactly. right is formed from _scaled's Ys; its strongest row is
+    # planted in rows 10 and 12 of left (one block for 7 and 64 rows) and 70
+    # and 140 (different blocks), and its best column is copied to column 33.
+    monkeypatch.setattr(estimation, "_SCORE_BLOCK_ROWS", block_rows)
+    m, n, r = 150, 40, 4
+    Y = rng.normal(size=(3, r)) + 1j * rng.normal(size=(3, r))
+    Y[:, r - 1] *= 10.0
+    K_t = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    Ys, _ = estimation._scaled(scale * Y)
+    right = Ys.T @ (K_t / np.linalg.norm(K_t, axis=0))
+    j_best = int(np.argmax(np.abs(right[r - 1])))
+    right[:, 33] = right[:, j_best]
+    axis = rng.integers(0, r - 1, size=m)
+    axis[[10, 12, 70, 140]] = r - 1
+    left = np.eye(r, dtype=complex)[axis]
+    j_first = min(j_best, 33)
+    row_sets = [np.array([int(rng.integers(m))]), np.sort(rng.choice(m, 2, replace=False)),
+                np.sort(rng.choice(m, 100, replace=False)), np.arange(m),
+                np.array([12, 70, 140]), np.array([70, 140])]
+    for rows in row_sets:
+        k, j = divmod(int(np.argmax(np.abs(left[rows] @ right) ** 2)), n)
+        assert estimation._best_in_rows(left, right, rows) == (int(rows[k]), j)
+    for rows, first in ((np.arange(m), 10), (row_sets[4], 12), (row_sets[5], 70)):
+        assert estimation._best_in_rows(left, right, rows) == (first, j_first)
 
 
 @pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])

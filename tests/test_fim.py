@@ -7,7 +7,7 @@ from scipy.linalg import orth
 
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
 from mimolab.fim import (channel_jacobian, check_optimal_observation, crb_report,
-                         crb_trace, fim_block, fisher_factor, fisher_matrix,
+                         crb_trace, fisher_factor, fisher_matrix,
                          intra_path_block, inter_path_coupling_mass, optimal_bound)
 from mimolab.geometry import Direction, ula, upa
 from mimolab.observation import ObservationSetup, identity_setup, snr, span_combiners, span_pilots
@@ -259,7 +259,7 @@ def test_crb_report_blocks_and_coupling_mass_are_those_of_the_fisher_matrix(rng)
         assert 0.0 < mass < 1.0
         assert report["inter_path_coupling_mass"] == pytest.approx(mass, rel=1e-13)
         blocks = np.array(report["per_path_blocks"])
-        expected = np.array([fim_block(I, p, p) for p in range(len(ps))])
+        expected = np.array([I[6 * p: 6 * p + 6, 6 * p: 6 * p + 6] for p in range(len(ps))])
         assert np.abs(blocks - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -431,14 +431,6 @@ def test_inter_path_coupling_mass(rng):
     I2 = fisher_matrix(channel_jacobian(ps2, g_r, g_t), identity_setup(4, 4, 1.0))
     mass = inter_path_coupling_mass(I2)
     assert 0.0 <= mass < 1.0
-
-
-def test_fim_block_indexing(rng):
-    g_r, g_t = upa(2, 2), upa(2, 2)
-    ps = PathSet(random_path(rng) for _ in range(2))
-    I = fisher_matrix(channel_jacobian(ps, g_r, g_t), identity_setup(4, 4, 1.0))
-    assert fim_block(I, 0, 0).shape == (6, 6)
-    assert np.array_equal(fim_block(I, 1, 0), I[6:12, 0:6])
 
 
 def test_crb_report_contents(rng):
