@@ -17,6 +17,8 @@ from .geometry import (TWO_PI, ArrayGeometry, Direction, as_real, direction_angl
                        tangents_from_angles, unit_vector, unit_vectors,
                        unit_vectors_from_angles)
 
+MERGE_DIRECTION_TOL = 1e-9   # merge_paths' largest unit-vector distance of shared directions
+
 
 @dataclass(frozen=True)
 class PathParams:
@@ -146,11 +148,11 @@ def synthesize(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> ChannelMa
     return ChannelMatrix((E_r * c) @ E_t.conj().T)
 
 
-def merge_paths(paths, direction_tol: float = 1e-9) -> PathParams:
+def merge_paths(paths) -> PathParams:
     """Collapse paths sharing a DoA/DoD into one virtual path of summed gain.
 
-    Raises if the directions differ by more than direction_tol (in unit-vector
-    distance) or if the gains cancel exactly.
+    Raises if the directions differ by more than MERGE_DIRECTION_TOL (in
+    unit-vector distance) or if the gains cancel exactly.
     """
     paths = list(paths)
     if not paths:
@@ -158,8 +160,8 @@ def merge_paths(paths, direction_tol: float = 1e-9) -> PathParams:
     first = paths[0]
     u_r, u_t = unit_vector(first.doa), unit_vector(first.dod)
     for p in paths[1:]:
-        if (np.linalg.norm(unit_vector(p.doa) - u_r) > direction_tol
-                or np.linalg.norm(unit_vector(p.dod) - u_t) > direction_tol):
+        if (np.linalg.norm(unit_vector(p.doa) - u_r) > MERGE_DIRECTION_TOL
+                or np.linalg.norm(unit_vector(p.dod) - u_t) > MERGE_DIRECTION_TOL):
             raise ValueError("paths do not share directions")
     total = sum(p.gain for p in paths)
     if total == 0:

@@ -16,8 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bench import (KNOWN_STRATEGIES, ScenarioConfig, format_table, generate_paths,
-                    monte_carlo, rows_to_json)
+from .bench import ScenarioConfig, format_table, generate_paths, monte_carlo, rows_to_json
 from .channel import PathSet, synthesize
 from .estimation import DirectionGrid, build_dictionaries, matching_pursuit
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
@@ -253,8 +252,6 @@ def run_estimate(cfg: dict, out: str | None) -> int:
     seed = _integer(cfg, "seed", 0)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    if strategy not in KNOWN_STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
     grid = _build_grid(cfg)
     try:
         Y = observe(H, setup, np.random.default_rng([seed, 1]))
@@ -290,20 +287,6 @@ def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int
     return 0
 
 
-def _apply_seed(cfg: dict, command: str, seed: int | None) -> None:
-    if seed is None:
-        return
-    if command == "bench":
-        cfg["base_seed"] = seed
-    elif command == "estimate":
-        cfg["seed"] = seed
-    else:
-        if isinstance(cfg.get("paths"), dict):
-            cfg["paths"]["seed"] = seed
-        else:
-            raise ConfigError("--seed only applies to generated paths")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mimolab",
@@ -318,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output path (crb: JSON file; estimate/bench: "
                             "basename for .json/.csv)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "crb":
             p.add_argument("--strict", action="store_true",
                            help="exit 3 when the Fisher matrix is ill-conditioned")
@@ -338,7 +320,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.overrides)
-        _apply_seed(cfg, args.command, args.seed)
         if args.command == "crb":
             return run_crb(cfg, args.out, args.strict)
         if args.command == "estimate":

@@ -15,14 +15,13 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .channel import PathParams, PathSet, steering_matrix, synthesize
 from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors_from_angles,
                        wrap_azimuth)
-from .observation import ObservationSetup, exact_scale
+from .observation import ObservationSetup, exact_scale, frobenius_norm
 from .workers import Helpers, shared_map
 
 ATOM_NORM_TOL = 1e-12
@@ -56,11 +55,8 @@ def hemisphere_directions(n_az: int, n_el: int) -> tuple[Direction, ...]:
     strictly inside the box, in particular away from the poles where
     azimuth degenerates. Azimuth is the slow index.
     """
-    return _directions(_cell_centres(n_az, n_el)[0])
-
-
-def _directions(angles: np.ndarray) -> tuple[Direction, ...]:
-    return tuple(Direction(a, e) for a, e in zip(*angles.tolist()))
+    az, el = _cell_centres(n_az, n_el)[0].tolist()
+    return tuple(map(Direction, az, el))
 
 
 class DirectionGrid:
@@ -70,8 +66,7 @@ class DirectionGrid:
     hemisphere_directions(n_az, n_el). Each side is held as two read-only
     arrays: doa_angles / dod_angles, the 2 x k azimuths and elevations, and
     doa_units / dod_units, the 3 x k unit vectors of the wrapped
-    directions. test_doas and test_dods are built from the angles on first
-    use.
+    directions.
 
     Distinct centres of an n_az x n_el side lie at least 2 / (n_az n_el)
     apart as unit vectors: with cos(el) >= sin(pi / (2 n_el)) > 0 inside the
@@ -84,14 +79,6 @@ class DirectionGrid:
     def __init__(self, m_az: int, m_el: int, n_az: int, n_el: int):
         self.doa_angles, self.doa_units = _cell_centres(m_az, m_el)
         self.dod_angles, self.dod_units = _cell_centres(n_az, n_el)
-
-    @cached_property
-    def test_doas(self) -> tuple[Direction, ...]:
-        return _directions(self.doa_angles)
-
-    @cached_property
-    def test_dods(self) -> tuple[Direction, ...]:
-        return _directions(self.dod_angles)
 
     @property
     def m(self) -> int:
@@ -203,12 +190,6 @@ def _observed_side(M: np.ndarray, E: np.ndarray, angles: np.ndarray, label: str,
         raw, norms, angles = raw[:, keep], norms[keep], angles[:, keep]
     raw /= norms
     return raw, np.ldexp(norms, e), angles
-
-
-def _norm(M: np.ndarray) -> float:
-    """||M||_F, formed on M / 2^e (see exact_scale) so that no square overflows."""
-    Ms, e = exact_scale(M)
-    return math.ldexp(float(np.linalg.norm(Ms)), e or 0)
 
 
 def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
@@ -564,12 +545,12 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
         raise ValueError("observation Y holds NaN or inf entries")
     try:
         select = _SELECTORS[strategy]
-    except KeyError:
+    except (KeyError, TypeError):   # TypeError: an unhashable strategy
         raise ValueError(f"unknown strategy {strategy!r}") from None
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
-    residual_norms = [_norm(R)]
+    residual_norms = [frobenius_norm(R)]
     cumulative_times, paths_kept = [], []
     start = time.perf_counter()
     for _ in range(P_budget):
@@ -582,7 +563,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
             paths.append(PathParams(abs(gain), cmath.phase(gain) % TWO_PI,
                                     dictionary.doa_of(i), dictionary.dod_of(j)))
             R -= c * np.outer(K_r[:, i], K_t[:, j].conj())
-        residual_norms.append(_norm(R))
+        residual_norms.append(frobenius_norm(R))
         cumulative_times.append(time.perf_counter() - start)
         paths_kept.append(len(paths))
     return EstimationReport(strategy, tuple(paths), evaluations, tuple(residual_norms),

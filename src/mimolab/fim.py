@@ -25,7 +25,8 @@ import numpy as np
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
-from .observation import ObservationSetup, channel_energy, exact_scale, projection_apply, snr
+from .observation import (ObservationSetup, channel_energy, exact_scale, frobenius_norm,
+                          projection_apply, snr)
 
 PARAMS_PER_PATH = 6
 DEFAULT_COND_THRESHOLD = 1e12
@@ -159,33 +160,39 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h,
     kept (k the parameter count, eps the float64 epsilon). cond_threshold
     must be a finite number of at least 1 (ValueError otherwise).
 
-    R is divided by 2^e (see exact_scale) first and the bound multiplied by
-    4^e last, both exactly, so that no norm of R overflows and no term of the
-    sum underflows at extreme noise levels; elsewhere the digits are those
-    of the unscaled computation. A bound above the largest float raises
-    ValueError.
+    R, each of its column norms, B and ||h||^2 (see channel_energy) are taken
+    on powers of two apart (see exact_scale), and the bound takes the exponents
+    back last, exactly, so that no square overflows or underflows at extreme
+    noise levels or gains; elsewhere the digits are those of the unscaled
+    computation. A bound above the largest float raises ValueError.
     """
     if not (is_finite_real(cond_threshold) and cond_threshold >= 1.0):
         raise ValueError("cond_threshold must be a finite number of at least 1, "
                          f"got {cond_threshold!r}")
-    energy = channel_energy(h)
+    E, k_h = channel_energy(h)
     k = R.shape[1]
     R, e = exact_scale(R)
-    norms = np.linalg.norm(R, axis=0)
+    # each column norm on its own power-of-two scale, so that no square underflows
+    e_c = np.frexp(np.abs(R).max(axis=0))[1]
+    norms = np.ldexp(np.linalg.norm(np.ldexp(R, -e_c), axis=0), e_c)
     S = 1.0 / np.where(norms > 0, norms, 1.0)
     _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
     full_rank = sigma.size == k and sigma[-1] > 0 and norms.all()
     cond = float(sigma[0] / sigma[-1]) ** 2 if full_rank else math.inf
     flagged = not cond <= cond_threshold
     keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2 if flagged else slice(None)
-    B = S[:, None] * Vt[keep].T / sigma[keep]
+    # B / 2^e_d in place of a copy of D / 2^e_d (see exact_scale): no entry of D B overflows
+    e_d = math.frexp(float(np.abs(D).max()))[1]
+    B = np.ldexp(S[:, None] * Vt[keep].T / sigma[keep], -e_d)
     # the halves of [Re D; Im D] B one at a time, to hold one in memory
     value = sum(np.linalg.norm(part @ B) ** 2 for part in (D.real, D.imag))
     try:
-        bound = math.ldexp(float(value) / energy, -2 * e)
+        bound = math.ldexp(float(value) / E, 2 * (e_d - e) - k_h)
     except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
         raise ValueError("the bound exceeds the largest float: the information is too "
-                         "weak for the noise variance sigma2") from None
+                         "weak for the noise variance sigma2")
     return CrbResult(bound, cond, flagged)
 
 
@@ -203,10 +210,17 @@ def check_optimal_observation(D: np.ndarray, s: ObservationSetup) -> float:
 
     Zero (below ~1e-10) certifies that the observation projection leaves the
     Jacobian range untouched, the condition under which the bound reaches
-    its 3P/SNR floor.
+    its 3P/SNR floor. Where a square in either norm would overflow or
+    underflow, both are taken on M / 2^e (see frobenius_norm).
     """
-    PD = projection_apply(s, D)
-    return float(np.linalg.norm(D - PD) / np.linalg.norm(D))
+    residual = projection_apply(s, D)
+    residual -= D
+    # plain norms first: frobenius_norm's copies add 4% to a 64 x 16, 40-path report
+    with np.errstate(over="ignore"):
+        a, b = np.linalg.norm(residual), np.linalg.norm(D)
+    if not (2.0 ** -500 < b < math.inf and a < math.inf):
+        a, b = frobenius_norm(residual), frobenius_norm(D)
+    return float(a / b)
 
 
 def inter_path_coupling_mass(I: np.ndarray) -> float:

@@ -204,27 +204,19 @@ class ArrayGeometry:
         raise ValueError(f"unknown array type {kind!r}")
 
 
-_AXES = {"x": 0, "y": 1, "z": 2}
 _PLANES = {"xy": (0, 1), "yz": (1, 2), "xz": (0, 2)}
 
 
 def ula(n: int, spacing_wavelengths: float = 0.5, axis: str = "x") -> ArrayGeometry:
-    """Uniform linear array of n antennas along a coordinate axis.
-
-    Element i (1-based) sits at (i - (n+1)/2) * spacing wavelengths, so the
-    centroid is at the origin by construction.
+    """Uniform linear array of n antennas along a coordinate axis: the
+    one-row upa along it, so element i (1-based) sits at (i - (n+1)/2) *
+    spacing wavelengths, with the centroid at the origin by construction.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    spacing_wavelengths = as_real(spacing_wavelengths, "spacing")
-    if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
-        raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {sorted(_AXES)}")
-    offsets = (np.arange(1, n + 1) - (n + 1) / 2.0) * spacing_wavelengths
-    pos = np.zeros((3, n))
-    pos[_AXES[axis]] = offsets
-    return ArrayGeometry(TWO_PI * pos)
+    if axis == "z":
+        return upa(1, n, spacing_wavelengths, "xz")
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be one of ['x', 'y', 'z']")
+    return upa(n, 1, spacing_wavelengths, "xy" if axis == "x" else "yz")
 
 
 def upa(nx: int, ny: int, spacing_wavelengths: float = 0.5,

@@ -108,6 +108,12 @@ def exact_scale(M: np.ndarray) -> tuple[np.ndarray, int | None]:
     return Ms, e
 
 
+def frobenius_norm(M: np.ndarray) -> float:
+    """||M||_F, formed on M / 2^e (see exact_scale) so that no square overflows."""
+    Ms, e = exact_scale(M)
+    return math.ldexp(float(np.linalg.norm(Ms)), e or 0)
+
+
 def pilot_power(X: np.ndarray) -> float:
     """alpha2 of training matrix X, trace(X^H X)/n_s, summed on X / 2^e (see
     exact_scale); a nonzero finite X whose power is not a normal float raises
@@ -211,28 +217,48 @@ def projection_matrix(s: ObservationSetup) -> np.ndarray:
 
 
 def snr(s: ObservationSetup, h) -> float:
-    """Linear signal-to-noise ratio alpha2 * ||h||^2 / sigma2."""
+    """Linear signal-to-noise ratio alpha2 * ||h||^2 / sigma2 (see power_ratio)."""
     if s.sigma2 <= 0:
         raise ValueError("SNR is undefined for a noiseless setup")
-    value = s.alpha2 * channel_energy(h) / s.sigma2
-    if value == math.inf:
-        raise ValueError(f"SNR exceeds the largest float at sigma2 = {s.sigma2}")
+    value = power_ratio(s.alpha2, h, s.sigma2)
+    if value in (0.0, math.inf):
+        raise ValueError("SNR exceeds the largest float, or falls below the smallest, at "
+                         f"sigma2 = {s.sigma2}")
     return value
 
 
 def noise_for_snr(target_snr: float, alpha2: float, h) -> float:
-    """Noise variance that realizes the target linear SNR for channel h."""
+    """Noise variance that realizes the target linear SNR for channel h (see power_ratio); one
+    beyond the floats raises, but a zero, NaN or inf alpha2 is left for ObservationSetup."""
     if target_snr <= 0:
         raise ValueError("target SNR must be positive")
-    return alpha2 * channel_energy(h) / target_snr
+    sigma2 = power_ratio(alpha2, h, target_snr)
+    if 0.0 < alpha2 < math.inf and sigma2 in (0.0, math.inf):
+        raise ValueError(f"the noise variance sigma2 that realizes SNR {target_snr} "
+                         "lies outside the range of floats")
+    return sigma2
 
 
-def channel_energy(h) -> float:
-    """Energy ||h||^2 of a vectorized channel; a zero channel raises ValueError."""
-    energy = float(np.vdot(h, h).real)
-    if energy == 0.0:
-        raise ValueError("zero channel: its SNR and relative errors are undefined")
-    return energy
+def channel_energy(h) -> tuple[float, int]:
+    """Energy ||h||^2 = E 2^k of a vectorized channel as (E, k), with E summed
+    on h / 2^(k/2) (see exact_scale), so that no square overflows or
+    underflows; a zero channel, or one with NaN or inf, raises ValueError."""
+    hs, e = exact_scale(h)
+    if e is None:
+        raise ValueError("zero or non-finite channel: its SNR and relative errors are undefined")
+    return float(np.vdot(hs, hs).real), 2 * e
+
+
+def power_ratio(alpha2: float, h, denominator: float) -> float:
+    """alpha2 * ||h||^2 / denominator on E (see channel_energy) and the mantissas of alpha2
+    and denominator, the exponents added apart: only the result can overflow (to inf) or
+    underflow, and elsewhere the bits are the unscaled formula's."""
+    E, k = channel_energy(h)
+    (ma, ea), (md, ed) = math.frexp(alpha2), math.frexp(denominator)
+    try:
+        return math.ldexp(ma * E / md, ea + k - ed)
+    except OverflowError:
+        return math.inf
 
 
 def _direction_span(g: ArrayGeometry, directions) -> np.ndarray:

@@ -13,8 +13,8 @@ import pytest
 
 from mimolab.bench import ScenarioConfig, monte_carlo
 from mimolab.channel import PathParams, PathSet, synthesize
-from mimolab.estimation import (DirectionGrid, build_dictionaries, joint_select,
-                                matching_pursuit, sequential_select)
+from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_directions,
+                                joint_select, matching_pursuit, sequential_select)
 from mimolab.fim import (channel_jacobian, crb_trace, fisher_factor, fisher_matrix,
                          intra_path_block, optimal_bound)
 from mimolab.channel import merge_paths
@@ -148,7 +148,8 @@ def test_criterion_7_exact_recovery_limit():
     grid = DirectionGrid.product(400, 400)
     g_r, g_t = upa(4, 4), upa(8, 8)
     true_i, true_j = 123, 321
-    p = PathParams(0.9, 2.2, grid.test_doas[true_i], grid.test_dods[true_j])
+    dirs = hemisphere_directions(20, 20)
+    p = PathParams(0.9, 2.2, dirs[true_i], dirs[true_j])
     H = synthesize(PathSet([p]), g_r, g_t)
     s = identity_setup(64, 16, 0.0)
     Y = observe(H, s, 0)

@@ -76,7 +76,7 @@ def test_crb_generated_paths_and_seed_override(tmp_path):
     cfg = write_config(tmp_path, obj)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["crb", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["crb", "--config", cfg, "--out", str(out2), "--seed", "2"]) == 0
+    assert main(["crb", "--config", cfg, "--out", str(out2), "paths.seed=2"]) == 0
     r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     # identity observation puts both bounds on the same 3P/SNR floor, so the
     # override shows in the conditioning of the paths it draws
@@ -84,9 +84,10 @@ def test_crb_generated_paths_and_seed_override(tmp_path):
     assert r1["condition_number"] != r2["condition_number"]
 
 
-def test_crb_seed_rejected_for_explicit_paths(tmp_path):
+def test_crb_seed_rejected_for_explicit_paths(tmp_path, capsys):
     cfg = write_config(tmp_path, crb_config(n_paths=2))
-    assert main(["crb", "--config", cfg, "--seed", "3"]) == 2
+    assert main(["crb", "--config", cfg, "paths.seed=3"]) == 2
+    assert "override path 'paths.seed' crosses a non-object" in capsys.readouterr().err
 
 
 def test_crb_bad_cond_threshold_exit_2(tmp_path, capsys):
@@ -156,19 +157,26 @@ def test_crb_non_finite_gain_or_noise_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("observation, second_path, field", [
-    ({"target_snr_db": 600}, True, None),
-    ({"target_snr_db": 1500}, True, None),            # coupling mass NaN, exit 0
-    ({"target_snr_db": 2999}, False, "target_snr_db"),
-    ({"target_snr_db": 3000}, False, "target_snr_db"),  # SVD did not converge
-    ({"sigma2": 1e-320}, False, "sigma2"),              # SVD did not converge
-    ({"target_snr_db": 3090}, False, "target_snr_db"),  # (34, 'Numerical result out of range')
-    ({"target_snr_db": 4000}, False, "target_snr_db"),
-    ({"target_snr_db": -3090}, False, "target_snr_db"),  # crb_relative NaN, exit 0
-], ids=["600dB", "1500dB", "2999dB", "3000dB", "sigma2_1e-320", "3090dB", "4000dB", "-3090dB"])
-def test_crb_at_extreme_noise_levels(tmp_path, capsys, observation, second_path, field):
-    # a weak lossless path: the report is its floor, or the noise level is named
-    path = {"rho": 1e-7, "phi": 0.3, "doa": {"az": 0.5, "el": -0.2},
+@pytest.mark.parametrize("rho, observation, second_path, field", [
+    (1e-7, {"target_snr_db": 600}, True, None),
+    (1e-7, {"target_snr_db": 1500}, True, None),            # coupling mass NaN, exit 0
+    (1e-7, {"target_snr_db": 2999}, False, "target_snr_db"),
+    (1e-7, {"target_snr_db": 3000}, False, "target_snr_db"),  # SVD did not converge
+    (1e-7, {"sigma2": 1e-320}, False, "sigma2"),              # SVD did not converge
+    (1e-7, {"target_snr_db": 3090}, False, "target_snr_db"),  # (34, 'Numerical result out of range')
+    (1e-7, {"target_snr_db": 4000}, False, "target_snr_db"),
+    (1e-7, {"target_snr_db": -3090}, False, "target_snr_db"),  # crb_relative NaN, exit 0
+    # the channel energy used to be squared unscaled
+    (1e-158, {"sigma2": 1e-300}, False, None),      # crb_relative Infinity, exit 0
+    (1e-160, {"sigma2": 1e-300}, False, None),      # snr off by 1e-3
+    (1e-162, {"sigma2": 1e-300}, False, None),      # "zero channel"
+    (1e155, {"target_snr_db": 20}, False, None),    # "sigma2 must be ... got nan"
+    (1e-170, {"target_snr_db": 20}, False, "sigma2"),  # sigma2 1e-342 underflows
+], ids=["600dB", "1500dB", "2999dB", "3000dB", "sigma2_1e-320", "3090dB", "4000dB", "-3090dB",
+        "rho_1e-158", "rho_1e-160", "rho_1e-162", "rho_1e155", "rho_1e-170"])
+def test_crb_at_extreme_noise_levels(tmp_path, capsys, rho, observation, second_path, field):
+    # a lossless path, weak or strong: the report is its floor, or the noise level is named
+    path = {"rho": rho, "phi": 0.3, "doa": {"az": 0.5, "el": -0.2},
             "dod": {"az": -1.0, "el": 0.4}}
     second = {"rho": 1e-7, "phi": 1.1, "doa": {"az": -0.4, "el": 0.3},
               "dod": {"az": 0.6, "el": -0.5}}
@@ -184,8 +192,9 @@ def test_crb_at_extreme_noise_levels(tmp_path, capsys, observation, second_path,
     assert code == 0 and err == ""
     report = json.loads(out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
     assert not report["ill_conditioned"]
-    assert report["crb_relative"] == pytest.approx(report["floor_3p_over_snr"], rel=1e-8)
-    assert 0.0 < report["inter_path_coupling_mass"] < 1.0
+    assert report["crb_relative"] == pytest.approx(report["floor_3p_over_snr"], rel=1e-12)
+    assert 0.0 <= report["inter_path_coupling_mass"] < 1.0
+    assert (report["inter_path_coupling_mass"] > 0.0) == second_path
 
 
 def test_malformed_values_exit_2(tmp_path, capsys):
@@ -202,7 +211,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
              ("estimate", dict(est, paths={"generator": "x", "seed": 4})),
              ("estimate", dict(est, paths={"generator": {}, "seed": math.inf})),
              ("estimate", dict(est, P_budget=None)),
-             ("estimate", dict(est, seed=-1))]
+             ("estimate", dict(est, seed=-1)),
+             # unknown strategies, one of them unhashable
+             ("estimate", dict(est, strategy="greedy")),
+             ("estimate", dict(est, strategy=["joint"]))]
     for command, obj in cases:
         assert main([command, "--config", write_config(tmp_path, obj)]) == 2, obj
         assert "config error" in capsys.readouterr().err
@@ -388,7 +400,7 @@ def test_bench_seed_override_changes_values_not_schema(tmp_path):
     cfg = write_config(tmp_path, bench_config())
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["bench", "--config", cfg, "--out", a]) == 0
-    assert main(["bench", "--config", cfg, "--out", b, "--seed", "77"]) == 0
+    assert main(["bench", "--config", cfg, "--out", b, "base_seed=77"]) == 0
     ra = json.loads((tmp_path / "a.json").read_text())["rows"]
     rb = json.loads((tmp_path / "b.json").read_text())["rows"]
     assert [set(r) for r in ra] == [set(r) for r in rb]
@@ -615,8 +627,11 @@ _ESTIMATE_ONE_PATH = {"grid": {"m": 100, "n": 100}, "P_budget": 2}
     ("crb", ({"type": "upa", "nx": 8, "ny": 8}, {"type": "upa", "nx": 4, "ny": 4}), 100.0,
      {"pilots": "orthogonal", "n_s": 64, "alpha": 1e154, "sigma2": 1.2e-308},
      "pilot power alpha2 = 1e+308 and noise variance sigma2 = 1.2e-308"),
+    # "zero channel": the channel energy 1e-340 underflowed, and the sigma2
+    # 1e-342 that realizes 20 dB does too
+    ("estimate", (_UPA_2X2, _UPA_2X2), 1e-170, {"target_snr_db": 20}, "sigma2"),
 ], ids=["estimate_sigma2_1.7e308", "estimate_alpha_1.5e-154", "crb_alpha_1e154",
-        "crb_alpha_1e154_rho_100"])
+        "crb_alpha_1e154_rho_100", "estimate_rho_1e-170"])
 def test_results_beyond_the_float_range_exit_2_naming_the_noise_level(
         tmp_path, capsys, command, arrays, rho, observation, message):
     obj = {"arrays": dict(zip(("tx", "rx"), arrays)), "observation": observation,
@@ -628,6 +643,24 @@ def test_results_beyond_the_float_range_exit_2_naming_the_noise_level(
         code = main([command, "--config", write_config(tmp_path, obj)])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and message in err
+
+
+def test_estimate_at_an_extreme_gain_picks_as_at_unit_gain(tmp_path, capsys):
+    # at rho 1e155 the channel energy overflowed and target_snr_db 20 exited 2
+    # with "sigma2 must be ... got nan"; the true sigma2 is 1e308
+    runs = []
+    for rho in (1.0, 1e155):
+        obj = {"arrays": {"tx": _UPA_2X2, "rx": _UPA_2X2}, "observation": {"target_snr_db": 20},
+               "paths": [{"rho": rho, "phi": 0.3, "doa": {"az": 0.5, "el": -0.2},
+                          "dod": {"az": -1.0, "el": 0.4}}], **_ESTIMATE_ONE_PATH}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", write_config(tmp_path, obj)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        runs.append(json.loads(out, parse_constant=lambda name: pytest.fail(f"output holds {name}")))
+    assert _estimated_directions(runs[1]) == _estimated_directions(runs[0])
+    assert runs[1]["rmse"] == pytest.approx(runs[0]["rmse"], rel=1e-9)
 
 
 @pytest.mark.parametrize("field, value", [

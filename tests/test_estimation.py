@@ -33,9 +33,10 @@ def atom_dictionary(K_r, K_t, grid):
 
 def on_grid_scenario(grid, doa_idx, dod_idx, rho=1.2, phi=0.7, n_r=(2, 2), n_t=(2, 3)):
     g_r, g_t = upa(*n_r), upa(*n_t)
-    p = PathParams(rho, phi, grid.test_doas[doa_idx], grid.test_dods[dod_idx])
-    H = synthesize(PathSet([p]), g_r, g_t)
     s = identity_setup(g_t.n_antennas, g_r.n_antennas, 0.0)
+    d = build_dictionaries(grid, s, g_r, g_t)   # identity observation drops no direction
+    p = PathParams(rho, phi, d.doa_of(doa_idx), d.dod_of(dod_idx))
+    H = synthesize(PathSet([p]), g_r, g_t)
     Y = observe(H, s, 0)
     return g_r, g_t, p, H, s, Y
 
@@ -81,13 +82,12 @@ def test_grid_product_large():
 
 
 def assert_grid_is_its_layout(grid, doa_layout, dod_layout, setups, g_r, g_t):
-    """The grid's directions, unit vectors and dictionaries are those built
-    from hemisphere_directions' Directions, bit for bit; its angles equal
-    theirs once wrapped."""
+    """The grid's unit vectors and dictionaries are those built from
+    hemisphere_directions' Directions, bit for bit; its angles equal theirs
+    once wrapped."""
     E = {}
     for side, layout, g in (("doa", doa_layout, g_r), ("dod", dod_layout, g_t)):
         dirs = hemisphere_directions(*layout)
-        assert getattr(grid, f"test_{side}s") == dirs
         (az, el), (az_d, el_d) = getattr(grid, side + "_angles"), direction_angles(dirs)
         assert np.array_equal(wrap_azimuth(az), az_d) and np.array_equal(el, el_d)
         assert np.array_equal(getattr(grid, side + "_units"), unit_vectors(dirs))
@@ -120,16 +120,17 @@ def test_grid_angles_kept_as_given_and_wrapped_once():
     az = -math.pi / 2 + (np.arange(5) + 0.5) * math.pi / 5
     el = -math.pi / 2 + (np.arange(3) + 0.5) * math.pi / 3
     assert np.array_equal(grid.doa_angles, [np.repeat(az, 3), np.tile(el, 5)])
-    assert grid.test_doas == tuple(Direction(a, e) for a, e in grid.doa_angles.T)
-    assert np.array_equal(grid.doa_units, unit_vectors(grid.test_doas))
+    doas = hemisphere_directions(5, 3)
+    assert doas == tuple(Direction(a, e) for a, e in grid.doa_angles.T)
+    assert np.array_equal(grid.doa_units, unit_vectors(doas))
     assert not grid.doa_angles.flags.writeable and not grid.doa_units.flags.writeable
-    assert isinstance(grid.test_doas, tuple) and grid.test_doas is grid.test_doas
 
 
 def test_dictionary_conjugate_transpose_built_once(rng):
     grid = small_grid(4)
+    dirs = hemisphere_directions(4, 4)
     g_r, g_t = upa(2, 2), upa(2, 3)
-    e0 = steering_vector(g_r, grid.test_doas[0])
+    e0 = steering_vector(g_r, dirs[0])
     dropped = ObservationSetup(np.eye(6), orth(np.eye(4) - np.outer(e0, e0.conj())), 1.0)
     with pytest.warns(UserWarning):
         d_dropped = build_dictionaries(grid, dropped, g_r, g_t)
@@ -140,12 +141,13 @@ def test_dictionary_conjugate_transpose_built_once(rng):
 
 def test_dictionary_identity_combiner_equals_steering(rng):
     grid = small_grid(4)
+    dirs = hemisphere_directions(4, 4)
     g_r, g_t = upa(2, 2), upa(2, 2)
     s = identity_setup(4, 4, 1.0)
     d = build_dictionaries(grid, s, g_r, g_t)
     assert d.m == 16 and d.n == 16
     for col in (0, 7, 15):
-        assert np.allclose(d.K_r[:, col], steering_vector(g_r, grid.test_doas[col]))
+        assert np.allclose(d.K_r[:, col], steering_vector(g_r, dirs[col]))
     norms_r = np.linalg.norm(d.K_r, axis=0)
     norms_t = np.linalg.norm(d.K_t, axis=0)
     assert np.all(np.abs(norms_r - 1.0) < 1e-12)
@@ -154,17 +156,18 @@ def test_dictionary_identity_combiner_equals_steering(rng):
 
 def test_dictionary_drops_annihilated_directions(rng):
     grid = small_grid(3)
+    dirs = hemisphere_directions(3, 3)
     g_r, g_t = upa(2, 2), upa(2, 2)
     # combiner orthogonal to the first grid steering vector kills that column
-    e0 = steering_vector(g_r, grid.test_doas[0])
+    e0 = steering_vector(g_r, dirs[0])
     basis = orth(np.eye(4) - np.outer(e0, e0.conj()))
     s = ObservationSetup(np.eye(4), basis, 1.0)
     with pytest.warns(UserWarning):
         d = build_dictionaries(grid, s, g_r, g_t)
     assert d.m == grid.m - 1 and d.n == grid.n
     assert np.array_equal(d.doa_angles, grid.doa_angles[:, 1:])
-    assert [d.doa_of(i) for i in range(d.m)] == list(grid.test_doas[1:])
-    assert [d.dod_of(j) for j in range(d.n)] == list(grid.test_dods)
+    assert [d.doa_of(i) for i in range(d.m)] == list(dirs[1:])
+    assert [d.dod_of(j) for j in range(d.n)] == list(dirs)
 
 
 @pytest.mark.parametrize("annihilating", [False, True])
@@ -173,12 +176,13 @@ def test_dictionary_and_pursuit_do_not_depend_on_the_scale_of_w_and_x(rng, annih
     # norms scale by s. An absolute bound of 1e-12 on the norms dropped every
     # direction at s = 2^-40, and annihilating=True drops DoA 0 at any s.
     grid = small_grid(4)
+    dirs = hemisphere_directions(4, 4)
     g_r, g_t = upa(2, 2), upa(2, 3)
-    e0 = steering_vector(g_r, grid.test_doas[0])
+    e0 = steering_vector(g_r, dirs[0])
     W = orth(np.eye(4) - np.outer(e0, e0.conj())) if annihilating else np.eye(4)
     X = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-    H = synthesize(PathSet([PathParams(1.0, 0.4, grid.test_doas[5], grid.test_dods[10]),
-                            PathParams(0.5, 2.0, grid.test_doas[9], grid.test_dods[3])]),
+    H = synthesize(PathSet([PathParams(1.0, 0.4, dirs[5], dirs[10]),
+                            PathParams(0.5, 2.0, dirs[9], dirs[3])]),
                    g_r, g_t)
 
     def run(scale):
@@ -728,12 +732,13 @@ def test_pursuit_gains_are_least_squares_fits_of_the_observed_paths(rng):
     # X^H e_t(dod), rebuilt from the reported path, on the residual left by
     # the paths before it.
     grid = DirectionGrid(6, 5, 5, 4)
+    doas, dods = hemisphere_directions(6, 5), hemisphere_directions(5, 4)
     g_r, g_t = upa(2, 3), upa(2, 4)
     W = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     X = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
     s = ObservationSetup(X, W, 0.01)
-    ps = PathSet([PathParams(1.0, 0.3, grid.test_doas[4], grid.test_dods[7]),
-                  PathParams(0.5, 2.0, grid.test_doas[21], grid.test_dods[12])])
+    ps = PathSet([PathParams(1.0, 0.3, doas[4], dods[7]),
+                  PathParams(0.5, 2.0, doas[21], dods[12])])
     Y = observe(synthesize(ps, g_r, g_t), s, 4)
     d = build_dictionaries(grid, s, g_r, g_t)
     assert np.ptp(d.doa_norms) > 0.1 and np.ptp(d.dod_norms) > 0.1
@@ -751,9 +756,10 @@ def test_pursuit_gains_are_least_squares_fits_of_the_observed_paths(rng):
 
 def test_matching_pursuit_counters_exact(rng):
     grid = small_grid(5)
+    dirs = hemisphere_directions(5, 5)
     g_r, g_t = upa(2, 2), upa(2, 2)
     sigma2 = 0.05
-    ps = PathSet([PathParams(1.0, 0.2, grid.test_doas[4], grid.test_dods[9])])
+    ps = PathSet([PathParams(1.0, 0.2, dirs[4], dirs[9])])
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(4, 4, sigma2)
     Y = observe(H, s, 3)
@@ -767,9 +773,10 @@ def test_matching_pursuit_counters_exact(rng):
 
 def test_matching_pursuit_residual_non_increasing(rng):
     grid = small_grid(5)
+    dirs = hemisphere_directions(5, 5)
     g_r, g_t = upa(2, 2), upa(2, 3)
-    ps = PathSet([PathParams(1.0, 0.2, grid.test_doas[3], grid.test_dods[8]),
-                  PathParams(0.6, 1.2, grid.test_doas[17], grid.test_dods[2])])
+    ps = PathSet([PathParams(1.0, 0.2, dirs[3], dirs[8]),
+                  PathParams(0.6, 1.2, dirs[17], dirs[2])])
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(6, 4, 0.02)
     Y = observe(H, s, 11)
@@ -785,6 +792,7 @@ def test_matching_pursuit_residual_non_increasing(rng):
 
 def test_matching_pursuit_zero_observation():
     grid = small_grid(3)
+    dirs = hemisphere_directions(3, 3)
     g_r, g_t = upa(2, 2), upa(2, 2)
     s = identity_setup(4, 4, 0.0)
     rep = matching_pursuit(np.zeros((4, 4)), build_dictionaries(grid, s, g_r, g_t), 2, "joint")
@@ -792,7 +800,7 @@ def test_matching_pursuit_zero_observation():
     assert rep.paths_kept == (0, 0)
     assert rep.score_evaluations == 9 * 9 * 2
     # no path kept: the estimate is the zero channel
-    H = synthesize(PathSet([PathParams(1.0, 0.3, grid.test_doas[2], grid.test_dods[5])]),
+    H = synthesize(PathSet([PathParams(1.0, 0.3, dirs[2], dirs[5])]),
                    g_r, g_t)
     assert rep.reading(2, H, g_r, g_t).rmse == 1.0
 
@@ -823,7 +831,8 @@ def test_grid_permutation_changes_only_indices(rng):
     # the same atoms in another column order pick the same directions
     g_r, g_t = upa(2, 2), upa(2, 3)
     grid = small_grid(4)
-    H = synthesize(PathSet([PathParams(1.0, 0.4, grid.test_doas[5], grid.test_dods[10])]),
+    dirs = hemisphere_directions(4, 4)
+    H = synthesize(PathSet([PathParams(1.0, 0.4, dirs[5], dirs[10])]),
                    g_r, g_t)
     s = identity_setup(6, 4, 0.01)
     Y = observe(H, s, 9)
@@ -841,9 +850,10 @@ def test_grid_permutation_changes_only_indices(rng):
 def test_reading_below_the_budget_equals_a_fresh_pursuit(strategy):
     # greedy pursuit is deterministic, so a run read at P is the run to P
     grid = small_grid(5)
+    dirs = hemisphere_directions(5, 5)
     g_r, g_t = upa(2, 2), upa(2, 3)
-    ps = PathSet([PathParams(1.0, 0.2, grid.test_doas[3], grid.test_dods[8]),
-                  PathParams(0.6, 1.2, grid.test_doas[17], grid.test_dods[2])])
+    ps = PathSet([PathParams(1.0, 0.2, dirs[3], dirs[8]),
+                  PathParams(0.6, 1.2, dirs[17], dirs[2])])
     H = synthesize(ps, g_r, g_t)
     s = identity_setup(6, 4, 0.05)
     Y = observe(H, s, 12)

@@ -361,7 +361,12 @@ def test_optimal_observation_residual_rank_one_combiner(rng):
     W = steering_vector(g_r, p.doa)[:, None]
     s = ObservationSetup(np.eye(4), W, 1.0)
     D = channel_jacobian(ps, g_r, g_t)
-    assert check_optimal_observation(D, s) > 0.1
+    r = check_optimal_observation(D, s)
+    assert r > 0.1
+    # and it does not depend on the scale of D: its squared norms overflowed
+    # beyond 2^512 (a NaN residual) and underflowed below 2^-537 (0 / 0)
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        assert check_optimal_observation(scale * D, s) == r
 
 
 def test_optimal_observation_residual_span_setup(rng):
@@ -501,6 +506,12 @@ def test_crb_trace_rejects_a_bound_beyond_the_floats():
     D = channel_jacobian(ps, g_r, g_t)
     with pytest.raises(ValueError, match="the bound exceeds the largest float"):
         crb_trace(D, fisher_factor(D, identity_setup(4, 4, 1e300)), synthesize(ps, g_r, g_t).vector)
+    # an information of 1e-600 on the second parameter makes the sum of squares
+    # inf where numpy's overflow is silent, and math.ldexp(inf, n) returns inf
+    D, R = np.ones((1, 2), dtype=complex), np.diag([1.0, 1e-300])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="the bound exceeds the largest float"):
+            crb_trace(D, R, np.ones(1))
 
 
 def test_crb_rejects_bad_cond_threshold(rng):

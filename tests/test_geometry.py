@@ -93,10 +93,13 @@ def test_ula_single_antenna_is_origin():
 
 
 def test_ula_half_wavelength_positions():
-    # hand-computed: 2*pi * 0.5 * (i - 2.5) for i = 1..4
-    g = ula(4, 0.5, "x")
-    assert np.allclose(g.scaled_positions[0], math.pi * np.array([-1.5, -0.5, 0.5, 1.5]))
-    assert np.all(g.scaled_positions[1:] == 0.0)
+    # hand-computed: 2*pi * 0.5 * (i - 2.5) for i = 1..4, along each axis
+    # and 0 on the other two
+    for row, axis in enumerate("xyz"):
+        g = ula(4, 0.5, axis)
+        expected = np.zeros((3, 4))
+        expected[row] = math.pi * np.array([-1.5, -0.5, 0.5, 1.5])
+        assert np.array_equal(g.scaled_positions, expected), axis
 
 
 def test_ula_rejects_bad_arguments():

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from mimolab.fim import channel_jacobian, check_optimal_observation
 from mimolab.geometry import upa
 from mimolab.observation import (DENSE_PROJECTION_LIMIT, ObservationSetup, complex_from_json,
                                  identity_setup, noise_for_snr, observe,
-                                 orthogonal_pilots, projection_apply, projection_matrix,
-                                 range_basis, snr, span_combiners, span_pilots)
+                                 orthogonal_pilots, power_ratio, projection_apply,
+                                 projection_matrix, range_basis, snr, span_combiners, span_pilots)
 
 from conftest import random_path
 
@@ -201,6 +203,24 @@ def test_snr_round_trip(rng):
     sigma2 = noise_for_snr(target, 1.0, h)
     s = identity_setup(4, 2, sigma2)
     assert abs(snr(s, h) - target) <= 1e-12 * target
+
+
+@pytest.mark.parametrize("alpha2", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("gain", [1e-170, 1.0, 1e160])
+@pytest.mark.parametrize("denominator", [1e-300, 1.0, 1e300])
+def test_power_ratio_is_the_exact_ratio_rounded(rng, alpha2, gain, denominator):
+    # against alpha2 ||h||^2 / denominator in exact rationals: within 3 roundings
+    # where it is a normal float, inf above, and below the normal floats where below
+    h = gain * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    exact = (Fraction(alpha2) * sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in h)
+             / Fraction(denominator))
+    got = power_ratio(alpha2, h, denominator)
+    if exact > Fraction(sys.float_info.max):
+        assert got == math.inf
+    elif exact < Fraction(sys.float_info.min):
+        assert got < sys.float_info.min
+    else:
+        assert abs(Fraction(got) - exact) <= 3 * 2.0 ** -53 * exact
 
 
 def test_snr_rejects_degenerate_inputs():
