@@ -21,13 +21,11 @@ import numpy as np
 from .blas import blas_threads, one_blas_thread
 from .channel import ChannelMatrix, PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, Reading, build_dictionaries,
-                         matching_pursuit)
+                         matching_pursuit, selector)
 from .fim import CrbResult, channel_jacobian, crb_trace, fisher_factor, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int, is_finite_real
 from .observation import identity_setup, noise_for_snr, observe
 from .workers import Helpers, shared_map
-
-KNOWN_STRATEGIES = tuple(_SELECTORS)
 
 
 def _default_square_upa(n_antennas: int) -> dict:
@@ -60,7 +58,7 @@ class ScenarioConfig:
     m: int = 2500
     n: int = 2500
     P_budgets: tuple[int, ...] = (5, 10, 20)
-    strategies: tuple[str, ...] = KNOWN_STRATEGIES
+    strategies: tuple[str, ...] = tuple(_SELECTORS)
     trials: int = 20
     base_seed: int = 0
 
@@ -83,8 +81,7 @@ class ScenarioConfig:
         if not self.P_budgets or any(p < 1 for p in self.P_budgets):
             raise ValueError("P_budgets must be a non-empty list of positive counts")
         for s in self.strategies:
-            if s not in KNOWN_STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
+            selector(s)
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         for name in ("P_budgets", "strategies"):

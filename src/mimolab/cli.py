@@ -2,8 +2,8 @@
 
 Every subcommand reads one self-describing JSON config, optionally patched
 by key=value overrides, validates it fully, computes, and writes JSON (plus
-CSV for tabular outputs). Exit codes: 0 success, 2 invalid config, 3
-ill-conditioned Fisher matrix under --strict.
+CSV for tabular outputs). Exit codes: 0 success, 2 invalid or unreadable
+config or unwritable output, 3 ill-conditioned Fisher matrix under --strict.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .bench import ScenarioConfig, format_table, generate_paths, monte_carlo, rows_to_json
 from .channel import PathSet, synthesize
-from .estimation import DirectionGrid, build_dictionaries, matching_pursuit
+from .estimation import DirectionGrid, build_dictionaries, matching_pursuit, selector
 from .fim import DEFAULT_COND_THRESHOLD, crb_report
 from .geometry import ArrayGeometry, as_int, is_finite_real
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
@@ -183,7 +183,7 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
 
 
 def _write_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if out is None:
         print(text)
     else:
@@ -214,11 +214,8 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     include_blocks = cfg.get("include_blocks", False)
     if not isinstance(include_blocks, bool):
         raise ConfigError(f"include_blocks must be true or false, got {include_blocks!r}")
-    try:
-        report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks,
-                            cond_threshold=cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
-    except ValueError as e:   # a noise level out of range or a bad cond_threshold
-        raise ConfigError(str(e)) from e
+    report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks,
+                        cond_threshold=cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
         print("Fisher matrix is ill-conditioned at this parameter point",
@@ -243,23 +240,21 @@ def _build_grid(cfg: dict) -> DirectionGrid:
 
 def run_estimate(cfg: dict, out: str | None) -> int:
     _check_keys(cfg, _ESTIMATE_KEYS, "config")
+    strategy = cfg.get("strategy", "sequential")
+    selector(strategy)
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
     H = synthesize(paths, g_r, g_t)
     setup = _parse_observation(cfg, g_t, g_r, H.vector)
-    strategy = cfg.get("strategy", "sequential")
     P_budget = _integer(cfg, "P_budget", 10)
     seed = _integer(cfg, "seed", 0)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     grid = _build_grid(cfg)
-    try:
-        Y = observe(H, setup, np.random.default_rng([seed, 1]))
-        dictionary = build_dictionaries(grid, setup, g_r, g_t)
-        report = matching_pursuit(Y, dictionary, P_budget, strategy)
-        row = {"strategy": strategy, **asdict(report.reading(P_budget, H, g_r, g_t))}
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    Y = observe(H, setup, np.random.default_rng([seed, 1]))
+    dictionary = build_dictionaries(grid, setup, g_r, g_t)
+    report = matching_pursuit(Y, dictionary, P_budget, strategy)
+    row = {"strategy": strategy, **asdict(report.reading(P_budget, H, g_r, g_t))}
     payload = dict(row, estimated_paths=[p.to_json() for p in report.estimated])
     if out is None:
         _write_json(payload, None)
@@ -316,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The one place a ValueError or an OSError (an unwritable --out) becomes exit 2."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
@@ -325,7 +321,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return run_estimate(cfg, args.out)
         return run_bench(cfg, args.out, args.threads, args.emit_table)
-    except ConfigError as e:
+    except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

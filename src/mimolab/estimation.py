@@ -474,22 +474,19 @@ class EstimationReport:
     """Outcome of one Matching Pursuit run.
 
     score_evaluations is exactly m*n*P for the joint strategy and (m+n)*P
-    for the sequential one. estimated is empty only in the degenerate case
-    where every fitted gain was exactly zero. residual_norms tracks ||R||_F
-    from the initial observation through every subtraction; least-squares
-    fitting makes it non-increasing. cumulative_times[k] and paths_kept[k]
-    are the pursuit time and the number of paths in estimated after
-    iteration k + 1, so P is their length. Greedy pursuit is deterministic,
-    so its first p iterations are the whole run at budget p, and
-    reading(p, ...) reads it there.
+    for the sequential one. estimated holds the paths of the nonzero fitted
+    gains in pursuit order. residual_norms tracks ||R||_F from the initial
+    observation through every subtraction; least-squares fitting makes it
+    non-increasing. cumulative_times[k] is the pursuit time after iteration
+    k + 1, so P is its length. Greedy pursuit is deterministic, so its
+    first p iterations are the whole run at budget p, and reading(p, ...)
+    reads it there.
     """
 
-    strategy: str
     estimated: tuple[PathParams, ...]
     score_evaluations: int
     residual_norms: tuple[float, ...]
     cumulative_times: tuple[float, ...]
-    paths_kept: tuple[int, ...]
 
     @property
     def P(self) -> int:
@@ -499,12 +496,13 @@ class EstimationReport:
                 g_t: ArrayGeometry) -> Reading:
         """The run at budget P, 1 <= P <= self.P, scored against the ChannelMatrix
         true_channel on the arrays g_r and g_t; no paths kept means H_hat = 0.
-        rmse is read off (H - H_hat) / 2^e and H / 2^e' (see exact_scale), so it
-        is the unscaled value wherever that is finite, and raises ValueError
-        where that overflows."""
+        It kept estimated[:P]: a zero gain leaves R as it was, so every later
+        iteration repeats its pick and fits zero too. rmse is read off (H - H_hat)
+        / 2^e and H / 2^e' (see exact_scale), so it is the unscaled value
+        wherever that is finite, and raises ValueError where that overflows."""
         if not 1 <= P <= self.P:
             raise ValueError(f"budget P must lie in [1, {self.P}], got {P}")
-        paths = self.estimated[:self.paths_kept[P - 1]]
+        paths = self.estimated[:P]
         H = true_channel.matrix
         H_hat = synthesize(PathSet(paths), g_r, g_t).matrix if paths else 0.0
         (a, e_a), (b, e_b) = exact_scale(H - H_hat), exact_scale(H)
@@ -520,6 +518,15 @@ class EstimationReport:
 
 
 _SELECTORS = {"joint": joint_select, "sequential": sequential_select}
+
+
+def selector(strategy):
+    """The selection function of a _SELECTORS key, looked up at call time; any
+    other strategy, an unhashable one too, raises ValueError."""
+    try:
+        return _SELECTORS[strategy]
+    except (KeyError, TypeError):   # TypeError: an unhashable strategy
+        raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
 def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
@@ -543,15 +550,12 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
         raise ValueError("P_budget must be at least 1")
     if not np.all(np.isfinite(Y)):
         raise ValueError("observation Y holds NaN or inf entries")
-    try:
-        select = _SELECTORS[strategy]
-    except (KeyError, TypeError):   # TypeError: an unhashable strategy
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+    select = selector(strategy)
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
     residual_norms = [frobenius_norm(R)]
-    cumulative_times, paths_kept = [], []
+    cumulative_times = []
     start = time.perf_counter()
     for _ in range(P_budget):
         sel = select(R, dictionary, pool)
@@ -565,7 +569,6 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
             R -= c * np.outer(K_r[:, i], K_t[:, j].conj())
         residual_norms.append(frobenius_norm(R))
         cumulative_times.append(time.perf_counter() - start)
-        paths_kept.append(len(paths))
-    return EstimationReport(strategy, tuple(paths), evaluations, tuple(residual_norms),
-                            tuple(cumulative_times), tuple(paths_kept))
+    return EstimationReport(tuple(paths), evaluations, tuple(residual_norms),
+                            tuple(cumulative_times))
 

@@ -256,7 +256,9 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
         "snr": snr_linear,
         "crb_relative": result.value,
         "floor_3p_over_snr": optimal_bound(len(ps), snr_linear),
-        "condition_number": result.condition_number,
+        # strict JSON has no inf: a condition number without a finite value is null
+        "condition_number": (result.condition_number
+                             if math.isfinite(result.condition_number) else None),
         "optimal_observation_residual": check_optimal_observation(D, s),
         "ill_conditioned": result.ill_conditioned,
         "inter_path_coupling_mass": inter_path_coupling_mass(F),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mimolab
+from mimolab import cli
 from mimolab.bench import ScenarioConfig, generate_paths
 from mimolab.cli import _build_arrays, _build_paths, main
 
@@ -410,6 +411,46 @@ def test_bench_seed_override_changes_values_not_schema(tmp_path):
 def test_bench_invalid_config_exit_2(tmp_path):
     cfg = write_config(tmp_path, dict(bench_config(), strategies=["magic"]))
     assert main(["bench", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("strategies", [["greedy"], [["joint"]]])
+def test_bench_unknown_strategy_exit_2(tmp_path, capsys, strategies):
+    cfg = write_config(tmp_path, dict(bench_config(), strategies=strategies))
+    assert main(["bench", "--config", cfg]) == 2
+    assert "unknown strategy" in capsys.readouterr().err
+
+
+def test_estimate_unknown_strategy_exits_2_before_any_synthesis(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the strategy check")
+
+    monkeypatch.setattr(cli, "synthesize", never)
+    monkeypatch.setattr(cli, "build_dictionaries", never)
+    cfg = write_config(tmp_path, dict(estimate_config(), strategy="greedy"))
+    assert main(["estimate", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: unknown strategy 'greedy'\n"
+
+
+@pytest.mark.parametrize("command", ["crb", "estimate", "bench"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, command):
+    # each ended in a FileNotFoundError traceback (exit 1) after the whole run
+    obj = {"crb": crb_config(n_paths=2), "estimate": estimate_config(),
+           "bench": dict(bench_config(), trials=1, P_budgets=[1])}[command]
+    out = str(tmp_path / "missing" / "run")
+    assert main([command, "--config", write_config(tmp_path, obj), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and out in err and "Traceback" not in err
+
+
+def test_crb_on_one_antenna_arrays_is_strict_json(tmp_path, capsys):
+    # the equilibrated Fisher matrix is singular here; the report wrote Infinity
+    obj = dict(crb_config(n_paths=1), arrays={"tx": {"type": "ula", "n": 1},
+                                              "rx": {"type": "ula", "n": 1}})
+    assert main(["crb", "--config", write_config(tmp_path, obj)]) == 0
+    report = json.loads(capsys.readouterr().out,
+                        parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+    assert report["ill_conditioned"] and report["condition_number"] is None
 
 
 def test_bench_mistyped_fields_exit_2(tmp_path, capsys):

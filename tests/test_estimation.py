@@ -797,7 +797,6 @@ def test_matching_pursuit_zero_observation():
     s = identity_setup(4, 4, 0.0)
     rep = matching_pursuit(np.zeros((4, 4)), build_dictionaries(grid, s, g_r, g_t), 2, "joint")
     assert rep.estimated == ()
-    assert rep.paths_kept == (0, 0)
     assert rep.score_evaluations == 9 * 9 * 2
     # no path kept: the estimate is the zero channel
     H = synthesize(PathSet([PathParams(1.0, 0.3, dirs[2], dirs[5])]),
