@@ -83,13 +83,13 @@ class ScenarioConfig:
         for s in self.strategies:
             selector(s)
         if not self.strategies:
-            raise ValueError("at least one strategy is required")
+            raise ValueError("strategies must name at least one strategy")
         for name in ("P_budgets", "strategies"):
             value = getattr(self, name)
             if len(set(value)) != len(value):
                 raise ValueError(f"{name} must not repeat an entry, got {list(value)}")
         if self.angular_spread_deg < 0 or self.gain_decay_db_per_cluster < 0:
-            raise ValueError("angular spread and gain decay must be non-negative")
+            raise ValueError("angular_spread_deg and gain_decay_db_per_cluster must be non-negative")
         if any(math.isqrt(k) ** 2 != k for k in (self.m, self.n)):
             raise ValueError(f"m and n must be perfect squares, got m={self.m}, n={self.n}")
         # keeps the linear SNRs and 1 / snr_linear, a unit-power entry's noise variance, finite

@@ -19,7 +19,7 @@ import numpy as np
 from .bench import ScenarioConfig, format_table, generate_paths, monte_carlo, rows_to_json
 from .channel import PathSet, synthesize
 from .estimation import DirectionGrid, build_dictionaries, matching_pursuit, selector
-from .fim import DEFAULT_COND_THRESHOLD, crb_report
+from .fim import crb_report
 from .geometry import ArrayGeometry, as_int, is_finite_real
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
                           orthogonal_pilots, pilot_power)
@@ -82,7 +82,7 @@ def _check_keys(obj: dict, known, name: str) -> None:
 
 
 # The top-level keys each subcommand reads; bench's are ScenarioConfig's fields.
-_CRB_KEYS = ("arrays", "paths", "observation", "include_blocks", "cond_threshold")
+_CRB_KEYS = ("arrays", "paths", "observation", "include_blocks")
 _ESTIMATE_KEYS = ("arrays", "paths", "observation", "grid", "strategy", "P_budget", "seed")
 _OBSERVATION_KEYS = ("pilots", "n_s", "alpha", "basis", "X", "combiners", "W", "sigma2",
                      "target_snr_db")
@@ -214,8 +214,7 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     include_blocks = cfg.get("include_blocks", False)
     if not isinstance(include_blocks, bool):
         raise ConfigError(f"include_blocks must be true or false, got {include_blocks!r}")
-    report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks,
-                        cond_threshold=cfg.get("cond_threshold", DEFAULT_COND_THRESHOLD))
+    report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks)
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
         print("Fisher matrix is ill-conditioned at this parameter point",

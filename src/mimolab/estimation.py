@@ -21,10 +21,9 @@ import numpy as np
 from .channel import PathParams, PathSet, steering_matrix, synthesize
 from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors_from_angles,
                        wrap_azimuth)
-from .observation import ObservationSetup, exact_scale, frobenius_norm
+from .observation import ATOM_NORM_TOL, ObservationSetup, exact_scale, frobenius_norm
 from .workers import Helpers, shared_map
 
-ATOM_NORM_TOL = 1e-12
 _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
 _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
 _U32 = 2.0 ** -24        # unit roundoff of float32
@@ -182,11 +181,11 @@ def _observed_side(M: np.ndarray, E: np.ndarray, angles: np.ndarray, label: str,
         raise ValueError(f"{name} gives the {label} atoms norms outside the range of "
                          "normal floats")
     keep = norms > ATOM_NORM_TOL * top
+    if not np.any(keep):
+        raise ValueError(f"every {label} grid direction is annihilated")
     if not np.all(keep):
         warnings.warn(f"dropping {int((~keep).sum())} {label} grid directions "
                       "annihilated by the observation matrices", stacklevel=3)
-        if not np.any(keep):
-            raise ValueError(f"every {label} grid direction is annihilated")
         raw, norms, angles = raw[:, keep], norms[keep], angles[:, keep]
     raw /= norms
     return raw, np.ldexp(norms, e), angles

@@ -24,12 +24,12 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
-from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
-from .observation import (ObservationSetup, channel_energy, exact_scale, frobenius_norm,
+from .geometry import ArrayGeometry, Direction, tangent_basis
+from .observation import (ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale,
                           projection_apply, snr)
 
 PARAMS_PER_PATH = 6
-DEFAULT_COND_THRESHOLD = 1e12
+COND_THRESHOLD = 1e12
 
 
 def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.ndarray:
@@ -60,6 +60,14 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     return D
 
 
+def _log2_norms(M: np.ndarray) -> np.ndarray:
+    """log2 of M's column norms, each on the 2^-f that brings it to [1/2, 1); -inf for 0."""
+    A = np.abs(M)
+    f = np.frexp(A.max(axis=0))[1]
+    with np.errstate(divide="ignore"):
+        return np.log2(np.linalg.norm(np.ldexp(A, -f, out=A), axis=0)) + f
+
+
 def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     """Upper-triangular factor R of the Fisher information I = R^T R.
 
@@ -68,7 +76,9 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     so I = A^T A too; R is k x k, with fewer rows only when A has fewer than
     k. A is not kept. A sigma2 of 0, or so small that 2 / sigma2 overflows,
     raises ValueError, as does an R that is not finite: A, or its column
-    norms, beyond the largest float at this pilot power and sigma2.
+    norms, beyond the largest float at this pilot power and sigma2. Column k
+    of R has norm ||A_k|| <= sqrt(2 / sigma2) ||D_k||_F ||X||_F, and is zeroed
+    as rounding noise at ATOM_NORM_TOL times that; if all are, ValueError names X, W.
     """
     if s.sigma2 <= 0 or 2.0 / s.sigma2 == math.inf:
         raise ValueError("Fisher information diverges: 2 / sigma2 overflows for a noiseless "
@@ -86,6 +96,11 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     if not np.isfinite(R).all():
         raise ValueError("Fisher information overflows at pilot power alpha2 = "
                          f"{s.alpha2} and noise variance sigma2 = {s.sigma2}")
+    noise = _log2_norms(R) <= _log2_norms(D) + math.log2(ATOM_NORM_TOL) + 0.5 * (
+        math.log2(2 * s.n_s) + math.log2(s.alpha2) - math.log2(s.sigma2))
+    if noise.all():
+        raise ValueError("the pilot matrix X and the combiner matrix W annihilate every parameter")
+    R[:, noise] = 0.0
     return R
 
 
@@ -128,14 +143,10 @@ def intra_path_block(p: PathParams, g_r: ArrayGeometry, g_t: ArrayGeometry,
 class CrbResult:
     """Relative variance bound plus the conditioning diagnostics.
 
-    condition_number is that of the Fisher matrix equilibrated by its
-    diagonal (see crb_trace), so it does not depend on units or gain scale.
-    When it exceeds the threshold the value keeps only the singular values
-    of the factor above a round-off cutoff, a truncated pseudo-inverse that
-    is never negative, and ill_conditioned is set: the model is not
-    (practically) identifiable at this parameter point, which typically
-    means two paths share nearly identical directions and should be merged
-    into one virtual path.
+    condition_number, of the Fisher matrix equilibrated by its diagonal (see
+    crb_trace), is free of units and gain scale. Above COND_THRESHOLD
+    ill_conditioned is set: the model is not (practically) identifiable here,
+    typically two nearly coincident paths, to be merged into one virtual path.
     """
 
     value: float
@@ -143,57 +154,47 @@ class CrbResult:
     ill_conditioned: bool
 
 
-def crb_trace(D: np.ndarray, R: np.ndarray, h,
-              cond_threshold: float = DEFAULT_COND_THRESHOLD) -> CrbResult:
+def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = R^T R.
 
     R is any real factor of I with one column per parameter, such as that
-    of fisher_factor. Its columns are equilibrated to unit norm, R S with
-    S = diag(I)^-1/2 (1 for a zero column), and the SVD R S = U Sigma V^T
-    is taken. Then
-    I^-1 = S V Sigma^-2 V^T S, and the bound is
-    ||[Re D; Im D] S V Sigma^-1||_F^2 / ||h||^2, a sum of squares. The
-    condition number is (sigma_max / sigma_min)^2, the eigenvalue ratio of
-    S I S, and inf for a zero column or sigma_min = 0. The threshold decides
-    only which singular values are kept: all of them up to it; above it the
-    result is flagged and only those with sigma^2 > k eps sigma_max^2 are
-    kept (k the parameter count, eps the float64 epsilon). cond_threshold
-    must be a finite number of at least 1 (ValueError otherwise).
+    of fisher_factor; the parameter of a zero column drops out. With
+    R S = U Sigma V^T, S = diag(I)^-1/2 equilibrating R's columns,
+    I^-1 = S V Sigma^-2 V^T S and the bound is the sum of squares
+    ||[Re D; Im D] S V Sigma^-1||_F^2 / ||h||^2 over the sigma with
+    sigma^2 > k eps sigma_max^2 (k parameters, eps the float64 epsilon):
+    all of them for k < 4500 up to a condition number (sigma_max /
+    sigma_min)^2 of COND_THRESHOLD, above which the result is flagged. That
+    number, the eigenvalue ratio of S I S, is inf where a column drops out
+    or sigma_min = 0.
 
-    R, each of its column norms, B and ||h||^2 (see channel_energy) are taken
-    on powers of two apart (see exact_scale), and the bound takes the exponents
-    back last, exactly, so that no square overflows or underflows at extreme
-    noise levels or gains; elsewhere the digits are those of the unscaled
-    computation. A bound above the largest float raises ValueError.
+    Column j of R is taken on the 2^-f_j that brings its largest entry into
+    [1/2, 1), column j of D on 2^-(f_j + g), g the one power that brings D
+    below 1, and ||h||^2 on channel_energy's scale, all exactly; the bound
+    takes 2^2g back last, so no square overflows or underflows and the digits
+    are the unscaled ones. A bound above the largest float raises ValueError.
     """
-    if not (is_finite_real(cond_threshold) and cond_threshold >= 1.0):
-        raise ValueError("cond_threshold must be a finite number of at least 1, "
-                         f"got {cond_threshold!r}")
     E, k_h = channel_energy(h)
     k = R.shape[1]
-    R, e = exact_scale(R)
-    # each column norm on its own power-of-two scale, so that no square underflows
-    e_c = np.frexp(np.abs(R).max(axis=0))[1]
-    norms = np.ldexp(np.linalg.norm(np.ldexp(R, -e_c), axis=0), e_c)
-    S = 1.0 / np.where(norms > 0, norms, 1.0)
+    top = np.abs(R).max(axis=0)
+    if not top.all():   # a zero column's parameter drops out, of the bound and of g
+        R, D, top = R[:, top > 0], D[:, top > 0], top[top > 0]
+    f = np.frexp(top)[1]
+    R = np.ldexp(R, -f)
+    S = 1.0 / np.linalg.norm(R, axis=0)
     _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
-    full_rank = sigma.size == k and sigma[-1] > 0 and norms.all()
-    cond = float(sigma[0] / sigma[-1]) ** 2 if full_rank else math.inf
-    flagged = not cond <= cond_threshold
-    keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2 if flagged else slice(None)
-    # B / 2^e_d in place of a copy of D / 2^e_d (see exact_scale): no entry of D B overflows
-    e_d = math.frexp(float(np.abs(D).max()))[1]
-    B = np.ldexp(S[:, None] * Vt[keep].T / sigma[keep], -e_d)
-    # the halves of [Re D; Im D] B one at a time, to hold one in memory
-    value = sum(np.linalg.norm(part @ B) ** 2 for part in (D.real, D.imag))
-    try:
-        bound = math.ldexp(float(value) / E, 2 * (e_d - e) - k_h)
-    except OverflowError:
-        bound = math.inf
+    cond = float(sigma[0] / sigma[-1]) ** 2 if sigma.size == k and sigma[-1] > 0 else math.inf
+    keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2
+    B = S[:, None] * Vt[keep].T / sigma[keep]
+    g = int((np.frexp(np.abs(D).max(axis=0))[1] - f).max())
+    # the halves of [Re D; Im D] one at a time, to hold one in memory
+    value = sum(np.linalg.norm(np.ldexp(part, -(f + g)) @ B) ** 2 for part in (D.real, D.imag))
+    with np.errstate(over="ignore"):   # inf, raised below
+        bound = float(np.ldexp(value / E, 2 * g - k_h))
     if not math.isfinite(bound):
         raise ValueError("the bound exceeds the largest float: the information is too "
                          "weak for the noise variance sigma2")
-    return CrbResult(bound, cond, flagged)
+    return CrbResult(bound, cond, cond > COND_THRESHOLD)
 
 
 def optimal_bound(n_paths: int, snr_linear: float) -> float:
@@ -211,15 +212,16 @@ def check_optimal_observation(D: np.ndarray, s: ObservationSetup) -> float:
     Zero (below ~1e-10) certifies that the observation projection leaves the
     Jacobian range untouched, the condition under which the bound reaches
     its 3P/SNR floor. Where a square in either norm would overflow or
-    underflow, both are taken on M / 2^e (see frobenius_norm).
+    underflow, each is taken on its own M / 2^e (see exact_scale).
     """
     residual = projection_apply(s, D)
     residual -= D
-    # plain norms first: frobenius_norm's copies add 4% to a 64 x 16, 40-path report
+    # plain norms first: exact_scale's copies add 4% to a 64 x 16, 40-path report
     with np.errstate(over="ignore"):
         a, b = np.linalg.norm(residual), np.linalg.norm(D)
     if not (2.0 ** -500 < b < math.inf and a < math.inf):
-        a, b = frobenius_norm(residual), frobenius_norm(D)
+        (a, e_a), (b, e_b) = exact_scale(residual), exact_scale(D)
+        return math.ldexp(float(np.linalg.norm(a) / np.linalg.norm(b)), (e_a or 0) - (e_b or 0))
     return float(a / b)
 
 
@@ -235,8 +237,7 @@ def inter_path_coupling_mass(I: np.ndarray) -> float:
 
 @one_blas_thread
 def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
-               s: ObservationSetup, include_blocks: bool = False,
-               cond_threshold: float = DEFAULT_COND_THRESHOLD) -> dict:
+               s: ObservationSetup, include_blocks: bool = False) -> dict:
     """Bundle the bound, its floor, and the identifiability diagnostics.
 
     Runs on one BLAS thread (see blas.one_blas_thread): its factorizations
@@ -246,7 +247,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
     D = channel_jacobian(ps, g_r, g_t)
     R = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector
-    result = crb_trace(D, R, h, cond_threshold=cond_threshold)
+    result = crb_trace(D, R, h)
     # I = 4^e F exactly (see exact_scale), and F does not overflow at any noise level
     F, e = exact_scale(R)
     F = F.T @ F
@@ -257,8 +258,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
         "crb_relative": result.value,
         "floor_3p_over_snr": optimal_bound(len(ps), snr_linear),
         # strict JSON has no inf: a condition number without a finite value is null
-        "condition_number": (result.condition_number
-                             if math.isfinite(result.condition_number) else None),
+        "condition_number": result.condition_number if result.condition_number < math.inf else None,
         "optimal_observation_residual": check_optimal_observation(D, s),
         "ill_conditioned": result.ill_conditioned,
         "inter_path_coupling_mass": inter_path_coupling_mass(F),

@@ -17,6 +17,7 @@ from .channel import PathSet, steering_derivatives
 from .geometry import ArrayGeometry, is_finite_real, real_array
 
 ORTHO_PILOT_TOL = 1e-10
+ATOM_NORM_TOL = 1e-12   # an observed norm at most this times its bound is rounding noise
 DENSE_PROJECTION_LIMIT = 4096
 
 

@@ -13,7 +13,9 @@ import pytest
 import mimolab
 from mimolab import cli
 from mimolab.bench import ScenarioConfig, generate_paths
+from mimolab.channel import steering_derivatives
 from mimolab.cli import _build_arrays, _build_paths, main
+from mimolab.geometry import Direction, upa
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -92,21 +94,14 @@ def test_crb_seed_rejected_for_explicit_paths(tmp_path, capsys):
 
 
 def test_crb_bad_cond_threshold_exit_2(tmp_path, capsys):
-    # one well-separated path reads condition number about 2; each of these
-    # used to flag it, and --strict then exited 3
+    # the flag threshold is the fixed fim.COND_THRESHOLD: a config that still
+    # sets one is refused, naming the key, rather than run at another threshold
     obj = crb_config(n_paths=1)
-    for value in (math.nan, -1, True, False, 0.5, math.inf, "1e12", None, [1e12]):
+    for value in (1, 1e12, "1e12"):
         cfg = write_config(tmp_path, dict(obj, cond_threshold=value))
         assert main(["crb", "--config", cfg, "--strict"]) == 2, value
-        assert "cond_threshold must be a finite number of at least 1" in capsys.readouterr().err
-    # the smallest threshold is accepted and flags the path; 1e12 does not
-    out = tmp_path / "r.json"
-    for value, code in ((1, 3), (1e12, 0)):
-        cfg = write_config(tmp_path, dict(obj, cond_threshold=value))
-        assert main(["crb", "--config", cfg, "--out", str(out), "--strict"]) == code
-        report = json.loads(out.read_text())
-        assert report["ill_conditioned"] == (code == 3)
-        assert 1.5 < report["condition_number"] < 3.0
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown config keys ['cond_threshold']" in err
 
 
 def test_crb_include_blocks_must_be_a_boolean(tmp_path, capsys):
@@ -158,33 +153,46 @@ def test_crb_non_finite_gain_or_noise_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rho, observation, second_path, field", [
-    (1e-7, {"target_snr_db": 600}, True, None),
-    (1e-7, {"target_snr_db": 1500}, True, None),            # coupling mass NaN, exit 0
-    (1e-7, {"target_snr_db": 2999}, False, "target_snr_db"),
-    (1e-7, {"target_snr_db": 3000}, False, "target_snr_db"),  # SVD did not converge
-    (1e-7, {"sigma2": 1e-320}, False, "sigma2"),              # SVD did not converge
-    (1e-7, {"target_snr_db": 3090}, False, "target_snr_db"),  # (34, 'Numerical result out of range')
-    (1e-7, {"target_snr_db": 4000}, False, "target_snr_db"),
-    (1e-7, {"target_snr_db": -3090}, False, "target_snr_db"),  # crb_relative NaN, exit 0
+_ARRAYS_2X2 = {"tx": {"type": "upa", "nx": 2, "ny": 2}, "rx": {"type": "upa", "nx": 2, "ny": 2}}
+_ARRAYS_64_16 = {"tx": {"type": "upa", "nx": 8, "ny": 8}, "rx": {"type": "upa", "nx": 4, "ny": 4}}
+
+
+@pytest.mark.parametrize("rho, observation, second_path, field, arrays", [
+    (1e-7, {"target_snr_db": 600}, True, None, _ARRAYS_2X2),
+    (1e-7, {"target_snr_db": 1500}, True, None, _ARRAYS_2X2),  # coupling mass NaN, exit 0
+    (1e-7, {"target_snr_db": 2999}, False, "target_snr_db", _ARRAYS_2X2),
+    (1e-7, {"target_snr_db": 3000}, False, "target_snr_db", _ARRAYS_2X2),  # SVD did not converge
+    (1e-7, {"sigma2": 1e-320}, False, "sigma2", _ARRAYS_2X2),  # SVD did not converge
+    # (34, 'Numerical result out of range')
+    (1e-7, {"target_snr_db": 3090}, False, "target_snr_db", _ARRAYS_2X2),
+    (1e-7, {"target_snr_db": 4000}, False, "target_snr_db", _ARRAYS_2X2),
+    (1e-7, {"target_snr_db": -3090}, False, "target_snr_db", _ARRAYS_2X2),  # crb_relative NaN
     # the channel energy used to be squared unscaled
-    (1e-158, {"sigma2": 1e-300}, False, None),      # crb_relative Infinity, exit 0
-    (1e-160, {"sigma2": 1e-300}, False, None),      # snr off by 1e-3
-    (1e-162, {"sigma2": 1e-300}, False, None),      # "zero channel"
-    (1e155, {"target_snr_db": 20}, False, None),    # "sigma2 must be ... got nan"
-    (1e-170, {"target_snr_db": 20}, False, "sigma2"),  # sigma2 1e-342 underflows
+    (1e-158, {"sigma2": 1e-300}, False, None, _ARRAYS_2X2),    # crb_relative Infinity, exit 0
+    (1e-160, {"sigma2": 1e-300}, False, None, _ARRAYS_2X2),    # snr off by 1e-3
+    (1e-162, {"sigma2": 1e-300}, False, None, _ARRAYS_2X2),    # "zero channel"
+    (1e155, {"target_snr_db": 20}, False, None, _ARRAYS_2X2),  # "sigma2 must be ... got nan"
+    (1e-170, {"target_snr_db": 20}, False, "sigma2", _ARRAYS_2X2),  # sigma2 1e-342 underflows
+    # the rho column of R, far below the others, was taken on their scale: a
+    # RuntimeWarning at 1 / norms and "SVD did not converge" (2 x 2), or one at the
+    # division by sigma and "the bound exceeds the largest float" (8 of 64 DFT pilots)
+    (1e308, {"sigma2": 1e308}, False, None, _ARRAYS_2X2),
+    (1e307, {"pilots": "orthogonal", "n_s": 8, "basis": "dft", "sigma2": 1e308}, False, None,
+     _ARRAYS_64_16),
 ], ids=["600dB", "1500dB", "2999dB", "3000dB", "sigma2_1e-320", "3090dB", "4000dB", "-3090dB",
-        "rho_1e-158", "rho_1e-160", "rho_1e-162", "rho_1e155", "rho_1e-170"])
-def test_crb_at_extreme_noise_levels(tmp_path, capsys, rho, observation, second_path, field):
-    # a lossless path, weak or strong: the report is its floor, or the noise level is named
+        "rho_1e-158", "rho_1e-160", "rho_1e-162", "rho_1e155", "rho_1e-170", "rho_1e308",
+        "rho_1e307_dft_pilots"])
+def test_crb_at_extreme_noise_levels(tmp_path, capsys, rho, observation, second_path, field,
+                                     arrays):
+    # a path, weak or strong: the report is its floor under lossless observation and above
+    # it under fewer pilots, or the noise level is named
     path = {"rho": rho, "phi": 0.3, "doa": {"az": 0.5, "el": -0.2},
             "dod": {"az": -1.0, "el": 0.4}}
     second = {"rho": 1e-7, "phi": 1.1, "doa": {"az": -0.4, "el": 0.3},
               "dod": {"az": 0.6, "el": -0.5}}
     paths = [path, second] if second_path else [path]
-    obj = {"arrays": {"tx": {"type": "upa", "nx": 2, "ny": 2},
-                      "rx": {"type": "upa", "nx": 2, "ny": 2}},
-           "paths": paths, "observation": observation, "include_blocks": second_path}
+    obj = {"arrays": arrays, "paths": paths, "observation": observation,
+           "include_blocks": second_path}
     code = main(["crb", "--config", write_config(tmp_path, obj)])
     out, err = capsys.readouterr()
     if field is not None:
@@ -193,7 +201,10 @@ def test_crb_at_extreme_noise_levels(tmp_path, capsys, rho, observation, second_
     assert code == 0 and err == ""
     report = json.loads(out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
     assert not report["ill_conditioned"]
-    assert report["crb_relative"] == pytest.approx(report["floor_3p_over_snr"], rel=1e-12)
+    if report["optimal_observation_residual"] == 0.0:
+        assert report["crb_relative"] == pytest.approx(report["floor_3p_over_snr"], rel=1e-12)
+    else:
+        assert report["crb_relative"] > report["floor_3p_over_snr"]
     assert 0.0 <= report["inter_path_coupling_mass"] < 1.0
     assert (report["inter_path_coupling_mass"] > 0.0) == second_path
 
@@ -201,7 +212,8 @@ def test_crb_at_extreme_noise_levels(tmp_path, capsys, rho, observation, second_
 def test_malformed_values_exit_2(tmp_path, capsys):
     # each of these ended in a traceback (exit 1)
     crb, est = crb_config(n_paths=1), estimate_config()
-    cases = [("crb", dict(crb, arrays={"tx": math.nan, "rx": crb["arrays"]["rx"]})),
+    cases = [("crb", []),   # a root that is not an object exited 2 already, untested
+             ("crb", dict(crb, arrays={"tx": math.nan, "rx": crb["arrays"]["rx"]})),
              ("crb", dict(crb, observation="identity")),
              ("crb", dict(crb, observation={"target_snr_db": math.inf})),
              ("crb", dict(crb, observation={"target_snr_db": 1e5})),
@@ -480,6 +492,10 @@ def test_bench_list_fields_that_are_not_lists_exit_2(tmp_path, capsys, field, va
     ("snr_db", -4000),                     # "target SNR must be positive"
     ("snr_db", 4000),                      # OverflowError
     ("gain_decay_db_per_cluster", 4000),   # "path gain magnitude must be positive"
+    # rejected by ScenarioConfig before monte_carlo starts
+    ("strategies", []),
+    ("angular_spread_deg", -1.0),
+    ("gain_decay_db_per_cluster", -5.0),
 ])
 def test_bench_config_monte_carlo_cannot_run_exit_2(tmp_path, capsys, field, value):
     # each ended in a traceback (exit 1) once monte_carlo started
@@ -556,6 +572,8 @@ def _custom_positions(n, bad):
     ({"type": "ula", "n": 16, "spacing": math.nan}, "spacing must be positive and finite"),
     (_custom_positions(16, math.nan), "antenna positions must be finite"),
     (_custom_positions(16, -math.inf), "antenna positions must be finite"),
+    ({"type": "custom", "positions": []}, "scaled_positions must be a 3 x n matrix"),
+    ({"type": "custom", "positions": [[], [], []]}, "array needs at least one antenna"),
 ])
 def test_bench_malformed_array_spec_exit_2(tmp_path, capsys, tx_array, message):
     # these ended in AttributeError, KeyError or "every DoD grid direction is
@@ -671,8 +689,13 @@ _ESTIMATE_ONE_PATH = {"grid": {"m": 100, "n": 100}, "P_budget": 2}
     # "zero channel": the channel energy 1e-340 underflowed, and the sigma2
     # 1e-342 that realizes 20 dB does too
     ("estimate", (_UPA_2X2, _UPA_2X2), 1e-170, {"target_snr_db": 20}, "sigma2"),
+    # a RuntimeWarning in crb_trace, then "the bound exceeds the largest float": it is
+    # the SNR alpha2 ||h||^2 / sigma2, 1e614, that lies beyond the floats
+    ("crb", (_ARRAYS_64_16["tx"], _ARRAYS_64_16["rx"]), 1e307,
+     {"pilots": "orthogonal", "n_s": 8, "basis": "dft", "sigma2": 1.0},
+     "SNR exceeds the largest float, or falls below the smallest, at sigma2 = 1.0"),
 ], ids=["estimate_sigma2_1.7e308", "estimate_alpha_1.5e-154", "crb_alpha_1e154",
-        "crb_alpha_1e154_rho_100", "estimate_rho_1e-170"])
+        "crb_alpha_1e154_rho_100", "estimate_rho_1e-170", "crb_rho_1e307_dft_pilots"])
 def test_results_beyond_the_float_range_exit_2_naming_the_noise_level(
         tmp_path, capsys, command, arrays, rho, observation, message):
     obj = {"arrays": dict(zip(("tx", "rx"), arrays)), "observation": observation,
@@ -684,6 +707,47 @@ def test_results_beyond_the_float_range_exit_2_naming_the_noise_level(
         code = main([command, "--config", write_config(tmp_path, obj)])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and message in err
+
+
+def _pilot_orthogonal_to(span: int) -> list:
+    """One unit pilot, as explicit X, orthogonal to the first span of e_t and its two
+    tangent derivatives on the 2 x 2 UPA at DoD (-1.0, 0.4), up to rounding."""
+    columns = steering_derivatives(upa(2, 2), [Direction(-1.0, 0.4)])[:span]
+    pilot = np.linalg.svd(np.concatenate(columns, axis=1))[0][:, -1]
+    return [[[float(z.real), float(z.imag)]] for z in pilot]
+
+
+@pytest.mark.parametrize("command, X, message", [
+    # every parameter is rounding noise: exit 0 with a condition number below 100
+    # and a bound near 1e33, unflagged
+    ("crb", _pilot_orthogonal_to(3),
+     "the pilot matrix X and the combiner matrix W annihilate every parameter"),
+    # only the gain and arrival parameters are: also exit 0 and unflagged, at a
+    # condition number of 1e2 to 1e4
+    ("crb", _pilot_orthogonal_to(1), None),
+    # the only DoD of a 1 x 1 grid: a warning that dropped it came before the exit 2
+    ("estimate", [[[1.0, 0.0]], [[-1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]],
+     "every DoD grid direction is annihilated"),
+], ids=["crb_every_parameter", "crb_gain_and_doa", "estimate_1x1_grid"])
+def test_parameters_or_directions_a_pilot_annihilates(tmp_path, capsys, command, X, message):
+    obj = {"arrays": {"tx": _UPA_2X2, "rx": _UPA_2X2},
+           "paths": [{"rho": 1.0, "phi": 0.3, "doa": {"az": 0.5, "el": -0.2},
+                      "dod": {"az": -1.0, "el": 0.4}}],
+           "observation": {"pilots": "explicit", "X": X, "sigma2": 1.0},
+           **({"grid": {"m": 1, "n": 1}, "P_budget": 1} if command == "estimate" else {})}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", write_config(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    if message is not None:
+        assert code == 2 and out == "" and message in err
+        return
+    # the annihilated parameters leave the information singular: flagged, with the
+    # pseudo-inverse bound of the two departure angles
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+    assert report["ill_conditioned"] and report["condition_number"] is None
+    assert 0.0 < report["crb_relative"] < 1e3
 
 
 def test_estimate_at_an_extreme_gain_picks_as_at_unit_gain(tmp_path, capsys):
@@ -706,12 +770,13 @@ def test_estimate_at_an_extreme_gain_picks_as_at_unit_gain(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("sigma2", True), ("sigma2", "0.1"), ("target_snr_db", True), ("target_snr_db", "10"),
-    ("alpha", True), ("alpha", math.nan),
+    ("alpha", True), ("alpha", math.nan), ("basis", "hadamard"),
 ])
 def test_observation_numbers_reject_bools_and_strings(tmp_path, capsys, field, value):
-    # each was read as a number (true as 1, "0.1" as 0.1) and exited 0
+    # each was read as a number (true as 1, "0.1" as 0.1) and exited 0; an
+    # unknown pilot basis is named too
     obs = {field: value}
-    if field == "alpha":
+    if field in ("alpha", "basis"):
         obs.update(pilots="orthogonal", sigma2=0.1)
     cfg = write_config(tmp_path, crb_config(n_paths=2, **obs))
     assert main(["crb", "--config", cfg]) == 2

@@ -186,7 +186,40 @@ def test_crb_trace_equilibrated_matches_direct_solve(rng):
     S = np.diag(1 / np.sqrt(np.diag(I)))
     w = np.linalg.eigvalsh(S @ I @ S)
     assert res.condition_number == pytest.approx(w[-1] / w[0], rel=1e-10)
-    assert crb_trace(D, R, h, cond_threshold=0.5 * res.condition_number).ill_conditioned
+
+
+def test_crb_trace_is_unchanged_by_power_of_two_column_scalings(rng):
+    # Parameter j in units 2^-a_j scales column j of D and of R by 2^a_j and
+    # leaves the bound and the equilibrated condition number as they are.
+    # crb_trace takes each column on its own power of two, so while every
+    # entry stays a normal float the result is the same to the bit, for a
+    # well-separated pair of paths, a flagged pair of coincident ones, and a
+    # factor with a zero column (a parameter the observation annihilates).
+    g_r, g_t = upa(2, 3), upa(3, 2)
+    W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
+    s = ObservationSetup(np.eye(6), W, 0.3)
+    doas, dods = separated_directions(rng, 2, 0.6), separated_directions(rng, 2, 0.6)
+    cases = []
+    for second in (PathParams(1.3, 1.1, doas[1], dods[1]), PathParams(0.7, 1.1, doas[0], dods[0])):
+        ps = PathSet([PathParams(1.0, 0.4, doas[0], dods[0]), second])
+        D = channel_jacobian(ps, g_r, g_t)
+        cases.append((D, fisher_factor(D, s), synthesize(ps, g_r, g_t).vector))
+    D, R, h = cases[0]
+    zeroed = R.copy()
+    zeroed[:, 1] = 0.0
+    cases.append((D, zeroed, h))
+    for (D, R, h), flagged in zip(cases, (False, True, True)):
+        ref = crb_trace(D, R, h)
+        assert ref.ill_conditioned == flagged
+        # the exponents of each column's nonzero entries, real and imaginary parts apart
+        parts = np.concatenate((D.real, D.imag, R))
+        e = [np.frexp(col[col != 0])[1] for col in parts.T]
+        lo = np.array([max(-900, -1021 - c.min()) for c in e])
+        hi = np.array([min(900, 1024 - c.max()) for c in e])
+        assert (lo < -500).all() and (hi > 500).all()
+        for _ in range(20):
+            scale = np.ldexp(1.0, rng.integers(lo, hi + 1))
+            assert crb_trace(D * scale, R * scale, h) == ref
 
 
 def test_crb_trace_flags_non_positive_diagonal(rng):
@@ -512,17 +545,3 @@ def test_crb_trace_rejects_a_bound_beyond_the_floats():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="the bound exceeds the largest float"):
             crb_trace(D, R, np.ones(1))
-
-
-def test_crb_rejects_bad_cond_threshold(rng):
-    g_r, g_t = upa(2, 2), upa(2, 3)
-    ps = PathSet([PathParams(1.0, 0.4, Direction(0.3, -0.2), Direction(-0.6, 0.5))])
-    s = identity_setup(6, 4, 0.5)
-    D = channel_jacobian(ps, g_r, g_t)
-    R, h = fisher_factor(D, s), synthesize(ps, g_r, g_t).vector
-    for value in (math.nan, -1.0, 0.5, math.inf, True, "1e12", None):
-        with pytest.raises(ValueError, match="cond_threshold"):
-            crb_trace(D, R, h, cond_threshold=value)
-        with pytest.raises(ValueError, match="cond_threshold"):
-            crb_report(ps, g_r, g_t, s, cond_threshold=value)
-    assert crb_trace(D, R, h, cond_threshold=np.float64(1e12)) == crb_trace(D, R, h)
