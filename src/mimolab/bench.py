@@ -262,8 +262,8 @@ class BenchRow:
 
     crb_floor is 3 * P_budget / SNR, the bound floor for the model size the
     estimator actually fits; mean_true_crb averages the bound evaluated at
-    the generated (physical) parameter points, pseudo-inverse values
-    included, with ill_conditioned_trials counting how many were flagged.
+    the generated (physical) parameter points, flagged bounds included,
+    with ill_conditioned_trials counting how many were flagged.
     """
 
     strategy: str

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PathParams, PathSet, steering_matrix, synthesize
-from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, unit_vectors_from_angles,
-                       wrap_azimuth)
+from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int,
+                       unit_vectors_from_angles, wrap_azimuth)
 from .observation import ATOM_NORM_TOL, ObservationSetup, exact_scale, frobenius_norm
 from .workers import Helpers, shared_map
 
@@ -210,12 +210,13 @@ class Selection:
     score_evaluations: int
 
 
-def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float | None]:
+def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float]:
     """exact_scale's Ys = Y / 2^e and the margin of marginals read from Ys (see
-    joint_select), or (Y, None) when Y is zero or holds NaN or inf."""
-    Ys, e = exact_scale(Y)
-    if e is None:
-        return Y, None
+    joint_select): Ys = Y and margin 0 for a zero Y. A Y that holds NaN or inf
+    raises ValueError."""
+    if not np.isfinite(Y).all():
+        raise ValueError("observation Y holds NaN or inf entries")
+    Ys, _ = exact_scale(Y)
     n_c, n_s = Y.shape
     return Ys, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * float(np.linalg.norm(Ys))
 
@@ -394,10 +395,11 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
 
     Rescore. The surviving rows, in increasing order, are scored exactly in
     complex128 over all n columns by _best_in_rows. All rows are when the
-    scores lie within 2 delta of each other, or when _scaled gives no
-    margin (a zero or non-finite Y), which skips the prune and the screen.
-    Usually one or two rows survive. score_evaluations counts all m*n
-    candidate scores either way, the paper's cost model.
+    scores lie within 2 delta of each other, as for a zero Y: its margin and
+    L are 0, so the prune keeps every pair, and the screen's c (r + 4) t
+    (1 + N) term keeps every row. Usually one or two rows survive.
+    score_evaluations counts all m*n candidate scores either way, the
+    paper's cost model. A Y that holds NaN or inf raises ValueError.
 
     pool, when given, shares the screen's blocks between the calling thread
     and its helpers (see _screened_rows); the pick does not depend on it.
@@ -406,13 +408,11 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     Ys, margin = _scaled(Y)
     contract_combiners = K_r_H.shape[1] <= K_t.shape[0]
     left, right = (K_r_H, Ys @ K_t) if contract_combiners else (K_r_H @ Ys, K_t)
-    rows = np.arange(dictionary.m)
-    if margin is not None:
-        if contract_combiners:
-            rows, cols, norm = _candidates(K_r_H, Ys, right, margin)
-        else:
-            cols, rows, norm = _candidates(K_t.T, Ys.T, left.T, margin)
-        rows = rows[_screened_rows(left[rows], right[:, cols], norm, pool)]
+    if contract_combiners:
+        rows, cols, norm = _candidates(K_r_H, Ys, right, margin)
+    else:
+        cols, rows, norm = _candidates(K_t.T, Ys.T, left.T, margin)
+    rows = rows[_screened_rows(left[rows], right[:, cols], norm, pool)]
     i, j = _best_in_rows(left, right, rows)
     return Selection(i, j, dictionary.m * dictionary.n)
 
@@ -436,16 +436,14 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     largest, usually one, hold every maximum; their rows of T = K_r^H Ys are
     formed, and their energies are the sums of squares over the real view
     of those rows, as if T were formed whole. Stage 2 scores the picked row
-    of T against K_t with _best_in_rows, as joint_select does. A zero or
-    non-finite Y forms every row. pool is accepted for a common selector
-    signature and not used.
+    of T against K_t with _best_in_rows, as joint_select does. A Y that
+    holds NaN or inf raises ValueError (see _scaled). pool is accepted for a
+    common selector signature and not used.
     """
     K_r_H = dictionary.K_r_H
-    rows = np.arange(dictionary.m)
     Ys, margin = _scaled(Y)
-    if margin is not None:
-        norms = _marginal_norms(K_r_H, Ys)
-        rows = np.flatnonzero(norms >= norms.max() - 2.0 * margin)
+    norms = _marginal_norms(K_r_H, Ys)
+    rows = np.flatnonzero(norms >= norms.max() - 2.0 * margin)
     T = K_r_H[rows] @ Ys
     v = T.view(np.float64)
     k = int(np.argmax(np.einsum("ij,ij->i", v, v)))
@@ -493,12 +491,14 @@ class EstimationReport:
 
     def reading(self, P: int, true_channel, g_r: ArrayGeometry,
                 g_t: ArrayGeometry) -> Reading:
-        """The run at budget P, 1 <= P <= self.P, scored against the ChannelMatrix
-        true_channel on the arrays g_r and g_t; no paths kept means H_hat = 0.
-        It kept estimated[:P]: a zero gain leaves R as it was, so every later
-        iteration repeats its pick and fits zero too. rmse is read off (H - H_hat)
-        / 2^e and H / 2^e' (see exact_scale), so it is the unscaled value
-        wherever that is finite, and raises ValueError where that overflows."""
+        """The run at budget P, a whole number 1 <= P <= self.P (else ValueError, see
+        as_int), scored against the ChannelMatrix true_channel on the arrays g_r and
+        g_t; no paths kept means H_hat = 0. It kept estimated[:P]: a zero gain leaves
+        R as it was, so every later iteration repeats its pick and fits zero too.
+        rmse is read off (H - H_hat) / 2^e and H / 2^e' (see exact_scale), so it is
+        the unscaled value wherever that is finite, and raises ValueError where that
+        overflows."""
+        P = as_int(P, "budget P")
         if not 1 <= P <= self.P:
             raise ValueError(f"budget P must lie in [1, {self.P}], got {P}")
         paths = self.estimated[:P]
@@ -539,16 +539,16 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     gain of its observed contribution. Repeated selection of the same pair
     is allowed; the gains accumulate as separate paths. The wall time covers
     the pursuit loop only. A Y that is not K_r.shape[0] x K_t.shape[0] or
-    holds NaN or inf raises ValueError. pool goes to the selector.
+    holds NaN or inf, or a P_budget that is not a whole number (see as_int)
+    of at least 1, raises ValueError. pool goes to the selector.
     """
     K_r, K_t = dictionary.K_r, dictionary.K_t
     if np.shape(Y) != (K_r.shape[0], K_t.shape[0]):
         raise ValueError(f"observation Y has shape {np.shape(Y)}, but the dictionary's "
                          f"atoms need {(K_r.shape[0], K_t.shape[0])}")
+    P_budget = as_int(P_budget, "P_budget")
     if P_budget < 1:
         raise ValueError("P_budget must be at least 1")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("observation Y holds NaN or inf entries")
     select = selector(strategy)
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []

@@ -158,7 +158,8 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = R^T R.
 
     R is any real factor of I with one column per parameter, such as that
-    of fisher_factor; the parameter of a zero column drops out. With
+    of fisher_factor; the parameter of a zero column drops out, and an R of
+    zero columns only raises ValueError. With
     R S = U Sigma V^T, S = diag(I)^-1/2 equilibrating R's columns,
     I^-1 = S V Sigma^-2 V^T S and the bound is the sum of squares
     ||[Re D; Im D] S V Sigma^-1||_F^2 / ||h||^2 over the sigma with
@@ -177,6 +178,8 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     E, k_h = channel_energy(h)
     k = R.shape[1]
     top = np.abs(R).max(axis=0)
+    if not top.any():
+        raise ValueError("no column of the factor R is nonzero: every parameter drops out")
     if not top.all():   # a zero column's parameter drops out, of the bound and of g
         R, D, top = R[:, top > 0], D[:, top > 0], top[top > 0]
     f = np.frexp(top)[1]

@@ -167,21 +167,18 @@ def observe(H, s: ObservationSetup, seed) -> np.ndarray:
 
     H is the ChannelMatrix that synthesize returns. The noise matrix has
     i.i.d. complex Gaussian entries of variance sigma2 (independent
-    real/imaginary parts of variance sigma2/2 each), drawn from
-    np.random.default_rng(seed), so the same seed reproduces the same draw.
+    real/imaginary parts of variance sigma2/2 each, all zero at sigma2 = 0),
+    drawn from np.random.default_rng(seed), so a seed reproduces its draw.
     """
     if H.matrix.shape != (s.n_r, s.n_t):
         raise ValueError(f"channel shape {H.matrix.shape} does not match setup "
                          f"({s.n_r}, {s.n_t})")
     Wh = s.W.conj().T
-    signal = Wh @ H.matrix @ s.X
-    if s.sigma2 == 0.0:
-        return signal
     rng = np.random.default_rng(seed)
     scale = math.sqrt(s.sigma2 / 2.0)
     N = scale * (rng.standard_normal((s.n_r, s.n_s))
                  + 1j * rng.standard_normal((s.n_r, s.n_s)))
-    return signal + Wh @ N
+    return Wh @ H.matrix @ s.X + Wh @ N
 
 
 def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:

@@ -26,15 +26,13 @@ def shared_map(fn, items, helpers: Helpers | None = None) -> list:
 
     At most min(helpers.count, len(items) - 1) tasks are submitted (none
     when helpers is None). The calling thread runs the first item; then
-    every thread takes the next item not yet taken until none is left, and
-    the results come back in item order. Once a call raises, no thread takes
-    a new item; the calling thread's error, else a helper's, propagates
+    every thread, the calling one alone if no task is submitted, takes the
+    next item not yet taken until none is left, and the results come back
+    in item order. Once a call raises, no thread takes a new item; the calling thread's error, else a helper's, propagates
     after every helper task has returned.
     """
     items = list(items)
     spare = min(helpers.count, len(items) - 1) if helpers is not None else 0
-    if spare < 1:
-        return [fn(x) for x in items]
     results = [None] * len(items)
     lock = threading.Lock()
     pending = iter(range(len(items)))

@@ -360,17 +360,18 @@ def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
 
 
 def test_joint_select_zero_observation_tie_break(monkeypatch):
-    # a zero Y skips the prune and the screen, so every row is scored
-    # exactly; 300 DoAs span several score blocks
+    # a zero Y has margin and L 0, so the prune keeps every pair and the
+    # screen every row, and every row is scored exactly; 300 DoAs span
+    # several score blocks
     grid = DirectionGrid(20, 15, 4, 4)
     g_r, g_t = upa(2, 2), upa(2, 2)
     d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
     Y = np.zeros((4, 4), dtype=complex)
-    # a zero product also keeps every row of the screen
+    rows, cols = candidates(Y, d)
+    assert np.array_equal(rows, np.arange(d.m)) and np.array_equal(cols, np.arange(d.n))
     assert np.array_equal(estimation._screened_rows(*contracted_factors(Y, d)), np.arange(d.m))
     scored = []
     best_in_rows = estimation._best_in_rows
-    monkeypatch.setattr(estimation, "_screened_rows", None)
     monkeypatch.setattr(estimation, "_best_in_rows",
                         lambda left, right, rows: scored.append(rows) or
                         best_in_rows(left, right, rows))
@@ -495,11 +496,8 @@ def basis_dictionary(n_c, n_s, seed):
 
 
 def candidates(Y, d):
-    """The DoA rows and DoD columns joint_select screens, as it forms them;
-    every one when _scaled gives no margin."""
+    """The DoA rows and DoD columns joint_select screens, as it forms them."""
     Ys, margin = estimation._scaled(Y)
-    if margin is None:
-        return np.arange(d.m), np.arange(d.n)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
         rows, cols, _ = estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)
     else:
@@ -812,12 +810,27 @@ def test_matching_pursuit_rejects_bad_arguments():
         matching_pursuit(np.zeros((4, 4)), d, 0, "joint")
     with pytest.raises(ValueError):
         matching_pursuit(np.zeros((4, 4)), d, 1, "greedy")
+    # a budget goes through as_int: 2.5 ended in a TypeError from range, and
+    # True ran one iteration
+    for bad in (2.5, True, np.nan):
+        with pytest.raises(ValueError, match="must be an integer"):
+            matching_pursuit(np.ones((4, 4)), d, bad, "joint")
+    rep = matching_pursuit(np.ones((4, 4)), d, 2.0, "joint")
+    assert rep.P == 2
+    H = synthesize(PathSet([PathParams(1.0, 0.3, d.doa_of(1), d.dod_of(2))]), g_r, g_t)
+    assert rep.reading(2.0, H, g_r, g_t) == rep.reading(2, H, g_r, g_t)
+    for bad in (1.5, True):   # 1.5 ended in a TypeError from slicing
+        with pytest.raises(ValueError, match="must be an integer"):
+            rep.reading(bad, H, g_r, g_t)
+    # each selector ended with the pick (0, 0) on these, without a word
     for bad in (np.nan, np.inf, -np.inf):
         Y = np.ones((4, 4), dtype=complex)
         Y[1, 2] = bad
         for strategy in ("joint", "sequential"):
             with pytest.raises(ValueError, match="NaN or inf"):
                 matching_pursuit(Y, d, 1, strategy)
+            with pytest.raises(ValueError, match="^observation Y holds NaN or inf entries$"):
+                estimation.selector(strategy)(Y, d)
     # each ended in a numpy matmul or unpacking error
     for shape in ((4, 5), (5, 4), (3, 4), (4,)):
         for strategy in ("joint", "sequential"):

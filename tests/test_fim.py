@@ -240,6 +240,9 @@ def test_crb_trace_flags_non_positive_diagonal(rng):
     kept = [0, 1, 2, 4, 5]
     assert crb_trace(D, zero_column, h).value == pytest.approx(
         crb_trace(D[:, kept], R[:, kept], h).value, rel=1e-12)
+    # with every column zero no parameter is left: this ended in an IndexError
+    with pytest.raises(ValueError, match="no column of the factor R is nonzero"):
+        crb_trace(D, np.zeros_like(R), h)
 
 
 def whitened_derivative(D, s):

@@ -86,6 +86,8 @@ def test_observe_noiseless_exact(rng):
     H = ChannelMatrix(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
     Y = observe(H, s, seed=0)
     assert np.array_equal(Y, s.W.conj().T @ H.matrix @ s.X)
+    # the zero-variance draw adds nothing, whatever the seed
+    assert np.array_equal(observe(H, s, seed=1), Y)
 
 
 def test_observe_deterministic_given_seed(rng):
