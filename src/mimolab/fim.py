@@ -13,6 +13,15 @@ never computed from I, so its digits do not suffer the squared
 conditioning of I. Direction entries are per radian of arc along
 the unit tangents, which keeps the bound shape-independent for isotropic
 arrays.
+
+The optimal-observation residual ||(Id - P) D||_F / ||D||_F is read off the
+Jacobian's Kronecker factors, never off D: column k is w_k (f_t^* kron f_r),
+one steering vector or tangent derivative per array, and with P_r = Q_w Q_w^H
+and M_t = X X^H / alpha2, ||(Id - P) D_k||^2 is |w_k|^2 (||(I - M_t) f_t||^2
+||P_r f_r||^2 + ||f_t||^2 ||(I - P_r) f_r||^2), the squared norms of two
+mutually orthogonal parts. Every term is non-negative, so nothing cancels and
+the residual keeps its digits down to the 1e-10 the lossless checks read;
+subtracting ||P D||^2 from ||D||^2 would not (see check_optimal_observation).
 """
 
 from __future__ import annotations
@@ -25,11 +34,19 @@ import numpy as np
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, tangent_basis
-from .observation import (ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale,
-                          projection_apply, snr)
+from .observation import ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale, snr
 
 PARAMS_PER_PATH = 6
 COND_THRESHOLD = 1e12
+
+
+def _jacobian_factors(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry):
+    """The per-array factors of channel_jacobian's columns: (E_r, dE_r_az, dE_r_el)
+    of the arrivals, (E_t, dE_t_az, dE_t_el) of the departures (see
+    steering_derivatives), the gains c and their magnitudes rho."""
+    return (steering_derivatives(g_r, [p.doa for p in ps]),
+            steering_derivatives(g_t, [p.dod for p in ps]),
+            np.array([p.gain for p in ps]), np.array([p.rho for p in ps]))
 
 
 def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.ndarray:
@@ -39,9 +56,7 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     the rho column is h_p / rho, the phi column j h_p, and the four
     direction columns replace e_r (resp. e_t) by its tangent derivative.
     """
-    E_r, dE_r_az, dE_r_el = steering_derivatives(g_r, [p.doa for p in ps])
-    E_t, dE_t_az, dE_t_el = steering_derivatives(g_t, [p.dod for p in ps])
-    c = np.array([p.gain for p in ps])
+    (E_r, dE_r_az, dE_r_el), (E_t, dE_t_az, dE_t_el), c, rho = _jacobian_factors(ps, g_r, g_t)
     n_r, n_t, P = E_r.shape[0], E_t.shape[0], len(ps)
 
     def atoms(F_t, F_r):
@@ -51,7 +66,7 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     D = np.empty((n_r * n_t, PARAMS_PER_PATH * P), dtype=complex)
     cols = D.reshape(n_t, n_r, P, PARAMS_PER_PATH)   # cols[j, i, p, k] = D[i + n_r j, 6p + k]
     h = atoms(E_t, E_r)
-    cols[..., 0] = h / np.array([p.rho for p in ps])
+    cols[..., 0] = h / rho
     cols[..., 1] = 1j * h
     cols[..., 2] = atoms(E_t, dE_r_az)
     cols[..., 3] = atoms(E_t, dE_r_el)
@@ -60,12 +75,26 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     return D
 
 
-def _log2_norms(M: np.ndarray) -> np.ndarray:
-    """log2 of M's column norms, each on the 2^-f that brings it to [1/2, 1); -inf for 0."""
+def _scaled_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|M| 2^-f, f): each column of |M| on the 2^-f_j that brings its largest
+    entry into [1/2, 1), exactly; f_j = 0 for a zero column."""
     A = np.abs(M)
     f = np.frexp(A.max(axis=0))[1]
+    return np.ldexp(A, -f, out=A), f
+
+
+def _log2_norms(M: np.ndarray) -> np.ndarray:
+    """log2 of M's column norms, each on its own power of two (see _scaled_columns); -inf for 0."""
+    A, f = _scaled_columns(M)
     with np.errstate(divide="ignore"):
-        return np.log2(np.linalg.norm(np.ldexp(A, -f, out=A), axis=0)) + f
+        return np.log2(np.linalg.norm(A, axis=0)) + f
+
+
+def _squared_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M's squared column norms as (m, f), ||M_j||^2 = m_j 4^f_j, summed on
+    _scaled_columns' scales so that no square overflows or underflows."""
+    A, f = _scaled_columns(M)
+    return np.einsum("ij,ij->j", A, A), f
 
 
 def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
@@ -79,11 +108,15 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     norms, beyond the largest float at this pilot power and sigma2. Column k
     of R has norm ||A_k|| <= sqrt(2 / sigma2) ||D_k||_F ||X||_F, and is zeroed
     as rounding noise at ATOM_NORM_TOL times that; if all are, ValueError names X, W.
+    A D without n_r n_t rows raises ValueError too.
     """
     if s.sigma2 <= 0 or 2.0 / s.sigma2 == math.inf:
         raise ValueError("Fisher information diverges: 2 / sigma2 overflows for a noiseless "
                          f"or nearly noiseless setup, sigma2 = {s.sigma2} (given or set by "
                          "target_snr_db)")
+    if D.ndim != 2 or D.shape[0] != s.n_r * s.n_t:
+        raise ValueError(f"the Jacobian D is {' x '.join(map(str, D.shape))}, but the setup "
+                         f"needs n_r * n_t = {s.n_r} * {s.n_t} rows")
     k = D.shape[1]
     Qh = math.sqrt(2.0 / s.sigma2) * s.Q_w.conj().T
     Z = np.empty((k, s.n_s, s.n_c), dtype=complex)
@@ -209,23 +242,68 @@ def optimal_bound(n_paths: int, snr_linear: float) -> float:
     return 3.0 * n_paths / snr_linear
 
 
-def check_optimal_observation(D: np.ndarray, s: ObservationSetup) -> float:
-    """Relative residual ||(Id - P) D||_F / ||D||_F.
+def _check_fits(g_r: ArrayGeometry, g_t: ArrayGeometry, s: ObservationSetup) -> None:
+    """Raise ValueError unless X has one row per transmit antenna and W one per
+    receive antenna: a setup built for the arrays the other way round fits n_r n_t
+    as well and would be read silently wrong."""
+    if s.n_t != g_t.n_antennas or s.n_r != g_r.n_antennas:
+        raise ValueError(f"pilot matrix X is {s.n_t} x {s.n_s} and combiner matrix W is "
+                         f"{s.n_r} x {s.n_c}, but the transmit array has {g_t.n_antennas} "
+                         f"antennas and the receive array {g_r.n_antennas}: X needs one row "
+                         "per transmit antenna and W one per receive antenna")
 
-    Zero (below ~1e-10) certifies that the observation projection leaves the
+
+# the (transmit, receive) factors of a path's six columns: 0 = E, 1 = dE_az, 2 = dE_el
+_FACTORS_T = np.array([0, 0, 0, 0, 1, 2])
+_FACTORS_R = np.array([0, 0, 1, 2, 0, 0])
+
+
+def _scaled_sum(m: np.ndarray, f: np.ndarray) -> tuple[float, int]:
+    """(M, F) with sum m 4^f = M 4^F over all entries, summed on the largest f of a nonzero m."""
+    F = int(f[m > 0].max(initial=0))
+    return float(np.ldexp(m, 2 * (f - F)).sum()), F
+
+
+def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
+                              s: ObservationSetup) -> float:
+    """Relative residual ||(Id - P) D||_F / ||D||_F of the Jacobian D = channel_jacobian(...).
+
+    Zero (below ~1e-10) certifies that the observation projection P leaves the
     Jacobian range untouched, the condition under which the bound reaches
-    its 3P/SNR floor. Where a square in either norm would overflow or
-    underflow, each is taken on its own M / 2^e (see exact_scale).
+    its 3P/SNR floor. D is never formed: column k is w_k (f_t^* kron f_r),
+    f_t one of e_t, de_t_az, de_t_el and f_r one of e_r, de_r_az, de_r_el,
+    with w_k = c / rho, j c or c (|w_k| = 1 or rho), and P D_k is
+    w_k ((M_t f_t)^* kron P_r f_r) for the projector P_r = Q_w Q_w^H and
+    M_t = X X^H / alpha2 (a projector only for orthogonal pilots). Splitting
+    f_r = P_r f_r + (I - P_r) f_r leaves two mutually orthogonal parts for
+    any X, so ||(Id - P) D_k||^2 = |w_k|^2 (||(I - M_t) f_t||^2 ||P_r f_r||^2
+    + ||f_t||^2 ||(I - P_r) f_r||^2) and ||D_k||^2 = |w_k|^2 ||f_t||^2 ||f_r||^2:
+    sums of non-negative terms that cannot cancel, from the 3P factor columns
+    of each array. Identity observation reads exactly 0.0. Each |w_k| and each
+    factor norm is taken on its own power of two (see _squared_norms) and the
+    two sums on their largest, so no square overflows or underflows at any rho.
     """
-    residual = projection_apply(s, D)
-    residual -= D
-    # plain norms first: exact_scale's copies add 4% to a 64 x 16, 40-path report
-    with np.errstate(over="ignore"):
-        a, b = np.linalg.norm(residual), np.linalg.norm(D)
-    if not (2.0 ** -500 < b < math.inf and a < math.inf):
-        (a, e_a), (b, e_b) = exact_scale(residual), exact_scale(D)
-        return math.ldexp(float(np.linalg.norm(a) / np.linalg.norm(b)), (e_a or 0) - (e_b or 0))
-    return float(a / b)
+    _check_fits(g_r, g_t, s)
+    F_r, F_t, _, rho = _jacobian_factors(ps, g_r, g_t)
+    F_r, F_t = np.concatenate(F_r, axis=1), np.concatenate(F_t, axis=1)   # 3P columns each
+    w, e = np.frexp(np.stack([np.ones_like(rho)] + [rho] * 5))   # |w_k| = w 2^e, 6 x P
+
+    def norms(M, factors):
+        # squared norm of each column's factor among M's 3P columns, as (m, f), m 4^f, 6 x P
+        m, f = _squared_norms(M)
+        return m.reshape(3, -1)[factors], f.reshape(3, -1)[factors]
+
+    def terms(a, b):
+        # |w_k|^2 times the product of two such norms, as (m, f)
+        return w * w * a[0] * b[0], e + a[1] + b[1]
+
+    in_r = s.Q_w @ (s.Q_w.conj().T @ F_r)
+    r, r_in, r_out = (norms(M, _FACTORS_R) for M in (F_r, in_r, F_r - in_r))
+    t, t_out = (norms(M, _FACTORS_T) for M in (F_t, F_t - s.X @ (s.X.conj().T @ F_t) / s.alpha2))
+    (m_in, f_in), (m_out, f_out) = terms(t_out, r_in), terms(t, r_out)
+    num = _scaled_sum(np.stack([m_in, m_out]), np.stack([f_in, f_out]))
+    den = _scaled_sum(*terms(t, r))
+    return math.ldexp(math.sqrt(num[0] / den[0]), num[1] - den[1])
 
 
 def inter_path_coupling_mass(I: np.ndarray) -> float:
@@ -245,8 +323,10 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
 
     Runs on one BLAS thread (see blas.one_blas_thread): its factorizations
     are too small to gain from more, and the bound's digits then do not
-    depend on the environment's thread count.
+    depend on the environment's thread count. A setup whose X and W do not
+    have one row per transmit and per receive antenna raises ValueError.
     """
+    _check_fits(g_r, g_t, s)
     D = channel_jacobian(ps, g_r, g_t)
     R = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector
@@ -262,7 +342,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
         "floor_3p_over_snr": optimal_bound(len(ps), snr_linear),
         # strict JSON has no inf: a condition number without a finite value is null
         "condition_number": result.condition_number if result.condition_number < math.inf else None,
-        "optimal_observation_residual": check_optimal_observation(D, s),
+        "optimal_observation_residual": check_optimal_observation(ps, g_r, g_t, s),
         "ill_conditioned": result.ill_conditioned,
         "inter_path_coupling_mass": inter_path_coupling_mass(F),
     }

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
@@ -10,7 +12,9 @@ from mimolab.fim import (channel_jacobian, check_optimal_observation, crb_report
                          crb_trace, fisher_factor, fisher_matrix,
                          intra_path_block, inter_path_coupling_mass, optimal_bound)
 from mimolab.geometry import Direction, ula, upa
-from mimolab.observation import ObservationSetup, identity_setup, snr, span_combiners, span_pilots
+from mimolab.observation import (ObservationSetup, exact_scale, frobenius_norm, identity_setup,
+                                 orthogonal_pilots, projection_apply, snr, span_combiners,
+                                 span_pilots)
 
 from conftest import (fd_jacobian, random_geometry, random_path,
                       separated_directions)
@@ -382,36 +386,89 @@ def test_optimal_bound_values():
         optimal_bound(1, 0.0)
 
 
+def dense_residual(D, s):
+    """The reference ||(Id - P) D||_F / ||D||_F, through the projection of all of D."""
+    return frobenius_norm(projection_apply(s, D) - D) / frobenius_norm(D)
+
+
+def small_array(kind, rng):
+    if kind == "ula":
+        return ula(int(rng.integers(1, 6)), 0.5, str(rng.choice(["x", "y", "z"])))
+    if kind == "upa":
+        return upa(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    return random_geometry(rng, int(rng.integers(1, 6)))
+
+
+def random_complex(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arrays=st.tuples(*[st.sampled_from(["ula", "upa", "custom"])] * 2),
+       n_paths=st.integers(1, 4), duplicate=st.booleans(),
+       pilots=st.sampled_from(["identity", "dft", "explicit"]),
+       combiners=st.sampled_from(["identity", "explicit", "steering"]),
+       seed=st.integers(0, 2 ** 16))
+def test_optimal_observation_residual_matches_the_dense_projection(arrays, n_paths, duplicate,
+                                                                   pilots, combiners, seed):
+    # The factored residual against the projection of the whole Jacobian, for
+    # orthogonal DFT pilots with n_s < n_t, non-orthogonal explicit pilots
+    # (where X X^H / alpha2 is no projector) and rank-one combiners. A lossless
+    # setup read through a non-identity basis leaves rounding noise on both
+    # routes, hence the 1e-14 of ||D|| beside the 1e-12 relative.
+    rng = np.random.default_rng(seed)
+    g_r, g_t = (small_array(kind, rng) for kind in arrays)
+    paths = [random_path(rng) for _ in range(n_paths)]
+    ps = PathSet(paths + paths[:1] if duplicate else paths)
+    n_r, n_t = g_r.n_antennas, g_t.n_antennas
+    if pilots == "dft" and n_t > 1:
+        X = orthogonal_pilots(n_t, int(rng.integers(1, n_t)), 1.5, "dft")
+    elif pilots == "explicit":
+        X = random_complex(rng, n_t, int(rng.integers(1, n_t + 3)))
+    else:
+        X = np.eye(n_t)
+    if combiners == "explicit":
+        W = random_complex(rng, n_r, int(rng.integers(1, n_r + 1)))
+    elif combiners == "steering":
+        W = steering_vector(g_r, ps[0].doa)[:, None]
+    else:
+        W = np.eye(n_r)
+    s = ObservationSetup(X, W, 1.0)
+    r = check_optimal_observation(ps, g_r, g_t, s)
+    if pilots == combiners == "identity":
+        assert r == 0.0
+    ref = dense_residual(channel_jacobian(ps, g_r, g_t), s)
+    assert abs(r - ref) <= 1e-12 * ref + 1e-14
+
+
 def test_optimal_observation_residual_identity(rng):
     g_r, g_t = upa(2, 2), upa(2, 3)
     ps = PathSet([random_path(rng)])
-    D = channel_jacobian(ps, g_r, g_t)
-    assert check_optimal_observation(D, identity_setup(6, 4, 1.0)) == 0.0
+    assert check_optimal_observation(ps, g_r, g_t, identity_setup(6, 4, 1.0)) == 0.0
 
 
 def test_optimal_observation_residual_rank_one_combiner(rng):
     # W spanning only the true steering vector misses its derivatives
     g_r, g_t = upa(2, 2), upa(2, 2)
     p = random_path(rng)
-    ps = PathSet([p])
     W = steering_vector(g_r, p.doa)[:, None]
     s = ObservationSetup(np.eye(4), W, 1.0)
-    D = channel_jacobian(ps, g_r, g_t)
-    r = check_optimal_observation(D, s)
-    assert r > 0.1
-    # and it does not depend on the scale of D: its squared norms overflowed
-    # beyond 2^512 (a NaN residual) and underflowed below 2^-537 (0 / 0)
-    for scale in (2.0 ** -600, 2.0 ** 600):
-        assert check_optimal_observation(scale * D, s) == r
+    assert check_optimal_observation(PathSet([p]), g_r, g_t, s) > 0.1
+    # and it holds at gains whose squares overflow (a NaN residual) or
+    # underflow (0 / 0): the dense residual of D / 2^e is the reference
+    for rho in (2.0 ** -600, 2.0 ** 600):
+        ps = PathSet([PathParams(rho, p.phi, p.doa, p.dod)])
+        ref = dense_residual(exact_scale(channel_jacobian(ps, g_r, g_t))[0], s)
+        assert abs(check_optimal_observation(ps, g_r, g_t, s) - ref) <= 1e-12 * ref + 1e-14
 
 
 def test_optimal_observation_residual_span_setup(rng):
     g_r, g_t = upa(2, 3), upa(3, 3)
     ps = PathSet(random_path(rng) for _ in range(2))
     s = ObservationSetup(span_pilots(ps, g_t), span_combiners(ps, g_r), 1.0)
-    D = channel_jacobian(ps, g_r, g_t)
-    assert check_optimal_observation(D, s) <= 1e-10
+    assert check_optimal_observation(ps, g_r, g_t, s) <= 1e-10
     # and the bound then reaches its floor
+    D = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
     res = crb_trace(D, fisher_factor(D, s), h)
     assert abs(res.value - optimal_bound(2, snr(s, h))) <= 1e-9 * res.value
@@ -512,6 +569,25 @@ def test_crb_report_is_scale_free_in_the_noise_level(sigma2):
     assert np.isfinite(blocks).all()
     ref_blocks = np.array(ref["per_path_blocks"])
     assert np.abs(blocks * sigma2 - ref_blocks).max() <= 1e-12 * np.abs(ref_blocks).max()
+
+
+@pytest.mark.parametrize("X, W", [
+    (np.eye(4), np.eye(6)),   # X and W swapped: n_r n_t is 24 either way
+    (np.eye(5), np.eye(4)),   # X one row short of the transmit array
+])
+def test_a_setup_that_does_not_fit_the_arrays_raises(X, W):
+    ps, g_r, g_t = PathSet([two_paths()[0]]), upa(2, 2), upa(2, 3)
+    s = ObservationSetup(X, W, 1.0)
+    shapes = f"X is {X.shape[0]} x {X.shape[1]} and combiner matrix W is {W.shape[0]} x {W.shape[1]}"
+    for call in (crb_report, check_optimal_observation):
+        with pytest.raises(ValueError, match=shapes):
+            call(ps, g_r, g_t, s)
+
+
+def test_fisher_factor_rejects_a_jacobian_of_the_wrong_length():
+    D = channel_jacobian(two_paths(), upa(2, 2), upa(2, 3))
+    with pytest.raises(ValueError, match=r"D is 24 x 12, but the setup needs n_r \* n_t = 4 \* 5"):
+        fisher_factor(D, identity_setup(5, 4, 1.0))
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 5e-324, 1e-320, 1e-309])
