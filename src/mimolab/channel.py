@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (TWO_PI, ArrayGeometry, Direction, as_real, direction_angles,
-                       tangents_from_angles, unit_vector, unit_vectors,
+                       json_fields, tangents_from_angles, unit_vector, unit_vectors,
                        unit_vectors_from_angles)
 
 MERGE_DIRECTION_TOL = 1e-9   # merge_paths' largest unit-vector distance of shared directions
@@ -54,8 +54,8 @@ class PathParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PathParams":
-        return cls(obj["rho"], obj["phi"],
-                   Direction.from_json(obj["doa"]), Direction.from_json(obj["dod"]))
+        rho, phi, doa, dod = json_fields(obj, ("rho", "phi", "doa", "dod"), "path")
+        return cls(rho, phi, Direction.from_json(doa), Direction.from_json(dod))
 
 
 class PathSet:
@@ -85,6 +85,8 @@ class PathSet:
 
     @classmethod
     def from_json(cls, obj) -> "PathSet":
+        if not isinstance(obj, list):
+            raise ValueError(f"paths must be a JSON list, got {obj!r}")
         return cls(PathParams.from_json(p) for p in obj)
 
 

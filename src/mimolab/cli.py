@@ -2,8 +2,12 @@
 
 Every subcommand reads one self-describing JSON config, optionally patched
 by key=value overrides, validates it fully, computes, and writes JSON (plus
-CSV for tabular outputs). Exit codes: 0 success, 2 invalid or unreadable
-config or unwritable output, 3 ill-conditioned Fisher matrix under --strict.
+CSV for tabular outputs). The CLI checks the config's shape (keys, objects,
+modes); every value rule belongs to the library function that reads the
+value, which raises ValueError naming it, and the CLI only prefixes the
+block it came from. Exit codes: 0 success, 2 invalid or unreadable config
+(a ValueError) or unwritable output, 3 ill-conditioned Fisher matrix under
+--strict; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -20,13 +24,9 @@ from .bench import ScenarioConfig, format_table, generate_paths, monte_carlo, ro
 from .channel import PathSet, synthesize
 from .estimation import DirectionGrid, build_dictionaries, matching_pursuit, selector
 from .fim import crb_report
-from .geometry import ArrayGeometry, as_int, is_finite_real
+from .geometry import ArrayGeometry, as_int, is_finite_real, json_fields
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
                           orthogonal_pilots, pilot_power)
-
-
-class ConfigError(ValueError):
-    """Configuration that fails validation; maps to exit code 2."""
 
 
 def _load_config(path: str) -> dict:
@@ -34,51 +34,42 @@ def _load_config(path: str) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ValueError(f"cannot read config {path}: {e}") from e
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     return cfg
 
 
 def _apply_overrides(cfg: dict, overrides) -> None:
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
+            raise ValueError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"override path {key!r} crosses a non-object")
+                raise ValueError(f"override path {key!r} crosses a non-object")
         try:
             node[parts[-1]] = json.loads(raw)
         except json.JSONDecodeError:
             node[parts[-1]] = raw
 
 
-# What converting a JSON value can raise: float() of a huge integer raises
-# OverflowError.
-_VALUE_ERRORS = (ValueError, KeyError, TypeError, OverflowError)
-
-
 def _require(cfg: dict, key: str, context: str):
-    if key not in cfg:
-        raise ConfigError(f"{context} requires {key!r}")
-    return cfg[key]
+    return json_fields(cfg, (key,), context)[0]
 
 
-def _object(value, name: str) -> dict:
+def _object(value, name: str, known) -> dict:
+    """value, if it is a JSON object of keys in known only: a misspelt key would
+    fall back to a default."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
-
-
-def _check_keys(obj: dict, known, name: str) -> None:
-    """Reject a key of obj outside known: a misspelt key would fall back to a default."""
-    unknown = [key for key in obj if key not in known]
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    unknown = [key for key in value if key not in known]
     if unknown:
-        raise ConfigError(f"unknown {name} keys {unknown}; expected some of {list(known)}")
+        raise ValueError(f"unknown {name} keys {unknown}; expected some of {list(known)}")
+    return value
 
 
 # The top-level keys each subcommand reads; bench's are ScenarioConfig's fields.
@@ -89,22 +80,13 @@ _OBSERVATION_KEYS = ("pilots", "n_s", "alpha", "basis", "X", "combiners", "W", "
 _GRID_KEYS = ("m", "n", "m_az", "m_el", "n_az", "n_el")
 
 
-def _integer(cfg: dict, key: str, default: int) -> int:
-    try:
-        return as_int(cfg.get(key, default), key)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _build_arrays(cfg: dict) -> tuple[ArrayGeometry, ArrayGeometry]:
-    arrays = _object(_require(cfg, "arrays", "config"), "arrays")
-    _check_keys(arrays, ("tx", "rx"), "arrays")
-    tx = _object(_require(arrays, "tx", "arrays"), "arrays.tx")
-    rx = _object(_require(arrays, "rx", "arrays"), "arrays.rx")
+    arrays = _object(_require(cfg, "arrays", "config"), "arrays", ("tx", "rx"))
+    tx, rx = json_fields(arrays, ("tx", "rx"), "arrays")
     try:
         return ArrayGeometry.from_json(tx), ArrayGeometry.from_json(rx)
-    except _VALUE_ERRORS as e:
-        raise ConfigError(f"invalid array spec: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"invalid array spec: {e}") from e
 
 
 # The ScenarioConfig fields that shape a path draw; the rest only concern bench.
@@ -117,40 +99,38 @@ def _build_paths(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry) -> PathSet:
     if isinstance(spec, list):
         try:
             return PathSet.from_json(spec)
-        except _VALUE_ERRORS as e:
-            raise ConfigError(f"invalid explicit paths: {e}") from e
+        except ValueError as e:
+            raise ValueError(f"invalid explicit paths: {e}") from e
     if isinstance(spec, dict):
-        _check_keys(spec, ("generator", "seed"), "paths")
-        gen = _object(spec.get("generator", {}), "paths.generator")
-        _check_keys(gen, _GENERATOR_KEYS, "paths.generator")
-        seed = _integer(spec, "seed", 0)
+        _object(spec, "paths", ("generator", "seed"))
+        gen = _object(spec.get("generator", {}), "paths.generator", _GENERATOR_KEYS)
+        seed = as_int(spec.get("seed", 0), "seed")
         try:
-            arrays = cfg["arrays"]
             scen = ScenarioConfig(n_t=g_t.n_antennas, n_r=g_r.n_antennas,
-                                  tx_array=arrays["tx"], rx_array=arrays["rx"], **gen)
+                                  tx_array=cfg["arrays"]["tx"], rx_array=cfg["arrays"]["rx"],
+                                  **gen)
             return generate_paths(scen, seed)
-        except _VALUE_ERRORS as e:
-            raise ConfigError(f"invalid path generator: {e}") from e
-    raise ConfigError("paths must be a list of paths or a generator object")
+        except ValueError as e:
+            raise ValueError(f"invalid path generator: {e}") from e
+    raise ValueError("paths must be a list of paths or a generator object")
 
 
 def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
                        h: np.ndarray) -> ObservationSetup:
     """The observation block as one setup; target_snr_db is realized for channel h."""
-    obs = _object(_require(cfg, "observation", "config"), "observation")
-    _check_keys(obs, _OBSERVATION_KEYS, "observation")
+    obs = _object(_require(cfg, "observation", "config"), "observation", _OBSERVATION_KEYS)
     n_t, n_r = g_t.n_antennas, g_r.n_antennas
     try:
         pilots = obs.get("pilots", "identity")
         if pilots == "identity":
             X = np.eye(n_t)
         elif pilots == "orthogonal":
-            X = orthogonal_pilots(n_t, _integer(obs, "n_s", n_t), obs.get("alpha", 1.0),
+            X = orthogonal_pilots(n_t, obs.get("n_s", n_t), obs.get("alpha", 1.0),
                                   obs.get("basis", "identity"))
         elif pilots == "explicit":
             X = complex_from_json(_require(obs, "X", "explicit pilots"), "pilot matrix X")
         else:
-            raise ConfigError(f"unknown pilots mode {pilots!r}")
+            raise ValueError(f"unknown pilots mode {pilots!r}")
         combiners = obs.get("combiners", "identity")
         if combiners == "identity":
             W = np.eye(n_r)
@@ -158,28 +138,21 @@ def _parse_observation(cfg: dict, g_t: ArrayGeometry, g_r: ArrayGeometry,
             W = complex_from_json(_require(obs, "W", "explicit combiners"),
                                   "combiner matrix W")
         else:
-            raise ConfigError(f"unknown combiners mode {combiners!r}")
-        for name, M, side, n in (("pilot matrix X", X, "transmit", n_t),
-                                 ("combiner matrix W", W, "receive", n_r)):
-            if M.shape[0] != n:
-                raise ConfigError(f"{name} has {M.shape[0]} rows, but the {side} array "
-                                  f"has {n} antennas")
+            raise ValueError(f"unknown combiners mode {combiners!r}")
         if ("sigma2" in obs) == ("target_snr_db" in obs):
-            raise ConfigError("observation needs exactly one of sigma2, target_snr_db")
+            raise ValueError("observation needs exactly one of sigma2, target_snr_db")
         if "sigma2" in obs:
             sigma2 = obs["sigma2"]
         else:
             target = obs["target_snr_db"]
             # keeps the linear SNR and its reciprocal finite, as bench's snr_db rule does
             if not (is_finite_real(target) and abs(target) < 3000.0):
-                raise ConfigError("target_snr_db must be a number between -3000 and 3000, "
-                                  f"got {target!r}")
+                raise ValueError("target_snr_db must be a number between -3000 and 3000, "
+                                 f"got {target!r}")
             sigma2 = noise_for_snr(10.0 ** (target / 10.0), pilot_power(X), h)
         return ObservationSetup(X, W, sigma2)
-    except ConfigError:
-        raise
-    except _VALUE_ERRORS as e:
-        raise ConfigError(f"invalid observation: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"invalid observation: {e}") from e
 
 
 def _write_json(obj: dict, out: str | None) -> None:
@@ -207,13 +180,13 @@ def _write_outputs(payload: dict, rows: list[dict], out: str) -> None:
 
 
 def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
-    _check_keys(cfg, _CRB_KEYS, "config")
+    _object(cfg, "config", _CRB_KEYS)
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
     setup = _parse_observation(cfg, g_t, g_r, synthesize(paths, g_r, g_t).vector)
     include_blocks = cfg.get("include_blocks", False)
     if not isinstance(include_blocks, bool):
-        raise ConfigError(f"include_blocks must be true or false, got {include_blocks!r}")
+        raise ValueError(f"include_blocks must be true or false, got {include_blocks!r}")
     report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks)
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
@@ -224,31 +197,30 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
 
 
 def _build_grid(cfg: dict) -> DirectionGrid:
-    grid = _object(cfg.get("grid", {}), "grid")
-    _check_keys(grid, _GRID_KEYS, "grid")
+    grid = _object(cfg.get("grid", {}), "grid", _GRID_KEYS)
     layout = _GRID_KEYS[2:]
     if set(grid) & set(layout) and set(grid) != set(layout):
-        raise ConfigError(f"grid gives {sorted(grid)}; give all of {list(layout)} or only m, n")
+        raise ValueError(f"grid gives {sorted(grid)}; give all of {list(layout)} or only m, n")
     try:
         if layout[0] in grid:
-            return DirectionGrid(*(_integer(grid, key, 0) for key in layout))
-        return DirectionGrid.product(_integer(grid, "m", 2500), _integer(grid, "n", 2500))
-    except _VALUE_ERRORS as e:
-        raise ConfigError(f"invalid grid: {e}") from e
+            return DirectionGrid(*(grid[key] for key in layout))
+        return DirectionGrid.product(grid.get("m", 2500), grid.get("n", 2500))
+    except ValueError as e:
+        raise ValueError(f"invalid grid: {e}") from e
 
 
 def run_estimate(cfg: dict, out: str | None) -> int:
-    _check_keys(cfg, _ESTIMATE_KEYS, "config")
+    _object(cfg, "config", _ESTIMATE_KEYS)
     strategy = cfg.get("strategy", "sequential")
     selector(strategy)
     g_t, g_r = _build_arrays(cfg)
     paths = _build_paths(cfg, g_t, g_r)
     H = synthesize(paths, g_r, g_t)
     setup = _parse_observation(cfg, g_t, g_r, H.vector)
-    P_budget = _integer(cfg, "P_budget", 10)
-    seed = _integer(cfg, "seed", 0)
+    P_budget = as_int(cfg.get("P_budget", 10), "P_budget")
+    seed = as_int(cfg.get("seed", 0), "seed")
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise ValueError(f"seed must be non-negative, got {seed}")
     grid = _build_grid(cfg)
     Y = observe(H, setup, np.random.default_rng([seed, 1]))
     dictionary = build_dictionaries(grid, setup, g_r, g_t)
@@ -264,11 +236,11 @@ def run_estimate(cfg: dict, out: str | None) -> int:
 
 def run_bench(cfg: dict, out: str | None, threads: int, emit_table: bool) -> int:
     if threads < 1:
-        raise ConfigError(f"--threads must be a positive worker count, got {threads}")
+        raise ValueError(f"--threads must be a positive worker count, got {threads}")
     try:
         scen = ScenarioConfig.from_json(cfg)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"invalid scenario config: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"invalid scenario config: {e}") from e
     rows = monte_carlo(scen, threads=threads)
     if emit_table:
         print(format_table(rows), end="")

@@ -35,6 +35,7 @@ _PRUNE_SAFETY = 16.0     # c in the joint prune's rounding margin (see joint_sel
 def _cell_centres(n_az: int, n_el: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only 2 x (n_az * n_el) azimuths and elevations of hemisphere_directions,
     and the 3 x (n_az * n_el) unit vectors of the wrapped directions."""
+    n_az, n_el = as_int(n_az, "grid dimension"), as_int(n_el, "grid dimension")
     if n_az < 1 or n_el < 1:
         raise ValueError("grid dimensions must be positive")
     azs = -HALF_PI + (np.arange(n_az) + 0.5) * math.pi / n_az
@@ -90,7 +91,7 @@ class DirectionGrid:
     @classmethod
     def product(cls, m: int, n: int) -> "DirectionGrid":
         """Square layouts of m DoAs and n DoDs (m, n perfect squares)."""
-        ka, kd = math.isqrt(m), math.isqrt(n)
+        ka, kd = math.isqrt(as_int(m, "m")), math.isqrt(as_int(n, "n"))
         if ka * ka != m or kd * kd != n:
             raise ValueError("product grid sizes must be perfect squares; "
                              "use DirectionGrid(m_az, m_el, n_az, n_el) for other layouts")
@@ -193,7 +194,9 @@ def _observed_side(M: np.ndarray, E: np.ndarray, angles: np.ndarray, label: str,
 
 def build_dictionaries(grid: DirectionGrid, s: ObservationSetup,
                        g_r: ArrayGeometry, g_t: ArrayGeometry) -> Dictionary:
-    """Project the grid's steering vectors through W and X and normalize."""
+    """Project the grid's steering vectors through W and X and normalize; X and W
+    must fit the arrays (see ObservationSetup.check_fits)."""
+    s.check_fits(g_r.n_antennas, g_t.n_antennas)
     K_r, doa_norms, doa_angles = _observed_side(
         s.W, steering_matrix(g_r, grid.doa_units), grid.doa_angles, "DoA", "combiner matrix W")
     K_t, dod_norms, dod_angles = _observed_side(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
-from .geometry import ArrayGeometry, Direction, tangent_basis
+from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
 from .observation import ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale, snr
 
 PARAMS_PER_PATH = 6
@@ -234,23 +234,13 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
 
 
 def optimal_bound(n_paths: int, snr_linear: float) -> float:
-    """Floor 3P/SNR of the relative variance under lossless observation."""
+    """Floor 3P/SNR of the relative variance under lossless observation; an SNR
+    that is not a positive finite number raises ValueError."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if snr_linear <= 0:
-        raise ValueError("SNR must be positive")
+    if not (is_finite_real(snr_linear) and snr_linear > 0):
+        raise ValueError(f"SNR must be a positive finite number, got {snr_linear!r}")
     return 3.0 * n_paths / snr_linear
-
-
-def _check_fits(g_r: ArrayGeometry, g_t: ArrayGeometry, s: ObservationSetup) -> None:
-    """Raise ValueError unless X has one row per transmit antenna and W one per
-    receive antenna: a setup built for the arrays the other way round fits n_r n_t
-    as well and would be read silently wrong."""
-    if s.n_t != g_t.n_antennas or s.n_r != g_r.n_antennas:
-        raise ValueError(f"pilot matrix X is {s.n_t} x {s.n_s} and combiner matrix W is "
-                         f"{s.n_r} x {s.n_c}, but the transmit array has {g_t.n_antennas} "
-                         f"antennas and the receive array {g_r.n_antennas}: X needs one row "
-                         "per transmit antenna and W one per receive antenna")
 
 
 # the (transmit, receive) factors of a path's six columns: 0 = E, 1 = dE_az, 2 = dE_el
@@ -283,7 +273,7 @@ def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometr
     factor norm is taken on its own power of two (see _squared_norms) and the
     two sums on their largest, so no square overflows or underflows at any rho.
     """
-    _check_fits(g_r, g_t, s)
+    s.check_fits(g_r.n_antennas, g_t.n_antennas)
     F_r, F_t, _, rho = _jacobian_factors(ps, g_r, g_t)
     F_r, F_t = np.concatenate(F_r, axis=1), np.concatenate(F_t, axis=1)   # 3P columns each
     w, e = np.frexp(np.stack([np.ones_like(rho)] + [rho] * 5))   # |w_k| = w 2^e, 6 x P
@@ -326,7 +316,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
     depend on the environment's thread count. A setup whose X and W do not
     have one row per transmit and per receive antenna raises ValueError.
     """
-    _check_fits(g_r, g_t, s)
+    s.check_fits(g_r.n_antennas, g_t.n_antennas)
     D = channel_jacobian(ps, g_r, g_t)
     R = fisher_factor(D, s)
     h = synthesize(ps, g_r, g_t).vector

@@ -29,12 +29,16 @@ def _is_real(value) -> bool:
 
 
 def as_real(value, name: str) -> float:
-    """value as a float, if it is an int or float (NaN and infinities pass, for
-    the caller's range check); a bool, a string or None raises ValueError
-    instead of being converted."""
+    """value as a float, if it is an int or float (NaN and infinities pass, and
+    a number beyond float range reads as the infinity of its sign, for the
+    caller's range check); a bool, a string or None raises ValueError instead
+    of being converted."""
     if not _is_real(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def is_finite_real(value) -> bool:
@@ -51,13 +55,28 @@ def is_finite_real(value) -> bool:
 def real_array(obj, name: str) -> np.ndarray:
     """Nested lists (or an array) of real numbers as a float array. Every
     entry is checked, since np.asarray would read True as 1 and "0.5" as 0.5:
-    a bool, a string or any other non-number raises ValueError naming name.
-    NaN and infinities pass, for the caller's finiteness check."""
+    a bool, a string, any other non-number or a number beyond float range
+    raises ValueError naming name. NaN and infinities pass, for the caller's
+    finiteness check."""
     entries = np.asarray(obj, dtype=object)
     bad = [x for x in entries.flat if not _is_real(x)]
     if bad:
         raise ValueError(f"{name} must hold only numbers, got {bad[0]!r}")
-    return entries.astype(float)
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name} holds a number beyond float range") from None
+
+
+def json_fields(obj, keys, name: str) -> list:
+    """The values of keys in the JSON object obj; a non-object or a missing
+    key raises ValueError naming name."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{name} requires {key!r}")
+    return [obj[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -89,7 +108,7 @@ class Direction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Direction":
-        return cls(obj["az"], obj["el"])
+        return cls(*json_fields(obj, ("az", "el"), "direction"))
 
 
 def wrap_azimuth(az):
@@ -187,20 +206,18 @@ class ArrayGeometry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ArrayGeometry":
-        if not isinstance(obj, dict):
-            raise ValueError(f"array spec must be a JSON object, got {obj!r}")
+        json_fields(obj, (), "array spec")   # raises unless obj is a JSON object
         kind = obj.get("type", "custom")
-        try:
-            if kind == "ula":
-                return ula(as_int(obj["n"], "n"), obj.get("spacing", 0.5),
-                           obj.get("axis", "x"))
-            if kind == "upa":
-                return upa(as_int(obj["nx"], "nx"), as_int(obj["ny"], "ny"),
-                           obj.get("spacing", 0.5), obj.get("plane", "yz"))
-            if kind == "custom":
-                return cls.from_positions(obj["positions"])
-        except KeyError as e:
-            raise ValueError(f"{kind} array spec requires {e}") from None
+        spec = f"{kind} array spec"
+        if kind == "ula":
+            (n,) = json_fields(obj, ("n",), spec)
+            return ula(as_int(n, "n"), obj.get("spacing", 0.5), obj.get("axis", "x"))
+        if kind == "upa":
+            nx, ny = json_fields(obj, ("nx", "ny"), spec)
+            return upa(as_int(nx, "nx"), as_int(ny, "ny"), obj.get("spacing", 0.5),
+                       obj.get("plane", "yz"))
+        if kind == "custom":
+            return cls.from_positions(*json_fields(obj, ("positions",), spec))
         raise ValueError(f"unknown array type {kind!r}")
 
 
@@ -230,7 +247,7 @@ def upa(nx: int, ny: int, spacing_wavelengths: float = 0.5,
     spacing_wavelengths = as_real(spacing_wavelengths, "spacing")
     if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
         raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
-    if plane not in _PLANES:
+    if not isinstance(plane, str) or plane not in _PLANES:
         raise ValueError(f"plane must be one of {sorted(_PLANES)}")
     off_x = (np.arange(1, nx + 1) - (nx + 1) / 2.0) * spacing_wavelengths
     off_y = (np.arange(1, ny + 1) - (ny + 1) / 2.0) * spacing_wavelengths

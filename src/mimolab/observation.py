@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PathSet, steering_derivatives
-from .geometry import ArrayGeometry, is_finite_real, real_array
+from .geometry import ArrayGeometry, as_int, is_finite_real, real_array
 
 ORTHO_PILOT_TOL = 1e-10
 ATOM_NORM_TOL = 1e-12   # an observed norm at most this times its bound is rounding noise
@@ -47,15 +47,18 @@ class ObservationSetup:
     Q_w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.X = np.array(self.X, dtype=complex)
-        self.W = np.array(self.W, dtype=complex)
-        if self.X.ndim != 2 or self.W.ndim != 2:
-            raise ValueError("X and W must be matrices")
-        for name, M in (("pilot matrix X", self.X), ("combiner matrix W", self.W)):
+        for attr, name in (("X", "pilot matrix X"), ("W", "combiner matrix W")):
+            try:
+                M = np.array(getattr(self, attr), dtype=complex)
+            except (OverflowError, TypeError) as e:   # 10**400, a dict
+                raise ValueError(f"{name} must hold numbers within float range: {e}") from None
+            if M.ndim != 2:
+                raise ValueError(f"{name} must be a matrix")
             if M.shape[1] == 0:
                 raise ValueError(f"{name} has no columns")
             if not np.isfinite(M).all():
                 raise ValueError(f"{name} has a NaN or inf entry")
+            setattr(self, attr, M)
         if not (is_finite_real(self.sigma2) and self.sigma2 >= 0):
             raise ValueError("sigma2 must be a non-negative number, not NaN or inf, "
                              f"got {self.sigma2!r}")
@@ -66,6 +69,15 @@ class ObservationSetup:
             raise ValueError("X must carry nonzero transmit power")
         for M in (self.X, self.W, self.Q_w):
             M.setflags(write=False)
+
+    def check_fits(self, n_r: int, n_t: int) -> None:
+        """Raise ValueError unless X has a row per transmit antenna (n_t) and W one
+        per receive antenna (n_r); X and W swapped would fit n_r n_t too."""
+        for name, rows, side, n in (("pilot matrix X", self.n_t, "transmit", n_t),
+                                    ("combiner matrix W", self.n_r, "receive", n_r)):
+            if rows != n:
+                raise ValueError(f"{name} has {rows} rows, but the {side} array has "
+                                 f"{n} antennas")
 
     @property
     def n_t(self) -> int:
@@ -149,6 +161,7 @@ def orthogonal_pilots(n_t: int, n_s: int, alpha: float = 1.0,
     X^H X = alpha^2 * Id. n_s may not exceed n_t (orthogonality would be
     impossible).
     """
+    n_s = as_int(n_s, "n_s")
     if n_s > n_t:
         raise ValueError(f"cannot fit {n_s} orthogonal pilots in dimension {n_t}")
     if n_s < 1 or not (is_finite_real(alpha) and alpha > 0):
@@ -168,11 +181,10 @@ def observe(H, s: ObservationSetup, seed) -> np.ndarray:
     H is the ChannelMatrix that synthesize returns. The noise matrix has
     i.i.d. complex Gaussian entries of variance sigma2 (independent
     real/imaginary parts of variance sigma2/2 each, all zero at sigma2 = 0),
-    drawn from np.random.default_rng(seed), so a seed reproduces its draw.
+    drawn from np.random.default_rng(seed), so a seed reproduces its draw. H
+    must be n_r x n_t for the setup's X and W (see ObservationSetup.check_fits).
     """
-    if H.matrix.shape != (s.n_r, s.n_t):
-        raise ValueError(f"channel shape {H.matrix.shape} does not match setup "
-                         f"({s.n_r}, {s.n_t})")
+    s.check_fits(*H.matrix.shape)
     Wh = s.W.conj().T
     rng = np.random.default_rng(seed)
     scale = math.sqrt(s.sigma2 / 2.0)

@@ -17,6 +17,8 @@ from mimolab.channel import steering_derivatives
 from mimolab.cli import _build_arrays, _build_paths, main
 from mimolab.geometry import Direction, upa
 
+from test_cli_fuzz import README_CRB
+
 
 def write_config(tmp_path, obj, name="cfg.json"):
     path = tmp_path / name
@@ -442,6 +444,44 @@ def test_estimate_unknown_strategy_exits_2_before_any_synthesis(tmp_path, capsys
     assert main(["estimate", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "config error: unknown strategy 'greedy'\n"
+
+
+def test_a_bug_inside_the_library_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
+    # a TypeError raised inside generate_paths exited 2 as "config error:
+    # invalid path generator: ..."
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a config error")
+
+    monkeypatch.setattr(cli, "generate_paths", broken)
+    obj = dict(crb_config(), paths={"generator": {"n_clusters": 2}, "seed": 1})
+    with pytest.raises(TypeError, match="a bug"):
+        main(["crb", "--config", write_config(tmp_path, obj)])
+
+
+def _explicit_identity(n):
+    return [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("path, quantity", [
+    (("paths", 0, "rho"), "path gain magnitude"),
+    (("paths", 0, "phi"), "path phase"),
+    (("paths", 0, "doa", "az"), "azimuth"),
+    (("arrays", "tx", "spacing"), "spacing"),
+    (("observation", "X", 3, 5, 0), "pilot matrix X"),
+])
+def test_an_integer_beyond_float_range_exits_2_naming_the_quantity(tmp_path, capsys, path,
+                                                                     quantity):
+    # each read only "int too large to convert to float"
+    obj = json.loads(json.dumps(README_CRB))
+    obj["observation"].update(pilots="explicit", X=_explicit_identity(16))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = 10 ** 400
+    assert main(["crb", "--config", write_config(tmp_path, obj)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and quantity in err
+    assert "too large" not in err
 
 
 @pytest.mark.parametrize("command", ["crb", "estimate", "bench"])

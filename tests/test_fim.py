@@ -578,10 +578,17 @@ def test_crb_report_is_scale_free_in_the_noise_level(sigma2):
 def test_a_setup_that_does_not_fit_the_arrays_raises(X, W):
     ps, g_r, g_t = PathSet([two_paths()[0]]), upa(2, 2), upa(2, 3)
     s = ObservationSetup(X, W, 1.0)
-    shapes = f"X is {X.shape[0]} x {X.shape[1]} and combiner matrix W is {W.shape[0]} x {W.shape[1]}"
+    rows = f"pilot matrix X has {X.shape[0]} rows, but the transmit array has 6 antennas"
     for call in (crb_report, check_optimal_observation):
-        with pytest.raises(ValueError, match=shapes):
+        with pytest.raises(ValueError, match=rows):
             call(ps, g_r, g_t, s)
+
+
+@pytest.mark.parametrize("snr_linear", [math.nan, math.inf, "x", None, True, 0.0, -1.0])
+def test_optimal_bound_rejects_an_snr_that_is_not_a_positive_finite_number(snr_linear):
+    # NaN returned NaN, and a string raised TypeError
+    with pytest.raises(ValueError, match="SNR must be a positive finite number"):
+        optimal_bound(1, snr_linear)
 
 
 def test_fisher_factor_rejects_a_jacobian_of_the_wrong_length():
