@@ -38,10 +38,14 @@ def _cell_centres(n_az: int, n_el: int) -> tuple[np.ndarray, np.ndarray]:
     n_az, n_el = as_int(n_az, "grid dimension"), as_int(n_el, "grid dimension")
     if n_az < 1 or n_el < 1:
         raise ValueError("grid dimensions must be positive")
-    azs = -HALF_PI + (np.arange(n_az) + 0.5) * math.pi / n_az
-    els = -HALF_PI + (np.arange(n_el) + 0.5) * math.pi / n_el
-    angles = np.stack([np.repeat(azs, n_el), np.tile(els, n_az)])
-    units = unit_vectors_from_angles(wrap_azimuth(angles[0]), angles[1])
+    try:
+        azs = -HALF_PI + (np.arange(n_az) + 0.5) * math.pi / n_az
+        els = -HALF_PI + (np.arange(n_el) + 0.5) * math.pi / n_el
+        angles = np.stack([np.repeat(azs, n_el), np.tile(els, n_az)])
+        units = unit_vectors_from_angles(wrap_azimuth(angles[0]), angles[1])
+    except (MemoryError, ValueError):   # ValueError: a size beyond numpy's largest array
+        raise ValueError(f"a {n_az} x {n_el} grid of directions is too large to "
+                         "allocate") from None
     angles.setflags(write=False)
     units.setflags(write=False)
     return angles, units
@@ -90,8 +94,12 @@ class DirectionGrid:
 
     @classmethod
     def product(cls, m: int, n: int) -> "DirectionGrid":
-        """Square layouts of m DoAs and n DoDs (m, n perfect squares)."""
-        ka, kd = math.isqrt(as_int(m, "m")), math.isqrt(as_int(n, "n"))
+        """Square layouts of m DoAs and n DoDs (m, n positive perfect squares)."""
+        m, n = as_int(m, "m"), as_int(n, "n")
+        for name, k in (("m", m), ("n", n)):
+            if k < 1:
+                raise ValueError(f"{name} must be positive, got {k}")
+        ka, kd = math.isqrt(m), math.isqrt(n)
         if ka * ka != m or kd * kd != n:
             raise ValueError("product grid sizes must be perfect squares; "
                              "use DirectionGrid(m_az, m_el, n_az, n_el) for other layouts")
@@ -107,7 +115,10 @@ class Dictionary:
     elevation; likewise K_t, dod_norms and dod_angles for X^H e_t(dod_j).
     Grid directions annihilated by W or X are dropped. K_r_H, the
     C-contiguous conjugate transpose of K_r, is built once here for the
-    selectors.
+    selectors, and so are K_r_H32 and K_t32, K_r_H and K_t rounded entry by
+    entry to C-contiguous complex64 for the selectors' screens (see
+    joint_select and sequential_select): a row or column of a copy is bit for
+    bit the rounded row or column of the atoms.
 
     The constructor enforces what the selectors' proofs and the gain fit
     assume, raising ValueError that names the field: K_r and K_t are 2-D
@@ -116,7 +127,8 @@ class Dictionary:
     5 d u of 1, which a normalized column meets), doa_norms / dod_norms
     hold one finite norm per column above ATOM_NORM_TOL times their
     largest, and doa_angles / dod_angles are 2 x columns. Every array is
-    then read-only; the atoms are not copied.
+    then read-only, so the copies cannot go stale; the atoms themselves are
+    not copied.
     """
 
     K_r: np.ndarray
@@ -126,6 +138,8 @@ class Dictionary:
     doa_angles: np.ndarray
     dod_angles: np.ndarray
     K_r_H: np.ndarray = field(init=False, repr=False)
+    K_r_H32: np.ndarray = field(init=False, repr=False)
+    K_t32: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for atoms, norms, angles in (("K_r", "doa_norms", "doa_angles"),
@@ -146,8 +160,10 @@ class Dictionary:
             if av.shape != (2, k):
                 raise ValueError(f"{angles} must be a 2 x {k} array, got shape {av.shape}")
         object.__setattr__(self, "K_r_H", np.conjugate(self.K_r.T, order="C"))
-        for name in ("K_r", "K_t", "K_r_H", "doa_norms", "dod_norms", "doa_angles",
-                     "dod_angles"):
+        object.__setattr__(self, "K_r_H32", self.K_r_H.astype(np.complex64))
+        object.__setattr__(self, "K_t32", self.K_t.astype(np.complex64, order="C"))
+        for name in ("K_r", "K_t", "K_r_H", "K_r_H32", "K_t32", "doa_norms", "dod_norms",
+                     "doa_angles", "dod_angles"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -229,11 +245,13 @@ def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     With Y^H = Q S (Q with orthonormal columns, S min(n_c, n_s) x n_c),
     Y = S^H Q^H and so ||k^H Y|| = ||k^H S^H||: the sums of squares run over
-    the real view of K_H S^H, of min(n_c, n_s) columns instead of n_s.
+    the real view of K_H S^H, of min(n_c, n_s) columns instead of n_s. The
+    QR is complex128; the product and the sums of squares are in K_H's
+    precision, complex128 or complex64.
     """
     S = np.linalg.qr(Y.conj().T, mode="r")
-    T = K_H @ S.conj().T
-    v = T.view(np.float64)
+    T = K_H @ S.conj().T.astype(K_H.dtype, copy=False)
+    v = T.view(T.real.dtype)
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
@@ -280,6 +298,21 @@ def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tupl
     return best_i, best_j
 
 
+def _survivors(screened: np.ndarray, r: int, norm: float, margin: float = 0.0) -> np.ndarray:
+    """Increasing indices of the screened values within 2 (delta + margin) of the largest.
+
+    The values were screened in complex64 from inner products of length r
+    between unit atoms and a factor whose largest row or column norm is
+    norm, and delta = c (r + 4) (u N + t (1 + N)) + 2 u top, with N = norm
+    and top the largest value, bounds each one's distance from its exact
+    value (see joint_select and sequential_select). The threshold is
+    compared in float64, so rounding it to float32 cannot drop a value.
+    """
+    top = float(screened.max())
+    delta = _SCREEN_SAFETY * (r + 4) * (_U32 * norm + _TINY32 * (1.0 + norm)) + 2.0 * _U32 * top
+    return np.flatnonzero(screened >= np.float64(top - 2.0 * (delta + margin)))
+
+
 def _screen_range(left32: np.ndarray, right32: np.ndarray, row_max: np.ndarray,
                   C: np.ndarray, A: np.ndarray, starts: range) -> None:
     """Write max_j |C_ij| of the rows of the blocks at `starts` into row_max.
@@ -301,8 +334,9 @@ def _screened_rows(left: np.ndarray, right: np.ndarray, norm: float,
 
     One factor holds unit atoms and the other, whose largest row or column
     norm is norm, is formed from _scaled's Ys; both are screened in
-    complex64 as they are, and a row survives when its screened maximum is
-    within 2 delta of the largest (see joint_select).
+    complex64 as they are (a complex64 factor is used without a copy), and a
+    row survives when its screened maximum is within 2 delta of the largest
+    (see _survivors and joint_select).
 
     The _SCORE_BLOCK_ROWS-row blocks are split into contiguous ranges, one
     for the calling thread and one for each of pool's helpers, at most one
@@ -311,7 +345,8 @@ def _screened_rows(left: np.ndarray, right: np.ndarray, norm: float,
     """
     m, r = left.shape
     n = right.shape[1]
-    left32, right32 = left.astype(np.complex64), right.astype(np.complex64)
+    left32 = left.astype(np.complex64, copy=False)
+    right32 = right.astype(np.complex64, copy=False)
     block = min(_SCORE_BLOCK_ROWS, m)
     starts = range(0, m, block)
     parts = min(1 + (pool.count if pool is not None else 0), len(starts))
@@ -323,9 +358,7 @@ def _screened_rows(left: np.ndarray, right: np.ndarray, norm: float,
              starts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     row_max = np.empty(m, dtype=np.float32)
     shared_map(lambda job: _screen_range(left32, right32, row_max, *job), jobs, pool)
-    top = float(row_max.max())
-    delta = _SCREEN_SAFETY * (r + 4) * (_U32 * norm + _TINY32 * (1.0 + norm)) + 2.0 * _U32 * top
-    return np.flatnonzero(row_max >= np.float64(top - 2.0 * delta))
+    return _survivors(row_max, r, norm)
 
 
 def joint_select(Y: np.ndarray, dictionary: Dictionary,
@@ -368,7 +401,9 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     Screen. One factor holds unit atoms and the other is formed from Ys
     (entries below 1 in modulus), so no complex64 value can overflow: the
     kept rows of left and columns of right are rounded to complex64 (unit
-    roundoff u = 2^-24) as they are, every kept |C_ij| is computed in
+    roundoff u = 2^-24) as they are, the atoms' side read off the
+    dictionary's complex64 copy (K_r_H32 or K_t32, rounded entry by entry,
+    so the same values), every kept |C_ij| is computed in
     complex64, and each kept row keeps its largest value. A screened value
     s_ij differs from the scaled |C_ij| by at most
 
@@ -413,9 +448,11 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     left, right = (K_r_H, Ys @ K_t) if contract_combiners else (K_r_H @ Ys, K_t)
     if contract_combiners:
         rows, cols, norm = _candidates(K_r_H, Ys, right, margin)
+        left32, right32 = dictionary.K_r_H32[rows], right[:, cols]
     else:
         cols, rows, norm = _candidates(K_t.T, Ys.T, left.T, margin)
-    rows = rows[_screened_rows(left[rows], right[:, cols], norm, pool)]
+        left32, right32 = left[rows], dictionary.K_t32[:, cols]
+    rows = rows[_screened_rows(left32, right32, norm, pool)]
     i, j = _best_in_rows(left, right, rows)
     return Selection(i, j, dictionary.m * dictionary.n)
 
@@ -431,27 +468,84 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     selects the same index as the raw steering vector whenever combining is
     lossless.
 
-    Both stages read Ys = Y / 2^e (see _scaled). Stage 1 screens, then
-    rescores. The marginal norms come from the triangular factor of Ys^H
-    (see _marginal_norms), in m n_c min(n_c, n_s) multiply-adds instead of
-    the m n_c n_s of K_r^H Ys, and each lies within joint_select's margin of
-    ||k_r_i^H Ys||. The DoAs whose norm is within twice the margin of the
-    largest, usually one, hold every maximum; their rows of T = K_r^H Ys are
-    formed, and their energies are the sums of squares over the real view
-    of those rows, as if T were formed whole. Stage 2 scores the picked row
-    of T against K_t with _best_in_rows, as joint_select does. A Y that
-    holds NaN or inf raises ValueError (see _scaled). pool is accepted for a
-    common selector signature and not used.
+    Both stages read Ys = Y / 2^e (see _scaled), screen every candidate in
+    complex64 against the dictionary's complex64 copies and rescore the
+    survivors exactly in complex128; the survivors hold every maximizer, so
+    the picks are brute force's, first-index ties included. u = 2^-24 is
+    float32's unit roundoff, t = _TINY32 = 2^-122 and c = _SCREEN_SAFETY =
+    4, as in joint_select's screen, and each stage keeps the candidates
+    within 2 (delta + margin) of its largest screened value (see
+    _survivors).
+
+    Stage 1 screen. The marginal norms come from the triangular factor S of
+    Ys^H (see _marginal_norms): ||k_r_i^H Ys|| = ||k_r_i^H S^H||, in m n_c q
+    multiply-adds, q = min(n_c, n_s), instead of the m n_c n_s of K_r^H Ys.
+    The QR is complex128, and with the complex128 rounding of the rescore
+    below it moves a norm by less than joint_select's margin. The product
+    K_r_H32 @ S^H and its sums of squares are complex64, and a screened
+    norm lies within
+
+        delta_1 = c (r + 4) (u N + t (1 + N)) + 2 u top
+
+    of the exact ||k_r_i^H S^H||, where r = n_c is the inner dimension, N =
+    ||Ys||_F (||S||_F to within complex128 rounding) and top is the largest
+    screened norm. With a = k_r_i^H (norm 1 within 5 d u_64, see
+    Dictionary) and b_j column j of S^H:
+    - entry j of the product is off by at most ((2u + u^2) + sqrt(2)
+      gamma_{r+2}) sum_k |a_k| |b_kj| <= sqrt(2) (r + 4) u ||a|| ||b_j||, the
+      terms of joint_select's screen, so the computed row is within
+      sqrt(2) (r + 4) u N of the exact one;
+    - its float32 sum of 2q squares and square root add at most (q + 1) u
+      times its norm, below (r + 1) u N up to second-order terms;
+    - flushing values below 2^-126 to zero moves the row by at most
+      2^-126 (sqrt(2 r) N + sqrt(2) r + sqrt(q) (8 r + 1)) through the
+      factors' entries and the products, and a flushed square loses at
+      most 2^-126 of a sum of 2q squares, so a norm at most 2 sqrt(q) 2^-63;
+    - c (r + 4) u N exceeds the sum of the first two by (1.5 r + 9) u N,
+      which covers the second-order terms and the flushing: a nonzero Ys
+      has an entry of modulus at least 1/2 (see exact_scale), so N >= 1/2.
+      A zero Ys screens every norm as 0, and the t (1 + N) term keeps
+      them all.
+    A DoA whose rescored energy is largest has an exact norm within 2
+    margin of the largest exact norm e, so its screened norm is at least
+    e - 2 margin - delta_1, while top <= e + delta_1: every maximizer
+    survives the threshold top - 2 (delta_1 + margin).
+
+    Stage 1 rescore. The rows of T = K_r^H Ys of the surviving DoAs are
+    formed in complex128, and their energies are the sums of squares over
+    the real view of those rows, as if T were formed whole; the first
+    largest, in increasing DoA order, is the pick. At paper scale at most a
+    few DoAs survive.
+
+    Stage 2. The picked row x of T is rounded to complex64 and screened as
+    |x K_t32|, joint_select's screen with one row: inner products of length
+    r = n_s between unit atoms and x, whose norm N = ||x|| is the square
+    root of the row's energy. Every screened score is within delta_2 =
+    c (r + 4) (u N + t (1 + N)) + 2 u top of |x k_t_j|, by joint_select's
+    derivation (factor rounding, sqrt(2) gamma_{r+2}, the float32
+    modulus's 2 u |z| with |z| <= top (1 + 3u), the atoms' norms and
+    flushing), so every maximizer is within 2 delta_2 of the top. The
+    surviving DoDs are scored exactly by _best_in_rows on those columns of
+    K_t, whose first maximum is the pick.
+
+    A zero Y keeps every candidate in both stages (every screened value is
+    0 and delta > 0), so the pick is (0, 0). score_evaluations counts the
+    m + n candidate scores, the paper's cost model. A Y that holds NaN or
+    inf raises ValueError (see _scaled). pool is accepted for a common
+    selector signature and not used.
     """
-    K_r_H = dictionary.K_r_H
     Ys, margin = _scaled(Y)
-    norms = _marginal_norms(K_r_H, Ys)
-    rows = np.flatnonzero(norms >= norms.max() - 2.0 * margin)
-    T = K_r_H[rows] @ Ys
+    n_c, n_s = Ys.shape
+    rows = _survivors(_marginal_norms(dictionary.K_r_H32, Ys), n_c,
+                      float(np.linalg.norm(Ys)), margin)
+    T = dictionary.K_r_H[rows] @ Ys
     v = T.view(np.float64)
-    k = int(np.argmax(np.einsum("ij,ij->i", v, v)))
-    _, j_hat = _best_in_rows(T, dictionary.K_t, np.array([k]))
-    return Selection(int(rows[k]), j_hat, dictionary.m + dictionary.n)
+    energies = np.einsum("ij,ij->i", v, v)
+    k = int(np.argmax(energies))
+    cols = _survivors(np.abs(T[k].astype(np.complex64) @ dictionary.K_t32), n_s,
+                      math.sqrt(energies[k]))
+    _, j = _best_in_rows(T, dictionary.K_t[:, cols], np.array([k]))
+    return Selection(int(rows[k]), int(cols[j]), dictionary.m + dictionary.n)
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,25 @@ def test_estimate_non_finite_observation_exit_2(tmp_path, capsys):
     assert not (tmp_path / "est.json").exists()
 
 
+TOO_LARGE = "a 1000000000000000 x 1000000000000000 grid of directions is too large to allocate"
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("estimate", {"grid": {"m": -4, "n": 4}}, "invalid grid: m must be positive, got -4"),
+    ("estimate", {"grid": {"m": 100, "n": 0}}, "invalid grid: n must be positive, got 0"),
+    ("estimate", {"grid": {"m": 10 ** 30, "n": 100}}, "invalid grid: " + TOO_LARGE),
+    ("bench", {"m": 10 ** 30, "trials": 1, "P_budgets": [1]}, TOO_LARGE),
+])
+def test_grid_sizes_exit_2_naming_the_quantity(tmp_path, capsys, command, change, message):
+    # a negative size read "isqrt() argument must be nonnegative", and 10^30
+    # DoAs ended in numpy's MemoryError traceback
+    obj = dict({"estimate": estimate_config, "bench": bench_config}[command](), **change)
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, obj), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run.json").exists()
+
+
 def bench_config():
     return {"n_t": 16, "n_r": 4, "m": 100, "n": 100, "n_clusters": 3,
             "paths_per_cluster": 2, "P_budgets": [1, 2], "trials": 2,

@@ -6,7 +6,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import orth
 
@@ -238,6 +238,24 @@ def test_dictionary_arrays_are_read_only():
         array = getattr(d, name)
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
+
+
+def test_dictionary_complex64_copies_are_read_only_roundings(rng):
+    # the selectors' screens read K_r_H32 and K_t32 instead of rounding the
+    # atoms on every call; a write to either would leave the screens stale
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    W = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    for s in (identity_setup(6, 4, 1.0), ObservationSetup(np.eye(6)[:, :5], W, 1.0)):
+        d = build_dictionaries(small_grid(5), s, g_r, g_t)
+        for copy, atoms in ((d.K_r_H32, d.K_r_H), (d.K_t32, d.K_t)):
+            assert copy.dtype == np.complex64 and copy.flags.c_contiguous
+            assert np.array_equal(copy, atoms.astype(np.complex64))
+            with pytest.raises(ValueError, match="read-only"):
+                copy[0, 0] = 0
+    # atoms given as a Fortran-ordered view are copied C-contiguous too
+    d = atom_dictionary(np.eye(3, dtype=complex), np.asfortranarray(np.eye(4, dtype=complex)),
+                        small_grid(2))
+    assert d.K_t32.flags.c_contiguous and np.array_equal(d.K_t32, np.eye(4))
 
 
 def test_joint_select_finds_on_grid_path():
@@ -681,6 +699,123 @@ def test_sequential_select_matches_the_whole_product(rng, n_c, n_s):
         assert (sel.doa_index, sel.dod_index) == whole_product_sequential(Y, d)
     sel = sequential_select(np.zeros((n_c, n_s), dtype=complex), d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
+
+
+@cache
+def identity_dictionary():
+    """300 DoAs and 30 DoDs under identity observation: 4 receive and 6 transmit antennas."""
+    grid = DirectionGrid(20, 15, 6, 5)
+    return build_dictionaries(grid, identity_setup(6, 4, 1.0), upa(2, 2), upa(2, 3))
+
+
+def sequential_oracle(Y, d):
+    """Brute-force stage maxima in complex128 as (DoA, DoD, energies, row scores):
+    every score is a sum of re^2 + im^2, exact for small integers, and np.argmax
+    takes the first of equal scores."""
+    T = d.K_r_H @ Y
+    energies = (T.real ** 2 + T.imag ** 2).sum(axis=1)
+    i_hat = int(np.argmax(energies))
+    z = T[i_hat] @ d.K_t
+    row = z.real ** 2 + z.imag ** 2
+    return i_hat, int(np.argmax(row)), energies, row
+
+
+def near_copy(K, col, rng):
+    """Column col of K moved by 2^-36 in a random direction, at unit norm: its
+    scores differ from col's far below float32's resolution of about 2^-24."""
+    w = rng.normal(size=K.shape[0]) + 1j * rng.normal(size=K.shape[0])
+    a = K[:, col] + 2.0 ** -36 * w / np.linalg.norm(w)
+    return a / np.linalg.norm(a)
+
+
+def plant_near_ties(Y, d, rng):
+    """d with another DoA made a near copy of brute force's stage-1 pick and
+    then another DoD a near copy of its stage-2 pick, at random positions."""
+    grid = DirectionGrid(20, 15, 6, 5)
+    K_r, K_t = d.K_r.copy(), d.K_t.copy()
+    i_hat = sequential_oracle(Y, d)[0]
+    K_r[:, (i_hat + 1 + rng.integers(d.m - 1)) % d.m] = near_copy(K_r, i_hat, rng)
+    j_hat = sequential_oracle(Y, atom_dictionary(K_r.copy(), K_t.copy(), grid))[1]
+    K_t[:, (j_hat + 1 + rng.integers(d.n - 1)) % d.n] = near_copy(K_t, j_hat, rng)
+    return atom_dictionary(K_r, K_t, grid)
+
+
+def sequential_case(dictionary, kind, seed):
+    """(Y, d) for the screened-sequential tests: a random, rank-one or zero Y on
+    an identity or observed dictionary, random integers on basis atoms (exact
+    ties), or a random Y on a dictionary with near ties planted in both stages."""
+    rng = np.random.default_rng(seed)
+    d = identity_dictionary() if dictionary == "identity" else hybrid_dictionary(*dictionary)
+    n_c, n_s = d.K_r.shape[0], d.K_t.shape[0]
+    if kind == "ties":
+        d = basis_dictionary(n_c, n_s, seed % 4)
+        return rng.integers(-2, 3, size=(n_c, n_s)) + 1j * rng.integers(-2, 3, size=(n_c, n_s)), d
+    if kind == "zero":
+        return np.zeros((n_c, n_s), dtype=complex), d
+    if kind == "rank1":
+        i, j = rng.integers(0, d.m), rng.integers(0, d.n)
+        return (rng.normal() + 1j * rng.normal()) * np.outer(d.K_r[:, i], d.K_t[:, j].conj()), d
+    Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+    return Y, (plant_near_ties(Y, d, rng) if kind == "near_tie" else d)
+
+
+# 2^+-531, about 1e+-160: powers of two scale every score exactly, so exact
+# ties stay exact, and the unscaled squares overflow or underflow float64
+EXACT_SCALES = [1.0, 2.0 ** 531, 2.0 ** -531]
+
+
+def runner_up_gap(scores):
+    """How far the largest score stands above the next, relative to it."""
+    top, second = sorted(scores)[-2:][::-1]
+    return (top - second) / top
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dictionary=st.sampled_from(["identity", (3, 6), (6, 3)]),
+       kind=st.sampled_from(["random", "rank1", "near_tie", "ties", "zero"]),
+       scale=st.sampled_from(EXACT_SCALES),
+       seed=st.integers(0, 2 ** 16))
+def test_screened_sequential_select_matches_bruteforce(dictionary, kind, scale, seed):
+    # the oracle reads the unscaled Y in complex128; outside exact ties the
+    # runner-up must trail by more than complex128 rounding can move it, and
+    # a planted near tie trails by far less than float32 can resolve
+    Y, d = sequential_case(dictionary, kind, seed)
+    i_hat, j_hat, energies, row = sequential_oracle(Y, d)
+    if kind not in ("ties", "zero"):
+        assume(runner_up_gap(energies) > 2.0 ** -44 and runner_up_gap(row) > 2.0 ** -44)
+    if kind == "near_tie":
+        assert runner_up_gap(energies) < 2.0 ** -30 and runner_up_gap(row) < 2.0 ** -30
+    sel = sequential_select(scale * Y, d)
+    assert (sel.doa_index, sel.dod_index) == (i_hat, j_hat)
+    assert sel.score_evaluations == d.m + d.n
+
+
+@pytest.mark.parametrize("dictionary", ["identity", (3, 6), (6, 3)])
+@pytest.mark.parametrize("kind", ["random", "near_tie", "ties"])
+@pytest.mark.parametrize("scale", EXACT_SCALES)
+def test_sequential_screens_keep_every_maximizer(monkeypatch, dictionary, kind, scale):
+    # every DoA of largest energy survives the stage-1 screen, and every DoD
+    # of largest score for the picked DoA the stage-2 screen; a planted near
+    # tie survives beside its original, and the screens do prune
+    screens = []
+    survivors = estimation._survivors
+    monkeypatch.setattr(estimation, "_survivors",
+                        lambda *args: screens.append(survivors(*args)) or screens[-1])
+    for seed in range(5):
+        Y, d = sequential_case(dictionary, kind, seed)
+        i_hat, j_hat, energies, row = sequential_oracle(Y, d)
+        doas, dods = np.flatnonzero(energies == energies.max()), np.flatnonzero(row == row.max())
+        if kind == "ties":   # a basis atom repeats, so its ties are exact
+            assert len(doas) > 1 and len(dods) > 1
+        screens.clear()
+        sel = sequential_select(scale * Y, d)
+        assert (sel.doa_index, sel.dod_index) == (i_hat, j_hat)
+        assert len(screens) == 2
+        assert set(doas) <= set(screens[0]) and set(dods) <= set(screens[1])
+        if kind == "near_tie":
+            assert len(screens[0]) >= 2 and len(screens[1]) >= 2
+        if kind != "ties":
+            assert len(screens[0]) < d.m // 10 and len(screens[1]) < d.n // 2
 
 
 def test_matching_pursuit_exact_recovery():

@@ -3,8 +3,11 @@
 Each row once ended in another exception or in numpy's message: an integer
 beyond float range raised OverflowError, a missing key or a non-object
 raised KeyError or TypeError, an unhashable plane or a non-integer grid size
-raised TypeError, and a pilot or combiner matrix that does not fit its array
-reached build_dictionaries' matmul.
+raised TypeError, a pilot or combiner matrix that does not fit its array
+reached build_dictionaries' matmul, a negative product grid size read only
+math.isqrt's "argument must be nonnegative", and a grid too large to
+allocate ended in numpy's MemoryError (10^15 cells, petabytes) or its
+"Maximum allowed size exceeded" (10^20); both fail before any allocation.
 """
 
 import numpy as np
@@ -48,6 +51,13 @@ def dictionaries(X, W):
     (lambda: upa(2, 2, plane=[]), "plane must be one of"),
     (lambda: DirectionGrid("a", 1, 1, 1), "grid dimension must be an integer"),
     (lambda: hemisphere_directions(2.5, 2), "grid dimension must be an integer"),
+    (lambda: DirectionGrid.product(-4, 4), "^m must be positive, got -4$"),
+    (lambda: DirectionGrid.product(4, 0), "^n must be positive, got 0$"),
+    (lambda: DirectionGrid(10 ** 15, 10 ** 15, 2, 2),
+     "^a 1000000000000000 x 1000000000000000 grid of directions is too large to allocate$"),
+    (lambda: DirectionGrid(2, 2, 3, 10 ** 20), "^a 3 x 100000000000000000000 grid of directions"),
+    (lambda: DirectionGrid.product(4, 10 ** 30), "^a 1000000000000000 x 1000000000000000 grid"),
+    (lambda: hemisphere_directions(10 ** 15, 1), "^a 1000000000000000 x 1 grid of directions"),
     (lambda: dictionaries(np.eye(4), np.eye(6)),
      "pilot matrix X has 4 rows, but the transmit array has 6 antennas"),
     (lambda: dictionaries(np.eye(5), np.eye(4)),
