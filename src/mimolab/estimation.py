@@ -21,7 +21,7 @@ import numpy as np
 from .channel import PathParams, PathSet, steering_matrix, synthesize
 from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int,
                        unit_vectors_from_angles, wrap_azimuth)
-from .observation import ATOM_NORM_TOL, ObservationSetup, exact_scale, frobenius_norm
+from .observation import ATOM_NORM_TOL, ObservationSetup, exact_scale, frobenius_norm, overflows
 from .workers import Helpers, shared_map
 
 _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
@@ -229,15 +229,16 @@ class Selection:
     score_evaluations: int
 
 
-def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float]:
-    """exact_scale's Ys = Y / 2^e and the margin of marginals read from Ys (see
-    joint_select): Ys = Y and margin 0 for a zero Y. A Y that holds NaN or inf
-    raises ValueError."""
+def _scaled(Y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """exact_scale's Ys = Y / 2^e, ||Ys||_F and the margin of marginals read from Ys
+    (see joint_select): Ys = Y, norm and margin 0 for a zero Y. A Y that holds NaN
+    or inf raises ValueError."""
     if not np.isfinite(Y).all():
         raise ValueError("observation Y holds NaN or inf entries")
     Ys, _ = exact_scale(Y)
     n_c, n_s = Y.shape
-    return Ys, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * float(np.linalg.norm(Ys))
+    norm = float(np.linalg.norm(Ys))
+    return Ys, norm, _PRUNE_SAFETY * (n_c + 1) * (n_s + 1) * _U64 * norm
 
 
 def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -443,7 +444,7 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     and its helpers (see _screened_rows); the pick does not depend on it.
     """
     K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
-    Ys, margin = _scaled(Y)
+    Ys, _, margin = _scaled(Y)
     contract_combiners = K_r_H.shape[1] <= K_t.shape[0]
     left, right = (K_r_H, Ys @ K_t) if contract_combiners else (K_r_H @ Ys, K_t)
     if contract_combiners:
@@ -534,10 +535,9 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     inf raises ValueError (see _scaled). pool is accepted for a common
     selector signature and not used.
     """
-    Ys, margin = _scaled(Y)
+    Ys, norm, margin = _scaled(Y)
     n_c, n_s = Ys.shape
-    rows = _survivors(_marginal_norms(dictionary.K_r_H32, Ys), n_c,
-                      float(np.linalg.norm(Ys)), margin)
+    rows = _survivors(_marginal_norms(dictionary.K_r_H32, Ys), n_c, norm, margin)
     T = dictionary.K_r_H[rows] @ Ys
     v = T.view(np.float64)
     energies = np.einsum("ij,ij->i", v, v)
@@ -594,7 +594,7 @@ class EstimationReport:
         R as it was, so every later iteration repeats its pick and fits zero too.
         rmse is read off (H - H_hat) / 2^e and H / 2^e' (see exact_scale), so it is
         the unscaled value wherever that is finite, and raises ValueError where that
-        overflows."""
+        overflows (see overflows)."""
         P = as_int(P, "budget P")
         if not 1 <= P <= self.P:
             raise ValueError(f"budget P must lie in [1, {self.P}], got {P}")
@@ -602,14 +602,12 @@ class EstimationReport:
         H = true_channel.matrix
         H_hat = synthesize(PathSet(paths), g_r, g_t).matrix if paths else 0.0
         (a, e_a), (b, e_b) = exact_scale(H - H_hat), exact_scale(H)
-        try:
-            rmse = math.ldexp(float(np.linalg.norm(a) ** 2 / np.linalg.norm(b) ** 2),
-                              2 * ((e_a or 0) - (e_b or 0)))
-        except OverflowError:
+        ratio, e = float(np.linalg.norm(a) ** 2 / np.linalg.norm(b) ** 2), 2 * (e_a - e_b)
+        if overflows(ratio, e):
             raise ValueError("rmse exceeds the largest float: the estimate lies too far "
-                             "from the channel, as at a sigma2 far above the signal") from None
+                             "from the channel, as at a sigma2 far above the signal")
         # every iteration scores the same number of candidates
-        return Reading(P, rmse, self.cumulative_times[P - 1],
+        return Reading(P, math.ldexp(ratio, e), self.cumulative_times[P - 1],
                        self.score_evaluations * P // self.P)
 
 
@@ -635,9 +633,10 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     divided by the columns' norms before normalization, the least-squares
     gain of its observed contribution. Repeated selection of the same pair
     is allowed; the gains accumulate as separate paths. The wall time covers
-    the pursuit loop only. A Y that is not K_r.shape[0] x K_t.shape[0] or
-    holds NaN or inf, or a P_budget that is not a whole number (see as_int)
-    of at least 1, raises ValueError. pool goes to the selector.
+    the pursuit loop only. A Y that is not K_r.shape[0] x K_t.shape[0], holds
+    NaN or inf or has a Frobenius norm beyond the largest float, or a P_budget
+    that is not a whole number (see as_int) of at least 1, raises ValueError.
+    pool goes to the selector.
     """
     K_r, K_t = dictionary.K_r, dictionary.K_t
     if np.shape(Y) != (K_r.shape[0], K_t.shape[0]):
@@ -650,7 +649,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
-    residual_norms = [frobenius_norm(R)]
+    residual_norms = [frobenius_norm(R, "observation Y")]
     cumulative_times = []
     start = time.perf_counter()
     for _ in range(P_budget):
@@ -663,7 +662,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
             paths.append(PathParams(abs(gain), cmath.phase(gain) % TWO_PI,
                                     dictionary.doa_of(i), dictionary.dod_of(j)))
             R -= c * np.outer(K_r[:, i], K_t[:, j].conj())
-        residual_norms.append(frobenius_norm(R))
+        residual_norms.append(frobenius_norm(R, "the residual"))
         cumulative_times.append(time.perf_counter() - start)
     return EstimationReport(tuple(paths), evaluations, tuple(residual_norms),
                             tuple(cumulative_times))

@@ -34,7 +34,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
-from .observation import ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale, snr
+from .observation import ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale, overflows, snr
 
 PARAMS_PER_PATH = 6
 COND_THRESHOLD = 1e12
@@ -75,26 +75,11 @@ def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.
     return D
 
 
-def _scaled_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|M| 2^-f, f): each column of |M| on the 2^-f_j that brings its largest
-    entry into [1/2, 1), exactly; f_j = 0 for a zero column."""
-    A = np.abs(M)
-    f = np.frexp(A.max(axis=0))[1]
-    return np.ldexp(A, -f, out=A), f
-
-
 def _log2_norms(M: np.ndarray) -> np.ndarray:
-    """log2 of M's column norms, each on its own power of two (see _scaled_columns); -inf for 0."""
-    A, f = _scaled_columns(M)
+    """log2 of M's column norms, each on its own power of two (see exact_scale); -inf for 0."""
+    A, f = exact_scale(np.abs(M), axis=0)
     with np.errstate(divide="ignore"):
         return np.log2(np.linalg.norm(A, axis=0)) + f
-
-
-def _squared_norms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """M's squared column norms as (m, f), ||M_j||^2 = m_j 4^f_j, summed on
-    _scaled_columns' scales so that no square overflows or underflows."""
-    A, f = _scaled_columns(M)
-    return np.einsum("ij,ij->j", A, A), f
 
 
 def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
@@ -202,21 +187,20 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     number, the eigenvalue ratio of S I S, is inf where a column drops out
     or sigma_min = 0.
 
-    Column j of R is taken on the 2^-f_j that brings its largest entry into
-    [1/2, 1), column j of D on 2^-(f_j + g), g the one power that brings D
+    Column j of R is taken on its own power of two 2^f_j (exact_scale with
+    axis=0), column j of D on 2^(f_j + g), g the one power that brings D
     below 1, and ||h||^2 on channel_energy's scale, all exactly; the bound
     takes 2^2g back last, so no square overflows or underflows and the digits
     are the unscaled ones. A bound above the largest float raises ValueError.
     """
     E, k_h = channel_energy(h)
     k = R.shape[1]
-    top = np.abs(R).max(axis=0)
-    if not top.any():
+    R, f = exact_scale(R, axis=0)
+    live = R.any(axis=0)
+    if not live.any():
         raise ValueError("no column of the factor R is nonzero: every parameter drops out")
-    if not top.all():   # a zero column's parameter drops out, of the bound and of g
-        R, D, top = R[:, top > 0], D[:, top > 0], top[top > 0]
-    f = np.frexp(top)[1]
-    R = np.ldexp(R, -f)
+    if not live.all():   # a zero column's parameter drops out, of the bound and of g
+        R, D, f = R[:, live], D[:, live], f[live]
     S = 1.0 / np.linalg.norm(R, axis=0)
     _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
     cond = float(sigma[0] / sigma[-1]) ** 2 if sigma.size == k and sigma[-1] > 0 else math.inf
@@ -225,12 +209,11 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     g = int((np.frexp(np.abs(D).max(axis=0))[1] - f).max())
     # the halves of [Re D; Im D] one at a time, to hold one in memory
     value = sum(np.linalg.norm(np.ldexp(part, -(f + g)) @ B) ** 2 for part in (D.real, D.imag))
-    with np.errstate(over="ignore"):   # inf, raised below
-        bound = float(np.ldexp(value / E, 2 * g - k_h))
-    if not math.isfinite(bound):
+    ratio, e = float(value / E), 2 * g - k_h
+    if overflows(ratio, e):
         raise ValueError("the bound exceeds the largest float: the information is too "
                          "weak for the noise variance sigma2")
-    return CrbResult(bound, cond, cond > COND_THRESHOLD)
+    return CrbResult(math.ldexp(ratio, e), cond, cond > COND_THRESHOLD)
 
 
 def optimal_bound(n_paths: int, snr_linear: float) -> float:
@@ -270,7 +253,7 @@ def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometr
     + ||f_t||^2 ||(I - P_r) f_r||^2) and ||D_k||^2 = |w_k|^2 ||f_t||^2 ||f_r||^2:
     sums of non-negative terms that cannot cancel, from the 3P factor columns
     of each array. Identity observation reads exactly 0.0. Each |w_k| and each
-    factor norm is taken on its own power of two (see _squared_norms) and the
+    factor norm is taken on its own power of two (see exact_scale) and the
     two sums on their largest, so no square overflows or underflows at any rho.
     """
     s.check_fits(g_r.n_antennas, g_t.n_antennas)
@@ -280,7 +263,8 @@ def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometr
 
     def norms(M, factors):
         # squared norm of each column's factor among M's 3P columns, as (m, f), m 4^f, 6 x P
-        m, f = _squared_norms(M)
+        A, f = exact_scale(np.abs(M), axis=0)
+        m = np.einsum("ij,ij->j", A, A)
         return m.reshape(3, -1)[factors], f.reshape(3, -1)[factors]
 
     def terms(a, b):
@@ -337,7 +321,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
         "inter_path_coupling_mass": inter_path_coupling_mass(F),
     }
     if include_blocks:
-        if math.frexp(float(np.abs(F).max()))[1] + 2 * e > 1024:
+        if overflows(float(np.abs(F).max()), 2 * e):
             raise ValueError("per-path blocks exceed the largest float at the noise variance "
                              f"sigma2 = {s.sigma2}; raise it or leave out include_blocks")
         I = np.ldexp(F, 2 * e)

@@ -108,23 +108,37 @@ class ObservationSetup:
         return dev <= ORTHO_PILOT_TOL * self.alpha2 * self.n_s
 
 
-def exact_scale(M: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """(M / 2^e, e) with 1/2 <= max|M / 2^e| < 1, or (M, None) for a zero M or
-    one with NaN or inf. The scaling is exact, so sums of squares of M / 2^e
-    are those of M scaled by 4^-e, without overflow or underflow."""
-    a = float(np.abs(M).max())
-    if not 0.0 < a < math.inf:
-        return M, None
-    e = math.frexp(a)[1]
+def exact_scale(M: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
+    """(M / 2^e, e) with 1/2 <= max|M / 2^e| < 1, exactly: e an int, or with axis=0 one
+    per column of a real M. A zero or non-finite M, or column, gets e = 0 and is left
+    as it is. Sums of squares of M / 2^e are those of M scaled by 4^-e, without
+    overflow or underflow; see overflows for the way back."""
+    top = np.abs(M).max(axis=axis)
+    if axis is not None:
+        f = np.frexp(np.where(top < math.inf, top, 0.0))[1]   # NaN < inf is False
+        return np.ldexp(M, -f), f
+    e = math.frexp(top)[1]   # 0 for a zero, inf or NaN top
+    if e == 0:   # nothing to scale, and (inf + 0j) * 1 would read inf + nan j
+        return M, 0
     Ms = M * math.ldexp(1.0, -e // 2)
     Ms *= math.ldexp(1.0, -(e // 2))   # 2^-e alone may overflow
     return Ms, e
 
 
-def frobenius_norm(M: np.ndarray) -> float:
-    """||M||_F, formed on M / 2^e (see exact_scale) so that no square overflows."""
+def overflows(x: float, e: int) -> bool:
+    """Whether x 2^e exceeds the largest float: the one check before ldexp takes a result
+    back from exact_scale. A zero, inf or NaN x never does."""
+    return 0.0 < abs(x) < math.inf and math.frexp(x)[1] + e > 1024
+
+
+def frobenius_norm(M: np.ndarray, name: str) -> float:
+    """||M||_F, formed on M / 2^e (see exact_scale) so that no square overflows; a
+    norm beyond the largest float raises ValueError naming M as name."""
     Ms, e = exact_scale(M)
-    return math.ldexp(float(np.linalg.norm(Ms)), e or 0)
+    norm = float(np.linalg.norm(Ms))
+    if overflows(norm, e):
+        raise ValueError(f"{name} has a Frobenius norm beyond the largest float")
+    return math.ldexp(norm, e)
 
 
 def pilot_power(X: np.ndarray) -> float:
@@ -133,10 +147,10 @@ def pilot_power(X: np.ndarray) -> float:
     ValueError. A zero, NaN or inf X is left for ObservationSetup to reject."""
     Xs, e = exact_scale(X)
     p = float(np.sum(np.abs(Xs) ** 2)) / X.shape[1]
-    if e is not None and not -1021 <= 2 * e + math.frexp(p)[1] <= 1024:
+    if not -1021 <= 2 * e + math.frexp(p)[1] <= 1024:
         raise ValueError("pilot matrix X has a transmit power trace(X^H X)/n_s outside "
                          "the range of normal floats")
-    return p if e is None else math.ldexp(p, 2 * e)
+    return math.ldexp(p, 2 * e)
 
 
 def complex_from_json(obj, name: str) -> np.ndarray:
@@ -254,21 +268,20 @@ def channel_energy(h) -> tuple[float, int]:
     on h / 2^(k/2) (see exact_scale), so that no square overflows or
     underflows; a zero channel, or one with NaN or inf, raises ValueError."""
     hs, e = exact_scale(h)
-    if e is None:
+    E = float(np.vdot(hs, hs).real)
+    if not 0.0 < E < math.inf:
         raise ValueError("zero or non-finite channel: its SNR and relative errors are undefined")
-    return float(np.vdot(hs, hs).real), 2 * e
+    return E, 2 * e
 
 
 def power_ratio(alpha2: float, h, denominator: float) -> float:
     """alpha2 * ||h||^2 / denominator on E (see channel_energy) and the mantissas of alpha2
-    and denominator, the exponents added apart: only the result can overflow (to inf) or
-    underflow, and elsewhere the bits are the unscaled formula's."""
+    and denominator, the exponents added apart: only the result can overflow (to inf, see
+    overflows) or underflow, and elsewhere the bits are the unscaled formula's."""
     E, k = channel_energy(h)
     (ma, ea), (md, ed) = math.frexp(alpha2), math.frexp(denominator)
-    try:
-        return math.ldexp(ma * E / md, ea + k - ed)
-    except OverflowError:
-        return math.inf
+    x, n = ma * E / md, ea + k - ed
+    return math.inf if overflows(x, n) else math.ldexp(x, n)
 
 
 def _direction_span(g: ArrayGeometry, directions) -> np.ndarray:

@@ -827,6 +827,24 @@ def test_estimate_at_an_extreme_gain_picks_as_at_unit_gain(tmp_path, capsys):
     assert runs[1]["rmse"] == pytest.approx(runs[0]["rmse"], rel=1e-9)
 
 
+@pytest.mark.parametrize("strategy", ["joint", "sequential"])
+def test_estimate_on_an_observation_norm_beyond_the_floats_exits_2(tmp_path, capsys, strategy):
+    # two aligned paths of gain 1.5e308 give a finite noiseless Y whose Frobenius
+    # norm, about 3e308, exceeds the largest float: the pursuit ended in an
+    # OverflowError from its residual norm, and the gain fit would overflow too
+    path = {"rho": 1.5e308, "phi": 0.0, "doa": {"az": 0.2, "el": 0.1},
+            "dod": {"az": -0.4, "el": 0.3}}
+    obj = {"arrays": {"tx": _UPA_2X2, "rx": _UPA_2X2}, "paths": [path, path],
+           "observation": {"sigma2": 0}, "grid": {"m": 16, "n": 16}, "P_budget": 2,
+           "strategy": strategy}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--config", write_config(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "config error: observation Y has a Frobenius norm beyond the largest float\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("sigma2", True), ("sigma2", "0.1"), ("target_snr_db", True), ("target_snr_db", "10"),
     ("alpha", True), ("alpha", math.nan), ("basis", "hadamard"),

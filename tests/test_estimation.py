@@ -273,14 +273,8 @@ def test_joint_select_matches_bruteforce_oracle(rng):
     s = identity_setup(6, 4, 1.0)
     d = build_dictionaries(grid, s, g_r, g_t)
     Y = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-    best, arg = -1.0, None
-    for i in range(d.m):
-        for j in range(d.n):
-            v = abs(np.vdot(d.K_r[:, i], Y @ d.K_t[:, j]))
-            if v > best:
-                best, arg = v, (i, j)
     sel = joint_select(Y, d)
-    assert (sel.doa_index, sel.dod_index) == arg
+    assert (sel.doa_index, sel.dod_index) == bruteforce_pick(Y, d)
 
 
 @pytest.mark.parametrize("n_c, n_s", [(2, 5), (4, 2)])
@@ -297,27 +291,22 @@ def test_joint_select_matches_bruteforce_oracle_hybrid(rng, monkeypatch, n_c, n_
     assert d.m == 100 and d.m % block_rows != 0
     for _ in range(3):
         Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
-        best, arg = -1.0, None
-        for i in range(d.m):
-            for j in range(d.n):
-                v = abs(np.vdot(d.K_r[:, i], Y @ d.K_t[:, j]))
-                if v > best:
-                    best, arg = v, (i, j)
         sel = joint_select(Y, d)
-        assert (sel.doa_index, sel.dod_index) == arg
+        assert (sel.doa_index, sel.dod_index) == bruteforce_pick(Y, d)
         assert sel.score_evaluations == 100 * 20
 
 
 def bruteforce_pick(Y, d):
-    """First argmax of |K_r^H Y K_t|^2 in complex128, as (DoA, DoD) columns."""
-    scores = np.abs(d.K_r.conj().T @ Y @ d.K_t) ** 2
-    return divmod(int(np.argmax(scores)), d.n)
+    """First argmax of |K_r^H Y K_t|^2 in complex128, as (DoA, DoD) columns: every
+    score is re^2 + im^2, exact for small integers."""
+    C = d.K_r_H @ Y @ d.K_t
+    return divmod(int(np.argmax(C.real ** 2 + C.imag ** 2)), d.n)
 
 
 def contracted_factors(Y, d):
     """The factors joint_select screens, as it forms them, and the largest
     norm of a row or column of the one formed from Ys."""
-    Ys, _ = estimation._scaled(Y)
+    Ys, _, _ = estimation._scaled(Y)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
         right = Ys @ d.K_t
         return d.K_r.conj().T, right, float(np.linalg.norm(right, axis=0).max())
@@ -337,7 +326,7 @@ def test_best_in_rows_is_the_first_argmax_of_the_scores(rng, monkeypatch, block_
     Y = rng.normal(size=(3, r)) + 1j * rng.normal(size=(3, r))
     Y[:, r - 1] *= 10.0
     K_t = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    Ys, _ = estimation._scaled(scale * Y)
+    Ys, _, _ = estimation._scaled(scale * Y)
     right = Ys.T @ (K_t / np.linalg.norm(K_t, axis=0))
     j_best = int(np.argmax(np.abs(right[r - 1])))
     right[:, 33] = right[:, j_best]
@@ -515,7 +504,7 @@ def basis_dictionary(n_c, n_s, seed):
 
 def candidates(Y, d):
     """The DoA rows and DoD columns joint_select screens, as it forms them."""
-    Ys, margin = estimation._scaled(Y)
+    Ys, _, margin = estimation._scaled(Y)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
         rows, cols, _ = estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)
     else:
@@ -523,9 +512,11 @@ def candidates(Y, d):
     return rows, cols
 
 
-# Far from unit scale the squares of the residual's scores overflow (1e160)
-# or underflow (1e-165, 1e-200) in float64 unless the selectors scale it.
-SCALES = [1.0, 1e-150, 1e150, 1e160, 1e-165, 1e-200]
+# Far from unit scale the squares of the residual's scores overflow (2^531,
+# about 1e160) or underflow (2^-548 and 2^-664, about 1e-165 and 1e-200) in
+# float64 unless the selectors scale it. Powers of two scale every score
+# exactly, so a planted exact tie stays one.
+SCALES = [1.0, 2.0 ** -498, 2.0 ** 498, 2.0 ** 531, 2.0 ** -548, 2.0 ** -664]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -596,21 +587,20 @@ def test_sequential_select_stage_oracles(rng):
     s = identity_setup(4, 4, 1.0)
     d = build_dictionaries(grid, s, g_r, g_t)
     Y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    stage1 = [np.vdot(d.K_r[:, i], Y @ Y.conj().T @ d.K_r[:, i]).real for i in range(d.m)]
-    i_hat = int(np.argmax(stage1))
-    stage2 = [abs(np.vdot(d.K_r[:, i_hat], Y @ d.K_t[:, j])) for j in range(d.n)]
-    j_hat = int(np.argmax(stage2))
     sel = sequential_select(Y, d)
-    assert (sel.doa_index, sel.dod_index) == (i_hat, j_hat)
+    assert (sel.doa_index, sel.dod_index) == sequential_oracle(Y, d)[:2]
 
 
-def brute_force_sequential(Y, d):
-    """Stage maxima by explicit loops; the first of equal scores wins."""
-    energies = [sum(abs(np.vdot(d.K_r[:, i], Y[:, k])) ** 2 for k in range(Y.shape[1]))
-                for i in range(d.m)]
-    i_hat = max(range(d.m), key=lambda i: (energies[i], -i))
-    row = [abs(np.vdot(d.K_r[:, i_hat], Y @ d.K_t[:, j])) ** 2 for j in range(d.n)]
-    return i_hat, max(range(d.n), key=lambda j: (row[j], -j)), energies, row
+def sequential_oracle(Y, d):
+    """Brute-force stage maxima in complex128 as (DoA, DoD, energies, row scores):
+    every score is a sum of re^2 + im^2, exact for small integers, and np.argmax
+    takes the first of equal scores."""
+    T = d.K_r_H @ Y
+    energies = (T.real ** 2 + T.imag ** 2).sum(axis=1)
+    i_hat = int(np.argmax(energies))
+    z = T[i_hat] @ d.K_t
+    row = z.real ** 2 + z.imag ** 2
+    return i_hat, int(np.argmax(row)), energies, row
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -626,7 +616,7 @@ def test_sequential_select_matches_bruteforce_oracle(rng, observed, scale):
     n_c, n_s = d.K_r.shape[0], d.K_t.shape[0]
     for _ in range(20):
         Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
-        i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
+        i_hat, j_hat, energies, row = sequential_oracle(Y, d)
         # a near-tie could be decided by rounding; random residuals have none
         assert sorted(energies)[-1] - sorted(energies)[-2] > 1e-9 * max(energies)
         assert sorted(row)[-1] - sorted(row)[-2] > 1e-9 * max(row)
@@ -637,10 +627,10 @@ def test_sequential_select_matches_bruteforce_oracle(rng, observed, scale):
 @pytest.mark.parametrize("scale", SCALES)
 def test_sequential_select_ranks_near_tied_energies_at_any_scale(scale):
     # DoA energies 1 and 1 + 2^-46 lie within the screen's margin, so both
-    # rows are rescored; unscaled, their energies underflow to zero at 1e-200
+    # rows are rescored; unscaled, their energies underflow to zero at 2^-664
     d = atom_dictionary(np.eye(2, dtype=complex), np.eye(2, dtype=complex), small_grid(2))
     Y = np.array([[1, 0], [2.0 ** -23, 1]], dtype=complex)
-    i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
+    i_hat, j_hat, energies, row = sequential_oracle(Y, d)
     assert (i_hat, j_hat) == (1, 1) and energies[1] > energies[0]
     sel = sequential_select(scale * Y, d)
     assert (sel.doa_index, sel.dod_index) == (1, 1)
@@ -652,7 +642,7 @@ def test_sequential_select_exact_ties_go_to_smallest_index():
     K_t = np.array([[0, 1, -1, 1j], [1, 0, 0, 0]], dtype=complex)
     d = atom_dictionary(K_r, K_t, small_grid(3))
     Y = np.array([[1, 2j], [2, 1j]])   # every DoA atom receives energy 5
-    i_hat, j_hat, energies, row = brute_force_sequential(Y, d)
+    i_hat, j_hat, energies, row = sequential_oracle(Y, d)
     assert len(set(energies)) == 1 and (i_hat, j_hat) == (0, 1)
     assert row[1] == row[2] == row[3] == 4.0
     sel = sequential_select(Y, d)
@@ -683,20 +673,13 @@ def test_marginal_norms_match_the_direct_energies(rng, n_c, n_s, rank):
         assert np.abs(qr_route - direct).max() <= 1e-12 * direct.max()
 
 
-def whole_product_sequential(Y, d):
-    """The sequential picks from the whole product T = K_r^H Y."""
-    T = d.K_r_H @ Y
-    i_hat = int(np.argmax((np.abs(T) ** 2).sum(axis=1)))
-    return i_hat, int(np.argmax(np.abs(T[i_hat] @ d.K_t)))
-
-
 @pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
 def test_sequential_select_matches_the_whole_product(rng, n_c, n_s):
     d = hybrid_dictionary(n_c, n_s)
     for _ in range(20):
         Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
         sel = sequential_select(Y, d)
-        assert (sel.doa_index, sel.dod_index) == whole_product_sequential(Y, d)
+        assert (sel.doa_index, sel.dod_index) == sequential_oracle(Y, d)[:2]
     sel = sequential_select(np.zeros((n_c, n_s), dtype=complex), d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
 
@@ -706,18 +689,6 @@ def identity_dictionary():
     """300 DoAs and 30 DoDs under identity observation: 4 receive and 6 transmit antennas."""
     grid = DirectionGrid(20, 15, 6, 5)
     return build_dictionaries(grid, identity_setup(6, 4, 1.0), upa(2, 2), upa(2, 3))
-
-
-def sequential_oracle(Y, d):
-    """Brute-force stage maxima in complex128 as (DoA, DoD, energies, row scores):
-    every score is a sum of re^2 + im^2, exact for small integers, and np.argmax
-    takes the first of equal scores."""
-    T = d.K_r_H @ Y
-    energies = (T.real ** 2 + T.imag ** 2).sum(axis=1)
-    i_hat = int(np.argmax(energies))
-    z = T[i_hat] @ d.K_t
-    row = z.real ** 2 + z.imag ** 2
-    return i_hat, int(np.argmax(row)), energies, row
 
 
 def near_copy(K, col, rng):

@@ -388,7 +388,7 @@ def test_optimal_bound_values():
 
 def dense_residual(D, s):
     """The reference ||(Id - P) D||_F / ||D||_F, through the projection of all of D."""
-    return frobenius_norm(projection_apply(s, D) - D) / frobenius_norm(D)
+    return frobenius_norm(projection_apply(s, D) - D, "(Id - P) D") / frobenius_norm(D, "D")
 
 
 def small_array(kind, rng):

@@ -7,14 +7,17 @@ raised TypeError, a pilot or combiner matrix that does not fit its array
 reached build_dictionaries' matmul, a negative product grid size read only
 math.isqrt's "argument must be nonnegative", and a grid too large to
 allocate ended in numpy's MemoryError (10^15 cells, petabytes) or its
-"Maximum allowed size exceeded" (10^20); both fail before any allocation.
+"Maximum allowed size exceeded" (10^20); both fail before any allocation. A
+finite observation whose Frobenius norm exceeds the largest float ended in
+OverflowError from the pursuit's residual norm.
 """
 
 import numpy as np
 import pytest
 
 from mimolab.channel import PathParams, PathSet
-from mimolab.estimation import DirectionGrid, build_dictionaries, hemisphere_directions
+from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_directions,
+                                matching_pursuit)
 from mimolab.geometry import ArrayGeometry, Direction, upa
 from mimolab.observation import ObservationSetup, complex_from_json
 
@@ -64,6 +67,9 @@ def dictionaries(X, W):
      "pilot matrix X has 5 rows, but the transmit array has 6 antennas"),
     (lambda: dictionaries(np.eye(6), np.eye(3)),
      "combiner matrix W has 3 rows, but the receive array has 4 antennas"),
+    (lambda: matching_pursuit(np.full((4, 6), 1e308), dictionaries(np.eye(6), np.eye(4)), 1,
+                              "joint"),
+     "^observation Y has a Frobenius norm beyond the largest float$"),
 ])
 def test_malformed_input_raises_a_value_error_naming_it(call, message):
     with pytest.raises(ValueError, match=message):

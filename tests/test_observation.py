@@ -9,8 +9,8 @@ from mimolab.channel import ChannelMatrix, PathSet, steering_derivatives
 from mimolab.fim import check_optimal_observation
 from mimolab.geometry import upa
 from mimolab.observation import (DENSE_PROJECTION_LIMIT, ObservationSetup, complex_from_json,
-                                 identity_setup, noise_for_snr, observe,
-                                 orthogonal_pilots, power_ratio, projection_apply,
+                                 exact_scale, identity_setup, noise_for_snr, observe,
+                                 orthogonal_pilots, overflows, power_ratio, projection_apply,
                                  projection_matrix, range_basis, snr, span_combiners, span_pilots)
 
 from conftest import random_path
@@ -205,6 +205,39 @@ def test_snr_round_trip(rng):
     sigma2 = noise_for_snr(target, 1.0, h)
     s = identity_setup(4, 2, sigma2)
     assert abs(snr(s, h) - target) <= 1e-12 * target
+
+
+def test_exact_scale_takes_an_array_or_each_column_into_half_to_one(rng):
+    M = rng.normal(size=(5, 4)) * np.array([2.0 ** -1000, 1.0, 2.0 ** 1000, 0.0])
+    Ms, e = exact_scale(M, axis=0)
+    top = np.abs(Ms).max(axis=0)
+    assert np.all((0.5 <= top[:3]) & (top[:3] < 1)) and e[3] == 0 and not Ms[:, 3].any()
+    assert np.array_equal(np.ldexp(Ms, e), M)
+    Mw, ew = exact_scale(M)   # one exponent, that of the largest column
+    assert isinstance(ew, int) and ew == e[2] and np.array_equal(Mw[:, 1:], np.ldexp(M[:, 1:], -ew))
+    # a zero, non-finite or already scaled column gets exponent 0 and is left as it is
+    A = np.array([[0.0, np.nan, np.inf, 0.75, 4.0], [0.0, 1.0, -1.0, -0.5, 1.0]])
+    As, f = exact_scale(A, axis=0)
+    assert f.tolist() == [0, 0, 0, 0, 3] and As[:, 4].tolist() == [0.5, 0.125]
+    assert np.array_equal(As[:, :4], A[:, :4], equal_nan=True)
+
+
+@pytest.mark.parametrize("M", [np.zeros((2, 3)), np.array([[1.0, np.nan]]),
+                               np.array([[np.inf + 0j, 1.0]]), np.array([[0.75, -0.5j]])])
+def test_exact_scale_leaves_a_zero_non_finite_or_scaled_array_as_it_is(M):
+    # exponent 0 in each case, and no (inf + 0j) * 1 = inf + nan j
+    Ms, e = exact_scale(M)
+    assert Ms is M and e == 0
+
+
+@pytest.mark.parametrize("x, e, expected", [
+    (0.5, 1024, False), (1.0, 1023, False), (1.0, 1024, True), (-1.0, 1024, True),
+    (2.0 ** -1074, 2097, False), (2.0 ** -1074, 2098, True), (1.0, -5000, False),
+    (0.0, 5000, False), (math.inf, 5000, False), (-math.inf, 5000, False), (math.nan, 5000, False)])
+def test_overflows_when_and_only_when_ldexp_would(x, e, expected):
+    assert overflows(x, e) == expected
+    if not expected:
+        np.ldexp(x, e)   # no overflow warning, an error under the test settings
 
 
 @pytest.mark.parametrize("alpha2", [1e-300, 1.0, 1e300])
