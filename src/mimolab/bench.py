@@ -22,7 +22,7 @@ from .blas import blas_threads, one_blas_thread
 from .channel import ChannelMatrix, PathParams, PathSet, synthesize
 from .estimation import (_SELECTORS, Dictionary, DirectionGrid, Reading, build_dictionaries,
                          matching_pursuit, selector)
-from .fim import CrbResult, channel_jacobian, crb_trace, fisher_factor, optimal_bound
+from .fim import CrbResult, bound, channel_jacobian, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int, is_finite_real
 from .observation import identity_setup, noise_for_snr, observe
 from .workers import Helpers, shared_map
@@ -214,8 +214,9 @@ class Scenario:
     true_crb: CrbResult
 
 
-def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
-    """Generate, synthesize and observe one channel realization and bound it."""
+def draw_scenario(cfg: ScenarioConfig, seed: int, pool: Helpers | None = None) -> Scenario:
+    """Generate, synthesize and observe one channel realization and bound it;
+    pool's helper, if any, shares the bound (see fim.bound)."""
     g_t, g_r = cfg.geometries()
     paths = generate_paths(cfg, seed)
     H = synthesize(paths, g_r, g_t)
@@ -223,8 +224,8 @@ def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     s = identity_setup(cfg.n_t, cfg.n_r, sigma2)
     Y = observe(H, s, np.random.default_rng([int(seed), 1]))
     Y.setflags(write=False)
-    D = channel_jacobian(paths, g_r, g_t)
-    return Scenario(seed, H, Y, crb_trace(D, fisher_factor(D, s), H.vector))
+    _, true_crb = bound(channel_jacobian(paths, g_r, g_t), s, H.vector, pool)
+    return Scenario(seed, H, Y, true_crb)
 
 
 @dataclass(frozen=True)
@@ -308,8 +309,9 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     Trial t draws the scenario of seed base_seed + t (see draw_scenario)
     and runs every strategy on it. At most `threads` threads work at once:
     min(threads, trials) of them take whole seeds, the calling thread among
-    them, and each seed's joint screen is split over scan_threads(threads,
-    trials) threads, the seed's own and helpers from one pool. With fewer
+    them, and each seed's bound and joint screens are split over
+    scan_threads(threads, trials) threads, the seed's own and helpers from
+    one pool (see fim.bound and estimation.joint_select). With fewer
     trials than threads the joint time column is therefore wall time on
     threads // trials threads; otherwise each seed scans on its own thread.
     Results are reduced in seed order and no pick depends on the split, so
@@ -332,7 +334,7 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
         scan_pool = Helpers(executor, scan_threads(threads, cfg.trials) - 1)
 
         def seed_work(seed):
-            scenario = draw_scenario(cfg, seed)
+            scenario = draw_scenario(cfg, seed, scan_pool)
             return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary, scan_pool)
                                        for s in cfg.strategies}
 

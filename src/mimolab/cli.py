@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -27,6 +28,7 @@ from .fim import crb_report
 from .geometry import ArrayGeometry, as_int, is_finite_real, json_fields
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
                           orthogonal_pilots, pilot_power)
+from .workers import Helpers
 
 
 def _load_config(path: str) -> dict:
@@ -187,7 +189,9 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     include_blocks = cfg.get("include_blocks", False)
     if not isinstance(include_blocks, bool):
         raise ValueError(f"include_blocks must be true or false, got {include_blocks!r}")
-    report = crb_report(paths, g_r, g_t, setup, include_blocks=include_blocks)
+    # one helper thread shares the bound with this one (see fim.bound)
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        report = crb_report(paths, g_r, g_t, setup, include_blocks, Helpers(executor, 1))
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
         print("Fisher matrix is ill-conditioned at this parameter point",

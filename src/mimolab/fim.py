@@ -14,14 +14,21 @@ conditioning of I. Direction entries are per radian of arc along
 the unit tangents, which keeps the bound shape-independent for isotropic
 arrays.
 
+The Jacobian is kept in its Kronecker form (see Jacobian): column k of D is
+w_k (f_t^* kron f_r), one steering vector or tangent derivative per array,
+so D_k as a matrix is w_k f_r f_t^H and Q_w^H D_k X is the outer product
+w_k (Q_w^H f_r) (X^T f_t^*)^T. A is assembled from the 3P projected factor
+columns of each array, never from the projection of D, and the column norms
+||D_k|| are read off the factors as well. The dense D is formed once per
+bound, for crb_trace's products, on a helper thread where one is given.
+
 The optimal-observation residual ||(Id - P) D||_F / ||D||_F is read off the
-Jacobian's Kronecker factors, never off D: column k is w_k (f_t^* kron f_r),
-one steering vector or tangent derivative per array, and with P_r = Q_w Q_w^H
-and M_t = X X^H / alpha2, ||(Id - P) D_k||^2 is |w_k|^2 (||(I - M_t) f_t||^2
-||P_r f_r||^2 + ||f_t||^2 ||(I - P_r) f_r||^2), the squared norms of two
-mutually orthogonal parts. Every term is non-negative, so nothing cancels and
-the residual keeps its digits down to the 1e-10 the lossless checks read;
-subtracting ||P D||^2 from ||D||^2 would not (see check_optimal_observation).
+factors too: with P_r = Q_w Q_w^H and M_t = X X^H / alpha2,
+||(Id - P) D_k||^2 is |w_k|^2 (||(I - M_t) f_t||^2 ||P_r f_r||^2 +
+||f_t||^2 ||(I - P_r) f_r||^2), the squared norms of two mutually orthogonal
+parts. Every term is non-negative, so nothing cancels and the residual keeps
+its digits down to the 1e-10 the lossless checks read; subtracting ||P D||^2
+from ||D||^2 would not (see check_optimal_observation).
 """
 
 from __future__ import annotations
@@ -35,44 +42,16 @@ from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
 from .observation import ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale, overflows, snr
+from .workers import Helpers, shared_map
 
 PARAMS_PER_PATH = 6
 COND_THRESHOLD = 1e12
+# rows of [Re D; Im D] per product in crb_trace, the unit its work is split in
+_TRACE_BLOCK_ROWS = 256
 
-
-def _jacobian_factors(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry):
-    """The per-array factors of channel_jacobian's columns: (E_r, dE_r_az, dE_r_el)
-    of the arrivals, (E_t, dE_t_az, dE_t_el) of the departures (see
-    steering_derivatives), the gains c and their magnitudes rho."""
-    return (steering_derivatives(g_r, [p.doa for p in ps]),
-            steering_derivatives(g_t, [p.dod for p in ps]),
-            np.array([p.gain for p in ps]), np.array([p.rho for p in ps]))
-
-
-def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> np.ndarray:
-    """Derivatives of the vectorized channel, one column per parameter.
-
-    For path p with gain c and vectorized atom h_p = c (e_t^* kron e_r):
-    the rho column is h_p / rho, the phi column j h_p, and the four
-    direction columns replace e_r (resp. e_t) by its tangent derivative.
-    """
-    (E_r, dE_r_az, dE_r_el), (E_t, dE_t_az, dE_t_el), c, rho = _jacobian_factors(ps, g_r, g_t)
-    n_r, n_t, P = E_r.shape[0], E_t.shape[0], len(ps)
-
-    def atoms(F_t, F_r):
-        # c_p (f_t^* kron f_r) of every path p, indexed [tx antenna, rx antenna, p]
-        return c * (F_t.conj()[:, None] * F_r)
-
-    D = np.empty((n_r * n_t, PARAMS_PER_PATH * P), dtype=complex)
-    cols = D.reshape(n_t, n_r, P, PARAMS_PER_PATH)   # cols[j, i, p, k] = D[i + n_r j, 6p + k]
-    h = atoms(E_t, E_r)
-    cols[..., 0] = h / rho
-    cols[..., 1] = 1j * h
-    cols[..., 2] = atoms(E_t, dE_r_az)
-    cols[..., 3] = atoms(E_t, dE_r_el)
-    cols[..., 4] = atoms(dE_t_az, E_r)
-    cols[..., 5] = atoms(dE_t_el, E_r)
-    return D
+# the (transmit, receive) factors of a path's six columns: 0 = E, 1 = dE_az, 2 = dE_el
+_FACTORS_T = np.array([0, 0, 0, 0, 1, 2])
+_FACTORS_R = np.array([0, 0, 1, 2, 0, 0])
 
 
 def _log2_norms(M: np.ndarray) -> np.ndarray:
@@ -82,39 +61,124 @@ def _log2_norms(M: np.ndarray) -> np.ndarray:
         return np.log2(np.linalg.norm(A, axis=0)) + f
 
 
-def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Jacobian:
+    """Derivatives of the vectorized channel, one column per parameter, in
+    Kronecker form.
+
+    For path p with gain c, magnitude rho and vectorized atom
+    h_p = c (e_t^* kron e_r), the rho column is h_p / rho, the phi column
+    j h_p, and the four direction columns replace e_r (resp. e_t) by its
+    tangent derivative: column 6p + m is w (f_t^* kron f_r) with w = c / rho,
+    j c, c, c, c, c and the factors _FACTORS_T[m], _FACTORS_R[m] of the path
+    (0 = e, 1 = de_az, 2 = de_el). F_r (n_r x 3P) and F_t_conj (n_t x 3P)
+    hold them as [E, dE_az, dE_el] of all paths (see steering_derivatives),
+    the transmit factors conjugated, as they enter D; c holds the gains and
+    rho their magnitudes; |w| is exactly 1 or rho.
+    """
+
+    F_r: np.ndarray
+    F_t_conj: np.ndarray
+    c: np.ndarray
+    rho: np.ndarray
+
+    @property
+    def n_r(self) -> int:
+        return self.F_r.shape[0]
+
+    @property
+    def n_t(self) -> int:
+        return self.F_t_conj.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """That of the dense D: n_r n_t rows, 6P columns."""
+        return self.n_r * self.n_t, PARAMS_PER_PATH * len(self.c)
+
+    def per_parameter(self, M: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """Column 6p + m is column factors[m] P + p of M, whose last axis runs over
+        the 3P factor columns of an array (as F_r's and F_t_conj's do)."""
+        P = len(self.c)
+        return M[..., (factors * P + np.arange(P)[:, None]).ravel()]
+
+    def weights(self) -> np.ndarray:
+        """w of every column: c / rho, j c, c, c, c, c per path."""
+        c = self.c
+        return np.stack([c / self.rho, 1j * c, c, c, c, c], axis=1).ravel()
+
+    def abs_weights(self) -> np.ndarray:
+        """|w| of every column, exactly: 1 and five times rho per path, P x 6."""
+        return np.stack([np.ones_like(self.rho)] + [self.rho] * 5, axis=1)
+
+    def log2_column_norms(self) -> np.ndarray:
+        """log2 ||D_k|| = log2 |w_k| + log2 ||f_t|| + log2 ||f_r|| of every column,
+        each factor norm on its own power of two (see _log2_norms), so no rho
+        overflows or underflows; -inf for a zero column."""
+        return (np.log2(self.abs_weights()).ravel()
+                + self.per_parameter(_log2_norms(self.F_t_conj), _FACTORS_T)
+                + self.per_parameter(_log2_norms(self.F_r), _FACTORS_R))
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The n_r n_t x 6P matrix D, row i + n_r j for receive antenna i and
+        transmit antenna j; written into out when given, through no temporary
+        of D's size (see bound)."""
+        P = len(self.c)
+        D = np.empty(self.shape, dtype=complex) if out is None else out
+        # cols[j, i, p, k] = D[i + n_r j, 6p + k]
+        cols = D.reshape(self.n_t, self.n_r, P, PARAMS_PER_PATH)
+        F_r = self.F_r.reshape(self.n_r, 3, P)
+        F_t = self.F_t_conj.reshape(self.n_t, 3, P)
+        for k, (t, r) in enumerate(zip(_FACTORS_T, _FACTORS_R)):
+            if k != 1:   # column 1 is j times column 0's c_p (f_t^* kron f_r)
+                # c_p (f_t^* kron f_r) of every path p, indexed [tx antenna, rx antenna, p]
+                np.multiply(F_t[:, None, t], F_r[:, r], out=cols[..., k])
+                np.multiply(self.c, cols[..., k], out=cols[..., k])   # c first: x c may round apart
+        np.multiply(1j, cols[..., 0], out=cols[..., 1])
+        cols[..., 0] /= self.rho
+        return D
+
+
+def channel_jacobian(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> Jacobian:
+    """The Jacobian of the vectorized channel at the paths ps, in Kronecker form:
+    the steering vectors and tangent derivatives of each array (see Jacobian)."""
+    return Jacobian(np.concatenate(steering_derivatives(g_r, [p.doa for p in ps]), axis=1),
+                    np.concatenate(steering_derivatives(g_t, [p.dod for p in ps]), axis=1).conj(),
+                    np.array([p.gain for p in ps]), np.array([p.rho for p in ps]))
+
+
+def fisher_factor(J: Jacobian, s: ObservationSetup) -> np.ndarray:
     """Upper-triangular factor R of the Fisher information I = R^T R.
 
     R is that of one QR of the real 2 n_c n_s x k matrix A whose column k
     stacks the real and imaginary parts of sqrt(2 / sigma2) vec(Q_w^H D_k X),
     so I = A^T A too; R is k x k, with fewer rows only when A has fewer than
-    k. A is not kept. A sigma2 of 0, or so small that 2 / sigma2 overflows,
-    raises ValueError, as does an R that is not finite: A, or its column
-    norms, beyond the largest float at this pilot power and sigma2. Column k
-    of R has norm ||A_k|| <= sqrt(2 / sigma2) ||D_k||_F ||X||_F, and is zeroed
-    as rounding noise at ATOM_NORM_TOL times that; if all are, ValueError names X, W.
-    A D without n_r n_t rows raises ValueError too.
+    k. A is assembled from the factors of J: its column k is the outer
+    product of w_k X^T f_t^* and sqrt(2 / sigma2) Q_w^H f_r, of the n_s x 3P
+    and n_c x 3P projections of each array's factor columns, and is not kept.
+    A sigma2 of 0, or so small that 2 / sigma2 overflows, raises ValueError,
+    as does an R that is not finite: A, or its column norms, beyond the
+    largest float at this pilot power and sigma2. Column k of R has norm
+    ||A_k|| <= sqrt(2 / sigma2) ||D_k||_F ||X||_F, with ||D_k||_F read off the
+    factors (see Jacobian.log2_column_norms), and is zeroed as rounding noise
+    at ATOM_NORM_TOL times that; if all are, ValueError names X, W. A setup
+    whose X and W do not fit J's arrays raises ValueError too.
     """
     if s.sigma2 <= 0 or 2.0 / s.sigma2 == math.inf:
         raise ValueError("Fisher information diverges: 2 / sigma2 overflows for a noiseless "
                          f"or nearly noiseless setup, sigma2 = {s.sigma2} (given or set by "
                          "target_snr_db)")
-    if D.ndim != 2 or D.shape[0] != s.n_r * s.n_t:
-        raise ValueError(f"the Jacobian D is {' x '.join(map(str, D.shape))}, but the setup "
-                         f"needs n_r * n_t = {s.n_r} * {s.n_t} rows")
-    k = D.shape[1]
-    Qh = math.sqrt(2.0 / s.sigma2) * s.Q_w.conj().T
-    Z = np.empty((k, s.n_s, s.n_c), dtype=complex)
-    # DX[j, i, k] = (D_k X)[i, j]; D's rows are i + n_r j, so the reshape is free
-    DX = (s.X.T @ D.reshape(s.n_t, s.n_r * k)).reshape(s.n_s, s.n_r, k)
+    s.check_fits(J.n_r, J.n_t)
+    k = J.shape[1]
+    Z = np.empty((k, s.n_s, s.n_c), dtype=complex)   # Z[k, j, i] = (Q_w^H D_k X)[i, j], scaled
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is caught in R below
-        np.matmul(Qh, DX, out=Z.transpose(1, 2, 0))
-    del DX   # before the QR copies A: 3 MB of peak memory on a 64x16 report
+        b = J.per_parameter(s.X.T @ J.F_t_conj, _FACTORS_T) * J.weights()
+        a = J.per_parameter(math.sqrt(2.0 / s.sigma2) * s.Q_w.conj().T @ J.F_r, _FACTORS_R)
+        np.multiply(b.T[:, :, None], a.T[:, None, :], out=Z)
     R = np.linalg.qr(Z.view(float).reshape(k, -1).T, mode="r")
     if not np.isfinite(R).all():
         raise ValueError("Fisher information overflows at pilot power alpha2 = "
                          f"{s.alpha2} and noise variance sigma2 = {s.sigma2}")
-    noise = _log2_norms(R) <= _log2_norms(D) + math.log2(ATOM_NORM_TOL) + 0.5 * (
+    noise = _log2_norms(R) <= J.log2_column_norms() + math.log2(ATOM_NORM_TOL) + 0.5 * (
         math.log2(2 * s.n_s) + math.log2(s.alpha2) - math.log2(s.sigma2))
     if noise.all():
         raise ValueError("the pilot matrix X and the combiner matrix W annihilate every parameter")
@@ -122,9 +186,9 @@ def fisher_factor(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
     return R
 
 
-def fisher_matrix(D: np.ndarray, s: ObservationSetup) -> np.ndarray:
-    """Fisher information R^T R of the Jacobian D (see fisher_factor)."""
-    R = fisher_factor(D, s)
+def fisher_matrix(J: Jacobian, s: ObservationSetup) -> np.ndarray:
+    """Fisher information R^T R of the Jacobian J (see fisher_factor)."""
+    R = fisher_factor(J, s)
     return R.T @ R
 
 
@@ -172,12 +236,13 @@ class CrbResult:
     ill_conditioned: bool
 
 
-def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
+def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = R^T R.
 
-    R is any real factor of I with one column per parameter, such as that
-    of fisher_factor; the parameter of a zero column drops out, and an R of
-    zero columns only raises ValueError. With
+    D is the dense Jacobian (see Jacobian.dense) and R any real factor of I
+    with one column per parameter, such as that of fisher_factor; the
+    parameter of a zero column drops out, and an R of zero columns only
+    raises ValueError. With
     R S = U Sigma V^T, S = diag(I)^-1/2 equilibrating R's columns,
     I^-1 = S V Sigma^-2 V^T S and the bound is the sum of squares
     ||[Re D; Im D] S V Sigma^-1||_F^2 / ||h||^2 over the sigma with
@@ -192,6 +257,13 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     below 1, and ||h||^2 on channel_energy's scale, all exactly; the bound
     takes 2^2g back last, so no square overflows or underflows and the digits
     are the unscaled ones. A bound above the largest float raises ValueError.
+
+    The sum of squares is taken over blocks of _TRACE_BLOCK_ROWS rows of
+    [Re D; Im D], split into contiguous ranges, one for the calling thread
+    and one for each of pool's helpers (see workers.shared_map); every
+    buffer is allocated here, on the calling thread. Each block is the same
+    product, and the block sums are added in one order, whatever the split,
+    so the bound does not depend on pool.
     """
     E, k_h = channel_energy(h)
     k = R.shape[1]
@@ -207,9 +279,24 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2
     B = S[:, None] * Vt[keep].T / sigma[keep]
     g = int((np.frexp(np.abs(D).max(axis=0))[1] - f).max())
-    # the halves of [Re D; Im D] one at a time, to hold one in memory
-    value = sum(np.linalg.norm(np.ldexp(part, -(f + g)) @ B) ** 2 for part in (D.real, D.imag))
-    ratio, e = float(value / E), 2 * g - k_h
+    shift = -(f + g)
+    n, block = D.shape[0], min(_TRACE_BLOCK_ROWS, D.shape[0])
+    blocks = [(part, lo) for part in (D.real, D.imag) for lo in range(0, n, block)]
+    sums = np.empty(len(blocks))
+    parts = min(1 + (pool.count if pool is not None else 0), len(blocks))
+
+    def sum_of_squares(job):
+        scaled, product, indices = job
+        for b in indices:
+            part, lo = blocks[b]
+            rows = min(block, n - lo)
+            np.ldexp(part[lo:lo + rows], shift, out=scaled[:rows])
+            np.matmul(scaled[:rows], B, out=product[:rows])
+            sums[b] = np.vdot(product[:rows], product[:rows])
+
+    shared_map(sum_of_squares, [(np.empty((block, B.shape[0])), np.empty((block, B.shape[1])), r)
+                                for r in np.array_split(range(len(blocks)), parts)], pool)
+    ratio, e = float(sums.sum() / E), 2 * g - k_h
     if overflows(ratio, e):
         raise ValueError("the bound exceeds the largest float: the information is too "
                          "weak for the noise variance sigma2")
@@ -226,20 +313,14 @@ def optimal_bound(n_paths: int, snr_linear: float) -> float:
     return 3.0 * n_paths / snr_linear
 
 
-# the (transmit, receive) factors of a path's six columns: 0 = E, 1 = dE_az, 2 = dE_el
-_FACTORS_T = np.array([0, 0, 0, 0, 1, 2])
-_FACTORS_R = np.array([0, 0, 1, 2, 0, 0])
-
-
 def _scaled_sum(m: np.ndarray, f: np.ndarray) -> tuple[float, int]:
     """(M, F) with sum m 4^f = M 4^F over all entries, summed on the largest f of a nonzero m."""
     F = int(f[m > 0].max(initial=0))
     return float(np.ldexp(m, 2 * (f - F)).sum()), F
 
 
-def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
-                              s: ObservationSetup) -> float:
-    """Relative residual ||(Id - P) D||_F / ||D||_F of the Jacobian D = channel_jacobian(...).
+def check_optimal_observation(J: Jacobian, s: ObservationSetup) -> float:
+    """Relative residual ||(Id - P) D||_F / ||D||_F of the Jacobian D of J.
 
     Zero (below ~1e-10) certifies that the observation projection P leaves the
     Jacobian range untouched, the condition under which the bound reaches
@@ -255,11 +336,11 @@ def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometr
     of each array. Identity observation reads exactly 0.0. Each |w_k| and each
     factor norm is taken on its own power of two (see exact_scale) and the
     two sums on their largest, so no square overflows or underflows at any rho.
+    A setup whose X and W do not fit J's arrays raises ValueError.
     """
-    s.check_fits(g_r.n_antennas, g_t.n_antennas)
-    F_r, F_t, _, rho = _jacobian_factors(ps, g_r, g_t)
-    F_r, F_t = np.concatenate(F_r, axis=1), np.concatenate(F_t, axis=1)   # 3P columns each
-    w, e = np.frexp(np.stack([np.ones_like(rho)] + [rho] * 5))   # |w_k| = w 2^e, 6 x P
+    s.check_fits(J.n_r, J.n_t)
+    F_r, T = J.F_r, J.F_t_conj
+    w, e = np.frexp(J.abs_weights().T)   # |w_k| = w 2^e, 6 x P
 
     def norms(M, factors):
         # squared norm of each column's factor among M's 3P columns, as (m, f), m 4^f, 6 x P
@@ -273,7 +354,8 @@ def check_optimal_observation(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometr
 
     in_r = s.Q_w @ (s.Q_w.conj().T @ F_r)
     r, r_in, r_out = (norms(M, _FACTORS_R) for M in (F_r, in_r, F_r - in_r))
-    t, t_out = (norms(M, _FACTORS_T) for M in (F_t, F_t - s.X @ (s.X.conj().T @ F_t) / s.alpha2))
+    # the conjugates of f_t and (I - M_t) f_t, of the same norms
+    t, t_out = (norms(M, _FACTORS_T) for M in (T, T - s.X.conj() @ (s.X.T @ T) / s.alpha2))
     (m_in, f_in), (m_out, f_out) = terms(t_out, r_in), terms(t, r_out)
     num = _scaled_sum(np.stack([m_in, m_out]), np.stack([f_in, f_out]))
     den = _scaled_sum(*terms(t, r))
@@ -290,21 +372,37 @@ def inter_path_coupling_mass(I: np.ndarray) -> float:
     return float(np.linalg.norm(off) / total) if total > 0 else 0.0
 
 
+def bound(J: Jacobian, s: ObservationSetup, h, pool: Helpers | None = None
+          ) -> tuple[np.ndarray, CrbResult]:
+    """(R, crb_trace(D, R, h)) of R = fisher_factor(J, s) and the dense D of J.
+
+    With a helper in pool, the helper fills D while the calling thread
+    factors I, and crb_trace splits its products over both (see
+    workers.shared_map); D is allocated here, on the calling thread. The
+    result does not depend on pool.
+    """
+    D = np.empty(J.shape, dtype=complex)
+    R, _ = shared_map(lambda task: task(), (lambda: fisher_factor(J, s), lambda: J.dense(D)),
+                      pool)
+    return R, crb_trace(D, R, h, pool)
+
+
 @one_blas_thread
 def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
-               s: ObservationSetup, include_blocks: bool = False) -> dict:
+               s: ObservationSetup, include_blocks: bool = False,
+               pool: Helpers | None = None) -> dict:
     """Bundle the bound, its floor, and the identifiability diagnostics.
 
     Runs on one BLAS thread (see blas.one_blas_thread): its factorizations
     are too small to gain from more, and the bound's digits then do not
-    depend on the environment's thread count. A setup whose X and W do not
-    have one row per transmit and per receive antenna raises ValueError.
+    depend on the environment's thread count. pool's helper, if any, shares
+    the bound (see bound), whose digits do not depend on it either. A setup
+    whose X and W do not have one row per transmit and per receive antenna
+    raises ValueError.
     """
-    s.check_fits(g_r.n_antennas, g_t.n_antennas)
-    D = channel_jacobian(ps, g_r, g_t)
-    R = fisher_factor(D, s)
+    J = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
-    result = crb_trace(D, R, h)
+    R, result = bound(J, s, h, pool)
     # I = 4^e F exactly (see exact_scale), and F does not overflow at any noise level
     F, e = exact_scale(R)
     F = F.T @ F
@@ -316,7 +414,7 @@ def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
         "floor_3p_over_snr": optimal_bound(len(ps), snr_linear),
         # strict JSON has no inf: a condition number without a finite value is null
         "condition_number": result.condition_number if result.condition_number < math.inf else None,
-        "optimal_observation_residual": check_optimal_observation(ps, g_r, g_t, s),
+        "optimal_observation_residual": check_optimal_observation(J, s),
         "ill_conditioned": result.ill_conditioned,
         "inter_path_coupling_mass": inter_path_coupling_mass(F),
     }

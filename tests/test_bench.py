@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mimolab import bench, estimation
+from mimolab import bench, estimation, fim
 from mimolab.bench import (BenchRow, ScenarioConfig, _canonical_angles, draw_scenario,
                            format_table, generate_paths, monte_carlo, rows_to_json, run_trial)
 from mimolab.blas import blas_threads
@@ -210,13 +210,13 @@ def test_monte_carlo_single_trial_reduces_to_run_trial():
 def test_monte_carlo_bounds_each_seed_once(monkeypatch, threads):
     # every strategy of a seed shares its scenario, so its CRB is solved once
     calls = []
-    crb_trace = bench.crb_trace
+    crb_trace = fim.crb_trace
 
     def counting(*args):
         calls.append(1)
         return crb_trace(*args)
 
-    monkeypatch.setattr(bench, "crb_trace", counting)
+    monkeypatch.setattr(fim, "crb_trace", counting)
     cfg = tiny_config(trials=3, P_budgets=(1,), strategies=("joint", "sequential"))
     rows = monte_carlo(cfg, threads=threads)
     assert len(calls) == 3
@@ -279,7 +279,8 @@ def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
 
 def test_monte_carlo_deterministic_across_threads():
     # two trials on two threads split seeds; one trial on two or three
-    # threads splits its screen; two on three do both (one thread idles)
+    # threads splits its screens and its bound (mean_true_crb); two on three
+    # do both (one thread idles)
     for trials, thread_counts in ((2, (2, 3)), (1, (2, 3))):
         cfg = tiny_config(trials=trials)
         rows1 = monte_carlo(cfg, threads=1)

@@ -56,6 +56,22 @@ def test_crb_identity_snr10_floor(tmp_path, capsys):
     assert report["optimal_observation_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("observation", [
+    {"target_snr_db": 30.0},
+    {"pilots": "orthogonal", "n_s": 32, "basis": "dft", "target_snr_db": 30.0},
+], ids=["identity", "dft_pilots"])
+def test_crb_report_bytes_do_not_depend_on_the_helper(tmp_path, monkeypatch, observation):
+    # run_crb hands crb_report one helper thread, which fills the dense Jacobian
+    # and takes half of crb_trace's blocks; without it the report is the same
+    obj = dict(crb_config(), arrays=_ARRAYS_64_16, observation=observation)
+    cfg = write_config(tmp_path, obj)
+    assert main(["crb", "--config", cfg, "--out", str(tmp_path / "helper.json")]) == 0
+    crb_report = cli.crb_report
+    monkeypatch.setattr(cli, "crb_report", lambda *args: crb_report(*args[:-1], None))
+    assert main(["crb", "--config", cfg, "--out", str(tmp_path / "alone.json")]) == 0
+    assert (tmp_path / "helper.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+
 def test_crb_stdout_when_no_out(tmp_path, capsys):
     cfg = write_config(tmp_path, crb_config(n_paths=2))
     assert main(["crb", "--config", cfg]) == 0
@@ -753,8 +769,15 @@ _ESTIMATE_ONE_PATH = {"grid": {"m": 100, "n": 100}, "P_budget": 2}
     ("crb", (_ARRAYS_64_16["tx"], _ARRAYS_64_16["rx"]), 1e307,
      {"pilots": "orthogonal", "n_s": 8, "basis": "dft", "sigma2": 1.0},
      "SNR exceeds the largest float, or falls below the smallest, at sigma2 = 1.0"),
+    # "RuntimeWarning: overflow encountered in matmul": X^T D, 1e450, was formed
+    # outside the errstate that guards the whitened derivative
+    ("crb", ({"type": "upa", "nx": 2, "ny": 1},) * 2, 1e300,
+     {"pilots": "orthogonal", "n_s": 2, "alpha": 1e150, "basis": "dft", "sigma2": 1},
+     "Fisher information overflows at pilot power alpha2 = 9.999999999999999e+299 "
+     "and noise variance sigma2 = 1"),
 ], ids=["estimate_sigma2_1.7e308", "estimate_alpha_1.5e-154", "crb_alpha_1e154",
-        "crb_alpha_1e154_rho_100", "estimate_rho_1e-170", "crb_rho_1e307_dft_pilots"])
+        "crb_alpha_1e154_rho_100", "estimate_rho_1e-170", "crb_rho_1e307_dft_pilots",
+        "crb_rho_1e300_alpha_1e150"])
 def test_results_beyond_the_float_range_exit_2_naming_the_noise_level(
         tmp_path, capsys, command, arrays, rho, observation, message):
     obj = {"arrays": dict(zip(("tx", "rx"), arrays)), "observation": observation,

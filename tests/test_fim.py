@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -7,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import orth
 
-from mimolab.channel import PathParams, PathSet, steering_vector, synthesize
-from mimolab.fim import (channel_jacobian, check_optimal_observation, crb_report,
+from mimolab import fim
+from mimolab.channel import PathParams, PathSet, steering_derivatives, steering_vector, synthesize
+from mimolab.fim import (bound, channel_jacobian, check_optimal_observation, crb_report,
                          crb_trace, fisher_factor, fisher_matrix,
                          intra_path_block, inter_path_coupling_mass, optimal_bound)
 from mimolab.geometry import Direction, ula, upa
 from mimolab.observation import (ObservationSetup, exact_scale, frobenius_norm, identity_setup,
                                  orthogonal_pilots, projection_apply, snr, span_combiners,
                                  span_pilots)
+from mimolab.workers import Helpers
 
 from conftest import (fd_jacobian, random_geometry, random_path,
                       separated_directions)
@@ -23,7 +26,7 @@ from conftest import (fd_jacobian, random_geometry, random_path,
 def test_jacobian_phase_column_definitional(rng):
     g_r, g_t = random_geometry(rng, 4), random_geometry(rng, 5)
     ps = PathSet([random_path(rng)])
-    D = channel_jacobian(ps, g_r, g_t)
+    D = channel_jacobian(ps, g_r, g_t).dense()
     e_r = steering_vector(g_r, ps[0].doa)
     e_t = steering_vector(g_t, ps[0].dod)
     h_p = ps[0].gain * np.kron(e_t.conj(), e_r)
@@ -32,9 +35,29 @@ def test_jacobian_phase_column_definitional(rng):
     assert np.allclose(D[:, 0], h_p / ps[0].rho)
 
 
+def test_dense_jacobian_is_the_definitional_kron_product_to_the_bit(rng):
+    # Jacobian.dense writes every column in place, yet each entry is that of
+    # c (f_t^* kron f_r), the rho column h / rho and the phi column j h
+    g_r, g_t = random_geometry(rng, 5), random_geometry(rng, 4)
+    ps = PathSet(random_path(rng) for _ in range(3))
+    D = channel_jacobian(ps, g_r, g_t).dense()
+    F_r = steering_derivatives(g_r, [p.doa for p in ps])
+    F_t = steering_derivatives(g_t, [p.dod for p in ps])
+    for k, path in enumerate(ps):
+        (e_r, de_r_az, de_r_el), (e_t, de_t_az, de_t_el) = ([F[:, k] for F in G]
+                                                            for G in (F_r, F_t))
+        c = np.array([path.gain])
+        h = c * np.kron(e_t.conj(), e_r)
+        expected = (h / path.rho, 1j * h, c * np.kron(e_t.conj(), de_r_az),
+                    c * np.kron(e_t.conj(), de_r_el), c * np.kron(de_t_az.conj(), e_r),
+                    c * np.kron(de_t_el.conj(), e_r))
+        for m, column in enumerate(expected):
+            assert np.array_equal(D[:, 6 * k + m], column)
+
+
 def test_jacobian_single_antennas_have_zero_direction_columns(rng):
     ps = PathSet([random_path(rng)])
-    D = channel_jacobian(ps, ula(1), ula(1))
+    D = channel_jacobian(ps, ula(1), ula(1)).dense()
     assert np.all(D[:, 2:] == 0.0)
 
 
@@ -43,7 +66,7 @@ def test_jacobian_matches_finite_differences(rng):
         g_r = random_geometry(rng, int(rng.integers(2, 7)))
         g_t = random_geometry(rng, int(rng.integers(2, 7)))
         ps = PathSet(random_path(rng) for _ in range(int(rng.integers(1, 4))))
-        D = channel_jacobian(ps, g_r, g_t)
+        D = channel_jacobian(ps, g_r, g_t).dense()
         FD = fd_jacobian(ps, g_r, g_t, step=1e-6)
         for k in range(D.shape[1]):
             scale = max(np.linalg.norm(D[:, k]), 1e-9)
@@ -65,9 +88,9 @@ def test_fisher_single_path_identity_entries(rng):
 def test_fisher_scales_inversely_with_noise(rng):
     g_r, g_t = random_geometry(rng, 4), random_geometry(rng, 4)
     ps = PathSet(random_path(rng) for _ in range(2))
-    D = channel_jacobian(ps, g_r, g_t)
-    I1 = fisher_matrix(D, identity_setup(4, 4, 0.5))
-    I2 = fisher_matrix(D, identity_setup(4, 4, 0.1))
+    J = channel_jacobian(ps, g_r, g_t)
+    I1 = fisher_matrix(J, identity_setup(4, 4, 0.5))
+    I2 = fisher_matrix(J, identity_setup(4, 4, 0.1))
     assert np.allclose(I2, 5.0 * I1)
 
 
@@ -136,9 +159,8 @@ def test_crb_floor_equality_identity_observation(rng):
     ps = PathSet(PathParams(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi), a, d)
                  for a, d in zip(doas, dods))
     s = identity_setup(4, 4, 0.25)
-    D = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
-    res = crb_trace(D, fisher_factor(D, s), h)
+    _, res = bound(channel_jacobian(ps, g_r, g_t), s, h)
     floor = optimal_bound(3, snr(s, h))
     assert not res.ill_conditioned
     assert abs(res.value - floor) <= 1e-9 * floor
@@ -149,8 +171,8 @@ def test_crb_trace_flags_duplicate_paths(rng):
     d_a, d_d = Direction(0.2, 0.3), Direction(-0.5, 0.1)
     ps = PathSet([PathParams(1.0, 0.1, d_a, d_d), PathParams(0.7, 1.0, d_a, d_d)])
     s = identity_setup(4, 4, 0.5)
-    D = channel_jacobian(ps, g_r, g_t)
-    res = crb_trace(D, fisher_factor(D, s), synthesize(ps, g_r, g_t).vector)
+    J = channel_jacobian(ps, g_r, g_t)
+    res = crb_trace(J.dense(), fisher_factor(J, s), synthesize(ps, g_r, g_t).vector)
     assert res.ill_conditioned
     assert res.condition_number > 1e12
     assert math.isfinite(res.value)  # pseudo-inverse value still reported
@@ -162,10 +184,9 @@ def test_crb_condition_number_free_of_gain_scale(rng):
     results = []
     for rho in (1.0, 1e-7, 1e5):
         ps = PathSet([PathParams(rho, 0.4, Direction(0.3, -0.2), Direction(-0.6, 0.5))])
-        D = channel_jacobian(ps, g_r, g_t)
         h = synthesize(ps, g_r, g_t).vector
         s = identity_setup(6, 4, 0.5)
-        res = crb_trace(D, fisher_factor(D, s), h)
+        _, res = bound(channel_jacobian(ps, g_r, g_t), s, h)
         assert not res.ill_conditioned
         assert abs(res.value - optimal_bound(1, snr(s, h))) <= 1e-12 * res.value
         results.append(res.condition_number)
@@ -179,9 +200,10 @@ def test_crb_trace_equilibrated_matches_direct_solve(rng):
     ps = PathSet(PathParams(rng.uniform(0.5, 2), rng.uniform(0, 6), a, d)
                  for a, d in zip(doas, dods))
     W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
-    D = channel_jacobian(ps, g_r, g_t)
+    J = channel_jacobian(ps, g_r, g_t)
+    D = J.dense()
     s = ObservationSetup(np.eye(6), W, 0.3)
-    R, I = fisher_factor(D, s), fisher_matrix(D, s)
+    R, I = fisher_factor(J, s), fisher_matrix(J, s)
     h = synthesize(ps, g_r, g_t).vector
     res = crb_trace(D, R, h)
     direct = np.trace(np.linalg.solve(I, D.conj().T @ D)).real / np.vdot(h, h).real
@@ -206,8 +228,8 @@ def test_crb_trace_is_unchanged_by_power_of_two_column_scalings(rng):
     cases = []
     for second in (PathParams(1.3, 1.1, doas[1], dods[1]), PathParams(0.7, 1.1, doas[0], dods[0])):
         ps = PathSet([PathParams(1.0, 0.4, doas[0], dods[0]), second])
-        D = channel_jacobian(ps, g_r, g_t)
-        cases.append((D, fisher_factor(D, s), synthesize(ps, g_r, g_t).vector))
+        J = channel_jacobian(ps, g_r, g_t)
+        cases.append((J.dense(), fisher_factor(J, s), synthesize(ps, g_r, g_t).vector))
     D, R, h = cases[0]
     zeroed = R.copy()
     zeroed[:, 1] = 0.0
@@ -231,8 +253,8 @@ def test_crb_trace_flags_non_positive_diagonal(rng):
     # than parameters leave I singular as well
     g_r, g_t = upa(2, 2), upa(2, 2)
     ps = PathSet([random_path(rng)])
-    D = channel_jacobian(ps, g_r, g_t)
-    R = fisher_factor(D, identity_setup(4, 4, 0.5))
+    J = channel_jacobian(ps, g_r, g_t)
+    D, R = J.dense(), fisher_factor(J, identity_setup(4, 4, 0.5))
     h = synthesize(ps, g_r, g_t).vector
     zero_column = R.copy()
     zero_column[:, 3] = 0.0
@@ -265,20 +287,47 @@ def identity_and_hybrid_setups(rng):
     return identity_setup(4, 6, 0.3), ObservationSetup(X, W, 0.3)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays=st.tuples(*[st.sampled_from(["ula", "upa", "custom"])] * 2),
+       log10_rho=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_log2_column_norms_match_those_of_the_dense_jacobian(arrays, log10_rho, seed):
+    # the annihilation check reads log2 ||D_k|| off the factors; the dense
+    # D's column norms, each on its own power of two, are the reference, at
+    # gains from 1e-300 to 1e300 and with the zero direction columns of one
+    # antenna arrays
+    rng = np.random.default_rng(seed)
+    g_r, g_t = (small_array(kind, rng) for kind in arrays)
+    ps = PathSet(PathParams(10.0 ** e, p.phi, p.doa, p.dod)
+                 for e, p in zip(log10_rho, (random_path(rng) for _ in log10_rho)))
+    J = channel_jacobian(ps, g_r, g_t)
+    got, ref = J.log2_column_norms(), fim._log2_norms(J.dense())
+    assert np.array_equal(got == -np.inf, ref == -np.inf)
+    finite = ref > -np.inf
+    assert np.abs(got[finite] - ref[finite]).max(initial=0.0) <= 1e-12
+
+
 def test_fisher_factor_is_the_triangular_factor_of_the_whitened_derivative(rng):
+    # R is assembled from the projected factors of J; the reference A is built
+    # column by column from the dense D. R is unique up to the signs of its
+    # rows, so its magnitudes must be those of the QR of A.
     g_r, g_t = upa(2, 3), upa(2, 2)
     doas, dods = separated_directions(rng, 3, 0.5), separated_directions(rng, 3, 0.5)
     ps = PathSet(PathParams(rng.uniform(0.5, 2), rng.uniform(0, 6), a, d)
                  for a, d in zip(doas, dods))
-    D = channel_jacobian(ps, g_r, g_t)
+    J = channel_jacobian(ps, g_r, g_t)
+    D = J.dense()
     h = synthesize(ps, g_r, g_t).vector
-    for s in identity_and_hybrid_setups(rng):
-        R, A = fisher_factor(D, s), whitened_derivative(D, s)
+    dft = ObservationSetup(orthogonal_pilots(4, 4, 2.0, "dft"), np.eye(6), 0.3)
+    for s in (*identity_and_hybrid_setups(rng), dft):
+        R, A = fisher_factor(J, s), whitened_derivative(D, s)
         assert A.shape == (2 * s.n_c * s.n_s, 18) and R.shape == (18, 18)
         assert np.array_equal(R, np.triu(R))
         gram = A.T @ A
         assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram)
-        assert np.array_equal(fisher_matrix(D, s), R.T @ R)
+        ref = np.linalg.qr(A, mode="r")
+        assert np.abs(np.abs(R) - np.abs(ref)).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(fisher_matrix(J, s), R.T @ R)
         # the bound reads any real factor: the tall A gives R's bound
         from_R, from_A = crb_trace(D, R, h), crb_trace(D, A, h)
         assert from_R.value == pytest.approx(from_A.value, rel=1e-12)
@@ -291,10 +340,10 @@ def test_crb_report_blocks_and_coupling_mass_are_those_of_the_fisher_matrix(rng)
     doas, dods = separated_directions(rng, 3, 0.5), separated_directions(rng, 3, 0.5)
     ps = PathSet(PathParams(rng.uniform(0.5, 2), rng.uniform(0, 6), a, d)
                  for a, d in zip(doas, dods))
-    D = channel_jacobian(ps, g_r, g_t)
+    J = channel_jacobian(ps, g_r, g_t)
     for s in identity_and_hybrid_setups(rng):
         report = crb_report(ps, g_r, g_t, s, include_blocks=True)
-        I = fisher_matrix(D, s)
+        I = fisher_matrix(J, s)
         mass = inter_path_coupling_mass(I)
         assert 0.0 < mass < 1.0
         assert report["inter_path_coupling_mass"] == pytest.approx(mass, rel=1e-13)
@@ -344,8 +393,8 @@ def test_crb_trace_matches_a_50_digit_reference(rng):
                           Direction(dods[1].azimuth, dods[1].elevation + eps))
         ps = PathSet([PathParams(1.0, 0.4, doas[0], dods[0]),
                       PathParams(1.3, 1.1, doas[1], dods[1]), twin])
-        D = channel_jacobian(ps, g_r, g_t)
-        A = fisher_factor(D, s)
+        J = channel_jacobian(ps, g_r, g_t)
+        D, A = J.dense(), fisher_factor(J, s)
         h = synthesize(ps, g_r, g_t).vector
         res = crb_trace(D, A, h)
         assert not res.ill_conditioned and 1e8 <= res.condition_number <= 3e11
@@ -369,9 +418,8 @@ def test_crb_never_below_floor(rng):
         n_c = int(rng.integers(3, 7))
         W = orth(rng.normal(size=(6, n_c)) + 1j * rng.normal(size=(6, n_c)))
         s = ObservationSetup(np.eye(6), W, 0.3)
-        D = channel_jacobian(ps, g_r, g_t)
         h = synthesize(ps, g_r, g_t).vector
-        res = crb_trace(D, fisher_factor(D, s), h)
+        _, res = bound(channel_jacobian(ps, g_r, g_t), s, h)
         if not res.ill_conditioned:
             assert res.value >= optimal_bound(2, snr(s, h)) - 1e-9
 
@@ -434,17 +482,19 @@ def test_optimal_observation_residual_matches_the_dense_projection(arrays, n_pat
     else:
         W = np.eye(n_r)
     s = ObservationSetup(X, W, 1.0)
-    r = check_optimal_observation(ps, g_r, g_t, s)
+    J = channel_jacobian(ps, g_r, g_t)
+    r = check_optimal_observation(J, s)
     if pilots == combiners == "identity":
         assert r == 0.0
-    ref = dense_residual(channel_jacobian(ps, g_r, g_t), s)
+    ref = dense_residual(J.dense(), s)
     assert abs(r - ref) <= 1e-12 * ref + 1e-14
 
 
 def test_optimal_observation_residual_identity(rng):
     g_r, g_t = upa(2, 2), upa(2, 3)
     ps = PathSet([random_path(rng)])
-    assert check_optimal_observation(ps, g_r, g_t, identity_setup(6, 4, 1.0)) == 0.0
+    s = identity_setup(6, 4, 1.0)
+    assert check_optimal_observation(channel_jacobian(ps, g_r, g_t), s) == 0.0
 
 
 def test_optimal_observation_residual_rank_one_combiner(rng):
@@ -453,24 +503,25 @@ def test_optimal_observation_residual_rank_one_combiner(rng):
     p = random_path(rng)
     W = steering_vector(g_r, p.doa)[:, None]
     s = ObservationSetup(np.eye(4), W, 1.0)
-    assert check_optimal_observation(PathSet([p]), g_r, g_t, s) > 0.1
+    assert check_optimal_observation(channel_jacobian(PathSet([p]), g_r, g_t), s) > 0.1
     # and it holds at gains whose squares overflow (a NaN residual) or
     # underflow (0 / 0): the dense residual of D / 2^e is the reference
     for rho in (2.0 ** -600, 2.0 ** 600):
         ps = PathSet([PathParams(rho, p.phi, p.doa, p.dod)])
-        ref = dense_residual(exact_scale(channel_jacobian(ps, g_r, g_t))[0], s)
-        assert abs(check_optimal_observation(ps, g_r, g_t, s) - ref) <= 1e-12 * ref + 1e-14
+        J = channel_jacobian(ps, g_r, g_t)
+        ref = dense_residual(exact_scale(J.dense())[0], s)
+        assert abs(check_optimal_observation(J, s) - ref) <= 1e-12 * ref + 1e-14
 
 
 def test_optimal_observation_residual_span_setup(rng):
     g_r, g_t = upa(2, 3), upa(3, 3)
     ps = PathSet(random_path(rng) for _ in range(2))
     s = ObservationSetup(span_pilots(ps, g_t), span_combiners(ps, g_r), 1.0)
-    assert check_optimal_observation(ps, g_r, g_t, s) <= 1e-10
+    J = channel_jacobian(ps, g_r, g_t)
+    assert check_optimal_observation(J, s) <= 1e-10
     # and the bound then reaches its floor
-    D = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
-    res = crb_trace(D, fisher_factor(D, s), h)
+    _, res = bound(J, s, h)
     assert abs(res.value - optimal_bound(2, snr(s, h))) <= 1e-9 * res.value
 
 
@@ -480,14 +531,13 @@ def test_subspace_restriction_never_helps(rng):
     doas = separated_directions(rng, 2, 0.6)
     dods = separated_directions(rng, 2, 0.6)
     ps = PathSet(PathParams(1.0, 0.0, a, d) for a, d in zip(doas, dods))
-    D = channel_jacobian(ps, g_r, g_t)
+    J = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
-    s_full = identity_setup(4, 6, 0.5)
-    full = crb_trace(D, fisher_factor(D, s_full), h)
+    _, full = bound(J, identity_setup(4, 6, 0.5), h)
     assert not full.ill_conditioned
     for _ in range(5):
         W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
-        restricted = crb_trace(D, fisher_factor(D, ObservationSetup(np.eye(4), W, 0.5)), h)
+        _, restricted = bound(J, ObservationSetup(np.eye(4), W, 0.5), h)
         if not restricted.ill_conditioned:
             assert restricted.value >= full.value - 1e-9 * full.value
 
@@ -546,6 +596,36 @@ def test_crb_report_contents(rng):
     assert len(report["per_path_blocks"][0]) == 6
 
 
+def test_bound_does_not_depend_on_the_helper(rng):
+    # 64 x 16 arrays: D has 1024 rows, so crb_trace sums 8 blocks, split between
+    # the calling thread and the helper, while the helper also fills D
+    g_r, g_t = upa(4, 4), upa(8, 8)
+    ps = PathSet(random_path(rng) for _ in range(6))
+    J, h = channel_jacobian(ps, g_r, g_t), synthesize(ps, g_r, g_t).vector
+    W = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+    hybrid = ObservationSetup(orthogonal_pilots(64, 32, 1.0, "dft"), W, 0.1)
+    for s in (identity_setup(64, 16, 0.1), hybrid):
+        R, result = bound(J, s, h)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for _ in range(3):
+                R_pooled, pooled = bound(J, s, h, Helpers(executor, 1))
+                assert np.array_equal(R_pooled, R) and pooled == result
+
+
+def test_crb_report_computes_the_steering_derivatives_once_per_array(monkeypatch):
+    # the bound and the optimal-observation residual read the same factors
+    calls = []
+    derivatives = fim.steering_derivatives
+
+    def counting(g, directions):
+        calls.append(g.n_antennas)
+        return derivatives(g, directions)
+
+    monkeypatch.setattr(fim, "steering_derivatives", counting)
+    crb_report(two_paths(), upa(2, 2), upa(2, 3), identity_setup(6, 4, 1.0))
+    assert sorted(calls) == [4, 6]
+
+
 def two_paths(rho=1.0):
     return PathSet([PathParams(rho, 0.3, Direction(0.5, -0.2), Direction(-1.0, 0.4)),
                     PathParams(rho, 1.1, Direction(-0.4, 0.3), Direction(0.6, -0.5))])
@@ -579,9 +659,11 @@ def test_a_setup_that_does_not_fit_the_arrays_raises(X, W):
     ps, g_r, g_t = PathSet([two_paths()[0]]), upa(2, 2), upa(2, 3)
     s = ObservationSetup(X, W, 1.0)
     rows = f"pilot matrix X has {X.shape[0]} rows, but the transmit array has 6 antennas"
-    for call in (crb_report, check_optimal_observation):
+    J = channel_jacobian(ps, g_r, g_t)
+    for call in (lambda: crb_report(ps, g_r, g_t, s), lambda: check_optimal_observation(J, s),
+                 lambda: fisher_factor(J, s)):
         with pytest.raises(ValueError, match=rows):
-            call(ps, g_r, g_t, s)
+            call()
 
 
 @pytest.mark.parametrize("snr_linear", [math.nan, math.inf, "x", None, True, 0.0, -1.0])
@@ -592,17 +674,17 @@ def test_optimal_bound_rejects_an_snr_that_is_not_a_positive_finite_number(snr_l
 
 
 def test_fisher_factor_rejects_a_jacobian_of_the_wrong_length():
-    D = channel_jacobian(two_paths(), upa(2, 2), upa(2, 3))
-    with pytest.raises(ValueError, match=r"D is 24 x 12, but the setup needs n_r \* n_t = 4 \* 5"):
-        fisher_factor(D, identity_setup(5, 4, 1.0))
+    J = channel_jacobian(two_paths(), upa(2, 2), upa(2, 3))
+    with pytest.raises(ValueError, match="pilot matrix X has 5 rows, but the transmit array has 6"):
+        fisher_factor(J, identity_setup(5, 4, 1.0))
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 5e-324, 1e-320, 1e-309])
 def test_fisher_factor_rejects_a_noise_level_whose_information_overflows(sigma2):
     # 2 / sigma2 overflowed to inf: a RuntimeWarning, then SVD did not converge
-    D = channel_jacobian(two_paths(), upa(2, 2), upa(2, 2))
+    J = channel_jacobian(two_paths(), upa(2, 2), upa(2, 2))
     with pytest.raises(ValueError, match=f"noiseless setup, sigma2 = {sigma2}"):
-        fisher_factor(D, identity_setup(4, 4, sigma2))
+        fisher_factor(J, identity_setup(4, 4, sigma2))
 
 
 @pytest.mark.parametrize("rho, sigma2, include_blocks, message", [
@@ -622,9 +704,10 @@ def test_crb_trace_rejects_a_bound_beyond_the_floats():
     # a weak path under loud noise: 3 P / SNR is above the largest float
     ps = PathSet([PathParams(1e-7, 0.3, Direction(0.5, -0.2), Direction(-1.0, 0.4))])
     g_r, g_t = upa(2, 2), upa(2, 2)
-    D = channel_jacobian(ps, g_r, g_t)
+    J = channel_jacobian(ps, g_r, g_t)
     with pytest.raises(ValueError, match="the bound exceeds the largest float"):
-        crb_trace(D, fisher_factor(D, identity_setup(4, 4, 1e300)), synthesize(ps, g_r, g_t).vector)
+        crb_trace(J.dense(), fisher_factor(J, identity_setup(4, 4, 1e300)),
+                  synthesize(ps, g_r, g_t).vector)
     # an information of 1e-600 on the second parameter makes the sum of squares
     # inf where numpy's overflow is silent, and math.ldexp(inf, n) returns inf
     D, R = np.ones((1, 2), dtype=complex), np.diag([1.0, 1e-300])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimolab.channel import ChannelMatrix, PathSet, steering_derivatives
-from mimolab.fim import check_optimal_observation
+from mimolab.fim import channel_jacobian, check_optimal_observation
 from mimolab.geometry import upa
 from mimolab.observation import (DENSE_PROJECTION_LIMIT, ObservationSetup, complex_from_json,
                                  exact_scale, identity_setup, noise_for_snr, observe,
@@ -325,7 +325,7 @@ def test_residual_is_zero_for_an_ill_conditioned_lossless_combiner(rng):
     W = Q @ (U * np.logspace(0, -6, Q.shape[1]) @ Vh)
     assert 0.5e6 < np.linalg.cond(W) < 2e6
     s = ObservationSetup(np.eye(g_t.n_antennas), W, 1.0)
-    assert check_optimal_observation(ps, g_r, g_t, s) <= 1e-10
+    assert check_optimal_observation(channel_jacobian(ps, g_r, g_t), s) <= 1e-10
 
 
 def test_complex_json_round_trip():
