@@ -117,13 +117,32 @@ def steering_matrix(g: ArrayGeometry, U: np.ndarray) -> np.ndarray:
     """Unit-norm array responses exp(-j A^T u) / sqrt(n), stacked as columns.
 
     U holds the directions' unit vectors u as its columns, 3 x k (see
-    geometry.unit_vectors); A is the scaled position matrix. The ufuncs run
-    in place on one complex array.
+    geometry.unit_vectors); A is the scaled position matrix. The response
+    is the Kronecker product of the responses of the array's factors (see
+    ArrayGeometry.factors): exp(-j B_f U), one n_f x k phasor matrix per
+    factor with 1/sqrt(n) folded into the smallest, multiplied in one
+    broadcast, so a 64-antenna upa takes 8 + 8 complex exponentials per
+    direction, not 64. A one-factor array is exp(-j A^T U) / sqrt(n) bit for
+    bit, its ufuncs in place on one complex array. A factor holds one
+    varying coordinate per row, so its phases are the one rounded product
+    v u_axis whatever the batch, and a column of a product array is the
+    same bits in any batch. Against exp(-j a.u) / sqrt(n) formed per
+    antenna a, each entry of a factored product lies within
+    (3 ||a||_1 + 16) 2^-53 / sqrt(n): the two phases' roundings, against
+    one more in a.u, the exponentials', the scaling's and the product's.
     """
-    out = np.multiply(g.scaled_positions.T @ U, -1j)
-    np.exp(out, out=out)
-    out /= math.sqrt(g.n_antennas)
-    return out
+    k = U.shape[1]
+    phasors = []
+    for B in g.factors:
+        F = np.multiply(B @ U, -1j)
+        np.exp(F, out=F)
+        phasors.append(F)
+    smallest = min(phasors, key=len)
+    smallest /= math.sqrt(g.n_antennas)
+    E = phasors[0]
+    for F in phasors[1:]:
+        E = np.multiply(E[:, None, :], F).reshape(len(E) * len(F), k)
+    return E
 
 
 def steering_derivatives(g: ArrayGeometry, directions) -> tuple[np.ndarray, ...]:
@@ -143,11 +162,17 @@ def steering_derivatives(g: ArrayGeometry, directions) -> tuple[np.ndarray, ...]
 def synthesize(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry) -> ChannelMatrix:
     """Sum of the rank-1 path channels c_p e_r(doa_p) e_t(dod_p)^H, formed as
     the one product E_r diag(c) E_t^H. A single path's channel has Frobenius
-    norm rho."""
+    norm rho; a channel with an entry beyond the largest float raises
+    ValueError naming the largest gain."""
     E_r = steering_matrix(g_r, unit_vectors([p.doa for p in ps]))
     E_t = steering_matrix(g_t, unit_vectors([p.dod for p in ps]))
     c = np.array([p.gain for p in ps])
-    return ChannelMatrix((E_r * c) @ E_t.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = (E_r * c) @ E_t.conj().T
+    if not np.isfinite(H).all():
+        raise ValueError("the channel E_r diag(c) E_t^H has an entry beyond the largest float "
+                         f"at path gains up to rho = {max(p.rho for p in ps)}")
+    return ChannelMatrix(H)
 
 
 def merge_paths(paths) -> PathParams:

@@ -178,9 +178,19 @@ class ArrayGeometry:
     their centroid at construction (twice, to squeeze out round-off): the
     decoupling of gain, arrival and departure parameters in the information
     matrix relies on the scaled position matrix having zero row sums.
+
+    factors, derived once from the centred positions, are the line arrays
+    whose Kronecker product the array is, as read-only n_f x 3 position
+    matrices: antenna i_0 n_1 + i_1 (row-major, the first factor's index
+    the slow one) sits at factors[0][i_0] + factors[1][i_1], exactly. Each
+    axis whose coordinate varies gives one factor, its distinct values
+    along that axis; the centring leaves a coordinate that does not vary at
+    exactly 0. That holds when the antennas run row-major over those
+    values, as every upa and ula does. Any other array, a custom one in
+    another order among them, is one factor: the whole array, A^T itself.
     """
 
-    __slots__ = ("scaled_positions",)
+    __slots__ = ("scaled_positions", "factors")
 
     def __init__(self, scaled_positions):
         A = np.array(scaled_positions, dtype=float)
@@ -194,6 +204,7 @@ class ArrayGeometry:
         A -= A.mean(axis=1, keepdims=True)
         A.setflags(write=False)
         self.scaled_positions = A
+        self.factors = _kronecker_factors(A)
 
     @property
     def n_antennas(self) -> int:
@@ -219,6 +230,28 @@ class ArrayGeometry:
         if kind == "custom":
             return cls.from_positions(*json_fields(obj, ("positions",), spec))
         raise ValueError(f"unknown array type {kind!r}")
+
+
+def _kronecker_factors(A: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ArrayGeometry.factors of the centred 3 x n positions A. The distinct values
+    are sorted in Python: numpy's sort kernels would page in about 0.3 MB on a
+    first call, for a few dozen antennas."""
+    index, varying = [0] * A.shape[1], []
+    for axis, row in enumerate(A.tolist()):
+        values = sorted(set(row))
+        if len(values) > 1:
+            rank = {v: i for i, v in enumerate(values)}
+            index = [i * len(values) + rank[v] for i, v in zip(index, row)]
+            varying.append((axis, values))
+    if not varying or index != list(range(A.shape[1])):
+        return (A.T,)
+    factors = []
+    for axis, values in varying:
+        B = np.zeros((len(values), 3))
+        B[:, axis] = values
+        B.setflags(write=False)
+        factors.append(B)
+    return tuple(factors)
 
 
 _PLANES = {"xy": (0, 1), "yz": (1, 2), "xz": (0, 2)}

@@ -197,6 +197,8 @@ def observe(H, s: ObservationSetup, seed) -> np.ndarray:
     real/imaginary parts of variance sigma2/2 each, all zero at sigma2 = 0),
     drawn from np.random.default_rng(seed), so a seed reproduces its draw. H
     must be n_r x n_t for the setup's X and W (see ObservationSetup.check_fits).
+    A Y with an entry beyond the largest float raises ValueError naming the
+    channel gain ||H||_F, the pilot power alpha2 and sigma2.
     """
     s.check_fits(*H.matrix.shape)
     Wh = s.W.conj().T
@@ -204,7 +206,14 @@ def observe(H, s: ObservationSetup, seed) -> np.ndarray:
     scale = math.sqrt(s.sigma2 / 2.0)
     N = scale * (rng.standard_normal((s.n_r, s.n_s))
                  + 1j * rng.standard_normal((s.n_r, s.n_s)))
-    return Wh @ H.matrix @ s.X + Wh @ N
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = Wh @ H.matrix @ s.X + Wh @ N
+    if not np.isfinite(Y).all():
+        raise ValueError("observation Y = W^H (H X + N) has an entry beyond the largest float "
+                         f"at channel gain ||H||_F = {frobenius_norm(H.matrix, 'channel H')}, "
+                         f"pilot power alpha2 = {s.alpha2} and noise variance "
+                         f"sigma2 = {s.sigma2}")
+    return Y
 
 
 def projection_apply(s: ObservationSetup, M: np.ndarray) -> np.ndarray:

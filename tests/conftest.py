@@ -25,6 +25,12 @@ def random_geometry(rng, n, scale=1.0):
     return ArrayGeometry.from_positions(rng.normal(0.0, scale, (3, n)))
 
 
+def per_antenna_steering(A, U):
+    """exp(-j a.u) / sqrt(n), one antenna a (a column of A) at a time: the
+    steering oracle that never calls steering_matrix."""
+    return np.stack([np.exp(-1j * (a @ U)) for a in A.T]) / math.sqrt(A.shape[1])
+
+
 def random_path(rng, el_max=1.3):
     return PathParams(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * math.pi),
                       random_direction(rng, el_max), random_direction(rng, el_max))

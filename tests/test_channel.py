@@ -1,15 +1,21 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimolab.channel import (ChannelMatrix, PathParams, PathSet, merge_paths,
                              steering_derivatives, steering_matrix, steering_vector,
                              synthesize)
-from mimolab.geometry import Direction, ula, unit_vectors, upa
+from mimolab.estimation import DirectionGrid, Dictionary
+from mimolab.geometry import (ArrayGeometry, Direction, ula, unit_vectors,
+                              unit_vectors_from_angles, upa)
 
-from conftest import random_direction, random_geometry, random_path, shift_direction
+from conftest import (per_antenna_steering, random_direction, random_geometry, random_path,
+                      shift_direction)
 
 
 def test_path_params_validation():
@@ -77,6 +83,48 @@ def test_steering_matrix_matches_vectors(rng):
     # BLAS kernels round differently, so columns agree to a few ulp, not bits
     for k, d in enumerate(dirs):
         assert np.allclose(E[:, k], steering_vector(g, d), rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 9), ny=st.integers(1, 9), plane=st.sampled_from(["xy", "yz", "xz"]),
+       spacing=st.floats(0.01, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_steering_lies_within_its_bound_of_the_per_antenna_formula(
+        nx, ny, plane, spacing, seed):
+    rng = np.random.default_rng(seed)
+    g = upa(nx, ny, spacing, plane)
+    A, n = g.scaled_positions, g.n_antennas
+    random = unit_vectors_from_angles(rng.uniform(-math.pi, math.pi, 30),
+                                      rng.uniform(-math.pi / 2, math.pi / 2, 30))
+    U = np.concatenate([random, DirectionGrid(7, 7, 1, 1).doa_units], axis=1)
+    E = steering_matrix(g, U)
+    # the bound steering_matrix's docstring states, per antenna
+    bound = (3 * np.abs(A).sum(axis=0) + 16) * 2.0 ** -53 / math.sqrt(n)
+    assert np.all(np.abs(E - per_antenna_steering(A, U)) <= bound[:, None])
+    # every column passes the dictionary's unit-norm check (it raises otherwise)
+    k = U.shape[1]
+    Dictionary(E, E, np.ones(k), np.ones(k), np.zeros((2, k)), np.zeros((2, k)))
+
+
+@pytest.mark.parametrize("g", [upa(8, 8), upa(4, 4, 0.3, "xy"), upa(3, 7, 1.7, "xz"),
+                               ula(5, 0.5, "z"), upa(1, 1)],
+                         ids=["upa_8x8", "upa_4x4_xy", "upa_3x7_xz", "ula_5_z", "upa_1x1"])
+def test_steering_vector_is_its_column_of_any_batch_bit_for_bit(rng, g):
+    for k in (1, 2, 5, 17, 40, 301):
+        dirs = [random_direction(rng, el_max=math.pi / 2) for _ in range(k)]
+        E = steering_matrix(g, unit_vectors(dirs))
+        for j, d in enumerate(dirs):
+            assert np.array_equal(E[:, j], steering_vector(g, d))
+
+
+def test_a_one_factor_array_is_the_unfactored_formula_bit_for_bit(rng):
+    A = upa(4, 3).scaled_positions
+    shuffled = ArrayGeometry(A[:, rng.permutation(A.shape[1])])
+    for g in (shuffled, random_geometry(rng, 9), random_geometry(rng, 40, scale=3.0)):
+        assert len(g.factors) == 1
+        for k in (1, 50, 2500):
+            U = unit_vectors([random_direction(rng, el_max=math.pi / 2) for _ in range(k)])
+            expected = np.exp(-1j * (g.scaled_positions.T @ U)) / math.sqrt(g.n_antennas)
+            assert np.array_equal(steering_matrix(g, U), expected)
 
 
 def test_steering_derivative_single_antenna_zero(rng):
@@ -147,6 +195,20 @@ def test_synthesize_opposite_gains_cancel(rng):
     q = PathParams(p.rho, (p.phi + math.pi) % (2 * math.pi), p.doa, p.dod)
     H = synthesize(PathSet([p, q]), g_r, g_t)
     assert np.linalg.norm(H.matrix) < 1e-13
+
+
+def test_synthesize_beyond_the_largest_float_names_the_gain():
+    # two aligned paths of gain 1.5e308 on 1 x 1 arrays: the one entry, 3e308,
+    # overflowed with "RuntimeWarning: overflow encountered in matmul"
+    p = PathParams(1.5e308, 0.0, Direction(0.2, 0.1), Direction(-0.4, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beyond the largest float at path gains up to "
+                                             r"rho = 1\.5e\+308"):
+            synthesize(PathSet([p, p]), upa(1, 1), upa(1, 1))
+        # on 2 x 2 arrays each entry is a quarter of that, and finite
+        H = synthesize(PathSet([p, p]), upa(2, 2), upa(2, 2)).matrix
+        assert np.allclose(np.abs(H), 0.75e308, rtol=1e-14, atol=0.0)
 
 
 def test_synthesize_rank_bounded_by_paths(rng):

@@ -868,6 +868,47 @@ def test_estimate_on_an_observation_norm_beyond_the_floats_exits_2(tmp_path, cap
     assert err == "config error: observation Y has a Frobenius norm beyond the largest float\n"
 
 
+_UNSCALED_PRODUCTS = {
+    # "RuntimeWarning: overflow encountered in matmul" at W^H H X in observe:
+    # 2 x 2 UPAs, rho 1e300 and 2 DFT pilots of alpha 1e150
+    "observe": ({"arrays": {"tx": _UPA_2X2, "rx": _UPA_2X2},
+                 "paths": [{"rho": 1e300, "phi": 0.3, "doa": {"az": 0.2, "el": 0.1},
+                            "dod": {"az": -0.4, "el": 0.3}}],
+                 "observation": {"pilots": "orthogonal", "n_s": 2, "alpha": 1e150,
+                                 "basis": "dft", "sigma2": 1}},
+                "observation Y = W^H (H X + N) has an entry beyond the largest float at channel "
+                "gain ||H||_F = 1e+300, pilot power alpha2 = 9.999999999999999e+299 and noise "
+                "variance sigma2 = 1"),
+    # the same at E_r diag(c) E_t^H in synthesize: 1 x 1 UPAs, two aligned paths
+    # of rho 1.5e308, whose one entry is 3e308
+    "synthesize": ({"arrays": {"tx": {"type": "upa", "nx": 1, "ny": 1},
+                               "rx": {"type": "upa", "nx": 1, "ny": 1}},
+                    "paths": [{"rho": 1.5e308, "phi": 0.0, "doa": {"az": 0.2, "el": 0.1},
+                               "dod": {"az": -0.4, "el": 0.3}}] * 2,
+                    "observation": {"sigma2": 1}},
+                   "the channel E_r diag(c) E_t^H has an entry beyond the largest float at path "
+                   "gains up to rho = 1.5e+308"),
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "crb"])
+@pytest.mark.parametrize("product", sorted(_UNSCALED_PRODUCTS))
+def test_a_channel_or_observation_beyond_the_floats_exits_2_naming_the_gain(
+        tmp_path, capsys, command, product):
+    obj, message = _UNSCALED_PRODUCTS[product]
+    if command == "estimate":
+        obj = dict(obj, grid={"m": 16, "n": 16}, P_budget=2)
+    elif product == "observe":   # crb observes nothing: the bound's own check names alpha2
+        message = ("Fisher information overflows at pilot power alpha2 = "
+                   "9.999999999999999e+299 and noise variance sigma2 = 1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", write_config(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("sigma2", True), ("sigma2", "0.1"), ("target_snr_db", True), ("target_snr_db", "10"),
     ("alpha", True), ("alpha", math.nan), ("basis", "hadamard"),

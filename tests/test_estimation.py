@@ -16,8 +16,10 @@ from mimolab.cli import _build_grid
 from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_directions,
                                 joint_select, matching_pursuit, sequential_select)
 from mimolab.geometry import Direction, direction_angles, unit_vectors, upa, wrap_azimuth
-from mimolab.observation import ObservationSetup, identity_setup, observe
+from mimolab.observation import ATOM_NORM_TOL, ObservationSetup, identity_setup, observe
 from mimolab.workers import Helpers
+
+from conftest import per_antenna_steering
 
 
 def small_grid(k=6):
@@ -152,6 +154,23 @@ def test_dictionary_identity_combiner_equals_steering(rng):
     norms_t = np.linalg.norm(d.K_t, axis=0)
     assert np.all(np.abs(norms_r - 1.0) < 1e-12)
     assert np.all(np.abs(norms_t - 1.0) < 1e-12)
+
+
+def test_paper_scale_dictionary_matches_atoms_formed_per_antenna():
+    # the 64/16 UPAs on 2500 x 2500 grids: each atom is exp(-j a.u) / sqrt(n) formed
+    # one antenna at a time, without steering_matrix, and normalized
+    grid = DirectionGrid.product(2500, 2500)
+    g_r, g_t = upa(4, 4), upa(8, 8)
+    d = build_dictionaries(grid, identity_setup(64, 16, 1.0), g_r, g_t)
+    for K, norms, g, U in ((d.K_r, d.doa_norms, g_r, grid.doa_units),
+                           (d.K_t, d.dod_norms, g_t, grid.dod_units)):
+        E = per_antenna_steering(g.scaled_positions, U)
+        E_norms = np.linalg.norm(E, axis=0)
+        assert K.shape == E.shape
+        assert np.abs(K - E / E_norms).max() <= 1e-15
+        # unit steering vectors: every norm is 1 up to rounding noise
+        assert np.abs(norms - 1.0).max() <= ATOM_NORM_TOL
+        assert np.abs(norms - E_norms).max() <= ATOM_NORM_TOL
 
 
 def test_dictionary_drops_annihilated_directions(rng):

@@ -214,3 +214,54 @@ def test_geometry_rejects_a_string_or_bool_for_a_number(bad):
                         (lambda: ArrayGeometry.from_positions(positions), "antenna positions")):
         with pytest.raises(ValueError, match=f"{name} must"):
             build()
+
+
+def assert_factors_place_every_antenna(g):
+    """Antenna i_0 n_1 + i_1 sits at factors[0][i_0] + factors[1][i_1], bit for bit."""
+    positions = g.factors[0]
+    for B in g.factors[1:]:
+        positions = (positions[:, None, :] + B).reshape(-1, 3)
+    assert np.array_equal(positions, g.scaled_positions.T)
+    assert not any(B.flags.writeable for B in g.factors)
+
+
+@pytest.mark.parametrize("plane", ["xy", "yz", "xz"])
+def test_every_upa_is_the_product_of_its_two_line_arrays(plane):
+    for nx in range(2, 10):
+        for ny in range(2, 10):
+            g = upa(nx, ny, 0.37, plane)
+            assert [B.shape for B in g.factors] == [(nx, 3), (ny, 3)]
+            assert_factors_place_every_antenna(g)
+
+
+@pytest.mark.parametrize("g", [ula(1), upa(1, 1), ula(5, 0.5, "x"), ula(7, 0.3, "y"),
+                               ula(2, 0.5, "z"), upa(1, 6, 0.5, "xy"), upa(6, 1, 0.5, "yz")],
+                         ids=["ula_1", "upa_1x1", "ula_x", "ula_y", "ula_z", "upa_1x6",
+                              "upa_6x1"])
+def test_a_line_array_or_one_antenna_is_one_factor(g):
+    assert len(g.factors) == 1
+    assert_factors_place_every_antenna(g)
+
+
+def test_an_array_out_of_row_major_order_finds_no_factors(rng):
+    # a upa's positions in a shuffled antenna order, and a generic custom array:
+    # their one factor is the whole array, A^T itself
+    A = upa(4, 3).scaled_positions
+    perm = rng.permutation(A.shape[1])
+    assert not np.array_equal(perm, np.arange(A.shape[1]))
+    for g in (ArrayGeometry(A[:, perm]), ArrayGeometry(rng.normal(size=(3, 12)))):
+        (B,) = g.factors
+        assert np.shares_memory(B, g.scaled_positions)
+        assert np.array_equal(B, g.scaled_positions.T)
+
+
+def test_a_upa_off_its_plane_is_the_same_product():
+    # the centring takes a constant coordinate to exactly 0, so a upa lifted
+    # off its plane factors as the upa does
+    for nx, ny in ((3, 4), (8, 8), (9, 7)):
+        for offset in (0.1, 1 / 3, 0.7, -12.345):
+            lifted = upa(nx, ny, 0.5, "yz").scaled_positions / (2 * math.pi)
+            lifted[0] += offset
+            g = ArrayGeometry.from_positions(lifted)
+            assert [B.shape for B in g.factors] == [(nx, 3), (ny, 3)]
+            assert_factors_place_every_antenna(g)

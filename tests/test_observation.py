@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +106,19 @@ def test_observe_rejects_mismatched_channel(rng):
     s = random_setup(rng)
     with pytest.raises(ValueError):
         observe(ChannelMatrix(np.zeros((5, 5))), s, seed=0)
+
+
+def test_observe_beyond_the_largest_float_names_the_gain_and_the_pilot_power():
+    # W^H H X was formed unscaled: "RuntimeWarning: overflow encountered in matmul",
+    # then a Y of inf and NaN entries
+    s = ObservationSetup(orthogonal_pilots(4, 2, 1e150, "dft"), np.eye(4), 1.0)
+    H = ChannelMatrix(np.full((4, 4), 0.25e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "at channel gain ||H||_F = 1e+300, pilot power alpha2 = 9.999999999999999e+299 "
+                "and noise variance sigma2 = 1.0")):
+            observe(H, s, seed=0)
 
 
 def test_observe_noise_variance_monte_carlo():
