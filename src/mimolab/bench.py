@@ -200,15 +200,19 @@ def generate_paths(cfg: ScenarioConfig, seed: int) -> PathSet:
 class Scenario:
     """One seed's channel, its full observation and the bound at its true paths.
 
-    The noise level realizes cfg.snr_db per observed entry: each of the
-    n_r x n_s received pilot samples carries that SNR on average, the
-    conventional way of quoting a training SNR. true_crb is the
+    g_t and g_r are the (transmit, receive) geometries the channel was
+    synthesized on, built once per seed and read by run_trial. The noise
+    level realizes cfg.snr_db per observed entry: each of the n_r x n_s
+    received pilot samples carries that SNR on average, the conventional
+    way of quoting a training SNR. true_crb is the
     relative-variance bound at the true parameter point; an ill-conditioned
     Fisher matrix there only raises its flag. Y is read-only, since every
     strategy pursues it.
     """
 
     seed: int
+    g_t: ArrayGeometry
+    g_r: ArrayGeometry
     H: ChannelMatrix
     Y: np.ndarray
     true_crb: CrbResult
@@ -225,7 +229,7 @@ def draw_scenario(cfg: ScenarioConfig, seed: int, pool: Helpers | None = None) -
     Y = observe(H, s, np.random.default_rng([int(seed), 1]))
     Y.setflags(write=False)
     _, true_crb = bound(channel_jacobian(paths, g_r, g_t), s, H.vector, pool)
-    return Scenario(seed, H, Y, true_crb)
+    return Scenario(seed, g_t, g_r, H, Y, true_crb)
 
 
 @dataclass(frozen=True)
@@ -246,15 +250,14 @@ def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
 
     The pursuit runs on the dictionary, built for the scenario's arrays
     under identity observation, to the largest of cfg.P_budgets and is read
-    at each: the rMSE of the paths kept so far, the cumulative pursuit time
-    and the scores evaluated through that iteration. pool is passed to the
-    selector (see estimation.joint_select).
+    at each: the rMSE of the paths kept so far on the scenario's arrays, the
+    cumulative pursuit time and the scores evaluated through that iteration.
+    pool is passed to the selector (see estimation.joint_select).
     """
     budgets = sorted(cfg.P_budgets)
     report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy, pool=pool)
-    g_t, g_r = cfg.geometries()
-    return TrialResult(strategy, scenario.seed,
-                       tuple(report.reading(P, scenario.H, g_r, g_t) for P in budgets))
+    return TrialResult(strategy, scenario.seed, tuple(
+        report.reading(P, scenario.H, scenario.g_r, scenario.g_t) for P in budgets))
 
 
 @dataclass(frozen=True)

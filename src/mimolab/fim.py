@@ -9,8 +9,10 @@ vec(Q_w^H D_k X), with D_k column k of the channel Jacobian D as an
 n_r x n_t matrix and Q_w an orthonormal basis of the combiner range. One
 QR of A gives the triangular factor R with I = R^T R, and the bound, the
 per-path blocks and the coupling mass are all read off R. The bound is
-never computed from I, so its digits do not suffer the squared
-conditioning of I. Direction entries are per radian of arc along
+never computed from I: it takes the singular values of R with its columns
+equilibrated and, where none is cut, the inverse of that triangular factor
+(see crb_trace), so its digits do not suffer the squared conditioning of
+I. Direction entries are per radian of arc along
 the unit tangents, which keeps the bound shape-independent for isotropic
 arrays.
 
@@ -48,6 +50,8 @@ PARAMS_PER_PATH = 6
 COND_THRESHOLD = 1e12
 # rows of [Re D; Im D] per product in crb_trace, the unit its work is split in
 _TRACE_BLOCK_ROWS = 256
+# the largest diagonal block _triangular_inverse hands to np.linalg.inv
+_INVERSE_LEAF = 64
 
 # the (transmit, receive) factors of a path's six columns: 0 = E, 1 = dE_az, 2 = dE_el
 _FACTORS_T = np.array([0, 0, 0, 0, 1, 2])
@@ -236,6 +240,57 @@ class CrbResult:
     ill_conditioned: bool
 
 
+def _triangular_inverse(T: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular T, by halves:
+    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]], down to diagonal
+    blocks of at most _INVERSE_LEAF, which np.linalg.inv takes. The LU of a
+    nonsingular triangular block never pivots (every entry below a pivot is
+    0), so L = I and U is the block: each leaf is a triangular solve, and the
+    entries below the diagonal of the result are exactly 0. Each diagonal
+    block of T is at least as well conditioned as T: its inverse is a block
+    of T^-1."""
+    n = T.shape[0]
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(T)
+    h = n // 2
+    X = np.zeros_like(T)
+    X[:h, :h] = _triangular_inverse(T[:h, :h])
+    X[h:, h:] = _triangular_inverse(T[h:, h:])
+    X[:h, h:] = -(X[:h, :h] @ T[:h, h:]) @ X[h:, h:]
+    return X
+
+
+def _spectrum(sigma: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """(cond, keep) of the singular values sigma of an equilibrated factor of
+    k parameters: cond = (sigma_max / sigma_min)^2, inf unless there are k of
+    them and sigma_min > 0, and keep the mask sigma^2 > k eps sigma_max^2."""
+    cond = float(sigma[0] / sigma[-1]) ** 2 if sigma.size == k and sigma[-1] > 0 else math.inf
+    return cond, sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2
+
+
+def _inverse_factor(R: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """(B, cond) of the live columns R of a factor of k parameters (see crb_trace).
+
+    With S = diag(R^T R)^-1/2 and R S = U Sigma V^T, B = S V Sigma^-1 over the
+    kept sigma and cond is (sigma_max / sigma_min)^2 (see _spectrum). Where
+    R S is square and upper-triangular and keeps every sigma, only the sigma
+    are computed, and B = S (R S)^-1 = S V Sigma^-1 U^T: the same sum of
+    squares, from a triangular inverse that does not square the conditioning
+    either. Elsewhere (a cut sigma, a dropped column, a factor that is not
+    square) one full SVD gives cond, keep and B.
+    """
+    S = 1.0 / np.linalg.norm(R, axis=0)
+    RS = R * S
+    if RS.shape == (k, k) and not np.tril(RS, -1).any():
+        sigma = np.linalg.svd(RS, compute_uv=False)
+        cond, keep = _spectrum(sigma, k)
+        if keep.all():
+            return S[:, None] * _triangular_inverse(RS), cond
+    _, sigma, Vt = np.linalg.svd(RS, full_matrices=False)
+    cond, keep = _spectrum(sigma, k)
+    return S[:, None] * Vt[keep].T / sigma[keep], cond
+
+
 def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = R^T R.
 
@@ -250,7 +305,11 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> C
     all of them for k < 4500 up to a condition number (sigma_max /
     sigma_min)^2 of COND_THRESHOLD, above which the result is flagged. That
     number, the eigenvalue ratio of S I S, is inf where a column drops out
-    or sigma_min = 0.
+    or sigma_min = 0. Where R S is square and upper-triangular, as
+    fisher_factor's is, and every sigma is kept, only the sigma are computed
+    and S V Sigma^-1 is read as S (R S)^-1 = R^-1: the two differ by the
+    orthogonal factor U^T, which leaves the sum of squares of every row of
+    the product as it is (see _inverse_factor).
 
     Column j of R is taken on its own power of two 2^f_j (exact_scale with
     axis=0), column j of D on 2^(f_j + g), g the one power that brings D
@@ -273,11 +332,7 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> C
         raise ValueError("no column of the factor R is nonzero: every parameter drops out")
     if not live.all():   # a zero column's parameter drops out, of the bound and of g
         R, D, f = R[:, live], D[:, live], f[live]
-    S = 1.0 / np.linalg.norm(R, axis=0)
-    _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
-    cond = float(sigma[0] / sigma[-1]) ** 2 if sigma.size == k and sigma[-1] > 0 else math.inf
-    keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2
-    B = S[:, None] * Vt[keep].T / sigma[keep]
+    B, cond = _inverse_factor(R, k)
     g = int((np.frexp(np.abs(D).max(axis=0))[1] - f).max())
     shift = -(f + g)
     n, block = D.shape[0], min(_TRACE_BLOCK_ROWS, D.shape[0])

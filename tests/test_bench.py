@@ -206,6 +206,25 @@ def test_monte_carlo_single_trial_reduces_to_run_trial():
     assert row.mean_true_crb == scenario.true_crb.value
 
 
+def test_monte_carlo_builds_the_arrays_once_for_the_dictionary_and_once_per_seed(monkeypatch):
+    # each scenario carries the arrays it was synthesized on, and every
+    # strategy's trial reads them there
+    calls = []
+    geometries = ScenarioConfig.geometries
+
+    def counting(cfg):
+        calls.append(1)
+        return geometries(cfg)
+
+    cfg = tiny_config(trials=3, P_budgets=(1,), strategies=("joint", "sequential"))
+    monkeypatch.setattr(ScenarioConfig, "geometries", counting)
+    monte_carlo(cfg)
+    assert len(calls) == 1 + 3
+    scenario = draw_scenario(cfg, 7)
+    for g, ref in zip((scenario.g_t, scenario.g_r), geometries(cfg)):
+        assert np.array_equal(g.scaled_positions, ref.scaled_positions)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_monte_carlo_bounds_each_seed_once(monkeypatch, threads):
     # every strategy of a seed shares its scenario, so its CRB is solved once

@@ -1,3 +1,4 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from mimolab import fim
+from mimolab.bench import ScenarioConfig, generate_paths
 from mimolab.channel import PathParams, PathSet, steering_derivatives, steering_vector, synthesize
 from mimolab.fim import (bound, channel_jacobian, check_optimal_observation, crb_report,
                          crb_trace, fisher_factor, fisher_matrix,
@@ -380,15 +382,17 @@ def test_crb_trace_drops_a_round_off_singular_value(rng):
 
 def test_crb_trace_matches_a_50_digit_reference(rng):
     # a twin of the second path, both elevations eps away: equilibrated
-    # condition numbers 1.2e8 to 2.3e11 (they grow as eps^-4), all below the
-    # threshold. The reference inverts A^T A exactly as given, at 50 digits;
-    # an equilibrated solve with the Fisher matrix itself misses it by up to
-    # 2.6e-6 here.
+    # condition numbers 1.2e8 to 2.3e11 under identity pilots and 1.0e8 to
+    # 2.0e11 under 4 DFT pilots on the 6 transmit antennas (they grow as
+    # eps^-4), all below the threshold. The reference inverts A^T A exactly
+    # as given, at 50 digits; an equilibrated solve with the Fisher matrix
+    # itself misses it by up to 2.6e-6 here.
     g_r, g_t = upa(2, 3), upa(3, 2)
     W = orth(rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5)))
-    s = ObservationSetup(np.eye(6), W, 0.3)
     doas, dods = separated_directions(rng, 2, 0.6), separated_directions(rng, 2, 0.6)
-    for eps in (1e-2, 3e-3, 1.5e-3):
+    for X, eps in itertools.product((np.eye(6), orthogonal_pilots(6, 4, 1.0, "dft")),
+                                    (1e-2, 3e-3, 1.5e-3)):
+        s = ObservationSetup(X, W, 0.3)
         twin = PathParams(0.8, 2.0, Direction(doas[1].azimuth, doas[1].elevation + eps),
                           Direction(dods[1].azimuth, dods[1].elevation + eps))
         ps = PathSet([PathParams(1.0, 0.4, doas[0], dods[0]),
@@ -406,6 +410,148 @@ def test_crb_trace_matches_a_50_digit_reference(rng):
                                 for i in range(G.rows) for j in range(G.cols))
             reference = float(bound / mpmath.fsum(abs(z) ** 2 for z in h.tolist()))
         assert abs(res.value - reference) <= 1e-10 * reference
+
+
+@pytest.fixture(scope="module")
+def forty_paths():
+    """(ps, g_r, g_t, setups) of a 40-path bound of perfbench's make-up: 64 x 16
+    UPAs, generate_paths' seed 7, identity observation and 32 DFT pilots with
+    8 random combiners."""
+    cfg = ScenarioConfig(n_t=64, n_r=16)
+    g_t, g_r = cfg.geometries()
+    c_rng = np.random.default_rng(2017)
+    W = c_rng.normal(size=(16, 8)) + 1j * c_rng.normal(size=(16, 8))
+    hybrid = ObservationSetup(orthogonal_pilots(64, 32, 1.0, "dft"), W, 0.1)
+    return generate_paths(cfg, 7), g_r, g_t, (identity_setup(64, 16, 0.1), hybrid)
+
+
+def random_triangular(rng, n, kappa):
+    """The upper-triangular QR factor of an n x n matrix of condition number kappa."""
+    Q1, Q2 = orth(rng.normal(size=(n, n))), orth(rng.normal(size=(n, n)))
+    return np.linalg.qr((Q1 * np.geomspace(1.0, 1.0 / kappa, n)) @ Q2.T, mode="r")
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 240])
+def test_triangular_inverse_by_halves(rng, forty_paths, n):
+    # random factors of condition numbers 1e2 and 1e8 and the leading n x n
+    # blocks of the equilibrated R S of a 40-path bound (condition numbers up
+    # to 1.8e4), on either side of the 64 leaf and of its doubling. The
+    # residual of an inverse from stable triangular solves and block
+    # products is within c u ||X|| ||T|| = c u kappa(T); c = n holds with
+    # room to spare (the largest ratio here is 0.15 n). The forward error
+    # against the LU inverse of all of T is within the same n u kappa(T),
+    # relative.
+    u = np.finfo(float).eps / 2
+    ps, g_r, g_t, setups = forty_paths
+    J = channel_jacobian(ps, g_r, g_t)
+    real = [exact_scale(fisher_factor(J, s), axis=0)[0] for s in setups]
+    for T in [random_triangular(rng, n, kappa) for kappa in (1e2, 1e8)] + [
+            (R / np.linalg.norm(R, axis=0))[:n, :n] for R in real]:
+        X = fim._triangular_inverse(T)
+        assert X.shape == (n, n) and not np.tril(X, -1).any()
+        bound = n * u * np.linalg.cond(T)
+        assert np.linalg.norm(X @ T - np.eye(n)) <= bound
+        ref = np.linalg.inv(T)
+        assert np.linalg.norm(X - ref) <= bound * np.linalg.norm(ref)
+
+
+def counting_svd(monkeypatch):
+    """Record compute_uv of every np.linalg.svd call from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def full_svd_inverse_factor(R, k):
+    """(B, cond) of the live columns R of a factor of k parameters, from one full
+    SVD of R S: the route crb_trace takes where a sigma is cut, a column is
+    dropped or R S is not square and triangular, written out as the reference."""
+    S = 1.0 / np.linalg.norm(R, axis=0)
+    _, sigma, Vt = np.linalg.svd(R * S, full_matrices=False)
+    cond = float(sigma[0] / sigma[-1]) ** 2 if sigma.size == k and sigma[-1] > 0 else math.inf
+    keep = sigma ** 2 > k * np.finfo(float).eps * sigma[0] ** 2
+    B = S[:, None] * Vt[keep].T / sigma[keep]
+    return B, cond
+
+
+def test_a_well_conditioned_bound_takes_the_singular_values_alone(forty_paths, monkeypatch):
+    # a 40-path report under identity and hybrid observation: one SVD, of
+    # the singular values only, then the triangular inverse
+    ps, g_r, g_t, setups = forty_paths
+    calls = counting_svd(monkeypatch)
+    for s in setups:
+        calls.clear()
+        report = crb_report(ps, g_r, g_t, s)
+        assert not report["ill_conditioned"]
+        assert calls == [False]
+
+
+def test_a_cut_dropped_or_tall_factor_takes_the_full_svd(rng, monkeypatch):
+    # the round-off-singular factor of test_crb_trace_drops_a_round_off_singular_value
+    # (tall, and its square triangular factor), duplicate paths and a zeroed
+    # column: the bound is exactly that of the full-SVD reference
+    k = 12
+    sv = np.linspace(1.0, 3.0, k)
+    sv[0] = 1e-13
+    A = (orth(rng.normal(size=(40, k))) * sv) @ orth(rng.normal(size=(k, k))).T
+    D = rng.normal(size=(20, k)) + 1j * rng.normal(size=(20, k))
+    h = rng.normal(size=20) + 1j * rng.normal(size=20)
+    g_r, g_t = upa(2, 2), upa(2, 2)
+    d_a, d_d = Direction(0.2, 0.3), Direction(-0.5, 0.1)
+    twins = PathSet([PathParams(1.0, 0.1, d_a, d_d), PathParams(0.7, 1.0, d_a, d_d)])
+    J = channel_jacobian(twins, g_r, g_t)
+    R = fisher_factor(J, identity_setup(4, 4, 0.5))
+    zeroed = R.copy()
+    zeroed[:, 3] = 0.0
+    h_twins = synthesize(twins, g_r, g_t).vector
+    # (D, R, h, compute_uv of each SVD): a square triangular factor first
+    # takes its singular values, which cut one
+    cases = [(D, A, h, [True]), (D, np.linalg.qr(A, mode="r"), h, [False, True]),
+             (J.dense(), R, h_twins, [False, True]), (J.dense(), zeroed, h_twins, [True])]
+    calls = counting_svd(monkeypatch)
+    for D, R, h, route in cases:
+        calls.clear()
+        got = crb_trace(D, R, h)
+        assert calls == route
+        assert got.ill_conditioned
+        with monkeypatch.context() as m:
+            m.setattr(fim, "_inverse_factor", full_svd_inverse_factor)
+            assert got == crb_trace(D, R, h)
+
+
+def test_the_triangular_inverse_and_the_full_svd_give_one_bound(rng):
+    # R with a zero row appended, and Q R for an orthogonal Q, have the same
+    # I = R^T R, but the one is not square and the other not triangular, so
+    # crb_trace takes the full SVD for them. Both routes are backward stable
+    # in R S, so they agree within k u kappa(R S), relative, with kappa(R S)^2
+    # the reported condition number, for 12 paths (72 parameters, beyond
+    # one leaf of the triangular inverse) on 64 x 16 UPAs with identity and
+    # with hybrid observation
+    u = np.finfo(float).eps / 2
+    g_r, g_t = upa(4, 4), upa(8, 8)
+    doas, dods = separated_directions(rng, 12, 0.3), separated_directions(rng, 12, 0.3)
+    ps = PathSet(PathParams(rng.uniform(0.5, 2.0), rng.uniform(0, 6), a, d)
+                 for a, d in zip(doas, dods))
+    J, h = channel_jacobian(ps, g_r, g_t), synthesize(ps, g_r, g_t).vector
+    W = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+    for s in (identity_setup(64, 16, 0.1),
+              ObservationSetup(orthogonal_pilots(64, 32, 1.0, "dft"), W, 0.1)):
+        R, inverse = bound(J, s, h)
+        k = R.shape[1]
+        tol = k * u * math.sqrt(inverse.condition_number)
+        assert not inverse.ill_conditioned
+        for other in (np.vstack((R, np.zeros((1, k)))), orth(rng.normal(size=(k, k))) @ R):
+            svd = crb_trace(J.dense(), other, h)
+            assert not svd.ill_conditioned
+            assert abs(inverse.value - svd.value) <= tol * svd.value
+            assert abs(inverse.condition_number - svd.condition_number) <= (
+                tol * svd.condition_number)
 
 
 def test_crb_never_below_floor(rng):
