@@ -245,17 +245,16 @@ class TrialResult:
 
 
 def run_trial(cfg: ScenarioConfig, scenario: Scenario, strategy: str,
-              dictionary: Dictionary, pool: Helpers | None = None) -> TrialResult:
+              dictionary: Dictionary) -> TrialResult:
     """Estimate the scenario's channel with one pursuit and score it.
 
     The pursuit runs on the dictionary, built for the scenario's arrays
     under identity observation, to the largest of cfg.P_budgets and is read
     at each: the rMSE of the paths kept so far on the scenario's arrays, the
     cumulative pursuit time and the scores evaluated through that iteration.
-    pool is passed to the selector (see estimation.joint_select).
     """
     budgets = sorted(cfg.P_budgets)
-    report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy, pool=pool)
+    report = matching_pursuit(scenario.Y, dictionary, budgets[-1], strategy)
     return TrialResult(strategy, scenario.seed, tuple(
         report.reading(P, scenario.H, scenario.g_r, scenario.g_t) for P in budgets))
 
@@ -301,7 +300,7 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
 
 
 def scan_threads(threads: int, trials: int) -> int:
-    """Threads each seed's joint screen runs on in monte_carlo(cfg, threads)."""
+    """Threads each seed's true-point bound runs on in monte_carlo(cfg, threads)."""
     return threads // min(threads, trials)
 
 
@@ -312,13 +311,11 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     Trial t draws the scenario of seed base_seed + t (see draw_scenario)
     and runs every strategy on it. At most `threads` threads work at once:
     min(threads, trials) of them take whole seeds, the calling thread among
-    them, and each seed's bound and joint screens are split over
-    scan_threads(threads, trials) threads, the seed's own and helpers from
-    one pool (see fim.bound and estimation.joint_select). With fewer
-    trials than threads the joint time column is therefore wall time on
-    threads // trials threads; otherwise each seed scans on its own thread.
-    Results are reduced in seed order and no pick depends on the split, so
-    the rMSE and counter columns are reproducible bit for bit for any
+    them, and each seed's bound is split over scan_threads(threads, trials)
+    threads, the seed's own and helpers from one pool (see fim.bound). Each
+    pursuit runs on its seed's thread, so the time columns are single-thread
+    wall times. Results are reduced in seed order and the bound does not
+    depend on the split, so the rMSE, CRB and counter columns are reproducible bit for bit for any
     `threads`; rows come back sorted by (P_budget, strategy). The call runs
     on one BLAS thread (see blas.one_blas_thread): these threads are the
     only parallelism, and the CRB column does not depend on the
@@ -331,14 +328,14 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     dictionary = build_dictionaries(grid, identity_setup(cfg.n_t, cfg.n_r, 1.0), g_r, g_t)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
 
-    # threads - 1 pool threads besides the caller: seed runners and screen
+    # threads - 1 pool threads besides the caller: seed runners and bound
     # helpers never need more at once, so no task waits for a thread
     with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as executor:
-        scan_pool = Helpers(executor, scan_threads(threads, cfg.trials) - 1)
+        bound_pool = Helpers(executor, scan_threads(threads, cfg.trials) - 1)
 
         def seed_work(seed):
-            scenario = draw_scenario(cfg, seed, scan_pool)
-            return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary, scan_pool)
+            scenario = draw_scenario(cfg, seed, bound_pool)
+            return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary)
                                        for s in cfg.strategies}
 
         per_seed = shared_map(seed_work, seeds, Helpers(executor, threads - 1))
@@ -351,8 +348,8 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
 def rows_to_json(cfg: ScenarioConfig, rows, threads: int) -> dict:
     """Config, rows and, apart from both, the environment monte_carlo ran in.
 
-    env holds the worker count `threads`, the threads each seed's joint
-    screen ran on (see scan_threads), the BLAS threads each call ran on
+    env holds the worker count `threads`, the threads each seed's bound ran
+    on (see scan_threads), the BLAS threads each call ran on
     (None when no OpenBLAS was found to cap) and the numpy version; it is
     the only part that may differ between machines.
     """

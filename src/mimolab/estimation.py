@@ -10,11 +10,13 @@ least squares, subtract, repeat.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .channel import PathParams, PathSet, steering_matrix, synthesize
 from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int,
                        unit_vectors_from_angles, wrap_azimuth)
 from .observation import ATOM_NORM_TOL, ObservationSetup, exact_scale, frobenius_norm, overflows
-from .workers import Helpers, shared_map
 
 _SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
 _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
@@ -30,6 +31,9 @@ _U32 = 2.0 ** -24        # unit roundoff of float32
 _U64 = 2.0 ** -53        # unit roundoff of float64
 _TINY32 = 2.0 ** -122    # 16 x float32's smallest normal: the screen's underflow allowance
 _PRUNE_SAFETY = 16.0     # c in the joint prune's rounding margin (see joint_select)
+_CELL_SIDE = 5           # DoA ranks per side of a cell of the joint scan's cone bound
+_CELL_MIN_PAIRS = 2 ** 16  # pruned pairs up to which the joint scan screens without its cell bound
+_SCREEN_RUN = 2 ** 16    # products and gathered entries per run of the joint scan's cell screen
 
 
 def _cell_centres(n_az: int, n_el: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,11 +178,91 @@ class Dictionary:
     def n(self) -> int:
         return self.K_t.shape[1]
 
+    @cached_property
+    def cells(self) -> "DoaCells":
+        """The DoAs grouped into cells for joint_select's cone bound, formed on first use
+        (see DoaCells), so a dictionary that only the sequential scan reads never forms them."""
+        return DoaCells.of(self)
+
     def doa_of(self, col: int) -> Direction:
         return Direction(*self.doa_angles[:, col].tolist())
 
     def dod_of(self, col: int) -> Direction:
         return Direction(*self.dod_angles[:, col].tolist())
+
+
+def _block_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's block of _CELL_SIDE ranks among the distinct values, and its rank's
+    offset from the middle of that block (see DoaCells). The distinct values are sorted
+    in Python, and each rank found by binary search."""
+    levels = np.array(sorted(set(values.tolist())))
+    rank = np.searchsorted(levels, values)
+    block = rank // _CELL_SIDE
+    lo = block * _CELL_SIDE
+    hi = np.minimum(lo + _CELL_SIDE, len(levels))
+    return block, rank - 0.5 * (lo + hi - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class DoaCells:
+    """A dictionary's DoAs grouped into cells of neighbouring directions (see joint_select).
+
+    DoA i has an azimuth rank and an elevation rank among the distinct azimuths
+    and elevations of doa_angles, and its cell is the block of _CELL_SIDE x
+    _CELL_SIDE ranks holding them, so a grid with dropped directions, or any
+    other layout, still tiles. cell_of[i] is DoA i's cell, numbered in
+    increasing block order, and members lists the DoAs cell by cell, in
+    increasing cell order. centres[g] is the member nearest the middle of its
+    block in rank units (the smallest DoA on ties), centres32 those rows of
+    K_r_H32, and radii[g] bounds the phase-aligned distance from the centre c
+    of every member a from above:
+
+        radii[g] = max_a ||a - w c|| + 8 (n_c + 2) u,   w = c^H a / |c^H a|,
+
+    computed in float64 (w = 1 where c^H a = 0), u = 2^-53 and n_c = K_r's
+    rows. Entry by entry, w c errs by at most sqrt(2) gamma_2 |c_k| and the
+    difference by u of itself, and the norm of 2 n_c squares adds (n_c + 2) u
+    of itself; with ||a|| and ||c|| within 5 n_c u of 1 (see Dictionary) and
+    ||a - w c|| <= 2, the computed distance lies within (2 n_c + 10) u of the
+    exact ||a - w c||, and so the rounded-up radius lies above it. By the
+    triangle inequality |a^H b| <= ||a - w c|| ||b|| + |w| |c^H b| for every
+    b, with |w| <= 1 + 2u, which needs no optimal w.
+    """
+
+    cell_of: np.ndarray
+    members: np.ndarray
+    centres: np.ndarray
+    centres32: np.ndarray
+    radii: np.ndarray
+
+    @classmethod
+    def of(cls, d: "Dictionary") -> "DoaCells":
+        az_block, az_off = _block_ranks(d.doa_angles[0])
+        el_block, el_off = _block_ranks(d.doa_angles[1])
+        block = az_block * (int(el_block.max()) + 1) + el_block
+        # DoAs cell by cell, each cell's centre first
+        members = np.lexsort((az_off ** 2 + el_off ** 2, block))
+        ordered = block[members]
+        new_cell = np.r_[True, ordered[1:] != ordered[:-1]]
+        first = np.flatnonzero(new_cell)
+        cell_of = np.empty(d.m, dtype=np.intp)
+        cell_of[members] = np.cumsum(new_cell) - 1
+        centres = members[first]
+        C_H = d.K_r_H[centres[cell_of]]   # row i: the conjugate of DoA i's centre
+        z = np.einsum("ij,ji->i", C_H, d.K_r)
+        mod = np.abs(z)
+        w = np.divide(z, mod, out=np.ones_like(z), where=mod > 0)
+        C_H *= w.conj()[:, None]
+        dist = np.linalg.norm(np.subtract(d.K_r_H, C_H, out=C_H), axis=1)
+        radii = np.maximum.reduceat(dist[members], first) + 8 * (d.K_r.shape[0] + 2) * _U64
+        cells = cls(cell_of, members, centres, d.K_r_H32[centres], radii)
+        for name in ("cell_of", "members", "centres", "centres32", "radii"):
+            getattr(cells, name).setflags(write=False)
+        return cells
+
+    @property
+    def count(self) -> int:
+        return len(self.centres)
 
 
 def _observed_side(M: np.ndarray, E: np.ndarray, angles: np.ndarray, label: str, name: str):
@@ -256,22 +340,22 @@ def _marginal_norms(K_H: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _candidates(K_H: np.ndarray, Ys: np.ndarray, YK: np.ndarray,
-                margin: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Increasing rows of K_H and columns of YK = Ys K that may hold max |(K_H Ys K)_ij|.
+def _candidates(K_H: np.ndarray, Ys: np.ndarray, YK: np.ndarray, margin: float):
+    """Increasing rows of K_H and columns of YK = Ys K that may hold max |(K_H Ys K)_ij|,
+    the floor they meet, and every row's and column's marginal norm.
 
     These are the rows and columns whose marginal norm ||k_i^H Ys|| or
-    ||Ys k_j|| is at least the score of the better of two feasible pairs,
-    less the rounding margin; (Ys, margin) is _scaled's (see joint_select).
-    The largest norm of a kept column of YK is returned third.
+    ||Ys k_j|| is at least the floor: the score of the better of two feasible
+    pairs, less the rounding margin; (Ys, margin) is _scaled's (see
+    joint_select).
     """
     row_norms = _marginal_norms(K_H, Ys)
     col_norms = np.linalg.norm(YK, axis=0)
     i0, j1 = int(np.argmax(row_norms)), int(np.argmax(col_norms))
     floor = max(float(np.abs(K_H[i0] @ YK).max()),
                 float(np.abs(K_H @ YK[:, j1]).max())) - margin
-    cols = np.flatnonzero(col_norms >= floor)
-    return np.flatnonzero(row_norms >= floor), cols, float(col_norms[cols].max())
+    return (np.flatnonzero(row_norms >= floor), np.flatnonzero(col_norms >= floor), floor,
+            row_norms, col_norms)
 
 
 def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tuple[int, int]:
@@ -299,71 +383,90 @@ def _best_in_rows(left: np.ndarray, right: np.ndarray, rows: np.ndarray) -> tupl
     return best_i, best_j
 
 
+def _screen_delta(r: int, norm: float, top: float) -> float:
+    """delta = c (r + 4) (u N + t (1 + N)) + 2 u top, N = norm: how far a complex64
+    screened value may lie from its exact value (see joint_select)."""
+    return _SCREEN_SAFETY * (r + 4) * (_U32 * norm + _TINY32 * (1.0 + norm)) + 2.0 * _U32 * top
+
+
 def _survivors(screened: np.ndarray, r: int, norm: float, margin: float = 0.0) -> np.ndarray:
     """Increasing indices of the screened values within 2 (delta + margin) of the largest.
 
     The values were screened in complex64 from inner products of length r
     between unit atoms and a factor whose largest row or column norm is
-    norm, and delta = c (r + 4) (u N + t (1 + N)) + 2 u top, with N = norm
-    and top the largest value, bounds each one's distance from its exact
-    value (see joint_select and sequential_select). The threshold is
-    compared in float64, so rounding it to float32 cannot drop a value.
+    norm, and delta = _screen_delta(r, norm, top), top the largest value,
+    bounds each one's distance from its exact value (see joint_select and
+    sequential_select). The threshold is compared in float64, so rounding
+    it to float32 cannot drop a value.
     """
     top = float(screened.max())
-    delta = _SCREEN_SAFETY * (r + 4) * (_U32 * norm + _TINY32 * (1.0 + norm)) + 2.0 * _U32 * top
+    delta = _screen_delta(r, norm, top)
     return np.flatnonzero(screened >= np.float64(top - 2.0 * (delta + margin)))
 
 
-def _screen_range(left32: np.ndarray, right32: np.ndarray, row_max: np.ndarray,
-                  C: np.ndarray, A: np.ndarray, starts: range) -> None:
-    """Write max_j |C_ij| of the rows of the blocks at `starts` into row_max.
+def _cell_keep(scores: np.ndarray, radii: np.ndarray, reach: np.ndarray,
+               level: float) -> np.ndarray:
+    """keep[g, j] = scores[g, j] >= level - radii[g] reach[j], the cell bound's rule (see
+    joint_select), evaluated in float64 _SCORE_BLOCK_ROWS cells at a time."""
+    keep = np.empty(scores.shape, dtype=bool)
+    for g0 in range(0, len(scores), _SCORE_BLOCK_ROWS):
+        need = np.multiply.outer(-radii[g0:g0 + _SCORE_BLOCK_ROWS], reach)
+        need += level
+        np.greater_equal(scores[g0:g0 + _SCORE_BLOCK_ROWS], need,
+                         out=keep[g0:g0 + _SCORE_BLOCK_ROWS])
+    return keep
 
-    C = left32 @ right32 is computed in complex64 one block of C.shape[0]
-    rows at a time into the buffers C and A, which no other range uses.
+
+def _screened_cells(left32: np.ndarray, right_T32: np.ndarray, keep: np.ndarray,
+                    bounds: np.ndarray, norm: float) -> np.ndarray:
+    """Increasing positions of the rows of left32 that may hold max |C_ij| over the
+    pairs the cell bound keeps (see joint_select).
+
+    Rows bounds[c] to bounds[c + 1] of left32 are the candidates of one cell,
+    screened against the rows of right_T32 that row c of keep marks. One
+    factor holds unit atoms and the other, whose largest row or column norm
+    is norm, is formed from _scaled's Ys; both are screened in complex64, and
+    a row survives when its screened maximum is within 2 delta of the
+    largest (see _survivors and joint_select).
+
+    The cells are screened in runs of consecutive cells: a run ends before
+    its products and gathered columns would pass _SCREEN_RUN entries, and
+    holds at least one cell. Each cell's kept columns are gathered, and its
+    product written, into flat buffers shared by the run, and the moduli
+    and each row's maximum are taken over the whole run. The buffers are
+    allocated once, before the first run, and the runs allocate nothing.
     """
-    block, m = C.shape[0], len(row_max)
-    for i0 in starts:
-        k = min(block, m - i0)
-        np.matmul(left32[i0:i0 + k], right32, out=C[:k])
-        np.abs(C[:k], out=A[:k])
-        np.max(A[:k], axis=1, out=row_max[i0:i0 + k])
-
-
-def _screened_rows(left: np.ndarray, right: np.ndarray, norm: float,
-                   pool: Helpers | None = None) -> np.ndarray:
-    """Increasing indices of the rows of C = left @ right that may hold max |C_ij|.
-
-    One factor holds unit atoms and the other, whose largest row or column
-    norm is norm, is formed from _scaled's Ys; both are screened in
-    complex64 as they are (a complex64 factor is used without a copy), and a
-    row survives when its screened maximum is within 2 delta of the largest
-    (see _survivors and joint_select).
-
-    The _SCORE_BLOCK_ROWS-row blocks are split into contiguous ranges, one
-    for the calling thread and one for each of pool's helpers, at most one
-    per block. Every block is the same product whatever the split, so the
-    screened values, and the rows returned, do not depend on pool.
-    """
-    m, r = left.shape
-    n = right.shape[1]
-    left32 = left.astype(np.complex64, copy=False)
-    right32 = right.astype(np.complex64, copy=False)
-    block = min(_SCORE_BLOCK_ROWS, m)
-    starts = range(0, m, block)
-    parts = min(1 + (pool.count if pool is not None else 0), len(starts))
-    cuts = [len(starts) * p // parts for p in range(parts + 1)]
-    # Every buffer is allocated here, on the calling thread, and helpers only
-    # write into them: buffers allocated on helper threads grow glibc's
-    # per-thread malloc arenas and with them the peak RSS.
-    jobs = [(np.empty((block, n), dtype=np.complex64), np.empty((block, n), dtype=np.float32),
-             starts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    row_max = np.empty(m, dtype=np.float32)
-    shared_map(lambda job: _screen_range(left32, right32, row_max, *job), jobs, pool)
+    r = left32.shape[1]
+    widths, heights = np.count_nonzero(keep, axis=1), np.diff(bounds)
+    work = np.cumsum(widths * (heights + r)).tolist()
+    size = int(max(min(_SCREEN_RUN, work[-1]), (widths * heights).max()))
+    C, A = np.empty(size, dtype=np.complex64), np.empty(size, dtype=np.float32)
+    G = np.empty((int(max(min(_SCREEN_RUN, work[-1]) // r, widths.max())), r), dtype=np.complex64)
+    # where each row's values start in the products of all cells laid end to end
+    row_widths = np.repeat(widths, heights)
+    row_starts = np.cumsum(row_widths) - row_widths
+    starts = np.empty(len(left32), dtype=row_starts.dtype)
+    row_max = np.empty(len(left32), dtype=np.float32)
+    widths, bounds = widths.tolist(), bounds.tolist()
+    lo = 0
+    while lo < len(widths):
+        done = work[lo - 1] if lo else 0
+        hi = max(lo + 1, bisect.bisect_right(work, done + _SCREEN_RUN))
+        at, q = 0, 0
+        for c in range(lo, hi):
+            h, k = bounds[c + 1] - bounds[c], widths[c]
+            np.compress(keep[c], right_T32, axis=0, out=G[q:q + k])
+            np.matmul(left32[bounds[c]:bounds[c + 1]], G[q:q + k].T,
+                      out=C[at:at + h * k].reshape(h, k))
+            at, q = at + h * k, q + k
+        p0, p1 = bounds[lo], bounds[hi]
+        np.subtract(row_starts[p0:p1], row_starts[p0], out=starts[p0:p1])
+        np.maximum.reduceat(np.abs(C[:at], out=A[:at]), starts[p0:p1], out=row_max[p0:p1])
+        lo = hi
     return _survivors(row_max, r, norm)
 
 
-def joint_select(Y: np.ndarray, dictionary: Dictionary,
-                 pool: Helpers | None = None) -> Selection:
+def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     """Exhaustive scan: argmax over all pairs of |k_r_i^H Y k_t_j|.
 
     Ties are broken by the smallest DoA index, then the smallest DoD index.
@@ -371,8 +474,8 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     _scaled), which scales every score exactly, is contracted over the
     smaller side of Y: left = K_r^H, right = Ys K_t when n_c <= n_s, and
     left = K_r^H Ys, right = K_t otherwise; r is that inner dimension. The
-    scan prunes the grid, screens what is left in complex64 and returns the
-    exact complex128 argmax.
+    scan prunes the grid, bounds cells of neighbouring DoAs, screens what is
+    left in complex64 and returns the exact complex128 argmax.
 
     Prune. The atoms have unit norm, so by Cauchy-Schwarz a pair's score
     |C_ij| is at most both of its marginals, ||k_r_i^H Y|| and ||Y k_t_j||.
@@ -399,19 +502,65 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     pairs while strong paths remain, and most of them once the residual is
     mostly noise.
 
+    Cell bound. A prune that keeps at most _CELL_MIN_PAIRS = 2^16 pairs
+    costs less to screen than to bound, and all its pairs are screened as
+    one cell. Otherwise the DoAs are grouped in cells of up to 5 x 5
+    neighbouring directions (see DoaCells), each with a member c as centre
+    and a radius rho >= ||a - w c|| for every member a, w the computed unit
+    phase of c^H a. For DoD j let b_j = Ys k_t_j, so C_ij = a_i^H b_j in
+    either contraction, and ||b_j|| is DoD j's marginal. Then
+
+        |a_i^H b_j| <= |c^H b_j| + rho ||b_j||
+
+    (the cone bound of exact maximum inner-product search: Ram and Gray, KDD
+    2012; Koenigstein, Ram and Shavitt, CIKM 2012), up to the factor |w| <=
+    1 + 2^-52 on |c^H b_j|, so one centre score bounds every pair of the
+    cell with DoD j. The centre scores s_cj of the cells that hold a kept
+    DoA are screened against the kept DoDs in complex64, as the screen below
+    screens rows, from the dictionary's complex64 copy of the centre
+    (centres32) against the rounded columns of Ys K_t, or from the rounded
+    rows c^H Ys of left against K_t32; each lies within delta_c =
+    _screen_delta(r, N, top_c) of |c^H b_j|, by the screen's derivation,
+    with N as below and top_c the largest centre score.
+
+    The centres are DoAs, so the centre scores also name a third feasible
+    pair: the DoD of the largest s_cj with its best DoA, scored in complex128
+    as the prune scores its two. L becomes the best of the three, and the
+    kept DoAs and DoDs are pruned again against it. Along 20-path pursuits
+    of paper_table's residuals the prune's two pairs score at least 0.75 of
+    the maximum (0.95 to 1.0 in the median), the third at least 0.95 (1.0
+    in the median). A pair (cell, DoD j) is kept when
+
+        rho (||b_j|| + margin) >= L - 2 margin - delta_c - s_cj,
+
+    with ||b_j|| the marginal the prune computed, and a cell's kept DoAs are
+    screened against its kept DoDs only. If (i, j) is a maximizing pair,
+    with exact score v >= L_exact, the computed L is at most L_exact +
+    margin, the computed ||b_j|| at least the exact one less margin (see
+    Prune) and s_cj at least |c^H b_j| - delta_c; the extra |w| factor
+    (2^-52 N) lies far inside delta_c's slack. So rho (||b_j|| + margin) >=
+    L - margin - delta_c - s_cj holds in exact arithmetic, and the second
+    margin covers the rule's float64 evaluation: six roundings of values
+    below 3 ||Ys||_F (rho <= sqrt(2) up to rounding), at most 18 u ||Ys||_F
+    with margin >= 64 u ||Ys||_F (as (n_c + 1) (n_s + 1) >= 4). So the cell
+    of every maximizing pair keeps its DoD, and its DoA is screened against
+    it. On the paper's 50 x 50 DoA grid and 16 receive antennas the radii of
+    the 5 x 5 cells lie between 0.21 and 0.60 (up to 0.31 for 2 x 2 cells,
+    1.22 for 10 x 10).
+
     Screen. One factor holds unit atoms and the other is formed from Ys
     (entries below 1 in modulus), so no complex64 value can overflow: the
     kept rows of left and columns of right are rounded to complex64 (unit
     roundoff u = 2^-24) as they are, the atoms' side read off the
     dictionary's complex64 copy (K_r_H32 or K_t32, rounded entry by entry,
-    so the same values), every kept |C_ij| is computed in
-    complex64, and each kept row keeps its largest value. A screened value
-    s_ij differs from the scaled |C_ij| by at most
+    so the same values), every |C_ij| of a kept DoA against its cell's kept
+    DoDs is computed in complex64, and each screened row keeps its largest
+    value. A screened value s_ij differs from the scaled |C_ij| by at most
 
         delta = c (r + 4) (u N + t (1 + N)) + 2 u top,
 
-    where N is the largest norm of a kept row or column of the factor
-    formed from Ys (see _candidates), t = _TINY32 = 2^-122, top is the
+    where N is the largest norm of a row or column of the factor formed
+    from Ys, the largest marginal of its side (see _candidates), t = _TINY32 = 2^-122, top is the
     largest screened value and c = _SCREEN_SAFETY = 4. With unit atoms,
     S_ij = sum_k |left_ik| |right_kj| <= ||left_i|| ||right_j|| <= N:
     - rounding the factors to complex64 moves each entry by at most u
@@ -428,38 +577,75 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary,
     the exact pass. Flushing every value below 2^-126 to zero adds at most
     sqrt(2) 2^-126 sqrt(r) (1 + N) through the factors' entries and 2^-126
     through each of the 8r + 1 real operations, below c (r + 4) t (1 + N).
-    Every maximizing pair is kept, so if the pick lies in row i with value
-    v, then s_i >= v - delta and top <= v + delta: a row survives when its
-    screened maximum is at least top - 2 delta, as every maximum's row does.
+    Every maximizing pair is screened, so if the pick lies in row i with
+    value v, then s_i >= v - delta and top <= v + delta: a row survives when
+    its screened maximum is at least top - 2 delta, as every maximum's row
+    does.
 
     Rescore. The surviving rows, in increasing order, are scored exactly in
     complex128 over all n columns by _best_in_rows. All rows are when the
     scores lie within 2 delta of each other, as for a zero Y: its margin and
-    L are 0, so the prune keeps every pair, and the screen's c (r + 4) t
-    (1 + N) term keeps every row. Usually one or two rows survive.
-    score_evaluations counts all m*n candidate scores either way, the
-    paper's cost model. A Y that holds NaN or inf raises ValueError.
-
-    pool, when given, shares the screen's blocks between the calling thread
-    and its helpers (see _screened_rows); the pick does not depend on it.
+    L are 0, so the prune keeps every pair, the cell bound every cell (its
+    delta_c > 0) and the screen's c (r + 4) t (1 + N) term every row.
+    Usually one or two rows survive. score_evaluations counts all m*n
+    candidate scores either way, the paper's cost model. A Y that holds NaN
+    or inf raises ValueError.
     """
-    K_r_H, K_t = dictionary.K_r_H, dictionary.K_t
+    K_r_H, K_t, cells = dictionary.K_r_H, dictionary.K_t, dictionary.cells
     Ys, _, margin = _scaled(Y)
     contract_combiners = K_r_H.shape[1] <= K_t.shape[0]
     left, right = (K_r_H, Ys @ K_t) if contract_combiners else (K_r_H @ Ys, K_t)
     if contract_combiners:
-        rows, cols, norm = _candidates(K_r_H, Ys, right, margin)
-        left32, right32 = dictionary.K_r_H32[rows], right[:, cols]
+        rows, cols, floor, doa_norms, dod_norms = _candidates(K_r_H, Ys, right, margin)
+        norm = float(dod_norms.max())
+        right_T32 = right[:, cols].T.astype(np.complex64, order="C")
     else:
-        cols, rows, norm = _candidates(K_t.T, Ys.T, left.T, margin)
-        left32, right32 = left[rows], dictionary.K_t32[:, cols]
-    rows = rows[_screened_rows(left32, right32, norm, pool)]
-    i, j = _best_in_rows(left, right, rows)
+        cols, rows, floor, dod_norms, doa_norms = _candidates(K_t.T, Ys.T, left.T, margin)
+        norm = float(doa_norms.max())
+        right_T32 = dictionary.K_t32[:, cols].T.copy()
+    if len(rows) * len(cols) <= _CELL_MIN_PAIRS:
+        # a screen this small costs less than the cell bound: all of it is one cell
+        screened, bounds = rows, np.array([0, len(rows)])
+        keep = np.ones((1, len(cols)), dtype=bool)
+    else:
+        # the centre scores of the cells that hold a kept DoA
+        live = np.zeros(cells.count, dtype=bool)
+        live[cells.cell_of[rows]] = True
+        live = np.flatnonzero(live)
+        centres = (cells.centres32[live] if contract_combiners
+                   else left[cells.centres[live]].astype(np.complex64))
+        scores = np.empty((len(live), len(cols)), dtype=np.float32)
+        for g0 in range(0, len(live), _SCORE_BLOCK_ROWS):
+            np.abs(centres[g0:g0 + _SCORE_BLOCK_ROWS] @ right_T32.T,
+                   out=scores[g0:g0 + _SCORE_BLOCK_ROWS])
+        delta = _screen_delta(left.shape[1], norm, float(scores.max()))
+        # a third feasible pair: the DoD of the largest centre score with its best DoA
+        best = cols[int(np.argmax(scores)) % len(cols)]
+        floor = max(floor, float(np.abs(left @ right[:, best]).max()) - margin)
+        keep = _cell_keep(scores, cells.radii[live], dod_norms[cols] + margin,
+                          floor - margin - delta)
+        keep &= dod_norms[cols] >= floor
+        del scores   # so that the screen's buffers do not add to it
+        # the kept DoAs of the cells that keep a DoD, cell by cell
+        reached = np.zeros(cells.count, dtype=bool)
+        reached[live] = keep.any(axis=1)
+        slot = np.zeros(cells.count, dtype=np.intp)
+        slot[live] = np.arange(len(live))
+        rows = rows[doa_norms[rows] >= floor]
+        screen = np.zeros(dictionary.m, dtype=bool)
+        screen[rows[reached[cells.cell_of[rows]]]] = True
+        screened = cells.members[screen[cells.members]]
+        g = slot[cells.cell_of[screened]]
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        keep, bounds = keep[g[starts]], np.r_[starts, len(screened)]
+    left32 = dictionary.K_r_H32[screened] if contract_combiners else left[screened]
+    survivors = screened[_screened_cells(left32.astype(np.complex64, copy=False), right_T32,
+                                         keep, bounds, norm)]
+    i, j = _best_in_rows(left, right, np.sort(survivors))
     return Selection(i, j, dictionary.m * dictionary.n)
 
 
-def sequential_select(Y: np.ndarray, dictionary: Dictionary,
-                      pool: Helpers | None = None) -> Selection:
+def sequential_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
     """Decoupled scan: DoA from the marginal energy criterion, then DoD.
 
     Stage 1 maximizes the received energy along each combined receive atom,
@@ -532,8 +718,7 @@ def sequential_select(Y: np.ndarray, dictionary: Dictionary,
     A zero Y keeps every candidate in both stages (every screened value is
     0 and delta > 0), so the pick is (0, 0). score_evaluations counts the
     m + n candidate scores, the paper's cost model. A Y that holds NaN or
-    inf raises ValueError (see _scaled). pool is accepted for a common
-    selector signature and not used.
+    inf raises ValueError (see _scaled).
     """
     Ys, norm, margin = _scaled(Y)
     n_c, n_s = Ys.shape
@@ -624,7 +809,7 @@ def selector(strategy):
 
 
 def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
-                     strategy: str, pool: Helpers | None = None) -> EstimationReport:
+                     strategy: str) -> EstimationReport:
     """Greedy P_budget-path estimate of the channel behind Y.
 
     Each iteration selects dictionary columns (k_r, k_t) with the requested
@@ -633,10 +818,14 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     divided by the columns' norms before normalization, the least-squares
     gain of its observed contribution. Repeated selection of the same pair
     is allowed; the gains accumulate as separate paths. The wall time covers
-    the pursuit loop only. A Y that is not K_r.shape[0] x K_t.shape[0], holds
-    NaN or inf or has a Frobenius norm beyond the largest float, or a P_budget
-    that is not a whole number (see as_int) of at least 1, raises ValueError.
-    pool goes to the selector.
+    the pursuit loop only; the joint scan's cells (see Dictionary.cells) are
+    formed before it. A gain c with a part of 2^1022 or more, whose partial
+    products in c k_r k_t^H may overflow though ||Y||_F is finite, is
+    subtracted on R / 2^e (see exact_scale), where the powers of two scale
+    every rounding exactly; any other gain is subtracted as it is. A Y that is not K_r.shape[0] x
+    K_t.shape[0], holds NaN or inf or has a Frobenius norm beyond the
+    largest float, or a P_budget that is not a whole number (see as_int) of
+    at least 1, raises ValueError.
     """
     K_r, K_t = dictionary.K_r, dictionary.K_t
     if np.shape(Y) != (K_r.shape[0], K_t.shape[0]):
@@ -646,6 +835,8 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     if P_budget < 1:
         raise ValueError("P_budget must be at least 1")
     select = selector(strategy)
+    if strategy == "joint":
+        dictionary.cells   # formed once, outside the timed loop
     R = np.array(Y, dtype=complex)
     paths: list[PathParams] = []
     evaluations = 0
@@ -653,7 +844,7 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
     cumulative_times = []
     start = time.perf_counter()
     for _ in range(P_budget):
-        sel = select(R, dictionary, pool)
+        sel = select(R, dictionary)
         evaluations += sel.score_evaluations
         i, j = sel.doa_index, sel.dod_index
         c = complex(dictionary.K_r_H[i] @ R @ K_t[:, j])
@@ -661,7 +852,13 @@ def matching_pursuit(Y: np.ndarray, dictionary: Dictionary, P_budget: int,
             gain = c / (dictionary.doa_norms[i] * dictionary.dod_norms[j])
             paths.append(PathParams(abs(gain), cmath.phase(gain) % TWO_PI,
                                     dictionary.doa_of(i), dictionary.dod_of(j)))
-            R -= c * np.outer(K_r[:, i], K_t[:, j].conj())
+            atom = np.outer(K_r[:, i], K_t[:, j].conj())
+            if max(abs(c.real), abs(c.imag)) < 2.0 ** 1022:
+                R -= c * atom
+            else:
+                Rs, e = exact_scale(R)
+                Rs -= c * math.ldexp(1.0, -e // 2) * math.ldexp(1.0, -(e // 2)) * atom
+                R = Rs * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
         residual_norms.append(frobenius_norm(R, "the residual"))
         cumulative_times.append(time.perf_counter() - start)
     return EstimationReport(tuple(paths), evaluations, tuple(residual_norms),

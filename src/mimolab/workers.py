@@ -1,7 +1,7 @@
 """Map a function over items on the calling thread and a few pool threads.
 
-`monte_carlo` runs trial seeds this way, and each seed runs its joint
-screens and its bound (see fim.bound) this way: the calling thread always
+`monte_carlo` runs trial seeds this way, and each seed runs its bound
+(see fim.bound) this way: the calling thread always
 takes part, so a call that asks for k threads of work starts k - 1
 pool tasks, never k. The pool is one executor shared by both levels and
 sized by their caller; `crb` gives the bound a one-thread executor of its

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mimolab import bench, estimation, fim
+from mimolab import bench, fim
 from mimolab.bench import (BenchRow, ScenarioConfig, _canonical_angles, draw_scenario,
                            format_table, generate_paths, monte_carlo, rows_to_json, run_trial)
 from mimolab.blas import blas_threads
@@ -298,8 +298,8 @@ def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
 
 def test_monte_carlo_deterministic_across_threads():
     # two trials on two threads split seeds; one trial on two or three
-    # threads splits its screens and its bound (mean_true_crb); two on three
-    # do both (one thread idles)
+    # threads splits its bound (mean_true_crb); two on three do both (one
+    # thread idles)
     for trials, thread_counts in ((2, (2, 3)), (1, (2, 3))):
         cfg = tiny_config(trials=trials)
         rows1 = monte_carlo(cfg, threads=1)
@@ -314,8 +314,9 @@ def test_monte_carlo_deterministic_across_threads():
 
 @pytest.mark.parametrize("trials, threads", [(1, 2), (1, 3), (2, 3), (3, 2), (2, 2)])
 def test_monte_carlo_keeps_to_its_thread_budget(monkeypatch, trials, threads):
-    # seed work and screen ranges record the threads doing them; no more than
-    # `threads` may be busy at once, and the calling thread runs a seed
+    # seed work and the bound's two tasks record the threads doing them; no
+    # more than `threads` may be busy at once, and the calling thread runs a
+    # seed
     lock = threading.Lock()
     busy, peak, seed_threads = {}, [0], set()
 
@@ -337,7 +338,8 @@ def test_monte_carlo_keeps_to_its_thread_budget(monkeypatch, trials, threads):
         return record
 
     monkeypatch.setattr(bench, "run_trial", recording(bench.run_trial, True))
-    monkeypatch.setattr(estimation, "_screen_range", recording(estimation._screen_range, False))
+    monkeypatch.setattr(fim, "fisher_factor", recording(fim.fisher_factor, False))
+    monkeypatch.setattr(fim.Jacobian, "dense", recording(fim.Jacobian.dense, False))
     cfg = tiny_config(trials=trials, m=400, strategies=("joint",))
     monte_carlo(cfg, threads=threads)
     assert 1 <= peak[0] <= threads

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mimolab import bench, blas, estimation, fim
+from mimolab import bench, blas, fim
 from mimolab.channel import PathSet
 from mimolab.fim import crb_report
 from mimolab.geometry import upa
@@ -72,27 +72,29 @@ def test_monte_carlo_restores_when_a_trial_raises(two_threads, monkeypatch):
         assert threading.active_count() == threads_before
 
 
-def test_monte_carlo_restores_when_a_screen_helper_raises(two_threads, monkeypatch):
-    # One trial on two threads: the calling thread runs the seed and one
-    # screen range, and waits until a helper has taken the other and raised.
-    # The observation is all noise, so the joint scan prunes none of the 144
-    # DoAs and the screen spans three blocks, more than one range.
+def test_monte_carlo_restores_when_a_bound_helper_raises(two_threads, monkeypatch):
+    # One trial on two threads: the calling thread runs the seed and the
+    # bound's Fisher factor, and waits until the helper has taken the dense
+    # Jacobian and raised.
     caller = threading.get_ident()
     helper_ran = threading.Event()
-    screen_range = estimation._screen_range
+    fisher_factor = fim.fisher_factor
 
-    def failing_in_helper(*args):
-        if threading.get_ident() != caller:
-            helper_ran.set()
-            raise RuntimeError("screen failed")
+    def failing_in_helper(J, out=None):
+        assert threading.get_ident() != caller
+        helper_ran.set()
+        raise RuntimeError("bound failed")
+
+    def waiting_for_the_helper(J, s):
         helper_ran.wait(timeout=30)
-        return screen_range(*args)
+        return fisher_factor(J, s)
 
     threads_before = threading.active_count()
-    monkeypatch.setattr(estimation, "_screen_range", failing_in_helper)
+    monkeypatch.setattr(fim, "fisher_factor", waiting_for_the_helper)
+    monkeypatch.setattr(fim.Jacobian, "dense", failing_in_helper)
     cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=144, n=16, n_clusters=2, paths_per_cluster=2,
-                               snr_db=-60.0, P_budgets=(1,), strategies=("joint",), trials=1)
-    with pytest.raises(RuntimeError, match="screen failed"):
+                               P_budgets=(1,), strategies=("joint",), trials=1)
+    with pytest.raises(RuntimeError, match="bound failed"):
         bench.monte_carlo(cfg, threads=2)
     assert helper_ran.is_set()
     assert counts() == two_threads

@@ -868,6 +868,29 @@ def test_estimate_on_an_observation_norm_beyond_the_floats_exits_2(tmp_path, cap
     assert err == "config error: observation Y has a Frobenius norm beyond the largest float\n"
 
 
+@pytest.mark.parametrize("strategy", ["joint", "sequential"])
+@pytest.mark.parametrize("phi", [0.3, 2.356, 5.5])
+def test_estimate_fits_a_gain_near_the_largest_float(tmp_path, capsys, strategy, phi):
+    # one path of gain 1.5e308 on 1 x 1 UPAs: Y and its Frobenius norm are
+    # finite, but subtracting c k_r k_t^H from the residual ended in
+    # "RuntimeWarning: overflow encountered in multiply" once |c| exceeded
+    # about the largest float over sqrt(2); the pursuit subtracts on R / 2^e
+    upa = {"type": "upa", "nx": 1, "ny": 1}
+    path = {"rho": 1.5e308, "phi": phi, "doa": {"az": 0.2, "el": 0.1},
+            "dod": {"az": -0.4, "el": 0.3}}
+    obj = {"arrays": {"tx": upa, "rx": upa}, "paths": [path], "observation": {"sigma2": 1},
+           "grid": {"m": 16, "n": 16}, "P_budget": 2, "strategy": strategy}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--config", write_config(tmp_path, obj)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"output holds {name}"))
+    (fitted,) = report["estimated_paths"]
+    assert fitted["rho"] == pytest.approx(1.5e308, rel=1e-12)
+    assert report["rmse"] <= 1e-24
+
+
 _UNSCALED_PRODUCTS = {
     # "RuntimeWarning: overflow encountered in matmul" at W^H H X in observe:
     # 2 x 2 UPAs, rho 1e300 and 2 DFT pilots of alpha 1e150

@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -17,9 +17,16 @@ from mimolab.estimation import (DirectionGrid, build_dictionaries, hemisphere_di
                                 joint_select, matching_pursuit, sequential_select)
 from mimolab.geometry import Direction, direction_angles, unit_vectors, upa, wrap_azimuth
 from mimolab.observation import ATOM_NORM_TOL, ObservationSetup, identity_setup, observe
-from mimolab.workers import Helpers
 
 from conftest import per_antenna_steering
+
+
+@pytest.fixture(autouse=True)
+def cell_bound_on_every_screen(monkeypatch):
+    """The dictionaries here are small enough for joint_select to screen their
+    pruned pairs without the cell bound; every test below runs the cell bound
+    instead, unless it sets _CELL_MIN_PAIRS itself."""
+    monkeypatch.setattr(estimation, "_CELL_MIN_PAIRS", 0)
 
 
 def small_grid(k=6):
@@ -315,11 +322,83 @@ def test_joint_select_matches_bruteforce_oracle_hybrid(rng, monkeypatch, n_c, n_
         assert sel.score_evaluations == 100 * 20
 
 
+def exact_ints(M):
+    """A 2-D float or complex array as rows of (re, im) Python integers, and their one
+    power-of-two denominator q for the whole array: every finite float is a dyadic
+    rational, so integer arithmetic on them is exact."""
+    M = np.asarray(M, dtype=complex)
+    parts = [x.as_integer_ratio() for x in np.concatenate([M.real.ravel(), M.imag.ravel()])]
+    q = max(den for _, den in parts)
+    ints = [num * (q // den) for num, den in parts]
+    pairs = list(zip(ints[:M.size], ints[M.size:]))
+    return [pairs[k:k + M.shape[1]] for k in range(0, M.size, M.shape[1])], q
+
+
+class ExactOracle:
+    """Exact scores of a dictionary's atoms against one Y, in integer arithmetic.
+
+    Y, K_r and K_t are each read exactly over one denominator (see
+    exact_ints), so every score below is exact, on integer data and steering
+    atoms alike, and equal scores tie exactly; ties break to the smallest
+    index. Each score is first formed in complex128, and only those within
+    2^-30 ||Y||_F^2 of the largest, which hold every exact maximizer, are
+    scored exactly.
+    """
+
+    def __init__(self, Y, d):
+        self.Y, self.d = np.asarray(Y, dtype=complex), d
+        (self.Yi, _), (self.Ri, _), (self.Ti, _) = map(exact_ints, (self.Y, d.K_r, d.K_t))
+        self.tol = 2.0 ** -30 * float(np.linalg.norm(self.Y)) ** 2
+        self._rows = {}
+
+    def row(self, i):
+        """k_r_i^H Y, scaled by the common denominators, as (re, im) integers."""
+        if i not in self._rows:
+            a = [r[i] for r in self.Ri]
+            self._rows[i] = [
+                (sum(ar * yr + ai * yi for (ar, ai), (yr, yi) in zip(a, col)),
+                 sum(ar * yi - ai * yr for (ar, ai), (yr, yi) in zip(a, col)))
+                for col in zip(*self.Yi)]
+        return self._rows[i]
+
+    def energy(self, i):
+        return sum(re * re + im * im for re, im in self.row(i))
+
+    def score(self, i, j):
+        t, b = self.row(i), [r[j] for r in self.Ti]
+        re = sum(tr * br - ti * bi for (tr, ti), (br, bi) in zip(t, b))
+        im = sum(tr * bi + ti * br for (tr, ti), (br, bi) in zip(t, b))
+        return re * re + im * im
+
+    @staticmethod
+    def first_max(candidates, value):
+        values = [value(c) for c in candidates]
+        return min(c for c, v in zip(candidates, values) if v == max(values))
+
+    def joint(self):
+        """The exact argmax of |k_r_i^H Y k_t_j| as (DoA, DoD)."""
+        C = self.d.K_r_H @ self.Y @ self.d.K_t
+        sq = C.real ** 2 + C.imag ** 2
+        pairs = [tuple(map(int, p)) for p in np.argwhere(sq >= sq.max() - self.tol)]
+        return self.first_max(pairs, lambda p: self.score(*p))
+
+    def sequential(self):
+        """(DoA of largest energy ||k_r_i^H Y||, its DoD of largest |k_r_i^H Y k_t_j|,
+        the complex128 energies, the complex128 scores of that DoA's row)."""
+        T = self.d.K_r_H @ self.Y
+        energies = (T.real ** 2 + T.imag ** 2).sum(axis=1)
+        near = np.flatnonzero(energies >= energies.max() - self.tol)
+        i = self.first_max([int(k) for k in near], self.energy)
+        z = T[i] @ self.d.K_t
+        row = z.real ** 2 + z.imag ** 2
+        near = np.flatnonzero(row >= row.max() - self.tol)
+        return i, self.first_max([int(k) for k in near], lambda k: self.score(i, k)), energies, row
+
+
 def bruteforce_pick(Y, d):
-    """First argmax of |K_r^H Y K_t|^2 in complex128, as (DoA, DoD) columns: every
-    score is re^2 + im^2, exact for small integers."""
-    C = d.K_r_H @ Y @ d.K_t
-    return divmod(int(np.argmax(C.real ** 2 + C.imag ** 2)), d.n)
+    """The exact argmax of |K_r^H Y K_t| as (DoA, DoD) columns, ties to the smallest
+    DoA, then DoD (see ExactOracle)."""
+    return ExactOracle(Y, d).joint()
 
 
 def contracted_factors(Y, d):
@@ -331,6 +410,19 @@ def contracted_factors(Y, d):
         return d.K_r.conj().T, right, float(np.linalg.norm(right, axis=0).max())
     left = d.K_r.conj().T @ Ys
     return left, d.K_t, float(np.linalg.norm(left, axis=1).max())
+
+
+def rescored_rows(Y, d):
+    """The DoAs joint_select's screen keeps and rescores exactly, in its one rescore,
+    and its Selection."""
+    rows = []
+    best_in_rows = estimation._best_in_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_best_in_rows",
+                   lambda left, right, r: rows.append(r) or best_in_rows(left, right, r))
+        sel = joint_select(Y, d)
+    (scored,) = rows
+    return scored, sel
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -378,32 +470,25 @@ def test_joint_select_screen_matches_oracle(rng, n_c, n_s, scale):
     for _ in range(5):
         Y = scale * (rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s)))
         arg = bruteforce_pick(Y, d)
-        rows = estimation._screened_rows(*contracted_factors(Y, d))
+        rows, sel = rescored_rows(Y, d)
         assert arg[0] in rows and len(rows) < d.m
-        sel = joint_select(Y, d)
         assert (sel.doa_index, sel.dod_index) == arg
         assert sel.score_evaluations == 300 * 30
 
 
-def test_joint_select_zero_observation_tie_break(monkeypatch):
-    # a zero Y has margin and L 0, so the prune keeps every pair and the
-    # screen every row, and every row is scored exactly; 300 DoAs span
-    # several score blocks
+def test_joint_select_zero_observation_tie_break():
+    # a zero Y has margin and L 0, so the prune keeps every pair, the cell
+    # bound every cell and the screen every row, and every row is scored
+    # exactly; 300 DoAs span several score blocks and 12 cells
     grid = DirectionGrid(20, 15, 4, 4)
     g_r, g_t = upa(2, 2), upa(2, 2)
     d = build_dictionaries(grid, identity_setup(4, 4, 1.0), g_r, g_t)
     Y = np.zeros((4, 4), dtype=complex)
     rows, cols = candidates(Y, d)
     assert np.array_equal(rows, np.arange(d.m)) and np.array_equal(cols, np.arange(d.n))
-    assert np.array_equal(estimation._screened_rows(*contracted_factors(Y, d)), np.arange(d.m))
-    scored = []
-    best_in_rows = estimation._best_in_rows
-    monkeypatch.setattr(estimation, "_best_in_rows",
-                        lambda left, right, rows: scored.append(rows) or
-                        best_in_rows(left, right, rows))
-    sel = joint_select(Y, d)
+    scored, sel = rescored_rows(Y, d)
     assert (sel.doa_index, sel.dod_index) == (0, 0)
-    assert len(scored) == 1 and np.array_equal(scored[0], np.arange(d.m))
+    assert np.array_equal(scored, np.arange(d.m))
 
 
 @pytest.mark.parametrize("n_c, n_s", [(3, 4), (4, 3)])
@@ -428,57 +513,9 @@ def test_joint_select_screens_a_subnormal_factor(rng, n_c, n_s, tiny):
         arg = bruteforce_pick(Y, d)
         left, right, norm = contracted_factors(Y, d)
         assert 0 < np.abs(right if n_c <= n_s else left).max() < 2.0 ** -126
-        assert arg[0] in estimation._screened_rows(left, right, norm)
-        sel = joint_select(Y, d)
+        rows, sel = rescored_rows(Y, d)
+        assert arg[0] in rows
         assert (sel.doa_index, sel.dod_index) == arg
-
-
-@pytest.fixture
-def executor():
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        yield pool
-
-
-@pytest.mark.parametrize("m_az, m_el", [(20, 15), (10, 10), (6, 5)])
-@pytest.mark.parametrize("zero", [False, True])
-def test_joint_select_split_screen_matches_one_thread(rng, executor, m_az, m_el, zero):
-    # 300 DoAs make five blocks, four full; 100 make two, fewer than the
-    # four threads of three helpers; 30 make one block shorter than 64 rows.
-    # Y = 0 keeps every row.
-    grid = DirectionGrid(m_az, m_el, 6, 5)
-    g_r, g_t = upa(2, 3), upa(2, 4)
-    d = build_dictionaries(grid, identity_setup(8, 6, 1.0), g_r, g_t)
-    for _ in range(3):
-        Y = np.zeros((6, 8), dtype=complex) if zero else (
-            rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
-        rows = estimation._screened_rows(*contracted_factors(Y, d))
-        sel = joint_select(Y, d)
-        if zero:
-            assert np.array_equal(rows, np.arange(d.m))
-        for count in (1, 2, 3):
-            pool = Helpers(executor, count)
-            assert np.array_equal(estimation._screened_rows(*contracted_factors(Y, d), pool),
-                                  rows)
-            assert joint_select(Y, d, pool) == sel
-
-
-def test_joint_select_split_screen_covers_every_block_once(monkeypatch, executor):
-    ranges = []
-    screen_range = estimation._screen_range
-
-    def recording(left32, right32, row_max, C, A, starts):
-        ranges.append(list(starts))
-        screen_range(left32, right32, row_max, C, A, starts)
-
-    monkeypatch.setattr(estimation, "_screen_range", recording)
-    grid = DirectionGrid(20, 15, 4, 4)
-    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), upa(2, 2), upa(2, 2))
-    Y = np.ones((4, 4), dtype=complex)
-    for count, sizes in ((0, [5]), (1, [2, 3]), (2, [1, 2, 2]), (3, [1, 1, 1, 2])):
-        ranges.clear()
-        estimation._screened_rows(*contracted_factors(Y, d), Helpers(executor, count))
-        assert sorted(ranges) == [[64 * b for b in range(lo, lo + k)]
-                                  for lo, k in zip(np.cumsum([0] + sizes), sizes)]
 
 
 @pytest.mark.parametrize("n_c, n_s", [(3, 4), (4, 3)])
@@ -525,9 +562,9 @@ def candidates(Y, d):
     """The DoA rows and DoD columns joint_select screens, as it forms them."""
     Ys, _, margin = estimation._scaled(Y)
     if d.K_r.shape[0] <= d.K_t.shape[0]:
-        rows, cols, _ = estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)
+        rows, cols = estimation._candidates(d.K_r_H, Ys, Ys @ d.K_t, margin)[:2]
     else:
-        cols, rows, _ = estimation._candidates(d.K_t.T, Ys.T, (d.K_r_H @ Ys).T, margin)
+        cols, rows = estimation._candidates(d.K_t.T, Ys.T, (d.K_r_H @ Ys).T, margin)[:2]
     return rows, cols
 
 
@@ -571,21 +608,273 @@ def test_pruned_joint_select_matches_bruteforce(sides, kind, scale, seed):
     assert sel.score_evaluations == d.m * d.n
 
 
+def recorded_screens(monkeypatch):
+    """A list that collects the (left32, keep, bounds) of every cell screen."""
+    screens = []
+    screened_cells = estimation._screened_cells
+
+    def recording(left32, right_T32, keep, bounds, norm):
+        screens.append((left32, keep, bounds))
+        return screened_cells(left32, right_T32, keep, bounds, norm)
+
+    monkeypatch.setattr(estimation, "_screened_cells", recording)
+    return screens
+
+
 def test_joint_select_screens_few_rows_for_an_on_grid_path(monkeypatch):
-    screened = []
-    screen_range = estimation._screen_range
-
-    def recording(left32, right32, row_max, C, A, starts):
-        screened.append(len(row_max))
-        screen_range(left32, right32, row_max, C, A, starts)
-
-    monkeypatch.setattr(estimation, "_screen_range", recording)
+    screens = recorded_screens(monkeypatch)
     grid = DirectionGrid(20, 15, 6, 5)
     g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 157, 17, n_r=(3, 3), n_t=(3, 3))
     d = build_dictionaries(grid, s, g_r, g_t)
     sel = joint_select(Y, d)
     assert (sel.doa_index, sel.dod_index) == (157, 17)
-    assert screened and max(screened) <= d.m // 10
+    ((left32, _, _),) = screens
+    assert len(left32) <= d.m // 10
+
+
+def test_joint_select_screens_a_zero_observation_cell_by_cell(monkeypatch):
+    # a zero Y keeps every pair: all 300 DoAs are screened in their 12 cells
+    # of 25, members cell by cell, every cell against all 16 DoDs
+    screens = recorded_screens(monkeypatch)
+    grid = DirectionGrid(20, 15, 4, 4)
+    d = build_dictionaries(grid, identity_setup(4, 4, 1.0), upa(2, 2), upa(2, 2))
+    joint_select(np.zeros((4, 4), dtype=complex), d)
+    ((left32, keep, bounds),) = screens
+    assert np.array_equal(left32, d.K_r_H32[d.cells.members])
+    assert np.array_equal(bounds, 25 * np.arange(13)) and keep.shape == (12, 16) and keep.all()
+
+
+@pytest.mark.parametrize("n_c, n_s", [(3, 6), (6, 3)])
+def test_joint_select_screens_a_small_prune_as_one_cell(rng, monkeypatch, n_c, n_s):
+    # at the default _CELL_MIN_PAIRS every pruned pair of these 300 x 30
+    # dictionaries is screened in one cell, with no cell bound, and the pick
+    # is the oracle's and the cell bound's
+    d = hybrid_dictionary(n_c, n_s)
+    Ys = [rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s)) for _ in range(6)]
+    Ys.append(np.zeros((n_c, n_s), dtype=complex))
+    bounded = [rescored_rows(Y, d)[1] for Y in Ys]
+    monkeypatch.setattr(estimation, "_CELL_MIN_PAIRS", 2 ** 16)
+    screens = recorded_screens(monkeypatch)
+    for Y, sel in zip(Ys, bounded):
+        screens.clear()
+        rows, cols = candidates(Y, d)
+        _, one_cell = rescored_rows(Y, d)
+        ((left32, keep, bounds),) = screens
+        assert keep.shape == (1, len(cols)) and keep.all()
+        assert np.array_equal(bounds, [0, len(rows)])
+        assert one_cell == sel and (sel.doa_index, sel.dod_index) == bruteforce_pick(Y, d)
+
+
+@pytest.mark.parametrize("run_entries", [1, 40, 400, 2 ** 17])
+def test_joint_select_screen_runs_do_not_change_the_screen(rng, monkeypatch, run_entries):
+    # runs of one cell (1 entry), of cells with few kept DoDs (40), of several
+    # cells (400) and of the whole screen give the same survivors and pick
+    grid = DirectionGrid(20, 15, 6, 5)
+    d = build_dictionaries(grid, identity_setup(8, 6, 1.0), upa(2, 3), upa(2, 4))
+    Ys = [rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)) for _ in range(4)]
+    Ys.append(np.zeros((6, 8), dtype=complex))
+    expected = [rescored_rows(Y, d) for Y in Ys]
+    monkeypatch.setattr(estimation, "_SCREEN_RUN", run_entries)
+    for Y, (rows, sel) in zip(Ys, expected):
+        run_rows, run_sel = rescored_rows(Y, d)
+        assert np.array_equal(run_rows, rows) and run_sel == sel
+
+
+def fresh(d):
+    """A new Dictionary on d's arrays, whose cells are formed anew on first use."""
+    return estimation.Dictionary(d.K_r, d.K_t, d.doa_norms, d.dod_norms, d.doa_angles,
+                                 d.dod_angles)
+
+
+def assert_cells_tile(d, side=5):
+    """Every DoA lies in one cell, a cell is one block of side x side azimuth and
+    elevation ranks, numbered in block order, its centre is a member, and the
+    arrays are read-only."""
+    cells = d.cells
+    ranks = [np.unique(a, return_inverse=True)[1] for a in d.doa_angles]
+    blocks = [(int(a) // side, int(e) // side) for a, e in zip(*ranks)]
+    assert sorted(set(blocks)) == [blocks[i] for i in cells.centres]
+    for i, block in enumerate(blocks):
+        assert blocks[cells.centres[cells.cell_of[i]]] == block
+    assert np.array_equal(cells.centres32, d.K_r_H32[cells.centres])
+    for name in ("cell_of", "centres", "centres32", "radii"):
+        assert not getattr(cells, name).flags.writeable
+
+
+def assert_radii_bound_the_exact_distances(d):
+    """radii[g]^2 >= min over theta of ||a - e^{j theta} c||^2 = ||a||^2 + ||c||^2 - 2 |c^H a|
+    for every member a of every cell g with centre c, in exact arithmetic."""
+    rows, q = exact_ints(d.K_r)
+    cells = d.cells
+    for g in range(cells.count):
+        c = [row[cells.centres[g]] for row in rows]
+        r2 = Fraction(float(cells.radii[g])) ** 2
+        for i in np.flatnonzero(cells.cell_of == g):
+            a = [row[i] for row in rows]
+            norms = sum(x * x + y * y for x, y in a + c)
+            zr = sum(cr * ar + ci * ai for (cr, ci), (ar, ai) in zip(c, a))
+            zi = sum(cr * ai - ci * ar for (cr, ci), (ar, ai) in zip(c, a))
+            gap = Fraction(norms, q * q) - r2     # must be at most 2 |c^H a|
+            assert gap <= 0 or 4 * Fraction(zr * zr + zi * zi, q ** 4) >= gap * gap
+
+
+def test_doa_cells_of_the_paper_grid():
+    # 50 x 50 DoAs on the paper's 16 receive antennas: 100 cells of 25 whose
+    # centre is the middle atom, every member within 0.6 of it
+    grid = DirectionGrid.product(2500, 16)
+    d = build_dictionaries(grid, identity_setup(16, 16, 1.0), upa(4, 4), upa(4, 4))
+    assert_cells_tile(d)
+    cells = d.cells
+    assert cells.count == 100 and np.all(np.bincount(cells.cell_of) == 25)
+    assert np.all(cells.centres // 50 % 5 == 2) and np.all(cells.centres % 50 % 5 == 2)
+    assert 0.2 < cells.radii.min() and cells.radii.max() < 0.6
+    assert d.cells is cells
+
+
+def test_cells_are_formed_once_and_only_for_the_joint_scan():
+    # cells is a cached property: the sequential pursuit never forms it, and
+    # the joint pursuit forms it before its timed loop
+    grid = small_grid(6)
+    g_r, g_t, p, H, s, Y = on_grid_scenario(grid, 8, 17)
+    d = build_dictionaries(grid, s, g_r, g_t)
+    matching_pursuit(Y, d, 2, "sequential")
+    assert "cells" not in vars(d)
+    matching_pursuit(Y, d, 2, "joint")
+    cells = vars(d)["cells"]
+    matching_pursuit(Y, d, 2, "joint")
+    assert d.cells is cells and cells.count == 4
+
+
+def annihilating_combiners(g_r, grid, doas):
+    """Orthonormal combiners W orthogonal to the steering vectors of the given grid DoAs."""
+    E = steering_matrix(g_r, grid.doa_units[:, doas])
+    return orth(np.eye(g_r.n_antennas) - E @ np.linalg.pinv(E))
+
+
+@cache
+def broken_tiling_dictionary(case):
+    """Dictionaries on which 5 x 5 rank blocks do not tile a full grid: combiners
+    that drop four grid DoAs, sides that are not multiples of 5, and more
+    combiners than pilots, so the contraction runs over the pilot side."""
+    rng = np.random.default_rng(17)
+    if case == "dropped":
+        grid = DirectionGrid(10, 10, 6, 5)
+        W = annihilating_combiners(upa(3, 3), grid, [0, 23, 57, 99])
+        with pytest.warns(UserWarning, match="dropping 4 DoA"):
+            return build_dictionaries(grid, ObservationSetup(np.eye(6), W, 1.0), upa(3, 3),
+                                      upa(2, 3))
+    if case == "uneven":
+        return build_dictionaries(DirectionGrid(7, 13, 6, 4), identity_setup(6, 6, 1.0),
+                                  upa(2, 3), upa(2, 3))
+    X = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    return build_dictionaries(DirectionGrid(12, 9, 6, 5), ObservationSetup(X, np.eye(6), 1.0),
+                              upa(2, 3), upa(2, 4))
+
+
+@pytest.mark.parametrize("case", ["dropped", "uneven", "more_combiners"])
+def test_joint_select_on_cells_where_the_grid_does_not_tile(case):
+    d = broken_tiling_dictionary(case)
+    n_c, n_s = d.K_r.shape[0], d.K_t.shape[0]
+    assert_cells_tile(d)
+    assert_radii_bound_the_exact_distances(d)
+    if case == "dropped":
+        assert d.m == 96 and np.bincount(d.cells.cell_of).min() < 25
+    elif case == "uneven":
+        assert sorted(set(np.bincount(d.cells.cell_of).tolist())) == [6, 10, 15, 25]
+    else:
+        assert n_c > n_s
+    rng = np.random.default_rng(29)
+    for k in range(24):
+        if k % 3 == 2:   # aligned with a random pair: its score equals both marginals
+            i, j = rng.integers(d.m), rng.integers(d.n)
+            Y = (rng.normal() + 1j * rng.normal()) * np.outer(d.K_r[:, i], d.K_t[:, j].conj())
+        else:
+            Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+        arg = bruteforce_pick(Y, d)
+        rows, sel = rescored_rows(Y, d)
+        assert arg[0] in rows and (sel.doa_index, sel.dod_index) == arg
+
+
+@pytest.mark.parametrize("dictionary", ["identity", (3, 6), (6, 3)])
+def test_cell_radii_bound_the_exact_distances_of_near_copies(rng, dictionary):
+    # Every member of a cell is a near copy of one random atom, 2^-36 from
+    # it: the members lie about 2^-36 from their centre, and the float64
+    # distance rounds by about 1e-16 either way, so only the radius's
+    # rounding allowance keeps it above the exact distance. The
+    # dictionaries' own radii hold too.
+    base = identity_dictionary() if dictionary == "identity" else hybrid_dictionary(*dictionary)
+    assert_radii_bound_the_exact_distances(base)
+    cells = base.cells
+    K_r, n_c = np.empty_like(base.K_r), base.K_r.shape[0]
+    for g in range(cells.count):
+        atom = rng.normal(size=(n_c, 1)) + 1j * rng.normal(size=(n_c, 1))
+        for i in np.flatnonzero(cells.cell_of == g):
+            K_r[:, i] = near_copy(atom / np.linalg.norm(atom), 0, rng)
+    d = atom_dictionary(K_r, base.K_t, DirectionGrid(20, 15, 6, 5))
+    assert np.array_equal(d.cells.cell_of, cells.cell_of) and d.cells.radii.max() < 2.0 ** -30
+    assert_radii_bound_the_exact_distances(d)
+
+
+@pytest.mark.parametrize("dictionary", ["identity", (3, 6), (6, 3)])
+def test_cell_bound_keeps_the_maximizer_of_one_atom_cells(monkeypatch, dictionary):
+    # With 1 x 1 cells every radius is its rounding allowance alone, so the
+    # bound of the pair that sets L is its complex64 centre score, which
+    # rounds below L about half the time: only delta_c keeps it
+    monkeypatch.setattr(estimation, "_CELL_SIDE", 1)
+    base = identity_dictionary() if dictionary == "identity" else hybrid_dictionary(*dictionary)
+    d = fresh(base)
+    assert d.cells.count == d.m and d.cells.radii.max() < 1e-13
+    n_c, n_s = d.K_r.shape[0], d.K_t.shape[0]
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+        arg = bruteforce_pick(Y, d)
+        rows, sel = rescored_rows(Y, d)
+        assert arg[0] in rows and (sel.doa_index, sel.dod_index) == arg
+
+
+@pytest.mark.parametrize("dictionary", ["identity", (3, 6), (6, 3)])
+def test_joint_prune_keeps_the_pair_of_an_aligned_residual(dictionary):
+    # Y = g k_r_i k_t_j^H: pair (i, j) scores |g|, exactly both of its
+    # marginals, and L, of the prune's two pairs or of the cell bound's
+    # third, is that score formed by another route, so rounding puts a
+    # marginal below L about half the time: only the margin keeps it
+    d = identity_dictionary() if dictionary == "identity" else hybrid_dictionary(*dictionary)
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        i, j = rng.integers(d.m), rng.integers(d.n)
+        Y = (rng.normal() + 1j * rng.normal()) * np.outer(d.K_r[:, i], d.K_t[:, j].conj())
+        arg = bruteforce_pick(Y, d)
+        rows, cols = candidates(Y, d)
+        assert arg[0] in rows and arg[1] in cols
+        sel = joint_select(Y, d)
+        assert (sel.doa_index, sel.dod_index) == arg
+
+
+def plant_joint_near_ties(Y, d, rng):
+    """d with a near copy of the exact best DoA at another random position, and
+    likewise of the best DoD; the copy's DoA position comes second."""
+    K_r, K_t = d.K_r.copy(), d.K_t.copy()
+    i, j = bruteforce_pick(Y, d)
+    twin = int((i + 1 + rng.integers(d.m - 1)) % d.m)
+    K_r[:, twin] = near_copy(K_r, i, rng)
+    K_t[:, (j + 1 + rng.integers(d.n - 1)) % d.n] = near_copy(K_t, j, rng)
+    return atom_dictionary(K_r, K_t, DirectionGrid(20, 15, 6, 5)), twin
+
+
+@pytest.mark.parametrize("dictionary", ["identity", (3, 6), (6, 3)])
+def test_joint_screen_keeps_both_rows_of_a_planted_near_tie(dictionary):
+    # a near copy of the best DoA scores within float32's resolution of it:
+    # only the screen's delta keeps both rows, and the rescore ranks them
+    base = identity_dictionary() if dictionary == "identity" else hybrid_dictionary(*dictionary)
+    n_c, n_s = base.K_r.shape[0], base.K_t.shape[0]
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        Y = rng.normal(size=(n_c, n_s)) + 1j * rng.normal(size=(n_c, n_s))
+        d, twin = plant_joint_near_ties(Y, base, rng)
+        i, j = bruteforce_pick(Y, d)
+        rows, sel = rescored_rows(Y, d)
+        assert {i, twin} <= set(rows.tolist()) and (sel.doa_index, sel.dod_index) == (i, j)
 
 
 def test_sequential_select_matches_joint_on_grid():
@@ -611,15 +900,9 @@ def test_sequential_select_stage_oracles(rng):
 
 
 def sequential_oracle(Y, d):
-    """Brute-force stage maxima in complex128 as (DoA, DoD, energies, row scores):
-    every score is a sum of re^2 + im^2, exact for small integers, and np.argmax
-    takes the first of equal scores."""
-    T = d.K_r_H @ Y
-    energies = (T.real ** 2 + T.imag ** 2).sum(axis=1)
-    i_hat = int(np.argmax(energies))
-    z = T[i_hat] @ d.K_t
-    row = z.real ** 2 + z.imag ** 2
-    return i_hat, int(np.argmax(row)), energies, row
+    """The exact stage maxima as (DoA, DoD, energies, row scores), ties to the
+    smallest index (see ExactOracle.sequential)."""
+    return ExactOracle(Y, d).sequential()
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -806,6 +1089,36 @@ def test_sequential_screens_keep_every_maximizer(monkeypatch, dictionary, kind, 
             assert len(screens[0]) >= 2 and len(screens[1]) >= 2
         if kind != "ties":
             assert len(screens[0]) < d.m // 10 and len(screens[1]) < d.n // 2
+
+
+def joint_case(dictionary, kind, seed):
+    """(Y, d) for the cell-bound property test, the kinds of sequential_case with
+    near ties planted for the joint scan."""
+    if kind != "near_tie":
+        return sequential_case(dictionary, kind, seed)
+    rng = np.random.default_rng(seed)
+    d = identity_dictionary() if dictionary == "identity" else hybrid_dictionary(*dictionary)
+    Y = rng.normal(size=d.K_r.shape[:1] + d.K_t.shape[:1])
+    Y = Y + 1j * rng.normal(size=Y.shape)
+    return Y, plant_joint_near_ties(Y, d, rng)[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dictionary=st.sampled_from(["identity", (3, 6), (6, 3)]),
+       kind=st.sampled_from(["random", "rank1", "near_tie", "ties", "zero"]),
+       scale=st.sampled_from(EXACT_SCALES),
+       seed=st.integers(0, 2 ** 16))
+def test_cell_bound_joint_select_matches_the_exact_oracle(dictionary, kind, scale, seed):
+    # the oracle scores the unscaled Y exactly; outside exact ties the
+    # runner-up must trail by more than complex128 rounding can move it
+    Y, d = joint_case(dictionary, kind, seed)
+    if kind not in ("ties", "zero"):
+        C = d.K_r_H @ Y @ d.K_t
+        assume(runner_up_gap((C.real ** 2 + C.imag ** 2).ravel()) > 2.0 ** -44)
+    arg = bruteforce_pick(Y, d)
+    rows, sel = rescored_rows(scale * Y, d)
+    assert arg[0] in rows and (sel.doa_index, sel.dod_index) == arg
+    assert sel.score_evaluations == d.m * d.n
 
 
 def test_matching_pursuit_exact_recovery():
