@@ -218,9 +218,8 @@ class Scenario:
     true_crb: CrbResult
 
 
-def draw_scenario(cfg: ScenarioConfig, seed: int, pool: Helpers | None = None) -> Scenario:
-    """Generate, synthesize and observe one channel realization and bound it;
-    pool's helper, if any, shares the bound (see fim.bound)."""
+def draw_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
+    """Generate, synthesize and observe one channel realization and bound it."""
     g_t, g_r = cfg.geometries()
     paths = generate_paths(cfg, seed)
     H = synthesize(paths, g_r, g_t)
@@ -228,7 +227,7 @@ def draw_scenario(cfg: ScenarioConfig, seed: int, pool: Helpers | None = None) -
     s = identity_setup(cfg.n_t, cfg.n_r, sigma2)
     Y = observe(H, s, np.random.default_rng([int(seed), 1]))
     Y.setflags(write=False)
-    _, true_crb = bound(channel_jacobian(paths, g_r, g_t), s, H.vector, pool)
+    _, true_crb = bound(channel_jacobian(paths, g_r, g_t), s, H.vector)
     return Scenario(seed, g_t, g_r, H, Y, true_crb)
 
 
@@ -299,27 +298,19 @@ def _aggregate(cfg: ScenarioConfig, strategy: str, P_budget: int,
     )
 
 
-def scan_threads(threads: int, trials: int) -> int:
-    """Threads each seed's true-point bound runs on in monte_carlo(cfg, threads)."""
-    return threads // min(threads, trials)
-
-
 @one_blas_thread
 def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     """Average run_trial over trials for every (strategy, budget) pair.
 
     Trial t draws the scenario of seed base_seed + t (see draw_scenario)
-    and runs every strategy on it. At most `threads` threads work at once:
-    min(threads, trials) of them take whole seeds, the calling thread among
-    them, and each seed's bound is split over scan_threads(threads, trials)
-    threads, the seed's own and helpers from one pool (see fim.bound). Each
-    pursuit runs on its seed's thread, so the time columns are single-thread
-    wall times. Results are reduced in seed order and the bound does not
-    depend on the split, so the rMSE, CRB and counter columns are reproducible bit for bit for any
-    `threads`; rows come back sorted by (P_budget, strategy). The call runs
-    on one BLAS thread (see blas.one_blas_thread): these threads are the
-    only parallelism, and the CRB column does not depend on the
-    environment's thread count.
+    and runs every strategy on it. min(threads, trials) threads take whole
+    seeds, the calling thread among them, and each seed's bound and pursuits
+    run on its thread, so the time columns are single-thread wall times.
+    Results are reduced in seed order, so the rMSE, CRB and counter columns
+    are reproducible bit for bit for any `threads`; rows come back sorted by
+    (P_budget, strategy). The call runs on one BLAS thread (see
+    blas.one_blas_thread): these threads are the only parallelism, and the
+    CRB column does not depend on the environment's thread count.
     """
     if threads < 1:
         raise ValueError(f"threads must be a positive worker count, got {threads}")
@@ -328,16 +319,12 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
     dictionary = build_dictionaries(grid, identity_setup(cfg.n_t, cfg.n_r, 1.0), g_r, g_t)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
 
-    # threads - 1 pool threads besides the caller: seed runners and bound
-    # helpers never need more at once, so no task waits for a thread
+    def seed_work(seed):
+        scenario = draw_scenario(cfg, seed)
+        return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary)
+                                   for s in cfg.strategies}
+
     with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as executor:
-        bound_pool = Helpers(executor, scan_threads(threads, cfg.trials) - 1)
-
-        def seed_work(seed):
-            scenario = draw_scenario(cfg, seed, bound_pool)
-            return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary)
-                                       for s in cfg.strategies}
-
         per_seed = shared_map(seed_work, seeds, Helpers(executor, threads - 1))
     true_crbs = [crb for crb, _ in per_seed]
     combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
@@ -348,13 +335,11 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
 def rows_to_json(cfg: ScenarioConfig, rows, threads: int) -> dict:
     """Config, rows and, apart from both, the environment monte_carlo ran in.
 
-    env holds the worker count `threads`, the threads each seed's bound ran
-    on (see scan_threads), the BLAS threads each call ran on
+    env holds the worker count `threads`, the BLAS threads each call ran on
     (None when no OpenBLAS was found to cap) and the numpy version; it is
     the only part that may differ between machines.
     """
-    env = {"trial_workers": threads, "scan_threads": scan_threads(threads, cfg.trials),
-           "blas_threads": blas_threads(), "numpy": np.__version__}
+    env = {"trial_workers": threads, "blas_threads": blas_threads(), "numpy": np.__version__}
     return {"config": cfg.to_json(), "rows": [r.to_json_row() for r in rows], "env": env}
 
 

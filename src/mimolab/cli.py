@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -28,7 +27,6 @@ from .fim import crb_report
 from .geometry import ArrayGeometry, as_int, is_finite_real, json_fields
 from .observation import (ObservationSetup, complex_from_json, noise_for_snr, observe,
                           orthogonal_pilots, pilot_power)
-from .workers import Helpers
 
 
 def _load_config(path: str) -> dict:
@@ -189,9 +187,7 @@ def run_crb(cfg: dict, out: str | None, strict: bool) -> int:
     include_blocks = cfg.get("include_blocks", False)
     if not isinstance(include_blocks, bool):
         raise ValueError(f"include_blocks must be true or false, got {include_blocks!r}")
-    # one helper thread shares the bound with this one (see fim.bound)
-    with ThreadPoolExecutor(max_workers=1) as executor:
-        report = crb_report(paths, g_r, g_t, setup, include_blocks, Helpers(executor, 1))
+    report = crb_report(paths, g_r, g_t, setup, include_blocks)
     _write_json(report, out)
     if strict and report["ill_conditioned"]:
         print("Fisher matrix is ill-conditioned at this parameter point",
@@ -276,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exit 3 when the Fisher matrix is ill-conditioned")
         if name == "bench":
             p.add_argument("--threads", type=int, default=1,
-                           help="threads for the trials and, with fewer trials "
-                                "than threads, their joint scans (default 1)")
+                           help="threads that run trial seeds (default 1)")
             p.add_argument("--emit-table", action="store_true",
                            help="print an aligned text table")
         p.add_argument("overrides", nargs="*", metavar="key=value",

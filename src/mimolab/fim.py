@@ -22,7 +22,7 @@ so D_k as a matrix is w_k f_r f_t^H and Q_w^H D_k X is the outer product
 w_k (Q_w^H f_r) (X^T f_t^*)^T. A is assembled from the 3P projected factor
 columns of each array, never from the projection of D, and the column norms
 ||D_k|| are read off the factors as well. The dense D is formed once per
-bound, for crb_trace's products, on a helper thread where one is given.
+bound, for crb_trace's products.
 
 The optimal-observation residual ||(Id - P) D||_F / ||D||_F is read off the
 factors too: with P_r = Q_w Q_w^H and M_t = X X^H / alpha2,
@@ -44,11 +44,10 @@ from .blas import one_blas_thread
 from .channel import PathParams, PathSet, steering_derivatives, synthesize
 from .geometry import ArrayGeometry, Direction, is_finite_real, tangent_basis
 from .observation import ATOM_NORM_TOL, ObservationSetup, channel_energy, exact_scale, overflows, snr
-from .workers import Helpers, shared_map
 
 PARAMS_PER_PATH = 6
 COND_THRESHOLD = 1e12
-# rows of [Re D; Im D] per product in crb_trace, the unit its work is split in
+# rows of [Re D; Im D] per product in crb_trace
 _TRACE_BLOCK_ROWS = 256
 # the largest diagonal block _triangular_inverse hands to np.linalg.inv
 _INVERSE_LEAF = 64
@@ -122,12 +121,11 @@ class Jacobian:
                 + self.per_parameter(_log2_norms(self.F_t_conj), _FACTORS_T)
                 + self.per_parameter(_log2_norms(self.F_r), _FACTORS_R))
 
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """The n_r n_t x 6P matrix D, row i + n_r j for receive antenna i and
-        transmit antenna j; written into out when given, through no temporary
-        of D's size (see bound)."""
+        transmit antenna j, formed through no temporary of D's size."""
         P = len(self.c)
-        D = np.empty(self.shape, dtype=complex) if out is None else out
+        D = np.empty(self.shape, dtype=complex)
         # cols[j, i, p, k] = D[i + n_r j, 6p + k]
         cols = D.reshape(self.n_t, self.n_r, P, PARAMS_PER_PATH)
         F_r = self.F_r.reshape(self.n_r, 3, P)
@@ -291,7 +289,7 @@ def _inverse_factor(R: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return S[:, None] * Vt[keep].T / sigma[keep], cond
 
 
-def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> CrbResult:
+def crb_trace(D: np.ndarray, R: np.ndarray, h) -> CrbResult:
     """Lower bound trace(D I^-1 D^H) / ||h||^2 on the relative variance, I = R^T R.
 
     D is the dense Jacobian (see Jacobian.dense) and R any real factor of I
@@ -318,11 +316,8 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> C
     are the unscaled ones. A bound above the largest float raises ValueError.
 
     The sum of squares is taken over blocks of _TRACE_BLOCK_ROWS rows of
-    [Re D; Im D], split into contiguous ranges, one for the calling thread
-    and one for each of pool's helpers (see workers.shared_map); every
-    buffer is allocated here, on the calling thread. Each block is the same
-    product, and the block sums are added in one order, whatever the split,
-    so the bound does not depend on pool.
+    [Re D; Im D], one product at a time through two buffers of a block's
+    size, and the block sums are added last.
     """
     E, k_h = channel_energy(h)
     k = R.shape[1]
@@ -337,20 +332,13 @@ def crb_trace(D: np.ndarray, R: np.ndarray, h, pool: Helpers | None = None) -> C
     shift = -(f + g)
     n, block = D.shape[0], min(_TRACE_BLOCK_ROWS, D.shape[0])
     blocks = [(part, lo) for part in (D.real, D.imag) for lo in range(0, n, block)]
+    scaled, product = np.empty((block, B.shape[0])), np.empty((block, B.shape[1]))
     sums = np.empty(len(blocks))
-    parts = min(1 + (pool.count if pool is not None else 0), len(blocks))
-
-    def sum_of_squares(job):
-        scaled, product, indices = job
-        for b in indices:
-            part, lo = blocks[b]
-            rows = min(block, n - lo)
-            np.ldexp(part[lo:lo + rows], shift, out=scaled[:rows])
-            np.matmul(scaled[:rows], B, out=product[:rows])
-            sums[b] = np.vdot(product[:rows], product[:rows])
-
-    shared_map(sum_of_squares, [(np.empty((block, B.shape[0])), np.empty((block, B.shape[1])), r)
-                                for r in np.array_split(range(len(blocks)), parts)], pool)
+    for b, (part, lo) in enumerate(blocks):
+        rows = min(block, n - lo)
+        np.ldexp(part[lo:lo + rows], shift, out=scaled[:rows])
+        np.matmul(scaled[:rows], B, out=product[:rows])
+        sums[b] = np.vdot(product[:rows], product[:rows])
     ratio, e = float(sums.sum() / E), 2 * g - k_h
     if overflows(ratio, e):
         raise ValueError("the bound exceeds the largest float: the information is too "
@@ -427,37 +415,27 @@ def inter_path_coupling_mass(I: np.ndarray) -> float:
     return float(np.linalg.norm(off) / total) if total > 0 else 0.0
 
 
-def bound(J: Jacobian, s: ObservationSetup, h, pool: Helpers | None = None
-          ) -> tuple[np.ndarray, CrbResult]:
-    """(R, crb_trace(D, R, h)) of R = fisher_factor(J, s) and the dense D of J.
-
-    With a helper in pool, the helper fills D while the calling thread
-    factors I, and crb_trace splits its products over both (see
-    workers.shared_map); D is allocated here, on the calling thread. The
-    result does not depend on pool.
-    """
-    D = np.empty(J.shape, dtype=complex)
-    R, _ = shared_map(lambda task: task(), (lambda: fisher_factor(J, s), lambda: J.dense(D)),
-                      pool)
-    return R, crb_trace(D, R, h, pool)
+def bound(J: Jacobian, s: ObservationSetup, h) -> tuple[np.ndarray, CrbResult]:
+    """(R, crb_trace(D, R, h)) of R = fisher_factor(J, s) and the dense D of J,
+    formed after R, so that D and the factor's workspace are not held at once."""
+    R = fisher_factor(J, s)
+    return R, crb_trace(J.dense(), R, h)
 
 
 @one_blas_thread
 def crb_report(ps: PathSet, g_r: ArrayGeometry, g_t: ArrayGeometry,
-               s: ObservationSetup, include_blocks: bool = False,
-               pool: Helpers | None = None) -> dict:
+               s: ObservationSetup, include_blocks: bool = False) -> dict:
     """Bundle the bound, its floor, and the identifiability diagnostics.
 
     Runs on one BLAS thread (see blas.one_blas_thread): its factorizations
     are too small to gain from more, and the bound's digits then do not
-    depend on the environment's thread count. pool's helper, if any, shares
-    the bound (see bound), whose digits do not depend on it either. A setup
+    depend on the environment's thread count. A setup
     whose X and W do not have one row per transmit and per receive antenna
     raises ValueError.
     """
     J = channel_jacobian(ps, g_r, g_t)
     h = synthesize(ps, g_r, g_t).vector
-    R, result = bound(J, s, h, pool)
+    R, result = bound(J, s, h)
     # I = 4^e F exactly (see exact_scale), and F does not overflow at any noise level
     F, e = exact_scale(R)
     F = F.T @ F

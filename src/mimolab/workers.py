@@ -1,11 +1,8 @@
 """Map a function over items on the calling thread and a few pool threads.
 
-`monte_carlo` runs trial seeds this way, and each seed runs its bound
-(see fim.bound) this way: the calling thread always
-takes part, so a call that asks for k threads of work starts k - 1
-pool tasks, never k. The pool is one executor shared by both levels and
-sized by their caller; `crb` gives the bound a one-thread executor of its
-own.
+`monte_carlo` runs trial seeds this way: the calling thread always takes
+part, so a call that asks for k threads of work starts k - 1 pool tasks,
+never k.
 """
 
 from __future__ import annotations
@@ -30,8 +27,9 @@ def shared_map(fn, items, helpers: Helpers | None = None) -> list:
     when helpers is None). The calling thread runs the first item; then
     every thread, the calling one alone if no task is submitted, takes the
     next item not yet taken until none is left, and the results come back
-    in item order. Once a call raises, no thread takes a new item; the calling thread's error, else a helper's, propagates
-    after every helper task has returned.
+    in item order. Once a call raises, no thread takes a new item; the
+    calling thread's error, else a helper's, propagates after every helper
+    task has returned.
     """
     items = list(items)
     spare = min(helpers.count, len(items) - 1) if helpers is not None else 0

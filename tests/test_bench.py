@@ -297,9 +297,9 @@ def test_monte_carlo_prefix_rows_equal_independent_pursuits(strategy):
 
 
 def test_monte_carlo_deterministic_across_threads():
-    # two trials on two threads split seeds; one trial on two or three
-    # threads splits its bound (mean_true_crb); two on three do both (one
-    # thread idles)
+    # two trials on two or three threads split seeds (one thread idles on
+    # three); one trial on two or three threads runs on the calling thread
+    # alone, beside spare workers
     for trials, thread_counts in ((2, (2, 3)), (1, (2, 3))):
         cfg = tiny_config(trials=trials)
         rows1 = monte_carlo(cfg, threads=1)
@@ -314,11 +314,11 @@ def test_monte_carlo_deterministic_across_threads():
 
 @pytest.mark.parametrize("trials, threads", [(1, 2), (1, 3), (2, 3), (3, 2), (2, 2)])
 def test_monte_carlo_keeps_to_its_thread_budget(monkeypatch, trials, threads):
-    # seed work and the bound's two tasks record the threads doing them; no
-    # more than `threads` may be busy at once, and the calling thread runs a
-    # seed
+    # seed work and the bound's two steps record the threads doing them; no
+    # more than `threads` may be busy at once, the calling thread runs a
+    # seed, and each bound runs on a seed's thread
     lock = threading.Lock()
-    busy, peak, seed_threads = {}, [0], set()
+    busy, peak, seed_threads, bound_threads = {}, [0], set(), set()
 
     def recording(fn, seed_work):
         def record(*args, **kwargs):
@@ -326,8 +326,7 @@ def test_monte_carlo_keeps_to_its_thread_budget(monkeypatch, trials, threads):
             with lock:
                 busy[me] = busy.get(me, 0) + 1
                 peak[0] = max(peak[0], len(busy))
-                if seed_work:
-                    seed_threads.add(me)
+                (seed_threads if seed_work else bound_threads).add(me)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -345,6 +344,7 @@ def test_monte_carlo_keeps_to_its_thread_budget(monkeypatch, trials, threads):
     assert 1 <= peak[0] <= threads
     assert threading.get_ident() in seed_threads
     assert len(seed_threads) <= min(trials, threads)
+    assert bound_threads <= seed_threads
 
 
 def test_monte_carlo_seed_changes_results():
@@ -360,10 +360,8 @@ def test_rows_serialization():
     payload = rows_to_json(cfg, rows, 2)
     assert payload["config"]["n_t"] == 16
     assert payload["rows"][0]["strategy"] == "sequential"
-    assert payload["env"] == {"trial_workers": 2, "scan_threads": 2,
-                              "blas_threads": blas_threads(), "numpy": np.__version__}
-    assert rows_to_json(tiny_config(trials=2), rows, 3)["env"]["scan_threads"] == 1
-    assert rows_to_json(tiny_config(trials=1), rows, 3)["env"]["scan_threads"] == 3
+    assert payload["env"] == {"trial_workers": 2, "blas_threads": blas_threads(),
+                              "numpy": np.__version__}
 
 
 def test_format_table_layout():

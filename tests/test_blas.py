@@ -61,44 +61,17 @@ def test_monte_carlo_restores_when_a_trial_raises(two_threads, monkeypatch):
         raise RuntimeError("trial failed")
 
     threads_before = threading.active_count()
-    monkeypatch.setattr(bench, "run_trial", failing)
-    # two trials on one or two threads; one trial on two, raising on the
-    # calling thread, which runs the only seed
-    for trials, threads in ((2, 1), (2, 2), (1, 2)):
-        cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=trials)
-        with pytest.raises(RuntimeError, match="trial failed"):
-            bench.monte_carlo(cfg, threads=threads)
-        assert counts() == two_threads
-        assert threading.active_count() == threads_before
-
-
-def test_monte_carlo_restores_when_a_bound_helper_raises(two_threads, monkeypatch):
-    # One trial on two threads: the calling thread runs the seed and the
-    # bound's Fisher factor, and waits until the helper has taken the dense
-    # Jacobian and raised.
-    caller = threading.get_ident()
-    helper_ran = threading.Event()
-    fisher_factor = fim.fisher_factor
-
-    def failing_in_helper(J, out=None):
-        assert threading.get_ident() != caller
-        helper_ran.set()
-        raise RuntimeError("bound failed")
-
-    def waiting_for_the_helper(J, s):
-        helper_ran.wait(timeout=30)
-        return fisher_factor(J, s)
-
-    threads_before = threading.active_count()
-    monkeypatch.setattr(fim, "fisher_factor", waiting_for_the_helper)
-    monkeypatch.setattr(fim.Jacobian, "dense", failing_in_helper)
-    cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=144, n=16, n_clusters=2, paths_per_cluster=2,
-                               P_budgets=(1,), strategies=("joint",), trials=1)
-    with pytest.raises(RuntimeError, match="bound failed"):
-        bench.monte_carlo(cfg, threads=2)
-    assert helper_ran.is_set()
-    assert counts() == two_threads
-    assert threading.active_count() == threads_before
+    # a pursuit or the seed's bound raises; two trials on one or two threads;
+    # one trial on two, raising on the calling thread, which runs the only seed
+    for owner, name in ((bench, "run_trial"), (fim.Jacobian, "dense")):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, failing)
+            for trials, threads in ((2, 1), (2, 2), (1, 2)):
+                cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=trials)
+                with pytest.raises(RuntimeError, match="trial failed"):
+                    bench.monte_carlo(cfg, threads=threads)
+                assert counts() == two_threads
+                assert threading.active_count() == threads_before
 
 
 def test_crb_report_caps_and_restores(two_threads, monkeypatch):

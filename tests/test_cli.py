@@ -56,22 +56,6 @@ def test_crb_identity_snr10_floor(tmp_path, capsys):
     assert report["optimal_observation_residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("observation", [
-    {"target_snr_db": 30.0},
-    {"pilots": "orthogonal", "n_s": 32, "basis": "dft", "target_snr_db": 30.0},
-], ids=["identity", "dft_pilots"])
-def test_crb_report_bytes_do_not_depend_on_the_helper(tmp_path, monkeypatch, observation):
-    # run_crb hands crb_report one helper thread, which fills the dense Jacobian
-    # and takes half of crb_trace's blocks; without it the report is the same
-    obj = dict(crb_config(), arrays=_ARRAYS_64_16, observation=observation)
-    cfg = write_config(tmp_path, obj)
-    assert main(["crb", "--config", cfg, "--out", str(tmp_path / "helper.json")]) == 0
-    crb_report = cli.crb_report
-    monkeypatch.setattr(cli, "crb_report", lambda *args: crb_report(*args[:-1], None))
-    assert main(["crb", "--config", cfg, "--out", str(tmp_path / "alone.json")]) == 0
-    assert (tmp_path / "helper.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
-
-
 def test_crb_stdout_when_no_out(tmp_path, capsys):
     cfg = write_config(tmp_path, crb_config(n_paths=2))
     assert main(["crb", "--config", cfg]) == 0

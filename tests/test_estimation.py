@@ -338,61 +338,47 @@ class ExactOracle:
     """Exact scores of a dictionary's atoms against one Y, in integer arithmetic.
 
     Y, K_r and K_t are each read exactly over one denominator (see
-    exact_ints), so every score below is exact, on integer data and steering
-    atoms alike, and equal scores tie exactly; ties break to the smallest
-    index. Each score is first formed in complex128, and only those within
-    2^-30 ||Y||_F^2 of the largest, which hold every exact maximizer, are
-    scored exactly.
+    exact_ints) as object arrays of Python integers, so every score below is
+    an exact integer product, on integer data and steering atoms alike, and
+    equal scores tie exactly; ties break to the smallest index.
     """
 
     def __init__(self, Y, d):
         self.Y, self.d = np.asarray(Y, dtype=complex), d
-        (self.Yi, _), (self.Ri, _), (self.Ti, _) = map(exact_ints, (self.Y, d.K_r, d.K_t))
-        self.tol = 2.0 ** -30 * float(np.linalg.norm(self.Y)) ** 2
-        self._rows = {}
-
-    def row(self, i):
-        """k_r_i^H Y, scaled by the common denominators, as (re, im) integers."""
-        if i not in self._rows:
-            a = [r[i] for r in self.Ri]
-            self._rows[i] = [
-                (sum(ar * yr + ai * yi for (ar, ai), (yr, yi) in zip(a, col)),
-                 sum(ar * yi - ai * yr for (ar, ai), (yr, yi) in zip(a, col)))
-                for col in zip(*self.Yi)]
-        return self._rows[i]
-
-    def energy(self, i):
-        return sum(re * re + im * im for re, im in self.row(i))
-
-    def score(self, i, j):
-        t, b = self.row(i), [r[j] for r in self.Ti]
-        re = sum(tr * br - ti * bi for (tr, ti), (br, bi) in zip(t, b))
-        im = sum(tr * bi + ti * br for (tr, ti), (br, bi) in zip(t, b))
-        return re * re + im * im
+        (Yr, Yi), (Rr, Ri), (self.Tr, self.Ti) = map(self.parts, (self.Y, d.K_r, d.K_t))
+        # K_r^H Y, scaled by the common denominators
+        self.re, self.im = Rr.T @ Yr + Ri.T @ Yi, Rr.T @ Yi - Ri.T @ Yr
 
     @staticmethod
-    def first_max(candidates, value):
-        values = [value(c) for c in candidates]
-        return min(c for c, v in zip(candidates, values) if v == max(values))
+    def parts(M):
+        """The real and imaginary parts of exact_ints(M) as object arrays."""
+        A = np.array(exact_ints(M)[0], dtype=object).reshape(*np.shape(M), 2)
+        return A[..., 0], A[..., 1]
+
+    def scores(self, re, im):
+        """|(re + j im) K_t|^2, scaled by the common denominators."""
+        Cr, Ci = re @ self.Tr - im @ self.Ti, re @ self.Ti + im @ self.Tr
+        return Cr * Cr + Ci * Ci
+
+    @staticmethod
+    def first_max(values):
+        """The flat index of the first largest of values."""
+        flat = list(values.ravel())
+        return flat.index(max(flat))
 
     def joint(self):
         """The exact argmax of |k_r_i^H Y k_t_j| as (DoA, DoD)."""
-        C = self.d.K_r_H @ self.Y @ self.d.K_t
-        sq = C.real ** 2 + C.imag ** 2
-        pairs = [tuple(map(int, p)) for p in np.argwhere(sq >= sq.max() - self.tol)]
-        return self.first_max(pairs, lambda p: self.score(*p))
+        S = self.scores(self.re, self.im)
+        return divmod(self.first_max(S), S.shape[1])
 
     def sequential(self):
         """(DoA of largest energy ||k_r_i^H Y||, its DoD of largest |k_r_i^H Y k_t_j|,
         the complex128 energies, the complex128 scores of that DoA's row)."""
+        i = self.first_max((self.re * self.re + self.im * self.im).sum(axis=1))
+        j = self.first_max(self.scores(self.re[i], self.im[i]))
         T = self.d.K_r_H @ self.Y
-        energies = (T.real ** 2 + T.imag ** 2).sum(axis=1)
-        near = np.flatnonzero(energies >= energies.max() - self.tol)
-        i = self.first_max([int(k) for k in near], self.energy)
         z = T[i] @ self.d.K_t
-        row = z.real ** 2 + z.imag ** 2
-        near = np.flatnonzero(row >= row.max() - self.tol)
-        return i, self.first_max([int(k) for k in near], lambda k: self.score(i, k)), energies, row
+        return i, j, (T.real ** 2 + T.imag ** 2).sum(axis=1), z.real ** 2 + z.imag ** 2
 
 
 def bruteforce_pick(Y, d):

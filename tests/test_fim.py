@@ -1,6 +1,5 @@
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -19,7 +18,6 @@ from mimolab.geometry import Direction, ula, upa
 from mimolab.observation import (ObservationSetup, exact_scale, frobenius_norm, identity_setup,
                                  orthogonal_pilots, projection_apply, snr, span_combiners,
                                  span_pilots)
-from mimolab.workers import Helpers
 
 from conftest import (fd_jacobian, random_geometry, random_path,
                       separated_directions)
@@ -740,22 +738,6 @@ def test_crb_report_contents(rng):
     assert not report["ill_conditioned"]
     assert len(report["per_path_blocks"]) == 2
     assert len(report["per_path_blocks"][0]) == 6
-
-
-def test_bound_does_not_depend_on_the_helper(rng):
-    # 64 x 16 arrays: D has 1024 rows, so crb_trace sums 8 blocks, split between
-    # the calling thread and the helper, while the helper also fills D
-    g_r, g_t = upa(4, 4), upa(8, 8)
-    ps = PathSet(random_path(rng) for _ in range(6))
-    J, h = channel_jacobian(ps, g_r, g_t), synthesize(ps, g_r, g_t).vector
-    W = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
-    hybrid = ObservationSetup(orthogonal_pilots(64, 32, 1.0, "dft"), W, 0.1)
-    for s in (identity_setup(64, 16, 0.1), hybrid):
-        R, result = bound(J, s, h)
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            for _ in range(3):
-                R_pooled, pooled = bound(J, s, h, Helpers(executor, 1))
-                assert np.array_equal(R_pooled, R) and pooled == result
 
 
 def test_crb_report_computes_the_steering_derivatives_once_per_array(monkeypatch):
