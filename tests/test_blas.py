@@ -61,17 +61,39 @@ def test_monte_carlo_restores_when_a_trial_raises(two_threads, monkeypatch):
         raise RuntimeError("trial failed")
 
     threads_before = threading.active_count()
-    # a pursuit or the seed's bound raises; two trials on one or two threads;
-    # one trial on two, raising on the calling thread, which runs the only seed
-    for owner, name in ((bench, "run_trial"), (fim.Jacobian, "dense")):
-        with monkeypatch.context() as patch:
-            patch.setattr(owner, name, failing)
-            for trials, threads in ((2, 1), (2, 2), (1, 2)):
-                cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=trials)
-                with pytest.raises(RuntimeError, match="trial failed"):
-                    bench.monte_carlo(cfg, threads=threads)
-                assert counts() == two_threads
-                assert threading.active_count() == threads_before
+    monkeypatch.setattr(bench, "run_trial", failing)
+    # two trials on one or two threads; one trial on two, raising on the
+    # calling thread, which runs the only seed
+    for trials, threads in ((2, 1), (2, 2), (1, 2)):
+        cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=trials)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            bench.monte_carlo(cfg, threads=threads)
+        assert counts() == two_threads
+        assert threading.active_count() == threads_before
+
+
+def test_monte_carlo_restores_when_a_bound_raises(two_threads, monkeypatch):
+    # the seed's bound raises on the thread that runs the seed: with one trial
+    # on two threads, the calling thread
+    caller = threading.get_ident()
+    raised_on = []
+
+    def failing(J):
+        raised_on.append(threading.get_ident())
+        raise RuntimeError("bound failed")
+
+    threads_before = threading.active_count()
+    monkeypatch.setattr(fim.Jacobian, "dense", failing)
+    for trials, threads in ((2, 1), (2, 2), (1, 2)):
+        raised_on.clear()
+        cfg = bench.ScenarioConfig(n_t=16, n_r=4, m=16, n=16, trials=trials)
+        with pytest.raises(RuntimeError, match="bound failed"):
+            bench.monte_carlo(cfg, threads=threads)
+        assert raised_on
+        if threads == 1 or trials == 1:
+            assert set(raised_on) == {caller}
+        assert counts() == two_threads
+        assert threading.active_count() == threads_before
 
 
 def test_crb_report_caps_and_restores(two_threads, monkeypatch):

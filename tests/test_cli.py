@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,22 @@ def test_crb_identity_snr10_floor(tmp_path, capsys):
     assert report["crb_relative"] >= report["floor_3p_over_snr"] - 1e-9
     assert report["n_p"] == 60
     assert report["optimal_observation_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("observation", [
+    {"target_snr_db": 30.0},
+    {"pilots": "orthogonal", "n_s": 32, "basis": "dft", "target_snr_db": 30.0},
+], ids=["identity", "dft_pilots"])
+def test_crb_report_bytes_do_not_depend_on_the_thread(tmp_path, observation):
+    # run_crb forms the bound on the thread that calls it, with no helper; run
+    # on a worker thread, the report is the same
+    obj = dict(crb_config(), arrays=_ARRAYS_64_16, observation=observation)
+    cfg = write_config(tmp_path, obj)
+    assert main(["crb", "--config", cfg, "--out", str(tmp_path / "caller.json")]) == 0
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        args = ["crb", "--config", cfg, "--out", str(tmp_path / "worker.json")]
+        assert executor.submit(main, args).result() == 0
+    assert (tmp_path / "caller.json").read_bytes() == (tmp_path / "worker.json").read_bytes()
 
 
 def test_crb_stdout_when_no_out(tmp_path, capsys):

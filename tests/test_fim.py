@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -738,6 +740,44 @@ def test_crb_report_contents(rng):
     assert not report["ill_conditioned"]
     assert len(report["per_path_blocks"]) == 2
     assert len(report["per_path_blocks"][0]) == 6
+
+
+def test_bound_does_not_depend_on_the_thread(rng):
+    # 64 x 16 arrays: D has 1024 rows, so crb_trace sums 8 blocks; a seed's
+    # bound runs alone on whichever thread runs the seed
+    g_r, g_t = upa(4, 4), upa(8, 8)
+    ps = PathSet(random_path(rng) for _ in range(6))
+    J, h = channel_jacobian(ps, g_r, g_t), synthesize(ps, g_r, g_t).vector
+    W = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+    hybrid = ObservationSetup(orthogonal_pilots(64, 32, 1.0, "dft"), W, 0.1)
+    for s in (identity_setup(64, 16, 0.1), hybrid):
+        R, result = bound(J, s, h)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for _ in range(3):
+                R_worker, on_worker = executor.submit(bound, J, s, h).result()
+                assert np.array_equal(R_worker, R) and on_worker == result
+
+
+def test_bound_forms_the_dense_jacobian_after_the_factor_on_the_calling_thread(monkeypatch):
+    # D and the factor's workspace are not held at once, and no other thread
+    # takes part
+    calls = []
+    fisher_factor, dense = fim.fisher_factor, fim.Jacobian.dense
+
+    def factor(J, s):
+        calls.append(("factor", threading.get_ident()))
+        return fisher_factor(J, s)
+
+    def recording_dense(J):
+        calls.append(("dense", threading.get_ident()))
+        return dense(J)
+
+    monkeypatch.setattr(fim, "fisher_factor", factor)
+    monkeypatch.setattr(fim.Jacobian, "dense", recording_dense)
+    g_r, g_t = upa(2, 2), upa(2, 3)
+    ps = two_paths()
+    bound(channel_jacobian(ps, g_r, g_t), identity_setup(6, 4, 1.0), synthesize(ps, g_r, g_t).vector)
+    assert calls == [("factor", threading.get_ident()), ("dense", threading.get_ident())]
 
 
 def test_crb_report_computes_the_steering_derivatives_once_per_array(monkeypatch):
