@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .estimation import (_SELECTORS, Dictionary, DirectionGrid, Reading, build_d
 from .fim import CrbResult, bound, channel_jacobian, optimal_bound
 from .geometry import HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int, is_finite_real
 from .observation import identity_setup, noise_for_snr, observe
-from .workers import Helpers, shared_map
+from .workers import shared_map
 
 
 def _default_square_upa(n_antennas: int) -> dict:
@@ -304,14 +303,17 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
 
     Trial t draws the scenario of seed base_seed + t (see draw_scenario)
     and runs every strategy on it. min(threads, trials) threads take whole
-    seeds, the calling thread among them, and each seed's bound and pursuits
-    run on its thread, so the time columns are single-thread wall times.
+    seeds, the calling thread and the pool threads of workers.shared_map,
+    and each seed's bound and pursuits run on its thread, so the time
+    columns are single-thread wall times. threads must be a whole number
+    (see geometry.as_int) of at least 1, or ValueError is raised.
     Results are reduced in seed order, so the rMSE, CRB and counter columns
     are reproducible bit for bit for any `threads`; rows come back sorted by
     (P_budget, strategy). The call runs on one BLAS thread (see
     blas.one_blas_thread): these threads are the only parallelism, and the
     CRB column does not depend on the environment's thread count.
     """
+    threads = as_int(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be a positive worker count, got {threads}")
     grid = DirectionGrid.product(cfg.m, cfg.n)
@@ -324,8 +326,7 @@ def monte_carlo(cfg: ScenarioConfig, threads: int = 1) -> list[BenchRow]:
         return scenario.true_crb, {s: run_trial(cfg, scenario, s, dictionary)
                                    for s in cfg.strategies}
 
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as executor:
-        per_seed = shared_map(seed_work, seeds, Helpers(executor, threads - 1))
+    per_seed = shared_map(seed_work, seeds, threads)
     true_crbs = [crb for crb, _ in per_seed]
     combos = sorted((p, s) for p in cfg.P_budgets for s in cfg.strategies)
     return [_aggregate(cfg, s, p, [trials[s] for _, trials in per_seed], true_crbs)

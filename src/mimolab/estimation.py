@@ -10,7 +10,6 @@ least squares, subtract, repeat.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import time
@@ -25,7 +24,7 @@ from .geometry import (HALF_PI, TWO_PI, ArrayGeometry, Direction, as_int,
                        unit_vectors_from_angles, wrap_azimuth)
 from .observation import ATOM_NORM_TOL, ObservationSetup, exact_scale, frobenius_norm, overflows
 
-_SCORE_BLOCK_ROWS = 64   # rows per block in both joint-scan passes; 32-256 time alike, 512 is slower
+_SCORE_BLOCK_ROWS = 64   # rows per block of the joint scan's rescore; 32-256 time alike, 512 is slower
 _SCREEN_SAFETY = 4.0     # c in the joint screen's rounding bound (see joint_select)
 _U32 = 2.0 ** -24        # unit roundoff of float32
 _U64 = 2.0 ** -53        # unit roundoff of float64
@@ -33,7 +32,6 @@ _TINY32 = 2.0 ** -122    # 16 x float32's smallest normal: the screen's underflo
 _PRUNE_SAFETY = 16.0     # c in the joint prune's rounding margin (see joint_select)
 _CELL_SIDE = 5           # DoA ranks per side of a cell of the joint scan's cone bound
 _CELL_MIN_PAIRS = 2 ** 16  # pruned pairs up to which the joint scan screens without its cell bound
-_SCREEN_RUN = 2 ** 16    # products and gathered entries per run of the joint scan's cell screen
 
 
 def _cell_centres(n_az: int, n_el: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,19 +402,6 @@ def _survivors(screened: np.ndarray, r: int, norm: float, margin: float = 0.0) -
     return np.flatnonzero(screened >= np.float64(top - 2.0 * (delta + margin)))
 
 
-def _cell_keep(scores: np.ndarray, radii: np.ndarray, reach: np.ndarray,
-               level: float) -> np.ndarray:
-    """keep[g, j] = scores[g, j] >= level - radii[g] reach[j], the cell bound's rule (see
-    joint_select), evaluated in float64 _SCORE_BLOCK_ROWS cells at a time."""
-    keep = np.empty(scores.shape, dtype=bool)
-    for g0 in range(0, len(scores), _SCORE_BLOCK_ROWS):
-        need = np.multiply.outer(-radii[g0:g0 + _SCORE_BLOCK_ROWS], reach)
-        need += level
-        np.greater_equal(scores[g0:g0 + _SCORE_BLOCK_ROWS], need,
-                         out=keep[g0:g0 + _SCORE_BLOCK_ROWS])
-    return keep
-
-
 def _screened_cells(left32: np.ndarray, right_T32: np.ndarray, keep: np.ndarray,
                     bounds: np.ndarray, norm: float) -> np.ndarray:
     """Increasing positions of the rows of left32 that may hold max |C_ij| over the
@@ -427,43 +412,16 @@ def _screened_cells(left32: np.ndarray, right_T32: np.ndarray, keep: np.ndarray,
     factor holds unit atoms and the other, whose largest row or column norm
     is norm, is formed from _scaled's Ys; both are screened in complex64, and
     a row survives when its screened maximum is within 2 delta of the
-    largest (see _survivors and joint_select).
-
-    The cells are screened in runs of consecutive cells: a run ends before
-    its products and gathered columns would pass _SCREEN_RUN entries, and
-    holds at least one cell. Each cell's kept columns are gathered, and its
-    product written, into flat buffers shared by the run, and the moduli
-    and each row's maximum are taken over the whole run. The buffers are
-    allocated once, before the first run, and the runs allocate nothing.
+    largest (see _survivors and joint_select). The cells are screened one at
+    a time, each row keeping its largest modulus.
     """
-    r = left32.shape[1]
-    widths, heights = np.count_nonzero(keep, axis=1), np.diff(bounds)
-    work = np.cumsum(widths * (heights + r)).tolist()
-    size = int(max(min(_SCREEN_RUN, work[-1]), (widths * heights).max()))
-    C, A = np.empty(size, dtype=np.complex64), np.empty(size, dtype=np.float32)
-    G = np.empty((int(max(min(_SCREEN_RUN, work[-1]) // r, widths.max())), r), dtype=np.complex64)
-    # where each row's values start in the products of all cells laid end to end
-    row_widths = np.repeat(widths, heights)
-    row_starts = np.cumsum(row_widths) - row_widths
-    starts = np.empty(len(left32), dtype=row_starts.dtype)
     row_max = np.empty(len(left32), dtype=np.float32)
-    widths, bounds = widths.tolist(), bounds.tolist()
-    lo = 0
-    while lo < len(widths):
-        done = work[lo - 1] if lo else 0
-        hi = max(lo + 1, bisect.bisect_right(work, done + _SCREEN_RUN))
-        at, q = 0, 0
-        for c in range(lo, hi):
-            h, k = bounds[c + 1] - bounds[c], widths[c]
-            np.compress(keep[c], right_T32, axis=0, out=G[q:q + k])
-            np.matmul(left32[bounds[c]:bounds[c + 1]], G[q:q + k].T,
-                      out=C[at:at + h * k].reshape(h, k))
-            at, q = at + h * k, q + k
-        p0, p1 = bounds[lo], bounds[hi]
-        np.subtract(row_starts[p0:p1], row_starts[p0], out=starts[p0:p1])
-        np.maximum.reduceat(np.abs(C[:at], out=A[:at]), starts[p0:p1], out=row_max[p0:p1])
-        lo = hi
-    return _survivors(row_max, r, norm)
+    bounds = bounds.tolist()
+    for c in range(len(keep)):
+        lo, hi = bounds[c], bounds[c + 1]
+        kept = np.compress(keep[c], right_T32, axis=0)   # faster than right_T32[keep[c]]
+        np.abs(left32[lo:hi] @ kept.T).max(axis=1, out=row_max[lo:hi])
+    return _survivors(row_max, left32.shape[1], norm)
 
 
 def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
@@ -609,33 +567,25 @@ def joint_select(Y: np.ndarray, dictionary: Dictionary) -> Selection:
         keep = np.ones((1, len(cols)), dtype=bool)
     else:
         # the centre scores of the cells that hold a kept DoA
-        live = np.zeros(cells.count, dtype=bool)
-        live[cells.cell_of[rows]] = True
-        live = np.flatnonzero(live)
+        live = np.unique(cells.cell_of[rows])
         centres = (cells.centres32[live] if contract_combiners
                    else left[cells.centres[live]].astype(np.complex64))
-        scores = np.empty((len(live), len(cols)), dtype=np.float32)
-        for g0 in range(0, len(live), _SCORE_BLOCK_ROWS):
-            np.abs(centres[g0:g0 + _SCORE_BLOCK_ROWS] @ right_T32.T,
-                   out=scores[g0:g0 + _SCORE_BLOCK_ROWS])
+        scores = np.abs(centres @ right_T32.T)
         delta = _screen_delta(left.shape[1], norm, float(scores.max()))
         # a third feasible pair: the DoD of the largest centre score with its best DoA
         best = cols[int(np.argmax(scores)) % len(cols)]
         floor = max(floor, float(np.abs(left @ right[:, best]).max()) - margin)
-        keep = _cell_keep(scores, cells.radii[live], dod_norms[cols] + margin,
-                          floor - margin - delta)
+        # the cell bound's rule, in float64
+        keep = scores >= floor - margin - delta - np.multiply.outer(cells.radii[live],
+                                                                    dod_norms[cols] + margin)
         keep &= dod_norms[cols] >= floor
-        del scores   # so that the screen's buffers do not add to it
         # the kept DoAs of the cells that keep a DoD, cell by cell
-        reached = np.zeros(cells.count, dtype=bool)
-        reached[live] = keep.any(axis=1)
-        slot = np.zeros(cells.count, dtype=np.intp)
-        slot[live] = np.arange(len(live))
-        rows = rows[doa_norms[rows] >= floor]
         screen = np.zeros(dictionary.m, dtype=bool)
-        screen[rows[reached[cells.cell_of[rows]]]] = True
+        screen[rows[doa_norms[rows] >= floor]] = True
         screened = cells.members[screen[cells.members]]
-        g = slot[cells.cell_of[screened]]
+        g = np.searchsorted(live, cells.cell_of[screened])   # their rows of keep
+        reached = keep.any(axis=1)[g]
+        screened, g = screened[reached], g[reached]
         starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
         keep, bounds = keep[g[starts]], np.r_[starts, len(screened)]
     left32 = dictionary.K_r_H32[screened] if contract_combiners else left[screened]

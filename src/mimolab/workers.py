@@ -8,31 +8,23 @@ never k.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor, wait
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 
 
-@dataclass(frozen=True)
-class Helpers:
-    """Up to `count` tasks of `executor` that one call may run beside its own thread."""
+def shared_map(fn, items, threads: int = 1) -> list:
+    """[fn(x) for x in items], computed on the calling thread and pool threads.
 
-    executor: Executor
-    count: int
-
-
-def shared_map(fn, items, helpers: Helpers | None = None) -> list:
-    """[fn(x) for x in items], computed on the calling thread and helper tasks.
-
-    At most min(helpers.count, len(items) - 1) tasks are submitted (none
-    when helpers is None). The calling thread runs the first item; then
-    every thread, the calling one alone if no task is submitted, takes the
-    next item not yet taken until none is left, and the results come back
-    in item order. Once a call raises, no thread takes a new item; the
-    calling thread's error, else a helper's, propagates after every helper
-    task has returned.
+    min(threads, len(items)) - 1 tasks are submitted to a pool that the call
+    opens and closes (none when that is 0 or less, and then the pool starts
+    no thread). The calling thread runs the first item; then every thread,
+    the calling one alone if no task is submitted, takes the next item not
+    yet taken until none is left, and the results come back in item order.
+    Once a call raises, no thread takes a new item; the calling thread's
+    error, else a pool task's, propagates after every pool task has
+    returned.
     """
     items = list(items)
-    spare = min(helpers.count, len(items) - 1) if helpers is not None else 0
+    spare = min(threads, len(items)) - 1
     results = [None] * len(items)
     lock = threading.Lock()
     pending = iter(range(len(items)))
@@ -53,11 +45,9 @@ def shared_map(fn, items, helpers: Helpers | None = None) -> list:
             i = take()
 
     first = take()
-    futures = [helpers.executor.submit(lambda: run(take())) for _ in range(spare)]
-    try:
+    with ThreadPoolExecutor(max_workers=max(spare, 1)) as pool:
+        futures = [pool.submit(lambda: run(take())) for _ in range(spare)]
         run(first)
-    finally:
-        wait(futures)
     for f in futures:
         f.result()
     return results

@@ -264,9 +264,12 @@ def test_strategies_of_a_seed_pursue_one_observation(monkeypatch):
     assert not np.array_equal(first, second)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 2.5, float("nan"), "2", True])
 def test_monte_carlo_rejects_non_positive_threads(threads):
-    with pytest.raises(ValueError, match="threads must be a positive worker count"):
+    # a fraction, NaN, a string or a bool is no worker count: it is neither
+    # truncated nor compared, but rejected as a non-integer
+    message = "a positive worker count" if type(threads) is int else "an integer"
+    with pytest.raises(ValueError, match="threads must be " + message):
         monte_carlo(tiny_config(trials=1), threads=threads)
 
 

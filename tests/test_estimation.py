@@ -651,21 +651,6 @@ def test_joint_select_screens_a_small_prune_as_one_cell(rng, monkeypatch, n_c, n
         assert one_cell == sel and (sel.doa_index, sel.dod_index) == bruteforce_pick(Y, d)
 
 
-@pytest.mark.parametrize("run_entries", [1, 40, 400, 2 ** 17])
-def test_joint_select_screen_runs_do_not_change_the_screen(rng, monkeypatch, run_entries):
-    # runs of one cell (1 entry), of cells with few kept DoDs (40), of several
-    # cells (400) and of the whole screen give the same survivors and pick
-    grid = DirectionGrid(20, 15, 6, 5)
-    d = build_dictionaries(grid, identity_setup(8, 6, 1.0), upa(2, 3), upa(2, 4))
-    Ys = [rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)) for _ in range(4)]
-    Ys.append(np.zeros((6, 8), dtype=complex))
-    expected = [rescored_rows(Y, d) for Y in Ys]
-    monkeypatch.setattr(estimation, "_SCREEN_RUN", run_entries)
-    for Y, (rows, sel) in zip(Ys, expected):
-        run_rows, run_sel = rescored_rows(Y, d)
-        assert np.array_equal(run_rows, rows) and run_sel == sel
-
-
 def fresh(d):
     """A new Dictionary on d's arrays, whose cells are formed anew on first use."""
     return estimation.Dictionary(d.K_r, d.K_t, d.doa_norms, d.dod_norms, d.doa_angles,
